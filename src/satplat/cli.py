@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / positive verdict; 1 negative but valid verdict
 (unsolvable level, failed replay, corpus disagreement, search limit hit);
-2 crash (bad input, usage error).  stdout carries documents (levels,
-traces, reports); stderr carries diagnostics.
+2 crash (bad input, unreadable path, usage error).  stdout carries
+documents (levels, traces, reports); stderr carries diagnostics.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except (FormulaError, LevelError, CompileError, FileNotFoundError, ValueError) as exc:
+    except (FormulaError, LevelError, CompileError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -283,7 +283,7 @@ def _clause_wall(grid: list[list[str]], wall_x: int) -> None:
     grid[4][wall_x] = "#"
 
 
-def build_clause_gadget(clause_index: int, literals=None) -> GadgetBlueprint:
+def build_clause_gadget(clause_index: int) -> GadgetBlueprint:
     """Check corridor blocked by three stacked doors; passable iff at
     least one is open (walk through the bottom door, or jump into an open
     upper door and rest on the closed one beneath)."""
@@ -316,7 +316,7 @@ def build_clause_gadget(clause_index: int, literals=None) -> GadgetBlueprint:
     )
 
 
-def build_tunnel(literal=None, button_door_ids=()) -> GadgetBlueprint:
+def build_tunnel(button_door_ids=()) -> GadgetBlueprint:
     """1-tall corridor with one OPEN button per target door; buttons block
     walking, so every traversal dashes through (and fires) all of them."""
     m = len(button_door_ids)
@@ -697,7 +697,7 @@ def build_elevator(lift: int = 7) -> GadgetBlueprint:
 ALL_GADGET_BUILDERS = {
     "variable": lambda: build_variable_gadget(1),
     "clause": lambda: build_clause_gadget(0),
-    "tunnel": lambda: build_tunnel(None, (0, 1)),
+    "tunnel": lambda: build_tunnel((0, 1)),
     "crossover": build_crossover,
     "final_passage": lambda: build_final_passage(2),
     "door_gadget": lambda: build_door_gadget(0),

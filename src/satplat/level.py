@@ -8,7 +8,7 @@ text document and the ASCII renderer both show the top row first.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 Cell = tuple[int, int]
 
@@ -85,10 +85,6 @@ class SpaceBlock:
         x0, y0, x1, y1 = self.rect
         return [(x, y) for y in range(y0, y1 + 1) for x in range(x0, x1 + 1)]
 
-    def contains(self, cell: Cell) -> bool:
-        x0, y0, x1, y1 = self.rect
-        return x0 <= cell[0] <= x1 and y0 <= cell[1] <= y1
-
 
 @dataclass(frozen=True)
 class Spawn:
@@ -156,10 +152,6 @@ class Level:
     @property
     def buttons(self) -> list[Button]:
         return [e for e in self.entities if isinstance(e, Button)]
-
-    @property
-    def space_blocks(self) -> list[SpaceBlock]:
-        return [e for e in self.entities if isinstance(e, SpaceBlock)]
 
     def port(self, name: str) -> Port:
         for p in self.ports:
@@ -261,10 +253,13 @@ def validate_level(level: Level) -> list[Violation]:
         bad("flag-count", "level", f"exactly one Flag required, found {flags}")
 
     if spawns == 1:
+        # The start state is at rest: an open door under the spawn would
+        # let the player fall before the first move.
         sx, sy = level.spawn.cell
         below = (sx, sy - 1)
         supported = level.is_solid(sx, sy - 1) or any(
-            isinstance(e, (UnstablePlatform, Door)) and below in level.entity_cells(e)
+            (isinstance(e, UnstablePlatform) and e.cell == below)
+            or (isinstance(e, Door) and not e.initially_open and below in e.cells)
             for e in level.entities
         )
         if not supported:
@@ -311,23 +306,41 @@ def _entity_to_record(ent: Entity) -> dict:
     raise LevelError(f"unknown entity {ent!r}")
 
 
+def _typed(value, kind: type, what: str):
+    if type(value) is not kind:
+        raise LevelError(f"{what} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _ints(value, count: int, what: str) -> tuple[int, ...]:
+    if type(value) is not list or len(value) != count \
+            or any(type(v) is not int for v in value):
+        raise LevelError(f"{what} must be a list of {count} ints, got {value!r}")
+    return tuple(value)
+
+
 def _record_to_entity(rec: dict) -> Entity:
     try:
         kind = rec["kind"]
     except (KeyError, TypeError):
         raise LevelError(f"entity record without a kind: {rec!r}") from None
     if kind == "platform":
-        return UnstablePlatform(rec["id"], tuple(rec["cell"]))
+        return UnstablePlatform(_typed(rec["id"], int, "platform id"),
+                                _ints(rec["cell"], 2, "cell"))
     if kind == "door":
-        return Door(rec["id"], tuple(tuple(c) for c in rec["cells"]), rec["open"])
+        return Door(_typed(rec["id"], int, "door id"),
+                    tuple(_ints(c, 2, "door cell") for c in rec["cells"]),
+                    _typed(rec["open"], bool, "door open"))
     if kind == "button":
-        return Button(tuple(rec["cell"]), rec["door"], rec["action"])
+        return Button(_ints(rec["cell"], 2, "cell"), _typed(rec["door"], int, "button door"),
+                      _typed(rec["action"], str, "button action"))
     if kind == "space_block":
-        return SpaceBlock(rec["id"], tuple(rec["rect"]))
+        return SpaceBlock(_typed(rec["id"], int, "space block id"),
+                          _ints(rec["rect"], 4, "rect"))
     if kind == "spawn":
-        return Spawn(tuple(rec["cell"]))
+        return Spawn(_ints(rec["cell"], 2, "cell"))
     if kind == "flag":
-        return Flag(tuple(rec["cell"]))
+        return Flag(_ints(rec["cell"], 2, "cell"))
     raise LevelError(f"unknown entity kind {kind!r}")
 
 
@@ -355,28 +368,29 @@ def save_level(level: Level) -> str:
 
 def load_level(document: str) -> Level:
     """Parse and validate a level document; raises LevelError on any
-    schema or invariant violation."""
+    schema or invariant violation, including a field of the wrong JSON
+    type."""
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise LevelError(f"bad level document: {exc}") from None
     try:
         physics = PhysicsParams(
-            doc["physics"]["J"], doc["physics"]["D"], doc["physics"]["R"]
+            *(_typed(doc["physics"][k], int, f"physics {k}") for k in ("J", "D", "R"))
         )
         level = Level(
-            width=doc["width"],
-            height=doc["height"],
+            width=_typed(doc["width"], int, "width"),
+            height=_typed(doc["height"], int, "height"),
             tiles=tuple(reversed([str(r) for r in doc["tiles"]])),
             entities=tuple(_record_to_entity(r) for r in doc["entities"]),
-            variant=doc["variant"],
+            variant=_typed(doc["variant"], str, "variant"),
             physics=physics,
             ports=tuple(
-                Port(name, tuple(p["cell"]), p["dir"])
+                Port(name, _ints(p["cell"], 2, "port cell"), _typed(p["dir"], str, "port dir"))
                 for name, p in sorted(doc.get("ports", {}).items())
             ),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise LevelError(f"bad level document: missing or malformed field ({exc})") from None
     for row in level.tiles:
         if set(row) - {SOLID, EMPTY}:
@@ -452,14 +466,6 @@ class LevelBuilder:
             raise LevelError(f"cannot carve boundary or out-of-bounds cell ({x}, {y})")
         self.grid[y][x] = EMPTY
 
-    def carve_row(self, x0: int, x1: int, y: int):
-        for x in range(x0, x1 + 1):
-            self.carve(x, y)
-
-    def carve_column(self, x: int, y0: int, y1: int):
-        for y in range(y0, y1 + 1):
-            self.carve(x, y)
-
     def is_carved(self, x: int, y: int) -> bool:
         return self.grid[y][x] == EMPTY
 
@@ -487,7 +493,3 @@ class LevelBuilder:
                     "built an invalid level: " + "; ".join(str(v) for v in violations)
                 )
         return level
-
-
-def with_ports(level: Level, ports: tuple[Port, ...]) -> Level:
-    return replace(level, ports=ports)

@@ -10,6 +10,13 @@ platform, or the top of a space block.  Dash charge is restored by
 ending a step supported on solid or on a platform, or by passing through
 a space block.  Buttons block walking and jumping but are swept (and
 fired) by a dash; falling passes through button cells without firing.
+
+The start state is the spawn cell with a dash charge, the initial door
+bits and every platform intact.  The spawn must rest on solid, a closed
+door or a platform (see `level.validate_level`), so the start is already
+at rest; `solve`, `replay` and `initial_state` all begin from
+`start_key`.  Platform breaking happens only at the end of a step, so a
+spawn platform stays intact until the first move.
 """
 
 from __future__ import annotations
@@ -186,9 +193,27 @@ def sim_context(level: Level) -> SimContext:
     return SimContext(level)
 
 
+def pack_state(state: GameState) -> tuple[int, int, int, int, int]:
+    """The packed key (x, y, dash, doors, plats) that the step core and
+    the solver work on."""
+    x, y = state.position
+    return (x, y, int(state.has_dash), state.door_open, state.platform_broken)
+
+
+def unpack_state(key) -> GameState:
+    x, y, has_dash, doors, plats = key
+    return GameState((x, y), bool(has_dash), doors, plats)
+
+
+def start_key(ctx: SimContext) -> tuple[int, int, int, int, int]:
+    """The packed start state: spawn, dash charged, initial doors, no
+    broken platforms."""
+    x, y = ctx.spawn
+    return (x, y, 1, ctx.initial_doors, 0)
+
+
 def initial_state(level: Level) -> GameState:
-    ctx = sim_context(level)
-    return GameState(ctx.spawn, True, ctx.initial_doors, 0)
+    return unpack_state(start_key(sim_context(level)))
 
 
 # Status codes returned by the packed step core.
@@ -356,29 +381,21 @@ def step(level: Level, state: GameState, move: Move) -> StepOutcome:
     """Apply one move; a pure function of (level, state, move)."""
     ctx = sim_context(level)
     kind, a, b = _validate_move(ctx, move)
-    status, x, y, has_dash, doors, plats = _step_packed(
-        ctx, state.position[0], state.position[1],
-        int(state.has_dash), state.door_open, state.platform_broken,
-        kind, a, b,
-    )
-    if status == _STOPPED:
+    out = _step_packed(ctx, *pack_state(state), kind, a, b)
+    if out[0] == _STOPPED:
         return BLOCKED
-    if status == _DIED:
+    if out[0] == _DIED:
         return Death(DEATH_BLOCKED_EXIT)
-    return Next(GameState((x, y), bool(has_dash), doors, plats))
+    return Next(unpack_state(out[1:]))
 
 
 def legal_moves(level: Level, state: GameState) -> list[Move]:
     """Moves whose outcome is Next; Death-producing moves are pruned."""
     ctx = sim_context(level)
+    key = pack_state(state)
     out = []
     for move, (kind, a, b) in zip(ctx.moves, ctx.packed_moves):
-        status = _step_packed(
-            ctx, state.position[0], state.position[1],
-            int(state.has_dash), state.door_open, state.platform_broken,
-            kind, a, b,
-        )[0]
-        if status == _NEXT:
+        if _step_packed(ctx, *key, kind, a, b)[0] == _NEXT:
             out.append(move)
     return out
 
@@ -387,8 +404,7 @@ def replay(level: Level, trace) -> bool:
     """True iff the trace applies cleanly from the initial state and ends
     on the flag cell; linear in the trace length."""
     ctx = sim_context(level)
-    x, y = ctx.spawn
-    has_dash, doors, plats = 1, ctx.initial_doors, 0
+    x, y, has_dash, doors, plats = start_key(ctx)
     for move in trace:
         try:
             kind, a, b = _validate_move(ctx, move)

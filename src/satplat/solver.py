@@ -13,7 +13,15 @@ from collections import deque
 from dataclasses import dataclass
 
 from satplat.level import Level
-from satplat.sim import Move, _NEXT, _step_packed, sim_context
+from satplat.sim import (
+    Move,
+    _NEXT,
+    _step_packed,
+    pack_state,
+    sim_context,
+    start_key,
+    unpack_state,
+)
 
 DEFAULT_MAX_STATES = 5_000_000
 
@@ -43,33 +51,6 @@ class LimitExceeded:
 
 
 SolveResult = Solvable | Unsolvable | LimitExceeded
-
-
-def _settle(ctx, x, y, doors, plats):
-    """Let a freshly placed probe fall to rest and interact with its
-    support, mirroring the tail of the step pipeline."""
-    w = ctx.width
-    code, eid = ctx.code, ctx.eid
-    while y > 0:
-        i = (y - 1) * w + x
-        c = code[i]
-        if c == 0 or c == 4:  # empty or button
-            y -= 1
-        elif c == 2 and (doors >> eid[i]) & 1:
-            y -= 1
-        elif c == 3 and (plats >> eid[i]) & 1:
-            y -= 1
-        else:
-            break
-    below = (y - 1) * w + x
-    if y > 0 and code[below] == 3:
-        plats |= 1 << eid[below]
-    if plats:
-        reform = ctx.physics.reform_distance
-        for pid, bx, by in ctx.plat_cells:
-            if (plats >> pid) & 1 and max(abs(bx - x), abs(by - y)) >= reform:
-                plats &= ~(1 << pid)
-    return x, y, doors, plats
 
 
 def _search(ctx, start, goal_cell, max_states, max_time):
@@ -134,26 +115,13 @@ def _rebuild_trace(ctx, parents, key) -> tuple[Move, ...]:
     return tuple(moves)
 
 
-def _start_key(ctx, overrides=None):
-    doors = ctx.initial_doors
-    plats = 0
-    if overrides:
-        for door_id, value in overrides.get("doors", {}).items():
-            doors = doors | (1 << door_id) if value else doors & ~(1 << door_id)
-        for plat_id, value in overrides.get("platforms", {}).items():
-            plats = plats | (1 << plat_id) if value else plats & ~(1 << plat_id)
-    return doors, plats
-
-
 def solve(level: Level, max_states: int = DEFAULT_MAX_STATES,
           max_time: float | None = None) -> SolveResult:
     """Decide solvability; Solvable carries the unique shortest witness
     trace under the canonical move order."""
     ctx = sim_context(level)
-    sx, sy = ctx.spawn
-    x, y, doors, plats = _settle(ctx, sx, sy, ctx.initial_doors, 0)
-    start = (x, y, 1, doors, plats)
-    if (x, y) == ctx.flag:
+    start = start_key(ctx)
+    if start[:2] == ctx.flag:
         return Solvable((), SearchStats(0, 1, 1, 0.0))
     goal_key, parents, _, stats, limited = _search(
         ctx, start, ctx.flag, max_states, max_time
@@ -172,33 +140,32 @@ def solve_between(level: Level, state, goal_cell,
     Returns (trace, end_state) or None.  Used by the witness builder and
     by scripted gadget-contract checks.
     """
-    from satplat.sim import GameState
-
     ctx = sim_context(level)
-    start = (state.position[0], state.position[1], int(state.has_dash),
-             state.door_open, state.platform_broken)
+    start = pack_state(state)
     if state.position == tuple(goal_cell):
         return (), state
     goal_key, parents, _, _, limited = _search(ctx, start, tuple(goal_cell), max_states, None)
     if goal_key is None:
         return None
-    trace = _rebuild_trace(ctx, parents, goal_key)
-    x, y, has_dash, doors, plats = goal_key
-    return trace, GameState((x, y), bool(has_dash), doors, plats)
+    return _rebuild_trace(ctx, parents, goal_key), unpack_state(goal_key)
 
 
 def reachable_ports(level: Level, from_port: str, state_overrides=None) -> set[str]:
     """Names of ports whose cells some reachable rest state occupies,
-    starting from a fresh probe at `from_port`.
+    starting from a fresh probe (dash charged) at `from_port`.
 
     state_overrides may force door/platform bits:
     {"doors": {id: bool}, "platforms": {id: bool}}.
     """
     ctx = sim_context(level)
     port = level.port(from_port)  # raises LevelError for unknown ports
-    doors, plats = _start_key(ctx, state_overrides)
-    x, y, doors, plats = _settle(ctx, port.cell[0], port.cell[1], doors, plats)
-    start = (x, y, 1, doors, plats)
+    doors, plats = ctx.initial_doors, 0
+    if state_overrides:
+        for door_id, value in state_overrides.get("doors", {}).items():
+            doors = doors | (1 << door_id) if value else doors & ~(1 << door_id)
+        for plat_id, value in state_overrides.get("platforms", {}).items():
+            plats = plats | (1 << plat_id) if value else plats & ~(1 << plat_id)
+    start = (port.cell[0], port.cell[1], 1, doors, plats)
     _, _, visited, _, _ = _search(ctx, start, None, DEFAULT_MAX_STATES, None)
     positions = {(kx, ky) for kx, ky, *_ in visited}
     return {p.name for p in level.ports if tuple(p.cell) in positions}
@@ -207,7 +174,5 @@ def reachable_ports(level: Level, from_port: str, state_overrides=None) -> set[s
 def reachable_positions(level: Level, state) -> set[tuple[int, int]]:
     """All rest positions reachable from a state; diagnostic helper."""
     ctx = sim_context(level)
-    start = (state.position[0], state.position[1], int(state.has_dash),
-             state.door_open, state.platform_broken)
-    _, _, visited, _, _ = _search(ctx, start, None, DEFAULT_MAX_STATES, None)
+    _, _, visited, _, _ = _search(ctx, pack_state(state), None, DEFAULT_MAX_STATES, None)
     return {(kx, ky) for kx, ky, *_ in visited}

@@ -31,7 +31,7 @@ from satplat.formula import (
 )
 from satplat.compiler import compile_3sat, compile_qbf
 from satplat.level import NP, PSPACE, Level, save_level
-from satplat.sim import Move, Next, canonical_moves, initial_state, replay, step, trace_to_text
+from satplat.sim import Move, Next, canonical_moves, replay, replay_states, step, trace_to_text
 from satplat.solver import LimitExceeded, SearchStats, Solvable, solve
 
 SOLVABLE = "solvable"
@@ -252,22 +252,29 @@ def write_repro_bundles(reports, repro_dir: str | Path) -> list[Path]:
 def trace_prefix_states(level: Level, trace):
     """The state before each move of a clean replay (so states[i] is the
     state move i applies to)."""
-    states = [initial_state(level)]
-    for move in trace:
-        out = step(level, states[-1], move)
-        if not isinstance(out, Next):
-            break
-        states.append(out.state)
-    return states
+    return list(replay_states(level, trace))
 
 
-def _suffix_reaches_flag(level: Level, state, moves) -> bool:
-    for move in moves:
-        out = step(level, state, move)
-        if not isinstance(out, Next):
-            return False
-        state = out.state
-    return state.position == level.flag.cell
+def _mutants(level: Level, trace, i, states, rng: random.Random):
+    """The mutants drawn at move i, in trial order: the deletion of move
+    i, or each substitution of move i whose outcome differs from it.
+    Each comes with whether it can still replay: a substitute that is
+    blocked or dies at move i cannot."""
+    if rng.random() < 0.5:
+        yield tuple(trace[:i] + trace[i + 1:]), True
+        return
+    if i >= len(states):
+        return
+    before = states[i]
+    original = step(level, before, trace[i])
+    candidates = [m for m in canonical_moves(level.physics) if m != trace[i]]
+    rng.shuffle(candidates)
+    for cand in candidates:
+        out = step(level, before, cand)
+        if isinstance(out, Next) and isinstance(original, Next) \
+                and out.state == original.state:
+            continue  # outcome-identical: equivalent by construction
+        yield tuple(trace[:i] + [cand] + trace[i + 1:]), isinstance(out, Next)
 
 
 def mutate_trace(level: Level, trace, rng: random.Random, states=None,
@@ -288,28 +295,9 @@ def mutate_trace(level: Level, trace, rng: random.Random, states=None,
         states = trace_prefix_states(level, trace)
     for _ in range(max_attempts):
         i = rng.randrange(len(trace))
-        if rng.random() < 0.5:
-            mutant = tuple(trace[:i] + trace[i + 1:])
-            if replay(level, mutant):
-                if counters is not None:
-                    counters["equivalent"] = counters.get("equivalent", 0) + 1
-                continue  # an equivalent mutant (cannot happen on shortest traces)
-            return mutant
-        if i >= len(states):
-            continue
-        before = states[i]
-        original = step(level, before, trace[i])
-        candidates = [m for m in canonical_moves(level.physics) if m != trace[i]]
-        rng.shuffle(candidates)
-        for cand in candidates:
-            out = step(level, before, cand)
-            if isinstance(out, Next) and isinstance(original, Next) \
-                    and out.state == original.state:
-                continue  # outcome-identical: equivalent by construction
-            if isinstance(out, Next) and _suffix_reaches_flag(
-                    level, out.state, trace[i + 1:]):
-                if counters is not None:
-                    counters["equivalent"] = counters.get("equivalent", 0) + 1
-                continue  # re-converges into an alternative witness
-            return tuple(trace[:i] + [cand] + trace[i + 1:])
+        for mutant, may_replay in _mutants(level, trace, i, states, rng):
+            if not (may_replay and replay(level, mutant)):
+                return mutant
+            if counters is not None:
+                counters["equivalent"] = counters.get("equivalent", 0) + 1
     raise ValueError("no non-equivalent mutation found")

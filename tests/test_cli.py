@@ -112,6 +112,19 @@ class TestErrorPaths:
     def test_unknown_flag_exits_two(self, capsys):
         assert run(capsys, "solve")[0] == 2
 
+    def test_directory_path_exits_two(self, tmp_path, capsys):
+        code, _, err = run(capsys, "solve", tmp_path)
+        assert code == 2 and err.startswith("error:")
+
+    def test_non_integer_cell_exits_two(self, tmp_path, sample_cnf, capsys):
+        level = tmp_path / "s.level"
+        run(capsys, "compile", sample_cnf, "-o", level)
+        doc = json.loads(level.read_text())
+        next(e for e in doc["entities"] if e["kind"] == "spawn")["cell"] = "ab"
+        level.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "solve", level)
+        assert code == 2 and err.startswith("error:") and "cell" in err
+
     def test_top_flag_compile(self, tmp_path, sample_cnf, capsys):
         level = tmp_path / "tf.level"
         assert run(capsys, "compile", sample_cnf, "--top-flag", "-o", level)[0] == 0

@@ -18,15 +18,12 @@ from satplat.gadgets import (
 )
 from satplat.level import CLOSE, OPEN, Door, Flag, LevelBuilder, Spawn
 from satplat.sim import BLOCKED, Death, GameState, dash, jump, step
-from satplat.solver import _settle, reachable_ports, reachable_positions, solve_between
-from satplat.sim import sim_context
+from satplat.solver import reachable_ports, reachable_positions, solve_between
 
 
 def probe_state(level, port_name, doors=0, plats=0):
-    ctx = sim_context(level)
-    cell = level.port(port_name).cell
-    x, y, doors, plats = _settle(ctx, cell[0], cell[1], doors, plats)
-    return GameState((x, y), True, doors, plats)
+    """A fresh probe at a port, as `reachable_ports` starts one."""
+    return GameState(level.port(port_name).cell, True, doors, plats)
 
 
 @pytest.mark.parametrize("kind", sorted(ALL_GADGET_BUILDERS))
@@ -71,7 +68,7 @@ class TestClauseGadget:
 
 class TestTunnel:
     def test_traversal_presses_every_button(self):
-        bp = build_tunnel(None, (4, 9))
+        bp = build_tunnel((4, 9))
         level, _ = contract_level(bp)
         start = probe_state(level, "tunnel_in")
         leg = solve_between(level, start, level.port("tunnel_out").cell)
@@ -80,7 +77,7 @@ class TestTunnel:
         assert (state.door_open >> 4) & 1 and (state.door_open >> 9) & 1
 
     def test_no_occurrences_is_a_plain_corridor(self):
-        bp = build_tunnel(None, ())
+        bp = build_tunnel(())
         assert not bp.buttons
         level, _ = contract_level(bp)
         assert "tunnel_out" in reachable_ports(level, "tunnel_in")

@@ -1,4 +1,8 @@
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satplat.compiler import compile_3sat
 from satplat.level import (
@@ -17,6 +21,7 @@ from satplat.level import (
     validate_level,
 )
 from satplat.sim import GameState, Next, initial_state, step, walk
+from satplat.solver import solve
 from tests.conftest import level_from_art
 
 
@@ -116,6 +121,28 @@ class TestValidation:
         with pytest.raises(LevelError, match="flag"):
             load_level(doc)
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("spawn", "cell", "ab"),
+        ("flag", "cell", [1, 2, 3]),
+        ("platform", "id", "0"),
+        ("door", "cells", [[1.0, 2]]),
+        ("button", "door", True),
+        ("space_block", "rect", [1, 2, 3]),
+        ("door", "open", []),
+    ])
+    def test_load_type_checks_entity_fields(self, sample_formula, kind, key, value):
+        doc = json.loads(save_level(compile_3sat(sample_formula)))
+        next(e for e in doc["entities"] if e["kind"] == kind)[key] = value
+        with pytest.raises(LevelError, match="must be"):
+            load_level(json.dumps(doc))
+
+    @pytest.mark.parametrize("key, value", [("width", 4.0), ("height", "3"), ("variant", [])])
+    def test_load_type_checks_document_fields(self, minimal_level, key, value):
+        doc = json.loads(save_level(minimal_level))
+        doc[key] = value
+        with pytest.raises(LevelError, match="must be"):
+            load_level(json.dumps(doc))
+
     def test_bad_physics_rejected(self):
         with pytest.raises(LevelError):
             PhysicsParams(0, 4, 2)
@@ -173,3 +200,44 @@ class TestRender:
             validate=False,
         )
         assert "*" in render_ascii(level)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=5,
+)
+
+
+def field_paths(node, prefix=()):
+    """The key path of every value inside a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from field_paths(child, prefix + (key,))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_load_level_rejects_any_malformed_field_cleanly(sample_formula, data):
+    # One field of a valid document replaced by an arbitrary JSON value:
+    # load_level either rejects it with LevelError or returns a level
+    # that the solver can take.
+    doc = json.loads(save_level(compile_3sat(sample_formula)))
+    path = data.draw(st.sampled_from(list(field_paths(doc))))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(JSON_VALUES)
+    try:
+        level = load_level(json.dumps(doc))
+    except LevelError:
+        return
+    solve(level, max_states=200)

@@ -1,8 +1,21 @@
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from satplat.compiler import compile_3sat
-from satplat.level import LevelError
-from satplat.sim import Next, canonical_moves, initial_state, replay, step, walk
+from satplat.level import (
+    CLOSE,
+    OPEN,
+    PSPACE,
+    Button,
+    Door,
+    LevelError,
+    SpaceBlock,
+    UnstablePlatform,
+    load_level,
+    save_level,
+)
+from satplat.sim import Next, canonical_moves, initial_state, pack_state, replay, step, walk
 from satplat.solver import (
     LimitExceeded,
     Solvable,
@@ -106,16 +119,13 @@ class TestPruningSoundness:
 
         ctx = sim_context(level)
         s0 = initial_state(level)
-        start = (s0.position[0], s0.position[1], 1, s0.door_open, s0.platform_broken)
-        _, _, visited, _, _ = _search(ctx, start, None, 10**6, None)
+        _, _, visited, _, _ = _search(ctx, pack_state(s0), None, 10**6, None)
 
         moves = canonical_moves(level.physics)
         seen = set()
 
         def dfs(state, depth):
-            key = (state.position[0], state.position[1], int(state.has_dash),
-                   state.door_open, state.platform_broken)
-            seen.add(key)
+            seen.add(pack_state(state))
             if depth == 0:
                 return
             for move in moves:
@@ -125,3 +135,134 @@ class TestPruningSoundness:
 
         dfs(s0, 5)
         assert seen <= visited
+
+
+# --- one start state: solve, replay and step agree ---------------------------
+
+# Spawn on an unstable platform above the flag: a start that broke the
+# platform would allow DASH S, which replay rejects.
+PLATFORM_SPAWN = ("#####\n#S..#\n#=..#\n#F..#\n#####",
+                  (UnstablePlatform(0, (1, 2)),), "NP")
+# Spawn over an initially open door above the flag: a start that fell
+# through it would be solved by the empty trace.
+OPEN_DOOR_SPAWN = ("#####\n#S..#\n#D..#\n#F..#\n#####",
+                   (Door(0, ((1, 2),), True),), "NP")
+
+
+class TestStartState:
+    def test_platform_spawn_trace_replays(self):
+        level = level_from_art(*PLATFORM_SPAWN)
+        result = solve(level)
+        assert isinstance(result, Solvable)
+        assert result.trace == (walk(1), walk(-1))
+        assert replay(level, result.trace)
+
+    def test_open_door_spawn_rejected(self):
+        with pytest.raises(LevelError, match="spawn-support"):
+            level_from_art(*OPEN_DOOR_SPAWN)
+        doc = save_level(level_from_art(*OPEN_DOOR_SPAWN, validate=False))
+        with pytest.raises(LevelError, match="spawn-support"):
+            load_level(doc)
+
+
+def naive_depth(level):
+    """Breadth-first search over the public `step` from `initial_state`:
+    the fewest moves that reach the flag, or None."""
+    moves = canonical_moves(level.physics)
+    layer = [initial_state(level)]
+    seen = set(layer)
+    depth = 0
+    while layer:
+        if any(s.position == level.flag.cell for s in layer):
+            return depth
+        following = []
+        for state in layer:
+            for move in moves:
+                out = step(level, state, move)
+                if isinstance(out, Next) and out.state not in seen:
+                    seen.add(out.state)
+                    following.append(out.state)
+        layer = following
+        depth += 1
+    return None
+
+
+@st.composite
+def small_levels(draw):
+    """(art, entities, variant) for a 5-7 x 4-6 level with at most one
+    platform, door, button and space block.  The spawn stands on a
+    platform, a door or solid ground (made solid if left empty)."""
+    width, height = draw(st.integers(5, 7)), draw(st.integers(4, 6))
+    free = [(x, y) for y in range(1, height - 1) for x in range(1, width - 1)]
+
+    def take(cells):
+        cell = draw(st.sampled_from(cells))
+        free.remove(cell)
+        return cell
+
+    spawn, flag = take(free), take(free)
+    below = (spawn[0], spawn[1] - 1)
+    ground = draw(st.sampled_from(["solid", "platform", "door"]))
+    entities = []
+    if ground == "platform" and below in free:
+        entities.append(UnstablePlatform(0, take([below])))
+    elif draw(st.booleans()) and free:
+        entities.append(UnstablePlatform(0, take(free)))
+    door = None
+    if ground == "door" and below in free:
+        door = take([below])
+    elif draw(st.booleans()) and free:
+        door = take(free)
+    if door is not None:
+        cells = [door]
+        for _ in range(draw(st.integers(0, 2))):
+            above = (door[0], cells[-1][1] + 1)
+            if above not in free:
+                break
+            cells.append(take([above]))
+        entities.append(Door(0, tuple(cells), draw(st.booleans())))
+    variant = "NP"
+    if door is not None and draw(st.booleans()) and free:
+        action = draw(st.sampled_from([OPEN, CLOSE]))
+        variant = PSPACE if action == CLOSE else variant
+        entities.append(Button(take(free), 0, action))
+    if draw(st.booleans()) and free:
+        x, y = take(free)
+        x1, y1 = x, y
+        if draw(st.booleans()) and (x + 1, y) in free:
+            x1 = take([(x + 1, y)])[0]
+        entities.append(SpaceBlock(0, (x, y, x1, y1)))
+    solid = draw(st.sets(st.sampled_from(free), max_size=len(free) // 2)) if free else set()
+    if below in free:
+        solid.add(below)
+    rows = []
+    for y in reversed(range(height)):
+        row = ""
+        for x in range(width):
+            if (x, y) == spawn:
+                row += "S"
+            elif (x, y) == flag:
+                row += "F"
+            elif x in (0, width - 1) or y in (0, height - 1) or (x, y) in solid:
+                row += "#"
+            else:
+                row += "."
+        rows.append(row)
+    return "\n".join(rows), tuple(entities), variant
+
+
+@given(small_levels())
+@example(PLATFORM_SPAWN)
+@example(OPEN_DOOR_SPAWN)
+@settings(max_examples=150, deadline=None)
+def test_solve_matches_naive_search_over_step(spec):
+    try:
+        level = level_from_art(*spec)
+    except LevelError:
+        reject()
+    result = solve(level)
+    depth = naive_depth(level)
+    assert isinstance(result, Solvable) == (depth is not None)
+    if depth is not None:
+        assert replay(level, result.trace)
+        assert len(result.trace) == depth
