@@ -241,14 +241,14 @@ def plan_3sat(formula: CnfFormula, top_flag: bool = False,
         plan.placements.append(Placement(cross, (ox, oy), f"x{i}.cross.",
                                          block_offset=2 * (i - 1)))
         # true tunnel east of the crossover
-        t_bp = build_tunnel(tuple(pos[i]))
+        t_bp = build_tunnel([(d, OPEN) for d in pos[i]])
         tx0 = cx + 20
         plan.placements.append(Placement(t_bp, (tx0, rt - 1), f"x{i}.true."))
         t_end = tx0 + t_bp.width - 1
         # false drop continues below the crossover into the false tunnel
         for y in range(ru, oy):
             carve((ox + 5, y))
-        f_bp = build_tunnel(tuple(neg[i]))
+        f_bp = build_tunnel([(d, OPEN) for d in neg[i]])
         fx0 = cx + 15
         plan.placements.append(Placement(f_bp, (fx0, ru - 1), f"x{i}.false."))
         f_end = fx0 + f_bp.width - 1

@@ -10,6 +10,8 @@ Conventions used throughout the blueprints:
 
 - corridors are 1 tile tall, so a button in a corridor can only be
   crossed by a dash (which fires it);
+- every corridor of buttons and doors is laid by one primitive,
+  `_lane`, one cell per item from left to right;
 - a "valve" is the inline sequence [open button][door][close button]:
   crossing it forward opens, passes and re-closes the door, while
   entering it backward is stopped by the closed door;
@@ -18,7 +20,7 @@ Conventions used throughout the blueprints:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from satplat.level import (
     CLOSE,
@@ -95,12 +97,6 @@ class GadgetBlueprint:
     variant: str = NP  # minimum variant the patch needs (CLOSE buttons -> PSPACE)
     notes: str = ""
 
-    def port(self, name: str) -> Port:
-        for p in self.ports:
-            if p.name == name:
-                return p
-        raise LevelError(f"blueprint {self.kind} has no port {name!r}")
-
     def external_door_ids(self) -> list[int]:
         seen = []
         for b in self.buttons:
@@ -120,6 +116,33 @@ def _freeze(grid: list[list[str]]) -> tuple[str, ...]:
 def _from_art(art: list[str]) -> tuple[str, ...]:
     """Rows given top-first, as drawn; stored bottom-first."""
     return tuple(art[::-1])
+
+
+def _lane(y: int, x: int, items, buttons: list[BButton]) -> dict[int, tuple[int, int]]:
+    """Lay items left to right along row y from column x, one per cell.
+    A (door ref, action) pair is a forced button, appended to `buttons`;
+    a bare int is the cell of that local door.  Returns {door: cell}."""
+    doors = {}
+    for cx, item in enumerate(items, start=x):
+        if isinstance(item, int):
+            doors[item] = (cx, y)
+        else:
+            buttons.append(BButton((cx, y), *item))
+    return doors
+
+
+def _ext(symbols) -> list:
+    """(global door, action) symbols as lane buttons."""
+    return [((EXT, d), a) for d, a in symbols]
+
+
+def _valve(d: int) -> list:
+    """The [+d][d][-d] valve of local door d, as lane items."""
+    return [((LOCAL, d), OPEN), d, ((LOCAL, d), CLOSE)]
+
+
+def _doors(cells: dict[int, tuple[int, int]]) -> tuple[BDoor, ...]:
+    return tuple(BDoor(d, (cells[d],)) for d in sorted(cells))
 
 
 # --- stamping ---------------------------------------------------------------
@@ -167,21 +190,6 @@ def stamp_into(builder: LevelBuilder, bp: GadgetBlueprint, origin: tuple[int, in
     for port in bp.ports:
         builder.add_port(prefix + port.name,
                          (ox + port.cell[0], oy + port.cell[1]), port.direction)
-
-
-def stamp(level: Level, bp: GadgetBlueprint, origin: tuple[int, int],
-          id_offset: int = 0, prefix: str = "") -> Level:
-    """Pure stamping: returns a new Level with the patch applied and local
-    ids shifted by id_offset."""
-    builder = LevelBuilder(level.width, level.height, level.variant, level.physics)
-    for y in range(level.height):
-        for x in range(level.width):
-            if level.tiles[y][x] == ".":
-                builder.grid[y][x] = "."
-    builder.entities = list(level.entities)
-    builder.ports = list(level.ports)
-    stamp_into(builder, bp, origin, id_offset, id_offset, id_offset, prefix)
-    return builder.build(validate=False)
 
 
 def contract_level(bp: GadgetBlueprint) -> tuple[Level, int]:
@@ -237,27 +245,19 @@ def build_variable_gadget(var: int) -> GadgetBlueprint:
     """
     rows = _from_art([
         "#########",
-        ".........",  # y6: entry row (port at x=0)
-        "##.......",  # y5: ledge under the entry
-        "#........",  # y4: chamber floor walkway
-        "#.#####..",  # y3: floor with two platform holes
-        "#.#####..",  # y2: commit shafts
+        "........#",  # y6: entry row (port at x=0)
+        "##......#",  # y5: ledge under the entry
+        "#.......#",  # y4: chamber floor walkway
+        "#.#####.#",  # y3: floor with two platform holes
+        "#.#####.#",  # y2: commit shafts
         "..#####..",  # y1: exit row (ports at x=0 and x=8)
         "#########",
     ])
-    # Fix the border cells that the art leaves open for clarity.
-    grid = [list(r) for r in rows]
-    for y in range(8):
-        for x in (0, 8):
-            grid[y][x] = "#"
-    grid[6][0] = "."  # entry port
-    grid[1][0] = "."  # exit_true port
-    grid[1][8] = "."  # exit_false port
     return GadgetBlueprint(
         kind="variable",
         width=9,
         height=8,
-        rows=_freeze(grid),
+        rows=rows,
         platforms=(BPlatform(0, (1, 3)), BPlatform(1, (7, 3))),
         ports=(
             Port("entry", (0, 6), "E"),
@@ -276,70 +276,49 @@ def build_variable_gadget(var: int) -> GadgetBlueprint:
     )
 
 
-def _clause_wall(grid: list[list[str]], wall_x: int) -> None:
-    """Carve a 3-door check wall column into a 5-row corridor grid."""
-    for y in (1, 2, 3):
-        grid[y][wall_x] = "."
-    grid[4][wall_x] = "#"
-
-
 def build_clause_gadget(clause_index: int) -> GadgetBlueprint:
     """Check corridor blocked by three stacked doors; passable iff at
     least one is open (walk through the bottom door, or jump into an open
-    upper door and rest on the closed one beneath)."""
-    w, h = 7, 5
-    grid = _grid(w, h)
-    for x in range(0, w):
-        grid[1][x] = "."
-    for x in (1, 2, 4, 5):
-        grid[2][x] = "."
-        grid[3][x] = "."
-    _clause_wall(grid, 3)
+    upper door and rest on the closed one beneath).  It is the
+    one-clause final passage with its own ports and an 8-mask contract."""
     combos = []
     for mask in range(8):
         bits = tuple((s, bool((mask >> s) & 1)) for s in range(3))
         combos.append(Assertion("check_in", "check_out", any(v for _, v in bits),
                                 doors=bits, note=f"door mask {mask:03b}"))
-    return GadgetBlueprint(
+    return replace(
+        build_final_passage(1),
         kind="clause",
-        width=w,
-        height=h,
-        rows=_freeze(grid),
-        doors=(
-            BDoor(0, ((3, 1),)),
-            BDoor(1, ((3, 2),)),
-            BDoor(2, ((3, 3),)),
-        ),
         ports=(Port("check_in", (0, 1), "E"), Port("check_out", (6, 1), "E")),
         contract=tuple(combos),
         notes=f"clause {clause_index}: slot doors 0..2 bottom-up, OR semantics",
     )
 
 
-def build_tunnel(button_door_ids=()) -> GadgetBlueprint:
-    """1-tall corridor with one OPEN button per target door; buttons block
-    walking, so every traversal dashes through (and fires) all of them."""
-    m = len(button_door_ids)
+def build_tunnel(symbols=()) -> GadgetBlueprint:
+    """1-tall corridor of forced buttons applying (door, action) symbols
+    in order; buttons block walking, so every traversal dashes through
+    (and fires) all of them."""
+    m = len(symbols)
     w = max(3, m + 4)
     grid = _grid(w, 3)
     for x in range(0, w):
         grid[1][x] = "."
-    buttons = tuple(
-        BButton((2 + i, 1), (EXT, door_id), OPEN)
-        for i, door_id in enumerate(button_door_ids)
-    )
+    buttons: list[BButton] = []
+    _lane(1, 2, _ext(symbols), buttons)
     return GadgetBlueprint(
         kind="tunnel",
         width=w,
         height=3,
         rows=_freeze(grid),
-        buttons=buttons,
+        buttons=tuple(buttons),
         ports=(Port("tunnel_in", (0, 1), "E"), Port("tunnel_out", (w - 1, 1), "E")),
         contract=(
             Assertion("tunnel_in", "tunnel_out", True),
             Assertion("tunnel_out", "tunnel_in", True),
         ),
-        notes=f"literal tunnel, {m} forced buttons",
+        variant=PSPACE if any(a == CLOSE for _, a in symbols) else NP,
+        notes=f"literal tunnel, {m} forced symbols in order",
     )
 
 
@@ -407,8 +386,7 @@ def build_final_passage(num_clauses: int) -> GadgetBlueprint:
         grid[3][x] = "."
     doors = []
     for c in range(k):
-        wall_x = 3 + 4 * c
-        _clause_wall(grid, wall_x)
+        wall_x = 3 + 4 * c  # the check wall is the column of three doors
         for s in range(3):
             doors.append(BDoor(3 * c + s, ((wall_x, 1 + s),)))
     contract = [
@@ -431,71 +409,6 @@ def build_final_passage(num_clauses: int) -> GadgetBlueprint:
         ports=(Port("passage_in", (0, 1), "E"), Port("flag_port", (w - 1, 1), "E")),
         contract=tuple(contract),
         notes=f"{k} clause walls in series",
-    )
-
-
-def build_door_gadget(door_id: int = 0) -> GadgetBlueprint:
-    """Three stacked corridors around one door: an open path and a close
-    path each blocked by a forced button, and a traverse path crossing the
-    door itself."""
-    w = 9
-    grid = _grid(w, 7)
-    for y in (1, 3, 5):
-        for x in range(0, w):
-            grid[y][x] = "."
-    return GadgetBlueprint(
-        kind="door_gadget",
-        width=w,
-        height=7,
-        rows=_freeze(grid),
-        doors=(BDoor(door_id, ((4, 1),)),),
-        buttons=(
-            BButton((4, 3), (LOCAL, door_id), OPEN),
-            BButton((4, 5), (LOCAL, door_id), CLOSE),
-        ),
-        ports=(
-            Port("traverse_in", (0, 1), "E"),
-            Port("traverse_out", (8, 1), "E"),
-            Port("open_in", (0, 3), "E"),
-            Port("open_out", (8, 3), "E"),
-            Port("close_in", (0, 5), "E"),
-            Port("close_out", (8, 5), "E"),
-        ),
-        contract=(
-            Assertion("traverse_in", "traverse_out", False, note="door closed"),
-            Assertion("traverse_in", "traverse_out", True, doors=((door_id, True),)),
-            Assertion("open_in", "open_out", True),
-            Assertion("close_in", "close_out", True),
-            Assertion("open_in", "traverse_in", False, note="paths are isolated"),
-        ),
-        variant=PSPACE,
-        notes="pressure-button door: forced open path, gated traverse, forced close path",
-    )
-
-
-def build_multi_tunnel(symbols=()) -> GadgetBlueprint:
-    """Corridor of forced buttons applying (door, action) symbols in
-    order; a traversal cannot skip any of them."""
-    m = len(symbols)
-    w = max(3, m + 4)
-    grid = _grid(w, 3)
-    for x in range(0, w):
-        grid[1][x] = "."
-    buttons = tuple(
-        BButton((2 + i, 1), (EXT, door_id), action)
-        for i, (door_id, action) in enumerate(symbols)
-    )
-    variant = PSPACE if any(a == CLOSE for _, a in symbols) else NP
-    return GadgetBlueprint(
-        kind="multi_tunnel",
-        width=w,
-        height=3,
-        rows=_freeze(grid),
-        buttons=buttons,
-        ports=(Port("in", (0, 1), "E"), Port("out", (w - 1, 1), "E")),
-        contract=(Assertion("in", "out", True),),
-        variant=variant,
-        notes=f"{m} forced symbols in order",
     )
 
 
@@ -522,26 +435,15 @@ def build_exists_gadget(var: int, true_symbols=(), false_symbols=()) -> GadgetBl
         grid[y][me] = "."  # merge drop
 
     buttons: list[BButton] = []
+    doors = _lane(1, 3, [*_ext(true_symbols), *_valve(0)], buttons)
+    doors |= _lane(4, 3, [*_ext(false_symbols), *_valve(1)], buttons)
 
-    def lay(y: int, syms, valve_door: int):
-        x = 3
-        for door_ref, action in syms:
-            buttons.append(BButton((x, y), door_ref, action))
-            x += 1
-        buttons.append(BButton((x, y), (LOCAL, valve_door), OPEN))
-        buttons.append(BButton((x + 2, y), (LOCAL, valve_door), CLOSE))
-        return ((x + 1, y),)  # the valve door cell
-
-    true_door_cells = lay(1, [((EXT, d), a) for d, a in true_symbols], 0)
-    false_door_cells = lay(4, [((EXT, d), a) for d, a in false_symbols], 1)
-
-    variant = PSPACE  # valves use CLOSE buttons
     return GadgetBlueprint(
         kind="exists",
         width=w,
         height=10,
         rows=_freeze(grid),
-        doors=(BDoor(0, true_door_cells), BDoor(1, false_door_cells)),
+        doors=_doors(doors),
         buttons=tuple(buttons),
         ports=(
             Port("q_in", (0, 1), "E"),
@@ -556,7 +458,7 @@ def build_exists_gadget(var: int, true_symbols=(), false_symbols=()) -> GadgetBl
             Assertion("q_in", "ret_out", False, note="forward and return are isolated"),
             Assertion("q_out", "q_in", False, note="exit is sealed behind the valves"),
         ),
-        variant=variant,
+        variant=PSPACE,  # valves use CLOSE buttons
         notes=f"existential choice for variable {var}; ground lane = true, upper lane = false",
     )
 
@@ -593,47 +495,23 @@ def build_forall_gadget(var: int, true_symbols=(), false_symbols=()) -> GadgetBl
     grid[6][fc] = "."  # pit climb shaft
     grid[7][fc] = "."
 
+    open_ft, close_ft = ((LOCAL, 1), OPEN), ((LOCAL, 1), CLOSE)
+    open_fx, close_fx = ((LOCAL, 2), OPEN), ((LOCAL, 2), CLOSE)
     buttons: list[BButton] = []
     # forward tunnel: [true symbols, -FX, +FT, +V, V, -V]
-    x = 2
-    for d, a in true_symbols:
-        buttons.append(BButton((x, 1), (EXT, d), a))
-        x += 1
-    buttons.append(BButton((x, 1), (LOCAL, 2), CLOSE))
-    buttons.append(BButton((x + 1, 1), (LOCAL, 1), OPEN))
-    buttons.append(BButton((x + 2, 1), (LOCAL, 0), OPEN))
-    fwd_valve_cell = (x + 3, 1)
-    buttons.append(BButton((x + 4, 1), (LOCAL, 0), CLOSE))
-
+    doors = _lane(1, 2, [*_ext(true_symbols), close_fx, open_ft, *_valve(0)], buttons)
     # flip tunnel: [FT gate, false symbols, -FT, +FX, +V, V, -V] then the drop
-    ft_cell = (fc + 1, 5)
-    x = fc + 2
-    for d, a in false_symbols:
-        buttons.append(BButton((x, 5), (EXT, d), a))
-        x += 1
-    buttons.append(BButton((x, 5), (LOCAL, 1), CLOSE))
-    buttons.append(BButton((x + 1, 5), (LOCAL, 2), OPEN))
-    buttons.append(BButton((x + 2, 5), (LOCAL, 3), OPEN))
-    flip_valve_cell = (x + 3, 5)
-    buttons.append(BButton((x + 4, 5), (LOCAL, 3), CLOSE))
-    if x + 4 >= dsx:
-        raise LevelError("forall gadget too narrow for its flip tunnel")
-
+    doors |= _lane(5, fc + 1, [1, *_ext(false_symbols), close_ft, open_fx, *_valve(3)],
+                   buttons)
     # return corridor: [ret_out ... -FX, FX gate ... pit ... ret_in]
-    buttons.append(BButton((2, 8), (LOCAL, 2), CLOSE))
-    fx_cell = (3, 8)
+    doors |= _lane(8, 2, [close_fx, 2], buttons)
 
     return GadgetBlueprint(
         kind="forall",
         width=w,
         height=10,
         rows=_freeze(grid),
-        doors=(
-            BDoor(0, (fwd_valve_cell,)),
-            BDoor(1, (ft_cell,)),
-            BDoor(2, (fx_cell,)),
-            BDoor(3, (flip_valve_cell,)),
-        ),
+        doors=_doors(doors),
         buttons=tuple(buttons),
         ports=(
             Port("q_in", (0, 1), "E"),
@@ -697,11 +575,9 @@ def build_elevator(lift: int = 7) -> GadgetBlueprint:
 ALL_GADGET_BUILDERS = {
     "variable": lambda: build_variable_gadget(1),
     "clause": lambda: build_clause_gadget(0),
-    "tunnel": lambda: build_tunnel((0, 1)),
+    "tunnel": lambda: build_tunnel(((0, OPEN), (1, OPEN))),
     "crossover": build_crossover,
     "final_passage": lambda: build_final_passage(2),
-    "door_gadget": lambda: build_door_gadget(0),
-    "multi_tunnel": lambda: build_multi_tunnel(((0, OPEN), (0, CLOSE))),
     "exists": lambda: build_exists_gadget(1, ((0, OPEN),), ((0, CLOSE),)),
     "forall": lambda: build_forall_gadget(1, ((0, OPEN),), ((0, CLOSE),)),
     "elevator": build_elevator,

@@ -118,6 +118,20 @@ class Level:
     physics: PhysicsParams = field(default_factory=PhysicsParams)
     ports: tuple[Port, ...] = ()
 
+    def __hash__(self) -> int:
+        # Every field is immutable, so the hash is computed once: the
+        # simulator's context cache hashes the level on every step.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.width, self.height, self.tiles, self.entities,
+                      self.variant, self.physics, self.ports))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes: never pickle the cache.
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     def tile(self, x: int, y: int) -> str:
         return self.tiles[y][x]
 

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satplat.cli import main
 from tests.conftest import SAMPLE_DIMACS
@@ -136,3 +140,83 @@ class TestErrorPaths:
         code, _, err = run(capsys, "compile", sample_cnf, "--plan", "-o", level)
         assert code == 0
         assert "crossings" in err
+
+
+# --- fuzzing main ---------------------------------------------------------
+
+FUZZ_VALUES = ("-1", "0", "1", "x", "")
+
+# subcommand -> (positional arguments it takes, {flag: value pool or None})
+FUZZ_COMMANDS = {
+    "compile": (1, {"-o": "out", "--top-flag": None, "--plan": None}),
+    "qcompile": (1, {"-o": "out"}),
+    "solve": (1, {"--trace-out": "out", "--stats": None,
+                  "--max-states": "value", "--max-time": "value"}),
+    "replay": (2, {}),
+    "render": (2, {}),
+    "gen": (0, {"--n": "value", "--k": "value", "--seed": "value", "-o": "out"}),
+    "verify": (0, {"--exhaustive": None, "--random": None, "--pspace": None,
+                   "--nmax": "value", "--kmax": "value", "--n": "value",
+                   "--k": "value", "--count": "value", "--seed": "value",
+                   "--jobs": "value", "--repro-dir": "out"}),
+    "gadgets": (0, {"--check": None}),
+    "bogus": (0, {}),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    from satplat.compiler import compile_3sat
+    from satplat.formula import parse_dimacs
+    from satplat.level import save_level
+    from satplat.sim import trace_to_text
+    from satplat.solver import solve
+
+    root = tmp_path_factory.mktemp("cli_fuzz")
+    level = compile_3sat(parse_dimacs(SAMPLE_DIMACS))
+    files = {
+        "level": root / "valid.level",
+        "trace": root / "valid.trace",
+        "cnf": root / "valid.cnf",
+        "json": root / "malformed.level",
+        "dir": root / "a_directory",
+    }
+    files["level"].write_text(save_level(level))
+    files["trace"].write_text(trace_to_text(solve(level).trace))
+    files["cnf"].write_text(SAMPLE_DIMACS)
+    files["json"].write_text('{"variant": "NP", "width": ')
+    files["dir"].mkdir()
+    inputs = [str(p) for p in files.values()] + [str(root / "missing.cnf")]
+    outputs = [str(root / "out.txt"), str(files["dir"]), str(root / "no" / "such" / "out")]
+    return inputs, outputs
+
+
+@st.composite
+def cli_argvs(draw, inputs, outputs):
+    pools = {"value": st.sampled_from(FUZZ_VALUES), "out": st.sampled_from(outputs)}
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    arity, flags = FUZZ_COMMANDS[command]
+    argv = [command]
+    if command == "verify":
+        # every drawn value is at most 1, so these bounds cannot be lifted
+        # and --jobs never starts a worker pool
+        argv += ["--nmax", "1", "--kmax", "1", "--count", "1"]
+    paths = st.sampled_from(inputs)
+    argv += draw(st.lists(paths, min_size=arity, max_size=arity)
+                 | st.lists(paths, max_size=arity + 1))
+    for flag in draw(st.lists(st.sampled_from(sorted(flags) + ["-h", "--bogus"]),
+                              max_size=4)):
+        argv.append(flag)
+        if flags.get(flag):
+            argv.append(draw(pools[flags[flag]]))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_main_never_raises_and_exits_0_1_or_2(fuzz_files, data):
+    inputs, outputs = fuzz_files
+    argv = data.draw(cli_argvs(inputs, outputs))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)

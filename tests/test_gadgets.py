@@ -5,18 +5,16 @@ from satplat.gadgets import (
     StampError,
     build_clause_gadget,
     build_crossover,
-    build_door_gadget,
     build_exists_gadget,
     build_forall_gadget,
-    build_multi_tunnel,
     build_tunnel,
     build_variable_gadget,
     catalog,
     check_contract,
     contract_level,
-    stamp,
+    stamp_into,
 )
-from satplat.level import CLOSE, OPEN, Door, Flag, LevelBuilder, Spawn
+from satplat.level import CLOSE, NP, OPEN, PSPACE, Flag, LevelBuilder, Spawn
 from satplat.sim import BLOCKED, Death, GameState, dash, jump, step
 from satplat.solver import reachable_ports, reachable_positions, solve_between
 
@@ -68,7 +66,8 @@ class TestClauseGadget:
 
 class TestTunnel:
     def test_traversal_presses_every_button(self):
-        bp = build_tunnel((4, 9))
+        bp = build_tunnel(((4, OPEN), (9, OPEN)))
+        assert bp.variant == NP
         level, _ = contract_level(bp)
         start = probe_state(level, "tunnel_in")
         leg = solve_between(level, start, level.port("tunnel_out").cell)
@@ -81,6 +80,23 @@ class TestTunnel:
         assert not bp.buttons
         level, _ = contract_level(bp)
         assert "tunnel_out" in reachable_ports(level, "tunnel_in")
+
+    def test_symbols_apply_in_order(self):
+        bp = build_tunnel(((7, OPEN), (7, CLOSE)))
+        assert bp.variant == PSPACE
+        level, _ = contract_level(bp)
+        leg = solve_between(level, probe_state(level, "tunnel_in"),
+                            level.port("tunnel_out").cell)
+        _, state = leg
+        assert not (state.door_open >> 7) & 1  # opened then closed
+
+    def test_reversed_symbols_leave_door_open(self):
+        bp = build_tunnel(((7, CLOSE), (7, OPEN)))
+        level, _ = contract_level(bp)
+        leg = solve_between(level, probe_state(level, "tunnel_in"),
+                            level.port("tunnel_out").cell)
+        _, state = leg
+        assert (state.door_open >> 7) & 1
 
 
 class TestCrossover:
@@ -106,67 +122,6 @@ class TestCrossover:
         assert reachable_ports(level, "A1").isdisjoint({"B1", "B2"})
         assert reachable_ports(level, "B2") >= {"B1", "B2"}
         assert reachable_ports(level, "B2").isdisjoint({"A1", "A2"})
-
-
-class TestDoorGadget:
-    def test_open_path_cannot_be_crossed_without_pressing(self):
-        bp = build_door_gadget(0)
-        level, off = contract_level(bp)
-        ctx_positions = reachable_positions(level, probe_state(level, "open_in"))
-        out_cell = level.port("open_out").cell
-        assert out_cell in ctx_positions
-        # every way of standing at open_out leaves the door open: walk up
-        # to the button cell and confirm walking through is blocked
-        start = probe_state(level, "open_in")
-        leg = solve_between(level, start, out_cell)
-        _, state = leg
-        assert (state.door_open >> off) & 1, "crossing the open path pressed the button"
-        before = probe_state(level, "open_in")
-        blocked_walk = step(level, GameState((3, 4), True, 0, 0), jump(1, 1))
-        assert blocked_walk is BLOCKED or not isinstance(blocked_walk, Death)
-
-    def test_open_then_close_then_traverse_unreachable(self):
-        bp = build_door_gadget(0)
-        level, off = contract_level(bp)
-        # open
-        leg = solve_between(level, probe_state(level, "open_in"),
-                            level.port("open_out").cell)
-        _, s1 = leg
-        assert (s1.door_open >> off) & 1
-        # traverse while open works
-        t = solve_between(level, probe_state(level, "traverse_in", doors=s1.door_open),
-                          level.port("traverse_out").cell)
-        assert t is not None
-        # close
-        leg = solve_between(level, probe_state(level, "close_in", doors=s1.door_open),
-                            level.port("close_out").cell)
-        _, s2 = leg
-        assert not (s2.door_open >> off) & 1
-        # traverse after closing fails
-        t = solve_between(level, probe_state(level, "traverse_in", doors=s2.door_open),
-                          level.port("traverse_out").cell)
-        assert t is None
-
-
-class TestMultiTunnel:
-    def test_symbols_apply_in_order(self):
-        bp = build_multi_tunnel(((7, OPEN), (7, CLOSE)))
-        level, _ = contract_level(bp)
-        leg = solve_between(level, probe_state(level, "in"), level.port("out").cell)
-        _, state = leg
-        assert not (state.door_open >> 7) & 1  # opened then closed
-
-    def test_reversed_symbols_leave_door_open(self):
-        bp = build_multi_tunnel(((7, CLOSE), (7, OPEN)))
-        level, _ = contract_level(bp)
-        leg = solve_between(level, probe_state(level, "in"), level.port("out").cell)
-        _, state = leg
-        assert (state.door_open >> 7) & 1
-
-    def test_empty_symbols_plain_corridor(self):
-        bp = build_multi_tunnel(())
-        level, _ = contract_level(bp)
-        assert "out" in reachable_ports(level, "in")
 
 
 class TestExistsGadget:
@@ -254,8 +209,6 @@ class TestForallGadget:
 class TestStamp:
     def test_two_disjoint_crossovers_keep_their_contracts(self):
         builder = LevelBuilder(30, 15)
-        from satplat.gadgets import stamp_into
-
         stamp_into(builder, build_crossover(), (1, 1), prefix="a.")
         stamp_into(builder, build_crossover(), (15, 1), block_offset=2, prefix="b.")
         builder.add(Spawn((2, 6)))
@@ -267,23 +220,17 @@ class TestStamp:
 
     def test_overlapping_stamp_rejected(self):
         builder = LevelBuilder(30, 15)
-        from satplat.gadgets import stamp_into
-
         stamp_into(builder, build_crossover(), (1, 1))
         with pytest.raises(StampError, match="overlap"):
             stamp_into(builder, build_crossover(), (5, 1), block_offset=2)
 
     def test_out_of_bounds_stamp_rejected(self):
         builder = LevelBuilder(8, 8)
-        from satplat.gadgets import stamp_into
-
         with pytest.raises(StampError, match="fit"):
             stamp_into(builder, build_crossover(), (1, 1))
 
     def test_door_id_collision_rejected(self):
         builder = LevelBuilder(30, 15)
-        from satplat.gadgets import stamp_into
-
         stamp_into(builder, build_clause_gadget(0), (1, 1))
         with pytest.raises(StampError, match="collision"):
             stamp_into(builder, build_clause_gadget(1), (12, 1), door_offset=2)
@@ -294,8 +241,8 @@ class TestStamp:
         builder.add(Flag((6, 8)))
         builder.carve(5, 8)
         builder.carve(6, 8)
-        base = builder.build()
-        level = stamp(base, build_clause_gadget(0), (1, 1), id_offset=10)
+        stamp_into(builder, build_clause_gadget(0), (1, 1), door_offset=10)
+        level = builder.build()
         assert sorted(d.id for d in level.doors) == [10, 11, 12]
         assert {p.name for p in level.ports} == {"check_in", "check_out"}
 
@@ -304,8 +251,6 @@ class TestStamp:
         bp = build_variable_gadget(1)
         for origin in ((1, 1), (3, 4)):
             builder = LevelBuilder(bp.width + 8, bp.height + 8)
-            from satplat.gadgets import stamp_into
-
             stamp_into(builder, bp, origin)
             builder.add(Spawn((origin[0] + 1, origin[1] + 6)))
             builder.add(Flag((origin[0] + 1, origin[1] + 1)))

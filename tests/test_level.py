@@ -1,4 +1,8 @@
 import json
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +57,32 @@ class TestRoundTrip:
         )
         again = load_level(save_level(level))
         assert again.entities == level.entities
+
+    def test_cached_hash_matches_a_fresh_equal_level(self, sample_formula):
+        level = compile_3sat(sample_formula)
+        hash(level)  # fill the cache before the copy is made
+        again = load_level(save_level(level))
+        assert again == level
+        assert hash(again) == hash(level)
+
+    def test_pickled_level_rehashes_in_another_process(self, sample_formula):
+        # String hashes are salted per process, so a hash cached in one
+        # process must not travel with the level into another.
+        level = compile_3sat(sample_formula)
+        hash(level)
+        script = (
+            "import pickle, sys\n"
+            "from satplat.level import load_level\n"
+            "level = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = load_level(sys.argv[1])\n"
+            "assert level == fresh and hash(level) == hash(fresh), 'stale hash'\n"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": "12345",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", script, save_level(level)],
+                              input=pickle.dumps(level), env=env, capture_output=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr.decode()
 
 
 class TestValidation:
