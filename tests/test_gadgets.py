@@ -81,6 +81,15 @@ class TestTunnel:
         level, _ = contract_level(bp)
         assert "tunnel_out" in reachable_ports(level, "tunnel_in")
 
+    def test_empty_symbols_plain_corridor(self):
+        # the crossing of an empty tunnel leaves every door as it was
+        level, _ = contract_level(build_tunnel(()))
+        start = probe_state(level, "tunnel_in")
+        leg = solve_between(level, start, level.port("tunnel_out").cell)
+        assert leg is not None
+        _, state = leg
+        assert state.door_open == start.door_open
+
     def test_symbols_apply_in_order(self):
         bp = build_tunnel(((7, OPEN), (7, CLOSE)))
         assert bp.variant == PSPACE
