@@ -23,7 +23,7 @@ from satplat.formula import FormulaError, gen_random_3cnf, parse_dimacs, parse_q
 from satplat.gadgets import ALL_GADGET_BUILDERS, catalog, check_contract
 from satplat.level import NP, LevelError, load_level, render_ascii, save_level
 from satplat.sim import replay, replay_states, trace_from_text, trace_to_text
-from satplat.solver import LimitExceeded, Solvable, solve
+from satplat.solver import DEFAULT_MAX_STATES, LimitExceeded, Solvable, solve
 from satplat.verify import CorpusSpec, run_corpus
 
 
@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("level")
     p.add_argument("--trace-out")
     p.add_argument("--stats", action="store_true")
-    p.add_argument("--max-states", type=int, default=5_000_000)
+    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
     p.add_argument("--max-time", type=float, default=None)
     p.set_defaults(func=_cmd_solve)
 

@@ -189,13 +189,11 @@ def _occurrences(formula: CnfFormula):
     return pos, neg
 
 
-def plan_3sat(formula: CnfFormula, top_flag: bool = False,
-              max_vars: int = DEFAULT_MAX_VARS,
-              max_clauses: int = DEFAULT_MAX_CLAUSES) -> LayoutPlan:
+def plan_3sat(formula: CnfFormula, top_flag: bool = False) -> LayoutPlan:
     n, k = formula.num_variables, formula.num_clauses
-    if n > max_vars or k > max_clauses:
-        raise CompileError(f"layout bounds exceeded: n={n} (max {max_vars}), "
-                           f"k={k} (max {max_clauses})")
+    if n > DEFAULT_MAX_VARS or k > DEFAULT_MAX_CLAUSES:
+        raise CompileError(f"layout bounds exceeded: n={n} (max {DEFAULT_MAX_VARS}), "
+                           f"k={k} (max {DEFAULT_MAX_CLAUSES})")
     pos, neg = _occurrences(formula)
 
     plan = LayoutPlan(NP, 0, 0)
@@ -335,12 +333,10 @@ def _plan_top_flag(plan: LayoutPlan, formula: CnfFormula, mx: int, pr: int, heig
     return ex0 + 6, height
 
 
-def compile_3sat(formula: CnfFormula, top_flag: bool = False,
-                 max_vars: int = DEFAULT_MAX_VARS,
-                 max_clauses: int = DEFAULT_MAX_CLAUSES) -> Level:
+def compile_3sat(formula: CnfFormula, top_flag: bool = False) -> Level:
     """NP-variant level whose solvability matches the formula's
     satisfiability."""
-    plan = plan_3sat(formula, top_flag, max_vars, max_clauses)
+    plan = plan_3sat(formula, top_flag)
     return route_and_place(plan)
 
 
@@ -379,13 +375,12 @@ def _symbol_lists(formula: CnfFormula, var: int):
     return true_syms, false_syms
 
 
-def plan_qbf(qbf: QbfFormula, max_prefix: int = DEFAULT_MAX_PREFIX,
-             max_clauses: int = DEFAULT_MAX_QBF_CLAUSES) -> LayoutPlan:
+def plan_qbf(qbf: QbfFormula) -> LayoutPlan:
     n = qbf.matrix.num_variables
     k = qbf.matrix.num_clauses
-    if n > max_prefix or k > max_clauses:
-        raise CompileError(f"layout bounds exceeded: prefix {n} (max {max_prefix}), "
-                           f"k={k} (max {max_clauses})")
+    if n > DEFAULT_MAX_PREFIX or k > DEFAULT_MAX_QBF_CLAUSES:
+        raise CompileError(f"layout bounds exceeded: prefix {n} (max {DEFAULT_MAX_PREFIX}), "
+                           f"k={k} (max {DEFAULT_MAX_QBF_CLAUSES})")
 
     plan = LayoutPlan(PSPACE, 0, 0)
     carve = plan.carves.append
@@ -447,8 +442,7 @@ def plan_qbf(qbf: QbfFormula, max_prefix: int = DEFAULT_MAX_PREFIX,
     return plan
 
 
-def compile_qbf(qbf: QbfFormula, max_prefix: int = DEFAULT_MAX_PREFIX,
-                max_clauses: int = DEFAULT_MAX_QBF_CLAUSES) -> Level:
+def compile_qbf(qbf: QbfFormula) -> Level:
     """PSPACE-variant level whose solvability matches the QBF's truth."""
-    plan = plan_qbf(qbf, max_prefix, max_clauses)
+    plan = plan_qbf(qbf)
     return route_and_place(plan)

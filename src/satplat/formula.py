@@ -173,8 +173,8 @@ def gen_random_3cnf(n: int, k: int, seed: int) -> CnfFormula:
     drawing per literal first the variable (randrange) then the sign
     (one bit).
     """
-    if n < 1 and k > 0:
-        raise FormulaError("cannot generate clauses with n = 0")
+    if n < 0 or k < 0 or (n == 0 and k > 0):
+        raise FormulaError(f"cannot generate {k} clauses over {n} variables")
     rng = random.Random(seed)
     clauses = []
     for _ in range(k):
@@ -182,7 +182,7 @@ def gen_random_3cnf(n: int, k: int, seed: int) -> CnfFormula:
             Literal(rng.randrange(1, n + 1), bool(rng.getrandbits(1))) for _ in range(3)
         )
         clauses.append(Clause(lits))
-    return CnfFormula(max(n, 0), tuple(clauses))
+    return CnfFormula(n, tuple(clauses))
 
 
 # --- DIMACS / QDIMACS -------------------------------------------------------

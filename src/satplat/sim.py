@@ -14,15 +14,19 @@ fired) by a dash; falling passes through button cells without firing.
 The start state is the spawn cell with a dash charge, the initial door
 bits and every platform intact.  The spawn must rest on solid, a closed
 door or a platform (see `level.validate_level`), so the start is already
-at rest; `solve`, `replay` and `initial_state` all begin from
-`start_key`.  Platform breaking happens only at the end of a step, so a
-spawn platform stays intact until the first move.
+at rest; `solve` and `replay` both begin from `initial_state`.  Platform
+breaking happens only at the end of a step, so a spawn platform stays
+intact until the first move.
+
+A `GameState` is the tuple `(x, y, has_dash, door_open, platform_broken)`
+that the step core and the solver work on; there is no other encoding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from satplat.level import CLOSE, SOLID, Button, Door, Level, SpaceBlock, UnstablePlatform
 
@@ -70,16 +74,18 @@ def dash(direction: str) -> Move:
 
 
 def move_from_text(text: str) -> Move:
+    """Parse one trace line: `WALK L|R`, `JUMP dx rise` or `DASH dir`,
+    with no further tokens."""
     parts = text.split()
-    try:
-        if parts[0] == "WALK" and parts[1] in ("L", "R"):
-            return walk(-1 if parts[1] == "L" else 1)
-        if parts[0] == "JUMP":
+    if len(parts) == 2 and parts[0] == "WALK" and parts[1] in ("L", "R"):
+        return walk(-1 if parts[1] == "L" else 1)
+    if len(parts) == 2 and parts[0] == "DASH" and parts[1] in COMPASS:
+        return dash(parts[1])
+    if len(parts) == 3 and parts[0] == "JUMP":
+        try:
             return jump(int(parts[1]), int(parts[2]))
-        if parts[0] == "DASH" and parts[1] in COMPASS:
-            return dash(parts[1])
-    except (IndexError, ValueError):
-        pass
+        except ValueError:
+            pass
     raise ValueError(f"bad move text {text!r}")
 
 
@@ -91,12 +97,16 @@ def trace_from_text(text: str) -> tuple[Move, ...]:
     return tuple(move_from_text(line) for line in text.splitlines() if line.strip())
 
 
-@dataclass(frozen=True)
-class GameState:
-    position: tuple[int, int]
-    has_dash: bool
+class GameState(NamedTuple):
+    x: int
+    y: int
+    has_dash: int  # 1 when the dash is charged, else 0
     door_open: int  # bitset keyed by door id
     platform_broken: int  # bitset keyed by platform id
+
+    @property
+    def position(self) -> tuple[int, int]:
+        return (self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -193,27 +203,11 @@ def sim_context(level: Level) -> SimContext:
     return SimContext(level)
 
 
-def pack_state(state: GameState) -> tuple[int, int, int, int, int]:
-    """The packed key (x, y, dash, doors, plats) that the step core and
-    the solver work on."""
-    x, y = state.position
-    return (x, y, int(state.has_dash), state.door_open, state.platform_broken)
-
-
-def unpack_state(key) -> GameState:
-    x, y, has_dash, doors, plats = key
-    return GameState((x, y), bool(has_dash), doors, plats)
-
-
-def start_key(ctx: SimContext) -> tuple[int, int, int, int, int]:
-    """The packed start state: spawn, dash charged, initial doors, no
-    broken platforms."""
-    x, y = ctx.spawn
-    return (x, y, 1, ctx.initial_doors, 0)
-
-
 def initial_state(level: Level) -> GameState:
-    return unpack_state(start_key(sim_context(level)))
+    """The start state: spawn, dash charged, initial doors, no broken
+    platforms."""
+    ctx = sim_context(level)
+    return GameState(*ctx.spawn, 1, ctx.initial_doors, 0)
 
 
 # Status codes returned by the packed step core.
@@ -222,7 +216,7 @@ _NEXT, _DIED, _STOPPED = 0, 1, 2
 
 def _step_packed(ctx: SimContext, x: int, y: int, has_dash: int, doors: int,
                  plats: int, kind: int, a: int, b: int):
-    """Core transition on unpacked state; returns
+    """Core transition on the fields of a GameState; returns
     (status, x, y, has_dash, doors, plats)."""
     w, h = ctx.width, ctx.height
     code = ctx.code
@@ -381,21 +375,20 @@ def step(level: Level, state: GameState, move: Move) -> StepOutcome:
     """Apply one move; a pure function of (level, state, move)."""
     ctx = sim_context(level)
     kind, a, b = _validate_move(ctx, move)
-    out = _step_packed(ctx, *pack_state(state), kind, a, b)
+    out = _step_packed(ctx, *state, kind, a, b)
     if out[0] == _STOPPED:
         return BLOCKED
     if out[0] == _DIED:
         return Death(DEATH_BLOCKED_EXIT)
-    return Next(unpack_state(out[1:]))
+    return Next(GameState(*out[1:]))
 
 
 def legal_moves(level: Level, state: GameState) -> list[Move]:
     """Moves whose outcome is Next; Death-producing moves are pruned."""
     ctx = sim_context(level)
-    key = pack_state(state)
     out = []
     for move, (kind, a, b) in zip(ctx.moves, ctx.packed_moves):
-        if _step_packed(ctx, *key, kind, a, b)[0] == _NEXT:
+        if _step_packed(ctx, *state, kind, a, b)[0] == _NEXT:
             out.append(move)
     return out
 
@@ -404,7 +397,7 @@ def replay(level: Level, trace) -> bool:
     """True iff the trace applies cleanly from the initial state and ends
     on the flag cell; linear in the trace length."""
     ctx = sim_context(level)
-    x, y, has_dash, doors, plats = start_key(ctx)
+    x, y, has_dash, doors, plats = initial_state(level)
     for move in trace:
         try:
             kind, a, b = _validate_move(ctx, move)

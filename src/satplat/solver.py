@@ -1,9 +1,11 @@
 """Exhaustive breadth-first search over game states.
 
-The search key is (position, dash charge, door bits, platform bits); the
-move ordering is the canonical one from the simulator, so the returned
-trace is unique for a given level.  Unsolvable means the reachable state
-space was exhausted.
+The search key is a `GameState` (position, dash charge, door bits,
+platform bits); the loop builds successors as plain tuples, which hash
+and compare equal to a `GameState` and cost no Python-level constructor
+call.  The move ordering is the canonical one from the simulator, so the
+returned trace is unique for a given level.  Unsolvable means the
+reachable state space was exhausted.
 """
 
 from __future__ import annotations
@@ -13,15 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from satplat.level import Level
-from satplat.sim import (
-    Move,
-    _NEXT,
-    _step_packed,
-    pack_state,
-    sim_context,
-    start_key,
-    unpack_state,
-)
+from satplat.sim import GameState, Move, _NEXT, _step_packed, initial_state, sim_context
 
 DEFAULT_MAX_STATES = 5_000_000
 
@@ -56,8 +50,8 @@ SolveResult = Solvable | Unsolvable | LimitExceeded
 def _search(ctx, start, goal_cell, max_states, max_time):
     """BFS core.  Returns (goal_key, parents, visited, stats, limited).
 
-    `start` is a packed key (x, y, dash, doors, plats); `goal_cell` of
-    None means exhaust the space (used for reachability queries).
+    `start` is a GameState; `goal_cell` of None means exhaust the space
+    (used for reachability queries).
     """
     t0 = time.perf_counter()
     moves = ctx.packed_moves
@@ -120,8 +114,8 @@ def solve(level: Level, max_states: int = DEFAULT_MAX_STATES,
     """Decide solvability; Solvable carries the unique shortest witness
     trace under the canonical move order."""
     ctx = sim_context(level)
-    start = start_key(ctx)
-    if start[:2] == ctx.flag:
+    start = initial_state(level)
+    if start.position == ctx.flag:
         return Solvable((), SearchStats(0, 1, 1, 0.0))
     goal_key, parents, _, stats, limited = _search(
         ctx, start, ctx.flag, max_states, max_time
@@ -133,21 +127,20 @@ def solve(level: Level, max_states: int = DEFAULT_MAX_STATES,
     return Unsolvable(stats)
 
 
-def solve_between(level: Level, state, goal_cell,
-                  max_states: int = DEFAULT_MAX_STATES):
+def solve_between(level: Level, state: GameState, goal_cell):
     """BFS from an explicit GameState to a goal cell.
 
     Returns (trace, end_state) or None.  Used by the witness builder and
     by scripted gadget-contract checks.
     """
-    ctx = sim_context(level)
-    start = pack_state(state)
     if state.position == tuple(goal_cell):
         return (), state
-    goal_key, parents, _, _, limited = _search(ctx, start, tuple(goal_cell), max_states, None)
+    ctx = sim_context(level)
+    goal_key, parents, _, _, _ = _search(ctx, state, tuple(goal_cell),
+                                         DEFAULT_MAX_STATES, None)
     if goal_key is None:
         return None
-    return _rebuild_trace(ctx, parents, goal_key), unpack_state(goal_key)
+    return _rebuild_trace(ctx, parents, goal_key), GameState(*goal_key)
 
 
 def reachable_ports(level: Level, from_port: str, state_overrides=None) -> set[str]:
@@ -157,22 +150,18 @@ def reachable_ports(level: Level, from_port: str, state_overrides=None) -> set[s
     state_overrides may force door/platform bits:
     {"doors": {id: bool}, "platforms": {id: bool}}.
     """
-    ctx = sim_context(level)
     port = level.port(from_port)  # raises LevelError for unknown ports
-    doors, plats = ctx.initial_doors, 0
+    doors, plats = sim_context(level).initial_doors, 0
     if state_overrides:
         for door_id, value in state_overrides.get("doors", {}).items():
             doors = doors | (1 << door_id) if value else doors & ~(1 << door_id)
         for plat_id, value in state_overrides.get("platforms", {}).items():
             plats = plats | (1 << plat_id) if value else plats & ~(1 << plat_id)
-    start = (port.cell[0], port.cell[1], 1, doors, plats)
-    _, _, visited, _, _ = _search(ctx, start, None, DEFAULT_MAX_STATES, None)
-    positions = {(kx, ky) for kx, ky, *_ in visited}
+    positions = reachable_positions(level, GameState(*port.cell, 1, doors, plats))
     return {p.name for p in level.ports if tuple(p.cell) in positions}
 
 
-def reachable_positions(level: Level, state) -> set[tuple[int, int]]:
+def reachable_positions(level: Level, state: GameState) -> set[tuple[int, int]]:
     """All rest positions reachable from a state; diagnostic helper."""
-    ctx = sim_context(level)
-    _, _, visited, _, _ = _search(ctx, pack_state(state), None, DEFAULT_MAX_STATES, None)
+    _, _, visited, _, _ = _search(sim_context(level), state, None, DEFAULT_MAX_STATES, None)
     return {(kx, ky) for kx, ky, *_ in visited}

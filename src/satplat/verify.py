@@ -65,6 +65,13 @@ class CorpusSpec:
     count: int = 50
     seed: int = 0
 
+    def __post_init__(self):
+        if self.mode == "RANDOM" and self.count < 1:
+            raise ValueError(f"corpus count must be at least 1, got {self.count}")
+        if self.mode == "EXHAUSTIVE" and (self.n_max < 0 or self.k_max < 0):
+            raise ValueError(f"corpus bounds must be non-negative, got "
+                             f"n_max={self.n_max}, k_max={self.k_max}")
+
 
 @dataclass
 class CorpusSummary:
@@ -103,20 +110,20 @@ def _verdict(result):
     return UNSOLVABLE, None
 
 
-def verify_formula(formula: CnfFormula, max_states: int = 5_000_000) -> EquivalenceReport:
+def verify_formula(formula: CnfFormula) -> EquivalenceReport:
     """Compare sat_oracle with solving the compiled NP level."""
     oracle = sat_oracle(formula) is not None
-    result = solve(compile_3sat(formula), max_states=max_states)
+    result = solve(compile_3sat(formula))
     verdict, trace = _verdict(result)
     agree = verdict != LIMIT and (verdict == SOLVABLE) == oracle
     return EquivalenceReport(write_dimacs(formula), NP, oracle, verdict, agree,
                              trace, result.stats)
 
 
-def verify_qbf(qbf: QbfFormula, max_states: int = 5_000_000) -> EquivalenceReport:
+def verify_qbf(qbf: QbfFormula) -> EquivalenceReport:
     """Compare qbf_oracle with solving the compiled PSPACE level."""
     oracle = qbf_oracle(qbf)
-    result = solve(compile_qbf(qbf), max_states=max_states)
+    result = solve(compile_qbf(qbf))
     verdict, trace = _verdict(result)
     agree = verdict != LIMIT and (verdict == SOLVABLE) == oracle
     return EquivalenceReport(write_qdimacs(qbf), PSPACE, oracle, verdict, agree,

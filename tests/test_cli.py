@@ -129,6 +129,26 @@ class TestErrorPaths:
         code, _, err = run(capsys, "solve", level)
         assert code == 2 and err.startswith("error:") and "cell" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--random", "--count", "-1"),
+        ("verify", "--random", "--count", "0"),
+        ("verify", "--exhaustive", "--nmax", "-1", "--kmax", "-1"),
+        ("gen", "--n", "1", "--k", "-1"),
+        ("gen", "--n", "-2", "--k", "0"),
+    ])
+    def test_empty_or_negative_sizes_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_trace_with_trailing_token_exits_two(self, tmp_path, sample_cnf, capsys):
+        level = tmp_path / "s.level"
+        trace = tmp_path / "s.trace"
+        run(capsys, "compile", sample_cnf, "-o", level)
+        run(capsys, "solve", level, "--trace-out", trace)
+        trace.write_text(trace.read_text().replace("\n", " extra\n", 1))
+        code, _, err = run(capsys, "replay", level, trace)
+        assert code == 2 and "bad move text" in err
+
     def test_top_flag_compile(self, tmp_path, sample_cnf, capsys):
         level = tmp_path / "tf.level"
         assert run(capsys, "compile", sample_cnf, "--top-flag", "-o", level)[0] == 0

@@ -16,12 +16,12 @@ from satplat.gadgets import (
 )
 from satplat.level import CLOSE, NP, OPEN, PSPACE, Flag, LevelBuilder, Spawn
 from satplat.sim import BLOCKED, Death, GameState, dash, jump, step
-from satplat.solver import reachable_ports, reachable_positions, solve_between
+from satplat.solver import DEFAULT_MAX_STATES, reachable_ports, reachable_positions, solve_between
 
 
 def probe_state(level, port_name, doors=0, plats=0):
     """A fresh probe at a port, as `reachable_ports` starts one."""
-    return GameState(level.port(port_name).cell, True, doors, plats)
+    return GameState(*level.port(port_name).cell, 1, doors, plats)
 
 
 @pytest.mark.parametrize("kind", sorted(ALL_GADGET_BUILDERS))
@@ -117,8 +117,7 @@ class TestCrossover:
         leg = solve_between(level, state, (6, 7))  # the block-top rest cell
         assert leg is not None
         _, landed = leg
-        on_block = GameState(landed.position, True, landed.door_open,
-                             landed.platform_broken)
+        on_block = landed._replace(has_dash=1)
         out = step(level, on_block, dash("SE"))
         assert isinstance(out, Death)
         out = step(level, on_block, dash("SW"))
@@ -174,8 +173,7 @@ class TestExistsGadget:
         level, off = self.build()
         ctx = sim_context(level)
         s = probe_state(level, "q_in")
-        start = (s.position[0], s.position[1], 1, s.door_open, s.platform_broken)
-        _, _, visited, _, _ = _search(ctx, start, None, 5_000_000, None)
+        _, _, visited, _, _ = _search(ctx, s, None, DEFAULT_MAX_STATES, None)
         out_cell = level.port("q_out").cell
         configs = {doors & 0b11 for x, y, _, doors, _ in visited
                    if (x, y) == out_cell}

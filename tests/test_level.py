@@ -198,7 +198,7 @@ class TestRender:
         text = render_ascii(level)
         assert "D" in text and "d" in text
         # with a live state, glyphs follow the door bits
-        state = GameState((1, 1), True, 0b01, 0)
+        state = GameState(1, 1, 1, 0b01, 0)
         text = render_ascii(level, state)
         row = text.splitlines()[1]
         assert row[2] == "d" and row[3] == "D"

@@ -90,7 +90,7 @@ class TestDash:
         assert s.has_dash  # restored on landing on solid ground
 
     def test_dash_without_charge_blocked(self, minimal_level):
-        s = GameState((1, 1), False, 0, 0)
+        s = GameState(1, 1, 0, 0, 0)
         assert step(minimal_level, s, dash("E")) is BLOCKED
         assert dash("E") not in legal_moves(minimal_level, s)
 
@@ -299,7 +299,7 @@ class TestSpaceBlocks:
         )
         s = advance(level, initial_state(level), dash("E"))
         # consume the charge by walking is impossible; emulate a spent one
-        spent = GameState(s.position, False, s.door_open, s.platform_broken)
+        spent = s._replace(has_dash=0)
         out = step(level, spent, walk(1))
         assert isinstance(out, Next)
         assert out.state.position == (6, 3)
@@ -320,7 +320,7 @@ class TestLegalMovesAndDeterminism:
         level = level_from_art(
             "#####\n#...#\n#.#.#\n#S#F#\n#####"
         )
-        s = GameState((1, 1), False, 0, 0)
+        s = GameState(1, 1, 0, 0, 0)
         moves = legal_moves(level, s)
         assert all(m.kind == "JUMP" for m in moves)
 
@@ -442,6 +442,11 @@ class TestReplayAndTraces:
     def test_move_text_errors(self):
         with pytest.raises(ValueError):
             move_from_text("FLY UP")
+
+    @pytest.mark.parametrize("text", ["WALK L extra", "JUMP 1 2 3", "DASH E 9"])
+    def test_move_text_rejects_trailing_tokens(self, text):
+        with pytest.raises(ValueError):
+            move_from_text(text)
 
     def test_replay_states_stops_on_failure(self, minimal_level):
         states = list(replay_states(minimal_level, (walk(-1), walk(1))))

@@ -15,11 +15,22 @@ from satplat.level import (
     load_level,
     save_level,
 )
-from satplat.sim import Next, canonical_moves, initial_state, pack_state, replay, step, walk
+from satplat.sim import (
+    Next,
+    canonical_moves,
+    initial_state,
+    replay,
+    replay_states,
+    sim_context,
+    step,
+    walk,
+)
 from satplat.solver import (
+    DEFAULT_MAX_STATES,
     LimitExceeded,
     Solvable,
     Unsolvable,
+    _search,
     reachable_ports,
     solve,
     solve_between,
@@ -114,18 +125,15 @@ class TestPruningSoundness:
                       .UnstablePlatform(0, (3, 2))],
             validate=False,
         )
-        from satplat.sim import sim_context
-        from satplat.solver import _search
-
         ctx = sim_context(level)
         s0 = initial_state(level)
-        _, _, visited, _, _ = _search(ctx, pack_state(s0), None, 10**6, None)
+        _, _, visited, _, _ = _search(ctx, s0, None, 10**6, None)
 
         moves = canonical_moves(level.physics)
         seen = set()
 
         def dfs(state, depth):
-            seen.add(pack_state(state))
+            seen.add(state)
             if depth == 0:
                 return
             for move in moves:
@@ -165,16 +173,17 @@ class TestStartState:
             load_level(doc)
 
 
-def naive_depth(level):
-    """Breadth-first search over the public `step` from `initial_state`:
-    the fewest moves that reach the flag, or None."""
+def naive_search(level):
+    """Breadth-first search over the public `step` from `initial_state`,
+    run until no new state appears: (the fewest moves that reach the flag
+    or None, every state reached)."""
     moves = canonical_moves(level.physics)
     layer = [initial_state(level)]
     seen = set(layer)
-    depth = 0
+    depth, flag_depth = 0, None
     while layer:
-        if any(s.position == level.flag.cell for s in layer):
-            return depth
+        if flag_depth is None and any(s.position == level.flag.cell for s in layer):
+            flag_depth = depth
         following = []
         for state in layer:
             for move in moves:
@@ -184,7 +193,7 @@ def naive_depth(level):
                     following.append(out.state)
         layer = following
         depth += 1
-    return None
+    return flag_depth, seen
 
 
 @st.composite
@@ -261,8 +270,28 @@ def test_solve_matches_naive_search_over_step(spec):
     except LevelError:
         reject()
     result = solve(level)
-    depth = naive_depth(level)
+    depth, _ = naive_search(level)
     assert isinstance(result, Solvable) == (depth is not None)
     if depth is not None:
         assert replay(level, result.trace)
         assert len(result.trace) == depth
+
+
+@given(small_levels())
+@example(PLATFORM_SPAWN)
+@settings(max_examples=150, deadline=None)
+def test_search_visits_exactly_the_states_step_reaches(spec):
+    # Both directions: the solver's successor generation neither invents
+    # nor loses a state that `step` reaches, and a witness replays only
+    # through states the solver visited.
+    try:
+        level = level_from_art(*spec)
+    except LevelError:
+        reject()
+    _, _, visited, _, _ = _search(sim_context(level), initial_state(level), None,
+                                  DEFAULT_MAX_STATES, None)
+    _, reached = naive_search(level)
+    assert visited == reached
+    result = solve(level)
+    if isinstance(result, Solvable):
+        assert set(replay_states(level, result.trace)) <= visited
