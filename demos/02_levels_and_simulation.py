@@ -26,23 +26,23 @@ print()
 state = initial_state(level)
 print("legal moves at spawn:", ", ".join(map(str, legal_moves(level, state))))
 
-state = step(level, state, walk(1)).state
-state = step(level, state, walk(1)).state
+state = step(level, state, walk(1))
+state = step(level, state, walk(1))
 print("walking into the button from", state.position, "->",
       step(level, state, walk(1)))
 
-state = step(level, state, dash("E")).state
+state = step(level, state, dash("E"))
 print("a dash sweeps the button and stops at the closed door:",
       state.position, "door bits:", bin(state.door_open))
 
 for move in (walk(1), walk(1), walk(1)):
-    state = step(level, state, move).state
+    state = step(level, state, move)
 print("through the open door, now standing on the platform at", state.position,
       "- broken:", bool(state.platform_broken))
 print()
 print(render_ascii(level, state))
 
-state = step(level, state, dash("E")).state
+state = step(level, state, dash("E"))
 print("\ndashing off before it gives way lands at", state.position)
 print("the platform reforms once the player is 2 cells away:",
       not state.platform_broken)

@@ -83,8 +83,11 @@ def _cmd_render(args) -> int:
     state = None
     if args.trace:
         trace = trace_from_text(Path(args.trace).read_text())
-        for state in replay_states(level, trace):
-            pass
+        states = list(replay_states(level, trace))
+        if len(states) <= len(trace):
+            sys.stderr.write(f"replay failed at move {len(states)}\n")
+            return 1
+        state = states[-1]
     sys.stdout.write(render_ascii(level, state) + "\n")
     return 0
 

@@ -71,14 +71,13 @@ class BButton:
 
 @dataclass(frozen=True)
 class Assertion:
-    """port-pair reachability, optionally conditioned on door/platform bits
+    """port-pair reachability, optionally conditioned on door bits
     (blueprint-local ids)."""
 
     from_port: str
     to_port: str
     reachable: bool
     doors: tuple[tuple[int, bool], ...] = ()
-    platforms: tuple[tuple[int, bool], ...] = ()
     note: str = ""
 
 
@@ -222,11 +221,8 @@ def check_contract(bp: GadgetBlueprint):
 
     level, door_offset = contract_level(bp)
     for a in bp.contract:
-        overrides = {
-            "doors": {i + door_offset: v for i, v in a.doors},
-            "platforms": {i: v for i, v in a.platforms},
-        }
-        reached = reachable_ports(level, a.from_port, overrides)
+        doors = {i + door_offset: v for i, v in a.doors}
+        reached = reachable_ports(level, a.from_port, doors)
         passed = (a.to_port in reached) == a.reachable
         yield a, passed
 
@@ -598,9 +594,6 @@ def catalog() -> str:
             if a.doors:
                 cond = " given doors " + ", ".join(f"{i}={'open' if v else 'closed'}"
                                                    for i, v in a.doors)
-            if a.platforms:
-                cond += " given platforms " + ", ".join(f"{i}={'broken' if v else 'intact'}"
-                                                        for i, v in a.platforms)
             verdict = "REACHABLE" if a.reachable else "UNREACHABLE"
             note = f"  [{a.note}]" if a.note else ""
             lines.append(f"  contract {a.from_port} -> {a.to_port}: {verdict}{cond}{note}")

@@ -20,6 +20,11 @@ intact until the first move.
 
 A `GameState` is the tuple `(x, y, has_dash, door_open, platform_broken)`
 that the step core and the solver work on; there is no other encoding.
+The outcome of a step is the next `GameState`, or one of two singletons:
+`BLOCKED` (the move cannot start, or moves nowhere) or `DEATH` (a dash
+through a space block exits into a blocked cell or off the level).
+The core `_step_packed` returns the same outcomes, with the next state
+as a plain tuple, which hashes and compares equal to a `GameState`.
 """
 
 from __future__ import annotations
@@ -110,11 +115,6 @@ class GameState(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Next:
-    state: GameState
-
-
-@dataclass(frozen=True)
 class Death:
     reason: str
 
@@ -125,7 +125,8 @@ class Blocked:
 
 
 BLOCKED = Blocked()
-StepOutcome = Next | Death | Blocked
+DEATH = Death(DEATH_BLOCKED_EXIT)
+StepOutcome = GameState | Death | Blocked
 
 # Cell codes in the packed grid.
 _EMPTY, _SOLID, _DOOR, _PLAT, _BUTTON, _BLOCK = range(6)
@@ -135,7 +136,6 @@ class SimContext:
     """Precomputed lookup tables for one level; shared by step/solver."""
 
     def __init__(self, level: Level):
-        self.level = level
         w, h = level.width, level.height
         self.width, self.height = w, h
         code = [_SOLID if level.tiles[y][x] == SOLID else _EMPTY
@@ -210,14 +210,10 @@ def initial_state(level: Level) -> GameState:
     return GameState(*ctx.spawn, 1, ctx.initial_doors, 0)
 
 
-# Status codes returned by the packed step core.
-_NEXT, _DIED, _STOPPED = 0, 1, 2
-
-
 def _step_packed(ctx: SimContext, x: int, y: int, has_dash: int, doors: int,
                  plats: int, kind: int, a: int, b: int):
-    """Core transition on the fields of a GameState; returns
-    (status, x, y, has_dash, doors, plats)."""
+    """Core transition on the fields of a GameState; returns the next
+    state as a plain tuple, `BLOCKED` or `DEATH`."""
     w, h = ctx.width, ctx.height
     code = ctx.code
     eid = ctx.eid
@@ -240,22 +236,22 @@ def _step_packed(ctx: SimContext, x: int, y: int, has_dash: int, doors: int,
     if kind == 0:  # WALK
         nx = x + a
         if not walkable(nx, y):
-            return (_STOPPED, x, y, has_dash, doors, plats)
+            return BLOCKED
         px, py = nx, y
 
     elif kind == 1:  # JUMP: ascend b cells, then shift a
         for i in range(1, b + 1):
             if not walkable(x, y + i):
-                return (_STOPPED, x, y, has_dash, doors, plats)
+                return BLOCKED
         px, py = x, y + b
         if a:
             if not walkable(x + a, py):
-                return (_STOPPED, x, y, has_dash, doors, plats)
+                return BLOCKED
             px = x + a
 
     else:  # DASH
         if not has_dash:
-            return (_STOPPED, x, y, has_dash, doors, plats)
+            return BLOCKED
         cx, cy = x, y
         moved = False
         for _ in range(ctx.physics.dash_length):
@@ -279,7 +275,7 @@ def _step_packed(ctx: SimContext, x: int, y: int, has_dash: int, doors: int,
                     door_id, set_open = ctx.buttons[bi]
                     tdoors = tdoors | (1 << door_id) if set_open else tdoors & ~(1 << door_id)
                 if not (0 <= tx < w and 0 <= ty < h):
-                    return (_DIED, x, y, has_dash, doors, plats)
+                    return DEATH
                 tc = code[ty * w + tx]
                 ti = ty * w + tx
                 exit_ok = (
@@ -289,7 +285,7 @@ def _step_packed(ctx: SimContext, x: int, y: int, has_dash: int, doors: int,
                     or (tc == _PLAT and (plats >> eid[ti]) & 1)
                 )
                 if not exit_ok:
-                    return (_DIED, x, y, has_dash, doors, plats)
+                    return DEATH
                 cx, cy = tx, ty
                 moved = True
                 if tc == _BUTTON:
@@ -308,7 +304,7 @@ def _step_packed(ctx: SimContext, x: int, y: int, has_dash: int, doors: int,
             if c == _BUTTON:
                 fired.append(eid[i])
         if not moved:
-            return (_STOPPED, x, y, has_dash, doors, plats)
+            return BLOCKED
         px, py = cx, cy
 
     for bi in fired:
@@ -353,7 +349,7 @@ def _step_packed(ctx: SimContext, x: int, y: int, has_dash: int, doors: int,
     if support == _SOLID or support == _PLAT:
         has_dash = 1
 
-    return (_NEXT, px, py, has_dash, doors, plats)
+    return (px, py, has_dash, doors, plats)
 
 
 def _validate_move(ctx: SimContext, move: Move) -> tuple[int, int, int]:
@@ -376,19 +372,17 @@ def step(level: Level, state: GameState, move: Move) -> StepOutcome:
     ctx = sim_context(level)
     kind, a, b = _validate_move(ctx, move)
     out = _step_packed(ctx, *state, kind, a, b)
-    if out[0] == _STOPPED:
-        return BLOCKED
-    if out[0] == _DIED:
-        return Death(DEATH_BLOCKED_EXIT)
-    return Next(GameState(*out[1:]))
+    return out if out is BLOCKED or out is DEATH else GameState._make(out)
 
 
 def legal_moves(level: Level, state: GameState) -> list[Move]:
-    """Moves whose outcome is Next; Death-producing moves are pruned."""
+    """Moves whose outcome is a next state; blocked and fatal moves are
+    pruned."""
     ctx = sim_context(level)
     out = []
     for move, (kind, a, b) in zip(ctx.moves, ctx.packed_moves):
-        if _step_packed(ctx, *state, kind, a, b)[0] == _NEXT:
+        nxt = _step_packed(ctx, *state, kind, a, b)
+        if nxt is not BLOCKED and nxt is not DEATH:
             out.append(move)
     return out
 
@@ -403,11 +397,10 @@ def replay(level: Level, trace) -> bool:
             kind, a, b = _validate_move(ctx, move)
         except ValueError:
             return False
-        status, x, y, has_dash, doors, plats = _step_packed(
-            ctx, x, y, has_dash, doors, plats, kind, a, b
-        )
-        if status != _NEXT:
+        nxt = _step_packed(ctx, x, y, has_dash, doors, plats, kind, a, b)
+        if nxt is BLOCKED or nxt is DEATH:
             return False
+        x, y, has_dash, doors, plats = nxt
     return (x, y) == ctx.flag
 
 
@@ -417,8 +410,7 @@ def replay_states(level: Level, trace):
     state = initial_state(level)
     yield state
     for move in trace:
-        outcome = step(level, state, move)
-        if not isinstance(outcome, Next):
+        state = step(level, state, move)
+        if state is BLOCKED or state is DEATH:
             return
-        state = outcome.state
         yield state

@@ -1,11 +1,14 @@
 """Exhaustive breadth-first search over game states.
 
 The search key is a `GameState` (position, dash charge, door bits,
-platform bits); the loop builds successors as plain tuples, which hash
-and compare equal to a `GameState` and cost no Python-level constructor
-call.  The move ordering is the canonical one from the simulator, so the
-returned trace is unique for a given level.  Unsolvable means the
-reachable state space was exhausted.
+platform bits).  The step core returns each successor as a plain tuple,
+which hashes and compares equal to a `GameState`, or the `BLOCKED` or
+`DEATH` singleton, which the search skips; the successor is the key
+itself, so the loop builds no state of its own.  One `parents` dict maps
+each reached key to `(parent key, move index)`, and the start to None;
+its keys are the visited set.  The move ordering is the canonical one
+from the simulator, so the returned trace is unique for a given level.
+Unsolvable means the reachable state space was exhausted.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from satplat.level import Level
-from satplat.sim import GameState, Move, _NEXT, _step_packed, initial_state, sim_context
+from satplat.sim import BLOCKED, DEATH, GameState, Move, _step_packed, initial_state, sim_context
 
 DEFAULT_MAX_STATES = 5_000_000
 
@@ -48,38 +51,33 @@ SolveResult = Solvable | Unsolvable | LimitExceeded
 
 
 def _search(ctx, start, goal_cell, max_states, max_time):
-    """BFS core.  Returns (goal_key, parents, visited, stats, limited).
+    """BFS core.  Returns (goal_key, parents, stats, limited).
 
     `start` is a GameState; `goal_cell` of None means exhaust the space
-    (used for reachability queries).
+    (used for reachability queries).  A start on the goal cell is the
+    goal, found with nothing expanded.
     """
     t0 = time.perf_counter()
     moves = ctx.packed_moves
     step = _step_packed
-    queue = deque([start])
-    visited = {start}
-    parents = {}
+    parents = {start: None}
+    gx, gy = goal_cell if goal_cell is not None else (None, None)
+    goal_key = start if start[0] == gx and start[1] == gy else None
+    queue = deque() if goal_key is not None else deque([start])
     expanded = 0
     frontier_peak = 1
     limited = False
-    goal_key = None
     check_every = 2048
     while queue:
         key = queue.popleft()
         expanded += 1
         x, y, has_dash, doors, plats = key
         for mi, (kind, a, b) in enumerate(moves):
-            status, nx, ny, ndash, ndoors, nplats = step(
-                ctx, x, y, has_dash, doors, plats, kind, a, b
-            )
-            if status != _NEXT:
+            nkey = step(ctx, x, y, has_dash, doors, plats, kind, a, b)
+            if nkey is BLOCKED or nkey is DEATH or nkey in parents:
                 continue
-            nkey = (nx, ny, ndash, ndoors, nplats)
-            if nkey in visited:
-                continue
-            visited.add(nkey)
             parents[nkey] = (key, mi)
-            if goal_cell is not None and nx == goal_cell[0] and ny == goal_cell[1]:
+            if nkey[0] == gx and nkey[1] == gy:
                 goal_key = nkey
                 queue.clear()
                 break
@@ -89,22 +87,24 @@ def _search(ctx, start, goal_cell, max_states, max_time):
         qlen = len(queue)
         if qlen > frontier_peak:
             frontier_peak = qlen
-        if len(visited) > max_states:
+        if len(parents) > max_states:
             limited = True
             break
         if max_time is not None and expanded % check_every == 0:
             if time.perf_counter() - t0 > max_time:
                 limited = True
                 break
-    stats = SearchStats(expanded, len(visited), frontier_peak, time.perf_counter() - t0)
-    return goal_key, parents, visited, stats, limited
+    stats = SearchStats(expanded, len(parents), frontier_peak, time.perf_counter() - t0)
+    return goal_key, parents, stats, limited
 
 
 def _rebuild_trace(ctx, parents, key) -> tuple[Move, ...]:
     moves = []
-    while key in parents:
-        key, mi = parents[key]
+    link = parents[key]
+    while link is not None:
+        key, mi = link
         moves.append(ctx.moves[mi])
+        link = parents[key]
     moves.reverse()
     return tuple(moves)
 
@@ -112,13 +112,14 @@ def _rebuild_trace(ctx, parents, key) -> tuple[Move, ...]:
 def solve(level: Level, max_states: int = DEFAULT_MAX_STATES,
           max_time: float | None = None) -> SolveResult:
     """Decide solvability; Solvable carries the unique shortest witness
-    trace under the canonical move order."""
+    trace under the canonical move order.  Negative limits raise
+    ValueError."""
+    if max_states < 0 or (max_time is not None and max_time < 0):
+        raise ValueError(f"search limits must be non-negative, got "
+                         f"max_states={max_states}, max_time={max_time}")
     ctx = sim_context(level)
-    start = initial_state(level)
-    if start.position == ctx.flag:
-        return Solvable((), SearchStats(0, 1, 1, 0.0))
-    goal_key, parents, _, stats, limited = _search(
-        ctx, start, ctx.flag, max_states, max_time
+    goal_key, parents, stats, limited = _search(
+        ctx, initial_state(level), ctx.flag, max_states, max_time
     )
     if goal_key is not None:
         return Solvable(_rebuild_trace(ctx, parents, goal_key), stats)
@@ -133,35 +134,28 @@ def solve_between(level: Level, state: GameState, goal_cell):
     Returns (trace, end_state) or None.  Used by the witness builder and
     by scripted gadget-contract checks.
     """
-    if state.position == tuple(goal_cell):
-        return (), state
     ctx = sim_context(level)
-    goal_key, parents, _, _, _ = _search(ctx, state, tuple(goal_cell),
-                                         DEFAULT_MAX_STATES, None)
+    goal_key, parents, _, _ = _search(ctx, state, tuple(goal_cell),
+                                      DEFAULT_MAX_STATES, None)
     if goal_key is None:
         return None
-    return _rebuild_trace(ctx, parents, goal_key), GameState(*goal_key)
+    return _rebuild_trace(ctx, parents, goal_key), GameState._make(goal_key)
 
 
-def reachable_ports(level: Level, from_port: str, state_overrides=None) -> set[str]:
+def reachable_ports(level: Level, from_port: str, doors=None) -> set[str]:
     """Names of ports whose cells some reachable rest state occupies,
-    starting from a fresh probe (dash charged) at `from_port`.
-
-    state_overrides may force door/platform bits:
-    {"doors": {id: bool}, "platforms": {id: bool}}.
+    starting from a fresh probe (dash charged, every platform intact) at
+    `from_port`.  `doors` ({door id: open}) overrides initial door bits.
     """
     port = level.port(from_port)  # raises LevelError for unknown ports
-    doors, plats = sim_context(level).initial_doors, 0
-    if state_overrides:
-        for door_id, value in state_overrides.get("doors", {}).items():
-            doors = doors | (1 << door_id) if value else doors & ~(1 << door_id)
-        for plat_id, value in state_overrides.get("platforms", {}).items():
-            plats = plats | (1 << plat_id) if value else plats & ~(1 << plat_id)
-    positions = reachable_positions(level, GameState(*port.cell, 1, doors, plats))
+    bits = sim_context(level).initial_doors
+    for door_id, value in (doors or {}).items():
+        bits = bits | (1 << door_id) if value else bits & ~(1 << door_id)
+    positions = reachable_positions(level, GameState(*port.cell, 1, bits, 0))
     return {p.name for p in level.ports if tuple(p.cell) in positions}
 
 
 def reachable_positions(level: Level, state: GameState) -> set[tuple[int, int]]:
     """All rest positions reachable from a state; diagnostic helper."""
-    _, _, visited, _, _ = _search(sim_context(level), state, None, DEFAULT_MAX_STATES, None)
-    return {(kx, ky) for kx, ky, *_ in visited}
+    _, parents, _, _ = _search(sim_context(level), state, None, DEFAULT_MAX_STATES, None)
+    return {(kx, ky) for kx, ky, *_ in parents}

@@ -31,7 +31,7 @@ from satplat.formula import (
 )
 from satplat.compiler import compile_3sat, compile_qbf
 from satplat.level import NP, PSPACE, Level, save_level
-from satplat.sim import Move, Next, canonical_moves, replay, replay_states, step, trace_to_text
+from satplat.sim import GameState, Move, canonical_moves, replay, replay_states, step, trace_to_text
 from satplat.solver import LimitExceeded, SearchStats, Solvable, solve
 
 SOLVABLE = "solvable"
@@ -278,10 +278,9 @@ def _mutants(level: Level, trace, i, states, rng: random.Random):
     rng.shuffle(candidates)
     for cand in candidates:
         out = step(level, before, cand)
-        if isinstance(out, Next) and isinstance(original, Next) \
-                and out.state == original.state:
+        if isinstance(out, GameState) and out == original:
             continue  # outcome-identical: equivalent by construction
-        yield tuple(trace[:i] + [cand] + trace[i + 1:]), isinstance(out, Next)
+        yield tuple(trace[:i] + [cand] + trace[i + 1:]), isinstance(out, GameState)
 
 
 def mutate_trace(level: Level, trace, rng: random.Random, states=None,

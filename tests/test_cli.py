@@ -57,6 +57,15 @@ class TestEndToEnd:
         code, _, err = run(capsys, "replay", level, bad)
         assert code == 1 and "failed" in err
 
+    def test_render_of_failing_trace_exits_one(self, tmp_path, sample_cnf, capsys):
+        level = tmp_path / "sample.level"
+        bad = tmp_path / "bad.trace"
+        run(capsys, "compile", sample_cnf, "-o", level)
+        bad.write_text("WALK L\nWALK R\nWALK R\nWALK R\n")
+        code, out, err = run(capsys, "render", level, bad)
+        assert code == 1 and out == ""
+        assert "replay failed at move 1" in err
+
     def test_qcompile_and_render(self, tmp_path, capsys):
         q = tmp_path / "q.qdimacs"
         q.write_text("p cnf 1 1\ne 1 0\n1 0\n")
@@ -148,6 +157,13 @@ class TestErrorPaths:
         trace.write_text(trace.read_text().replace("\n", " extra\n", 1))
         code, _, err = run(capsys, "replay", level, trace)
         assert code == 2 and "bad move text" in err
+
+    @pytest.mark.parametrize("flag", ["--max-states", "--max-time"])
+    def test_negative_search_limit_exits_two(self, tmp_path, sample_cnf, capsys, flag):
+        level = tmp_path / "s.level"
+        run(capsys, "compile", sample_cnf, "-o", level)
+        code, out, err = run(capsys, "solve", level, flag, "-1")
+        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_top_flag_compile(self, tmp_path, sample_cnf, capsys):
         level = tmp_path / "tf.level"

@@ -59,8 +59,8 @@ class TestClauseGadget:
     def test_or_semantics(self, mask):
         bp = build_clause_gadget(0)
         level, off = contract_level(bp)
-        overrides = {"doors": {off + s: bool((mask >> s) & 1) for s in range(3)}}
-        reached = reachable_ports(level, "check_in", overrides)
+        doors = {off + s: bool((mask >> s) & 1) for s in range(3)}
+        reached = reachable_ports(level, "check_in", doors)
         assert ("check_out" in reached) == (mask != 0)
 
 
@@ -173,9 +173,9 @@ class TestExistsGadget:
         level, off = self.build()
         ctx = sim_context(level)
         s = probe_state(level, "q_in")
-        _, _, visited, _, _ = _search(ctx, s, None, DEFAULT_MAX_STATES, None)
+        _, parents, _, _ = _search(ctx, s, None, DEFAULT_MAX_STATES, None)
         out_cell = level.port("q_out").cell
-        configs = {doors & 0b11 for x, y, _, doors, _ in visited
+        configs = {doors & 0b11 for x, y, _, doors, _ in parents
                    if (x, y) == out_cell}
         assert 0b11 not in configs, "a polarity mix would break soundness"
         assert {0b01, 0b10} <= configs

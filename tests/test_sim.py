@@ -3,10 +3,8 @@ import pytest
 from satplat.level import Button, Door, SpaceBlock, UnstablePlatform
 from satplat.sim import (
     BLOCKED,
-    Blocked,
-    Death,
+    DEATH,
     GameState,
-    Next,
     canonical_moves,
     dash,
     initial_state,
@@ -26,8 +24,8 @@ from tests.conftest import level_from_art
 def advance(level, state, *moves):
     for move in moves:
         out = step(level, state, move)
-        assert isinstance(out, Next), f"{move} gave {out}"
-        state = out.state
+        assert isinstance(out, GameState), f"{move} gave {out}"
+        state = out
     return state
 
 
@@ -35,8 +33,8 @@ class TestWalkAndGravity:
     def test_walk_right_along_floor(self, minimal_level):
         s = initial_state(minimal_level)
         out = step(minimal_level, s, walk(1))
-        assert isinstance(out, Next)
-        assert out.state.position == (2, 1)
+        assert isinstance(out, GameState)
+        assert out.position == (2, 1)
 
     def test_walk_into_wall_blocked(self, minimal_level):
         assert step(minimal_level, initial_state(minimal_level), walk(-1)) is BLOCKED
@@ -131,12 +129,12 @@ class TestButtons:
     def test_dash_fires_button_but_path_uses_prior_door_state(self):
         level = button_level()
         out = step(level, initial_state(level), dash("E"))
-        assert isinstance(out, Next)
+        assert isinstance(out, GameState)
         # stopped by the then-closed door, resting on the button cell
-        assert out.state.position == (3, 1)
-        assert out.state.door_open == 1
+        assert out.position == (3, 1)
+        assert out.door_open == 1
         # now the door is open: the next dash crosses it
-        s = advance(level, out.state, dash("E"))
+        s = advance(level, out, dash("E"))
         assert s.position == (5, 1)
 
     def test_falling_through_button_does_not_fire(self):
@@ -158,8 +156,8 @@ class TestButtons:
             variant="PSPACE",
         )
         out = step(level, initial_state(level), dash("E"))
-        assert isinstance(out, Next)
-        assert out.state.door_open == 0
+        assert isinstance(out, GameState)
+        assert out.door_open == 0
 
 
 def platform_tower():
@@ -194,8 +192,8 @@ class TestPlatforms:
         assert step(level, s2, jump(0, 2)) is BLOCKED
         assert step(level, s2, jump(0, 3)) is BLOCKED
         out = step(level, s2, dash("N"))
-        assert isinstance(out, Next)
-        assert out.state.position == (1, 1)  # bounced off, fell back
+        assert isinstance(out, GameState)
+        assert out.position == (1, 1)  # bounced off, fell back
 
     def test_platform_keeps_broken_within_reform_distance(self):
         level = level_from_art(
@@ -230,7 +228,7 @@ class TestSpaceBlocks:
     def test_blocked_exit_kills(self):
         level = block_death_level()
         out = step(level, initial_state(level), dash("E"))
-        assert isinstance(out, Death)
+        assert out is DEATH
         assert "space-block" in out.reason
 
     def test_death_moves_pruned_from_legal_moves(self):
@@ -301,9 +299,9 @@ class TestSpaceBlocks:
         # consume the charge by walking is impossible; emulate a spent one
         spent = s._replace(has_dash=0)
         out = step(level, spent, walk(1))
-        assert isinstance(out, Next)
-        assert out.state.position == (6, 3)
-        assert out.state.has_dash  # back on solid ground: recharged
+        assert isinstance(out, GameState)
+        assert out.position == (6, 3)
+        assert out.has_dash  # back on solid ground: recharged
 
     def test_transit_chains_through_abutting_blocks(self):
         level = level_from_art(
@@ -327,7 +325,7 @@ class TestLegalMovesAndDeterminism:
     def test_legal_moves_match_step_outcomes(self, minimal_level):
         s = initial_state(minimal_level)
         for move in canonical_moves(minimal_level.physics):
-            expected = isinstance(step(minimal_level, s, move), Next)
+            expected = isinstance(step(minimal_level, s, move), GameState)
             assert (move in legal_moves(minimal_level, s)) == expected
 
     def test_step_is_pure(self, minimal_level):
@@ -378,9 +376,8 @@ class TestInvariantsUnderRandomWalks:
             moves = legal_moves(level, state)
             assert moves, "stuck states should not exist on this level"
             move = rng.choice(moves)
-            out = step(level, state, move)
-            assert isinstance(out, Next)
-            nxt = out.state
+            nxt = step(level, state, move)
+            assert isinstance(nxt, GameState)
             # every rest state is supported
             assert self._support_code(level, nxt) is not None
             # doors only ever open in the NP variant
@@ -416,10 +413,9 @@ class TestInvariantsUnderRandomWalks:
         for _ in range(200):
             moves = legal_moves(level, state)
             assert moves
-            out = step(level, state, rng.choice(moves))
-            assert isinstance(out, Next)
-            assert self._support_code(level, out.state) is not None
-            state = out.state
+            state = step(level, state, rng.choice(moves))
+            assert isinstance(state, GameState)
+            assert self._support_code(level, state) is not None
 
 
 class TestReplayAndTraces:

@@ -16,7 +16,7 @@ from satplat.level import (
     save_level,
 )
 from satplat.sim import (
-    Next,
+    GameState,
     canonical_moves,
     initial_state,
     replay,
@@ -65,6 +65,8 @@ class TestSolve:
         result = solve(level)
         assert isinstance(result, Solvable)
         assert result.trace == ()
+        assert result.stats.states_expanded == 0
+        assert result.stats.states_visited == 1
 
     def test_determinism_including_trace(self, sample_formula):
         level = compile_3sat(sample_formula)
@@ -127,7 +129,7 @@ class TestPruningSoundness:
         )
         ctx = sim_context(level)
         s0 = initial_state(level)
-        _, _, visited, _, _ = _search(ctx, s0, None, 10**6, None)
+        _, parents, _, _ = _search(ctx, s0, None, 10**6, None)
 
         moves = canonical_moves(level.physics)
         seen = set()
@@ -138,11 +140,11 @@ class TestPruningSoundness:
                 return
             for move in moves:
                 out = step(level, state, move)
-                if isinstance(out, Next):
-                    dfs(out.state, depth - 1)
+                if isinstance(out, GameState):
+                    dfs(out, depth - 1)
 
         dfs(s0, 5)
-        assert seen <= visited
+        assert seen <= parents.keys()
 
 
 # --- one start state: solve, replay and step agree ---------------------------
@@ -188,9 +190,9 @@ def naive_search(level):
         for state in layer:
             for move in moves:
                 out = step(level, state, move)
-                if isinstance(out, Next) and out.state not in seen:
-                    seen.add(out.state)
-                    following.append(out.state)
+                if isinstance(out, GameState) and out not in seen:
+                    seen.add(out)
+                    following.append(out)
         layer = following
         depth += 1
     return flag_depth, seen
@@ -288,10 +290,10 @@ def test_search_visits_exactly_the_states_step_reaches(spec):
         level = level_from_art(*spec)
     except LevelError:
         reject()
-    _, _, visited, _, _ = _search(sim_context(level), initial_state(level), None,
-                                  DEFAULT_MAX_STATES, None)
+    _, parents, _, _ = _search(sim_context(level), initial_state(level), None,
+                               DEFAULT_MAX_STATES, None)
     _, reached = naive_search(level)
-    assert visited == reached
+    assert parents.keys() == reached
     result = solve(level)
     if isinstance(result, Solvable):
-        assert set(replay_states(level, result.trace)) <= visited
+        assert set(replay_states(level, result.trace)) <= parents.keys()
