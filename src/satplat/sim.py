@@ -18,13 +18,27 @@ at rest; `solve` and `replay` both begin from `initial_state`.  Platform
 breaking happens only at the end of a step, so a spawn platform stays
 intact until the first move.
 
-A `GameState` is the tuple `(x, y, has_dash, door_open, platform_broken)`
-that the step core and the solver work on; there is no other encoding.
-The outcome of a step is the next `GameState`, or one of two singletons:
-`BLOCKED` (the move cannot start, or moves nowhere) or `DEATH` (a dash
-through a space block exits into a blocked cell or off the level).
-The core `_step_packed` returns the same outcomes, with the next state
-as a plain tuple, which hashes and compares equal to a `GameState`.
+A `GameState` is the tuple `(x, y, has_dash, door_open, platform_broken)`,
+the one public state type.  The outcome of a step is the next
+`GameState`, or one of two singletons: `BLOCKED` (the move cannot start,
+or moves nowhere) or `DEATH` (a dash through a space block exits into a
+blocked cell or off the level).
+
+The step core is table-driven.  `SimContext` turns each (cell, canonical
+move) pair into a move record the first time the cell is visited, and
+keeps it for the level; a pair that is blocked whatever the door and
+platform bits (a solid cell, button, space block or the edge on a walk
+or jump path; a solid cell or the edge first on a dash) gets none.
+- A WALK or JUMP record is the door bits that must be open, the platform
+  bits that must be broken, and the landing of its end cell.
+- A DASH record is its static path: the doors, platforms and buttons on
+  it in order, the landing of its last cell, and the exit of a space
+  block at its end.
+- A landing is where a player let go in a cell comes to rest, the
+  support there, and the mask of the platforms within reform distance,
+  so reform is one `&`.
+One function, `_apply`, applies a record to `(has_dash, doors, plats)`;
+`step`, `legal_moves`, `replay` and the solver all call it.
 """
 
 from __future__ import annotations
@@ -128,22 +142,65 @@ BLOCKED = Blocked()
 DEATH = Death(DEATH_BLOCKED_EXIT)
 StepOutcome = GameState | Death | Blocked
 
-# Cell codes in the packed grid.
-_EMPTY, _SOLID, _DOOR, _PLAT, _BUTTON, _BLOCK = range(6)
+# Cell codes in the packed grid; a dash gate splits a button cell into
+# the two codes of its action.
+_EMPTY, _SOLID, _DOOR, _PLAT, _BUTTON, _BLOCK, _OPENS, _CLOSES = range(8)
+_TILE_CODES = bytes(_SOLID if i == ord(SOLID) else _EMPTY for i in range(256))
+
+
+class _Shift(NamedTuple):
+    """A WALK or JUMP from one cell.  Its path is fixed, so it needs only
+    the `doors` bits open and the `plats` bits broken; then the player
+    falls from its end cell (`fall`, a landing)."""
+    move: int
+    doors: int
+    plats: int
+    fall: tuple
+
+
+class _Dash(NamedTuple):
+    """A DASH from one cell, over its path up to the dash length, the
+    first solid cell, the edge or the first space block.
+
+    `gates` holds `(code, bit, before)` for each door, platform or button
+    cell of the path in order, where `before` is the landing of the cell
+    before it (None for the first cell): a closed door or an intact
+    platform ends the dash there.  `fall` is the landing of the path's
+    last cell (None if it has none).  `transit` is `(code, bit, fall)` of
+    the cell a space block at the end of the path carries the player to,
+    `DEATH` if that cell is solid or off the level, or None."""
+    move: int
+    gates: tuple
+    fall: tuple | None
+    transit: object
+
+
+# A landing is `(cell, support, bit, keep, below)`: the cell a falling
+# player comes to rest in; the code of the cell below it (solid at the
+# bottom edge) and, for a door or platform, its bit; the mask that clears
+# every platform out of reform distance of the cell; and, for a door or
+# platform support, the landing of a fall on through it.
 
 
 class SimContext:
-    """Precomputed lookup tables for one level; shared by step/solver."""
+    """Static tables for one level, shared by `step`, `replay` and the
+    solver: the packed grid (`code`, one byte per cell, and `eid`, the
+    entity id of each entity cell) and the move records, built lazily per
+    cell and kept for the level.
+
+    The tables hold no reference back to the context, so a context that
+    `sim_context` drops is freed at once, not at the next cycle
+    collection."""
 
     def __init__(self, level: Level):
         w, h = level.width, level.height
         self.width, self.height = w, h
-        code = [_SOLID if level.tiles[y][x] == SOLID else _EMPTY
-                for y in range(h) for x in range(w)]
-        eid = [0] * (w * h)
+        code = bytearray("".join(level.tiles).encode("ascii", "replace").translate(_TILE_CODES))
+        eid: dict[int, int] = {}
         buttons: list[tuple[int, bool]] = []
         plat_cells: list[tuple[int, int, int]] = []
         initial_doors = 0
+        door_bits = 0
         for ent in level.entities:
             if isinstance(ent, Door):
                 for (x, y) in ent.cells:
@@ -151,6 +208,7 @@ class SimContext:
                     eid[y * w + x] = ent.id
                 if ent.initially_open:
                     initial_doors |= 1 << ent.id
+                door_bits = max(door_bits, ent.id + 1)
             elif isinstance(ent, UnstablePlatform):
                 x, y = ent.cell
                 code[y * w + x] = _PLAT
@@ -161,6 +219,7 @@ class SimContext:
                 code[y * w + x] = _BUTTON
                 eid[y * w + x] = len(buttons)
                 buttons.append((ent.door_id, ent.action != CLOSE))
+                door_bits = max(door_bits, ent.door_id + 1)
             elif isinstance(ent, SpaceBlock):
                 for (x, y) in ent.cells:
                     code[y * w + x] = _BLOCK
@@ -170,11 +229,100 @@ class SimContext:
         self.buttons = buttons
         self.plat_cells = plat_cells
         self.initial_doors = initial_doors
+        self.door_bits = door_bits  # every door bit a button or the level sets is below it
         self.spawn = level.spawn.cell
         self.flag = level.flag.cell
         self.physics = level.physics
         self.moves = canonical_moves(level.physics)
-        self.packed_moves = [_pack_move(m) for m in self.moves]
+        self._shifts, self._dashes = _move_shapes(self.moves)
+        self.records: dict[int, tuple] = {}  # cell -> its move records
+        self._landings: dict[int, tuple] = {}  # rest cell -> its landing
+
+    def records_at(self, cell: int) -> tuple:
+        """The move records of a cell (`y * width + x`), in canonical move
+        order; a move blocked whatever the bits has no record."""
+        recs = self.records.get(cell)
+        if recs is None:
+            recs = self.records[cell] = tuple(self._build(cell))
+        return recs
+
+    def _build(self, cell: int):
+        w, h, code, eid = self.width, self.height, self.code, self.eid
+        y, x = divmod(cell, w)
+        for mi, offsets in self._shifts:
+            doors = plats = 0
+            for ox, oy in offsets:
+                cx, cy = x + ox, y + oy
+                if not (0 <= cx < w and 0 <= cy < h):
+                    break
+                i = cy * w + cx
+                c = code[i]
+                if c == _DOOR:
+                    doors |= 1 << eid[i]
+                elif c == _PLAT:
+                    plats |= 1 << eid[i]
+                elif c != _EMPTY:
+                    break  # solid, button or space block
+            else:
+                yield _Shift(mi, doors, plats, self._landing(i))
+        for mi, (dx, dy) in self._dashes:
+            gates, fall, transit = [], None, None
+            cx, cy = x, y
+            for _ in range(self.physics.dash_length):
+                cx, cy = cx + dx, cy + dy
+                if not (0 <= cx < w and 0 <= cy < h) or code[cy * w + cx] == _SOLID:
+                    break
+                i = cy * w + cx
+                if code[i] == _BLOCK:
+                    while 0 <= cx < w and 0 <= cy < h and code[cy * w + cx] == _BLOCK:
+                        cx, cy = cx + dx, cy + dy
+                    if 0 <= cx < w and 0 <= cy < h and code[cy * w + cx] != _SOLID:
+                        i = cy * w + cx
+                        transit = (*self._gate(i), self._landing(i))
+                    else:
+                        transit = DEATH
+                    break
+                if code[i] != _EMPTY:
+                    gates.append((*self._gate(i), fall))
+                fall = self._landing(i)
+            if fall is not None or transit is not None:
+                yield _Dash(mi, tuple(gates), fall, transit)
+
+    def _gate(self, i: int) -> tuple[int, int]:
+        """(code, bit) of a non-solid cell on a dash path: a button as the
+        code of its action with its door's bit."""
+        c = self.code[i]
+        if c == _BUTTON:
+            door_id, set_open = self.buttons[self.eid[i]]
+            return (_OPENS if set_open else _CLOSES), 1 << door_id
+        return c, (1 << self.eid[i] if c == _DOOR or c == _PLAT else 0)
+
+    def _landing(self, cell: int) -> tuple:
+        """The landing of a player let go in `cell`."""
+        w, code = self.width, self.code
+        while cell >= w and code[cell - w] in (_EMPTY, _BUTTON):
+            cell -= w
+        landing = self._landings.get(cell)
+        if landing is None:
+            support = code[cell - w] if cell >= w else _SOLID
+            if support == _DOOR or support == _PLAT:
+                landing = (cell, support, 1 << self.eid[cell - w], self._keep(cell),
+                           self._landing(cell - w))
+            else:
+                landing = (cell, support, 0, self._keep(cell), None)
+            self._landings[cell] = landing
+        return landing
+
+    def _keep(self, cell: int) -> int:
+        """The mask that clears every platform at or beyond the reform
+        distance of a player resting in `cell`."""
+        y, x = divmod(cell, self.width)
+        reform = self.physics.reform_distance
+        far = 0
+        for pid, bx, by in self.plat_cells:
+            if max(abs(bx - x), abs(by - y)) >= reform:
+                far |= 1 << pid
+        return ~far
 
 
 def canonical_moves(physics) -> tuple[Move, ...]:
@@ -189,13 +337,21 @@ def canonical_moves(physics) -> tuple[Move, ...]:
     return tuple(moves)
 
 
-def _pack_move(move: Move) -> tuple[int, int, int]:
-    if move.kind == "WALK":
-        return (0, move.dx, 0)
-    if move.kind == "JUMP":
-        return (1, move.dx, move.rise)
-    dx, dy = COMPASS_DELTA[move.direction]
-    return (2, dx, dy)
+def _move_shapes(moves):
+    """The moves as shapes: `(move index, cell offsets of the path)` for
+    each WALK and JUMP, and `(move index, step)` for each DASH."""
+    shifts, dashes = [], []
+    for mi, move in enumerate(moves):
+        if move.kind == "WALK":
+            shifts.append((mi, ((move.dx, 0),)))
+        elif move.kind == "JUMP":
+            offsets = [(0, i) for i in range(1, move.rise + 1)]
+            if move.dx:
+                offsets.append((move.dx, move.rise))
+            shifts.append((mi, tuple(offsets)))
+        else:
+            dashes.append((mi, COMPASS_DELTA[move.direction]))
+    return tuple(shifts), tuple(dashes)
 
 
 @lru_cache(maxsize=128)
@@ -210,180 +366,128 @@ def initial_state(level: Level) -> GameState:
     return GameState(*ctx.spawn, 1, ctx.initial_doors, 0)
 
 
-def _step_packed(ctx: SimContext, x: int, y: int, has_dash: int, doors: int,
-                 plats: int, kind: int, a: int, b: int):
-    """Core transition on the fields of a GameState; returns the next
-    state as a plain tuple, `BLOCKED` or `DEATH`."""
-    w, h = ctx.width, ctx.height
-    code = ctx.code
-    eid = ctx.eid
+def _apply(rec, has_dash: int, doors: int, plats: int):
+    """The transition core: apply one move record to the bits of a state
+    in the record's cell.  Returns `(cell, has_dash, doors, plats)` of
+    the next state, `BLOCKED` or `DEATH`.
 
-    def walkable(cx: int, cy: int) -> bool:
-        if not (0 <= cx < w and 0 <= cy < h):
-            return False
-        c = code[cy * w + cx]
-        if c == _EMPTY:
-            return True
-        if c == _DOOR:
-            return bool((doors >> eid[cy * w + cx]) & 1)
-        if c == _PLAT:
-            return bool((plats >> eid[cy * w + cx]) & 1)
-        return False  # solid, button, block
-
-    fired: list[int] = []
-    transited = False
-
-    if kind == 0:  # WALK
-        nx = x + a
-        if not walkable(nx, y):
+    Order: path legality, button triggering, space-block transit,
+    gravity, platform breaking, platform reform, dash accounting."""
+    if type(rec) is _Shift:
+        _, need_doors, need_plats, fall = rec
+        if doors & need_doors != need_doors or plats & need_plats != need_plats:
             return BLOCKED
-        px, py = nx, y
-
-    elif kind == 1:  # JUMP: ascend b cells, then shift a
-        for i in range(1, b + 1):
-            if not walkable(x, y + i):
-                return BLOCKED
-        px, py = x, y + b
-        if a:
-            if not walkable(x + a, py):
-                return BLOCKED
-            px = x + a
-
-    else:  # DASH
+    else:
         if not has_dash:
             return BLOCKED
-        cx, cy = x, y
-        moved = False
-        for _ in range(ctx.physics.dash_length):
-            nx, ny = cx + a, cy + b
-            if not (0 <= nx < w and 0 <= ny < h):
-                break
-            i = ny * w + nx
-            c = code[i]
-            if c == _BLOCK:
-                # Space-block transit: carried straight through the block
-                # cells (chaining into an abutting block) to the first cell
-                # beyond; a blocked exit kills.
-                transited = True
-                tx, ty = nx, ny
-                while 0 <= tx < w and 0 <= ty < h and code[ty * w + tx] == _BLOCK:
-                    tx += a
-                    ty += b
-                # Buttons swept before the block have already fired.
-                tdoors = doors
-                for bi in fired:
-                    door_id, set_open = ctx.buttons[bi]
-                    tdoors = tdoors | (1 << door_id) if set_open else tdoors & ~(1 << door_id)
-                if not (0 <= tx < w and 0 <= ty < h):
-                    return DEATH
-                tc = code[ty * w + tx]
-                ti = ty * w + tx
-                exit_ok = (
-                    tc == _EMPTY
-                    or tc == _BUTTON
-                    or (tc == _DOOR and (tdoors >> eid[ti]) & 1)
-                    or (tc == _PLAT and (plats >> eid[ti]) & 1)
-                )
-                if not exit_ok:
-                    return DEATH
-                cx, cy = tx, ty
-                moved = True
-                if tc == _BUTTON:
-                    fired.append(eid[ti])
-                break
-            passable = (
-                c == _EMPTY
-                or c == _BUTTON
-                or (c == _DOOR and (doors >> eid[i]) & 1)
-                or (c == _PLAT and (plats >> eid[i]) & 1)
-            )
-            if not passable:
-                break
-            cx, cy = nx, ny
-            moved = True
-            if c == _BUTTON:
-                fired.append(eid[i])
-        if not moved:
-            return BLOCKED
-        px, py = cx, cy
-
-    for bi in fired:
-        door_id, set_open = ctx.buttons[bi]
-        doors = doors | (1 << door_id) if set_open else doors & ~(1 << door_id)
-
-    # Gravity: fall until the cell below blocks (solid, closed door,
-    # unbroken platform, or space block).
-    while py > 0:
-        i = (py - 1) * w + px
-        c = code[i]
-        if c == _EMPTY or c == _BUTTON:
-            py -= 1
-        elif c == _DOOR and (doors >> eid[i]) & 1:
-            py -= 1
-        elif c == _PLAT and (plats >> eid[i]) & 1:
-            py -= 1
-        else:
-            break
-
-    # Platform breaking: standing on an intact platform breaks it; the
-    # player stays put this step.
-    below = (py - 1) * w + px
-    support = code[below] if py > 0 else _SOLID
-    if support == _PLAT:
-        plats |= 1 << eid[below]
-
-    # Platform reform: broken platforms far enough away come back.
-    if plats:
-        reform = ctx.physics.reform_distance
-        for pid, bx, by in ctx.plat_cells:
-            if (plats >> pid) & 1:
-                d = abs(bx - px)
-                dy2 = abs(by - py)
-                if (d if d > dy2 else dy2) >= reform:
-                    plats &= ~(1 << pid)
-
-    if kind == 2:
+        _, gates, fall, transit = rec
         has_dash = 0
-    if transited:
-        has_dash = 1
-    if support == _SOLID or support == _PLAT:
-        has_dash = 1
+        fired = doors  # buttons fire in path order; a door passed reads the bits before
+        for code, bit, before in gates:
+            if code == _DOOR:
+                if not doors & bit:
+                    fall = before
+                    break
+            elif code == _PLAT:
+                if not plats & bit:
+                    fall = before
+                    break
+            elif code == _OPENS:
+                fired |= bit
+            elif code == _CLOSES:
+                fired &= ~bit
+        else:
+            if transit is DEATH:
+                return DEATH
+            if transit is not None:
+                code, bit, fall = transit
+                if code == _DOOR and not fired & bit or code == _PLAT and not plats & bit:
+                    return DEATH
+                if code == _OPENS:
+                    fired |= bit
+                elif code == _CLOSES:
+                    fired &= ~bit
+                has_dash = 1
+        if fall is None:
+            return BLOCKED
+        doors = fired
+    while True:
+        cell, support, bit, keep, below = fall
+        if support == _DOOR:
+            if doors & bit:
+                fall = below
+                continue
+        elif support == _PLAT:
+            if plats & bit:
+                fall = below
+                continue
+            plats |= bit  # standing on an intact platform breaks it
+            has_dash = 1
+        elif support == _SOLID:
+            has_dash = 1
+        return cell, has_dash, doors, plats & keep
 
-    return (px, py, has_dash, doors, plats)
 
-
-def _validate_move(ctx: SimContext, move: Move) -> tuple[int, int, int]:
+def _move_index(ctx: SimContext, move: Move) -> int:
+    """The index of a move in `ctx.moves`; ValueError if the move is not
+    one of them."""
+    rise = ctx.physics.jump_rise
     if move.kind == "WALK":
         if move.dx not in (-1, 1):
             raise ValueError(f"bad WALK dx {move.dx}")
-    elif move.kind == "JUMP":
-        if move.dx not in (-1, 0, 1) or not 1 <= move.rise <= ctx.physics.jump_rise:
+        return (move.dx + 1) // 2
+    if move.kind == "JUMP":
+        if move.dx not in (-1, 0, 1) or not 1 <= move.rise <= rise:
             raise ValueError(f"bad JUMP ({move.dx}, {move.rise})")
-    elif move.kind == "DASH":
+        return 1 + (move.dx + 1) * rise + move.rise
+    if move.kind == "DASH":
         if move.direction not in COMPASS:
             raise ValueError(f"bad DASH direction {move.direction!r}")
-    else:
-        raise ValueError(f"unknown move kind {move.kind!r}")
-    return _pack_move(move)
+        return 2 + 3 * rise + COMPASS.index(move.direction)
+    raise ValueError(f"unknown move kind {move.kind!r}")
+
+
+def _record(ctx: SimContext, cell: int, move: Move):
+    """The record of a move from a cell, or None if the move is blocked
+    whatever the bits; ValueError for a move that is not canonical."""
+    mi = _move_index(ctx, move)
+    for rec in ctx.records_at(cell):
+        if rec.move == mi:
+            return rec
+    return None
+
+
+def _cell(ctx: SimContext, state: GameState) -> int:
+    x, y = state.x, state.y
+    if not (0 <= x < ctx.width and 0 <= y < ctx.height):
+        raise ValueError(f"position {(x, y)} is off the level")
+    return y * ctx.width + x
 
 
 def step(level: Level, state: GameState, move: Move) -> StepOutcome:
     """Apply one move; a pure function of (level, state, move)."""
     ctx = sim_context(level)
-    kind, a, b = _validate_move(ctx, move)
-    out = _step_packed(ctx, *state, kind, a, b)
-    return out if out is BLOCKED or out is DEATH else GameState._make(out)
+    rec = _record(ctx, _cell(ctx, state), move)
+    if rec is None:
+        return BLOCKED
+    out = _apply(rec, state.has_dash, state.door_open, state.platform_broken)
+    if out is BLOCKED or out is DEATH:
+        return out
+    cell, has_dash, doors, plats = out
+    y, x = divmod(cell, ctx.width)
+    return GameState(x, y, has_dash, doors, plats)
 
 
 def legal_moves(level: Level, state: GameState) -> list[Move]:
     """Moves whose outcome is a next state; blocked and fatal moves are
     pruned."""
     ctx = sim_context(level)
+    _, _, has_dash, doors, plats = state
     out = []
-    for move, (kind, a, b) in zip(ctx.moves, ctx.packed_moves):
-        nxt = _step_packed(ctx, *state, kind, a, b)
+    for rec in ctx.records_at(_cell(ctx, state)):
+        nxt = _apply(rec, has_dash, doors, plats)
         if nxt is not BLOCKED and nxt is not DEATH:
-            out.append(move)
+            out.append(ctx.moves[rec.move])
     return out
 
 
@@ -391,26 +495,35 @@ def replay(level: Level, trace) -> bool:
     """True iff the trace applies cleanly from the initial state and ends
     on the flag cell; linear in the trace length."""
     ctx = sim_context(level)
-    x, y, has_dash, doors, plats = initial_state(level)
+    start = initial_state(level)
+    cell = _cell(ctx, start)
+    _, _, has_dash, doors, plats = start
     for move in trace:
         try:
-            kind, a, b = _validate_move(ctx, move)
+            rec = _record(ctx, cell, move)
         except ValueError:
             return False
-        nxt = _step_packed(ctx, x, y, has_dash, doors, plats, kind, a, b)
+        if rec is None:
+            return False
+        nxt = _apply(rec, has_dash, doors, plats)
         if nxt is BLOCKED or nxt is DEATH:
             return False
-        x, y, has_dash, doors, plats = nxt
-    return (x, y) == ctx.flag
+        cell, has_dash, doors, plats = nxt
+    fx, fy = ctx.flag
+    return cell == fy * ctx.width + fx
 
 
 def replay_states(level: Level, trace):
     """Yield the successive states of a replay (initial state first);
-    stops early if a move fails.  Library helper for tests and tooling."""
+    stops early if a move fails or is not a canonical move.  Library
+    helper for tests and tooling."""
     state = initial_state(level)
     yield state
     for move in trace:
-        state = step(level, state, move)
+        try:
+            state = step(level, state, move)
+        except ValueError:
+            return
         if state is BLOCKED or state is DEATH:
             return
         yield state

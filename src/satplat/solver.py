@@ -1,14 +1,17 @@
 """Exhaustive breadth-first search over game states.
 
-The search key is a `GameState` (position, dash charge, door bits,
-platform bits).  The step core returns each successor as a plain tuple,
-which hashes and compares equal to a `GameState`, or the `BLOCKED` or
-`DEATH` singleton, which the search skips; the successor is the key
-itself, so the loop builds no state of its own.  One `parents` dict maps
-each reached key to `(parent key, move index)`, and the start to None;
-its keys are the visited set.  The move ordering is the canonical one
-from the simulator, so the returned trace is unique for a given level.
-Unsolvable means the reachable state space was exhausted.
+`_search` expands each state through the move records of its cell
+(`SimContext.records_at`) with the simulator's one core, `sim._apply`,
+which returns the successor's fields or the `BLOCKED` or `DEATH`
+singleton, which the search skips.  Inside the search a state is one
+int key, `cell | has_dash | doors | plats` from the low bits up, with
+field widths derived from the level (`_Keys`); the layout exists only
+there, and `_Keys.state` turns a key back into the public `GameState`.
+One `parents` dict maps each reached key to its parent link, `parent key
+<< move bits | move index`, and the start to None; its keys are the
+visited set.  The move ordering is the canonical one from the simulator,
+so the returned trace is unique for a given level.  Unsolvable means the
+reachable state space was exhausted.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from satplat.level import Level
-from satplat.sim import BLOCKED, DEATH, GameState, Move, _step_packed, initial_state, sim_context
+from satplat.sim import BLOCKED, DEATH, GameState, Move, _apply, initial_state, sim_context
 
 DEFAULT_MAX_STATES = 5_000_000
 
@@ -50,20 +54,71 @@ class LimitExceeded:
 SolveResult = Solvable | Unsolvable | LimitExceeded
 
 
+class _Keys(NamedTuple):
+    """The layout of a search key, one int: `cell | has_dash | doors |
+    plats` from the low bits up, where `cell` is `y * width + x`.  The
+    field widths follow the level (and the start state's door bits); the
+    platform bits take the top, so they need no width.  A parent link is
+    `parent key << moves | move index`."""
+    width: int
+    dash: int  # shift of has_dash: the bits of a cell index
+    doors: int  # shift of the door bits
+    plats: int  # shift of the platform bits
+    moves: int  # bits of a move index
+
+    @classmethod
+    def of(cls, ctx, start: GameState) -> _Keys:
+        dash = (ctx.width * ctx.height - 1).bit_length()
+        door_bits = max(ctx.door_bits, start.door_open.bit_length())
+        return cls(ctx.width, dash, dash + 1, dash + 1 + door_bits,
+                   len(ctx.moves).bit_length())
+
+    def pack(self, state: GameState) -> int:
+        x, y, has_dash, doors, plats = state
+        return (y * self.width + x | has_dash << self.dash | doors << self.doors
+                | plats << self.plats)
+
+    def state(self, key: int) -> GameState:
+        """The GameState a key stands for."""
+        y, x = divmod(key & (1 << self.dash) - 1, self.width)
+        return GameState(x, y, key >> self.dash & 1,
+                         key >> self.doors & (1 << self.plats - self.doors) - 1,
+                         key >> self.plats)
+
+    def trace(self, ctx, parents, key: int) -> tuple[Move, ...]:
+        """The moves of the path that `parents` records to a key."""
+        mask = (1 << self.moves) - 1
+        moves = []
+        link = parents[key]
+        while link is not None:
+            moves.append(ctx.moves[link & mask])
+            link = parents[link >> self.moves]
+        moves.reverse()
+        return tuple(moves)
+
+
 def _search(ctx, start, goal_cell, max_states, max_time):
-    """BFS core.  Returns (goal_key, parents, stats, limited).
+    """BFS core.  Returns (goal_key, parents, stats, limited, keys).
 
     `start` is a GameState; `goal_cell` of None means exhaust the space
     (used for reachability queries).  A start on the goal cell is the
-    goal, found with nothing expanded.
+    goal, found with nothing expanded.  `keys.state` turns a key of
+    `parents` back into a GameState.  With `max_time`, the clock is read
+    after the first expansion and after every `check_every` more.
     """
     t0 = time.perf_counter()
-    moves = ctx.packed_moves
-    step = _step_packed
-    parents = {start: None}
-    gx, gy = goal_cell if goal_cell is not None else (None, None)
-    goal_key = start if start[0] == gx and start[1] == gy else None
-    queue = deque() if goal_key is not None else deque([start])
+    keys = _Keys.of(ctx, start)
+    w, dash_shift, door_shift, plat_shift, move_bits = keys
+    cell_mask = (1 << dash_shift) - 1
+    door_mask = (1 << plat_shift - door_shift) - 1
+    goal = -1
+    if goal_cell is not None and 0 <= goal_cell[0] < w and 0 <= goal_cell[1] < ctx.height:
+        goal = goal_cell[1] * w + goal_cell[0]
+    start_key = keys.pack(start)
+    parents = {start_key: None}
+    goal_key = start_key if start_key & cell_mask == goal else None
+    queue = deque() if goal_key is not None else deque([start_key])
+    records, records_at, apply = ctx.records, ctx.records_at, _apply
     expanded = 0
     frontier_peak = 1
     limited = False
@@ -71,13 +126,24 @@ def _search(ctx, start, goal_cell, max_states, max_time):
     while queue:
         key = queue.popleft()
         expanded += 1
-        x, y, has_dash, doors, plats = key
-        for mi, (kind, a, b) in enumerate(moves):
-            nkey = step(ctx, x, y, has_dash, doors, plats, kind, a, b)
-            if nkey is BLOCKED or nkey is DEATH or nkey in parents:
+        cell = key & cell_mask
+        has_dash = key >> dash_shift & 1
+        doors = key >> door_shift & door_mask
+        plats = key >> plat_shift
+        link = key << move_bits
+        recs = records.get(cell)
+        if recs is None:
+            recs = records_at(cell)
+        for rec in recs:
+            out = apply(rec, has_dash, doors, plats)
+            if out is BLOCKED or out is DEATH:
                 continue
-            parents[nkey] = (key, mi)
-            if nkey[0] == gx and nkey[1] == gy:
+            ncell, ndash, ndoors, nplats = out
+            nkey = ncell | ndash << dash_shift | ndoors << door_shift | nplats << plat_shift
+            if nkey in parents:
+                continue
+            parents[nkey] = link | rec[0]
+            if ncell == goal:
                 goal_key = nkey
                 queue.clear()
                 break
@@ -90,23 +156,12 @@ def _search(ctx, start, goal_cell, max_states, max_time):
         if len(parents) > max_states:
             limited = True
             break
-        if max_time is not None and expanded % check_every == 0:
+        if max_time is not None and expanded % check_every == 1:
             if time.perf_counter() - t0 > max_time:
                 limited = True
                 break
     stats = SearchStats(expanded, len(parents), frontier_peak, time.perf_counter() - t0)
-    return goal_key, parents, stats, limited
-
-
-def _rebuild_trace(ctx, parents, key) -> tuple[Move, ...]:
-    moves = []
-    link = parents[key]
-    while link is not None:
-        key, mi = link
-        moves.append(ctx.moves[mi])
-        link = parents[key]
-    moves.reverse()
-    return tuple(moves)
+    return goal_key, parents, stats, limited, keys
 
 
 def solve(level: Level, max_states: int = DEFAULT_MAX_STATES,
@@ -118,11 +173,11 @@ def solve(level: Level, max_states: int = DEFAULT_MAX_STATES,
         raise ValueError(f"search limits must be non-negative, got "
                          f"max_states={max_states}, max_time={max_time}")
     ctx = sim_context(level)
-    goal_key, parents, stats, limited = _search(
+    goal_key, parents, stats, limited, keys = _search(
         ctx, initial_state(level), ctx.flag, max_states, max_time
     )
     if goal_key is not None:
-        return Solvable(_rebuild_trace(ctx, parents, goal_key), stats)
+        return Solvable(keys.trace(ctx, parents, goal_key), stats)
     if limited:
         return LimitExceeded(stats)
     return Unsolvable(stats)
@@ -135,11 +190,11 @@ def solve_between(level: Level, state: GameState, goal_cell):
     by scripted gadget-contract checks.
     """
     ctx = sim_context(level)
-    goal_key, parents, _, _ = _search(ctx, state, tuple(goal_cell),
-                                      DEFAULT_MAX_STATES, None)
+    goal_key, parents, _, _, keys = _search(ctx, state, tuple(goal_cell),
+                                            DEFAULT_MAX_STATES, None)
     if goal_key is None:
         return None
-    return _rebuild_trace(ctx, parents, goal_key), GameState._make(goal_key)
+    return keys.trace(ctx, parents, goal_key), keys.state(goal_key)
 
 
 def reachable_ports(level: Level, from_port: str, doors=None) -> set[str]:
@@ -157,5 +212,6 @@ def reachable_ports(level: Level, from_port: str, doors=None) -> set[str]:
 
 def reachable_positions(level: Level, state: GameState) -> set[tuple[int, int]]:
     """All rest positions reachable from a state; diagnostic helper."""
-    _, parents, _, _ = _search(sim_context(level), state, None, DEFAULT_MAX_STATES, None)
-    return {(kx, ky) for kx, ky, *_ in parents}
+    _, parents, _, _, keys = _search(sim_context(level), state, None,
+                                     DEFAULT_MAX_STATES, None)
+    return {keys.state(key).position for key in parents}

@@ -66,6 +66,27 @@ class TestEndToEnd:
         assert code == 1 and out == ""
         assert "replay failed at move 1" in err
 
+    def test_render_of_out_of_range_move_exits_one(self, tmp_path, sample_cnf, capsys):
+        # render agrees with replay on a move that is not canonical
+        level = tmp_path / "sample.level"
+        bad = tmp_path / "bad.trace"
+        run(capsys, "compile", sample_cnf, "-o", level)
+        bad.write_text("JUMP 1 9\n")
+        code, _, err = run(capsys, "replay", level, bad)
+        assert code == 1 and "replay failed" in err
+        code, out, err = run(capsys, "render", level, bad)
+        assert code == 1 and out == ""
+        assert "replay failed at move 1" in err
+
+    def test_zero_time_limit_is_reported(self, tmp_path, sample_cnf, capsys):
+        # the clock is read on the first expansion, long before the 682
+        # expansions this level takes to solve
+        level = tmp_path / "sample.level"
+        run(capsys, "compile", sample_cnf, "-o", level)
+        code, out, err = run(capsys, "solve", level, "--max-time", "0", "--stats")
+        assert code == 1 and out == ""
+        assert "expanded 1 " in err and "search limit exceeded" in err
+
     def test_qcompile_and_render(self, tmp_path, capsys):
         q = tmp_path / "q.qdimacs"
         q.write_text("p cnf 1 1\ne 1 0\n1 0\n")

@@ -129,7 +129,7 @@ class TestPruningSoundness:
         )
         ctx = sim_context(level)
         s0 = initial_state(level)
-        _, parents, _, _ = _search(ctx, s0, None, 10**6, None)
+        _, parents, _, _, keys = _search(ctx, s0, None, 10**6, None)
 
         moves = canonical_moves(level.physics)
         seen = set()
@@ -144,7 +144,7 @@ class TestPruningSoundness:
                     dfs(out, depth - 1)
 
         dfs(s0, 5)
-        assert seen <= parents.keys()
+        assert seen <= set(map(keys.state, parents))
 
 
 # --- one start state: solve, replay and step agree ---------------------------
@@ -290,10 +290,11 @@ def test_search_visits_exactly_the_states_step_reaches(spec):
         level = level_from_art(*spec)
     except LevelError:
         reject()
-    _, parents, _, _ = _search(sim_context(level), initial_state(level), None,
-                               DEFAULT_MAX_STATES, None)
+    _, parents, _, _, keys = _search(sim_context(level), initial_state(level), None,
+                                     DEFAULT_MAX_STATES, None)
+    visited = set(map(keys.state, parents))
     _, reached = naive_search(level)
-    assert parents.keys() == reached
+    assert visited == reached
     result = solve(level)
     if isinstance(result, Solvable):
-        assert set(replay_states(level, result.trace)) <= parents.keys()
+        assert set(replay_states(level, result.trace)) <= visited

@@ -1,0 +1,86 @@
+"""The table-driven step core against the frozen cell-by-cell core it
+replaced (`tests/reference_core.py`), and the lifetime of its tables."""
+
+import gc
+import weakref
+from functools import cache
+
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
+
+from satplat.compiler import compile_3sat, compile_qbf
+from satplat.formula import gen_random_3cnf
+from satplat.level import OPEN, SOLID, Button, Door, LevelError, SpaceBlock
+from satplat.sim import GameState, canonical_moves, replay, sim_context, step
+from satplat.solver import Solvable, solve
+from satplat.verify import gen_random_qbf
+from tests.conftest import level_from_art
+from tests.reference_core import reference_step
+from tests.test_solver import small_levels
+
+
+@cache
+def compiled_levels():
+    return (
+        compile_3sat(gen_random_3cnf(2, 2, seed=3)),
+        compile_3sat(gen_random_3cnf(3, 4, seed=7)),
+        compile_qbf(gen_random_qbf(2, 2, seed=5)),
+        compile_qbf(gen_random_qbf(3, 2, seed=11)),
+    )
+
+
+@st.composite
+def levels_and_states(draw):
+    """A level, from `small_levels` or a compiled NP or QBF level, and an
+    arbitrary state on it: any cell (mostly a non-solid one), either dash
+    value, and door and platform bits with one bit to spare above the
+    level's ids."""
+    if draw(st.booleans()):
+        try:
+            level = level_from_art(*draw(small_levels()))
+        except LevelError:
+            reject()
+    else:
+        level = compiled_levels()[draw(st.integers(0, len(compiled_levels()) - 1))]
+    open_cells = [(x, y) for y in range(level.height) for x in range(level.width)
+                  if level.tiles[y][x] != SOLID]
+    if draw(st.integers(0, 3)):
+        x, y = draw(st.sampled_from(open_cells))
+    else:
+        x, y = draw(st.integers(0, level.width - 1)), draw(st.integers(0, level.height - 1))
+    doors = max((d.id for d in level.doors), default=0) + 2
+    plats = max((p.id for p in level.platforms), default=0) + 2
+    state = GameState(x, y, draw(st.integers(0, 1)), draw(st.integers(0, 2**doors - 1)),
+                      draw(st.integers(0, 2**plats - 1)))
+    return level, state
+
+
+# A dash that sweeps a button, then crosses a space block into the door
+# that button opens: the exit reads the door bits after the button fired.
+BUTTON_BLOCK_DOOR = level_from_art(
+    "#########\n#S.B*D.F#\n#########",
+    (Button((3, 1), 0, OPEN), SpaceBlock(0, (4, 1, 4, 1)), Door(0, ((5, 1),))),
+)
+
+
+@given(levels_and_states())
+@example((BUTTON_BLOCK_DOOR, GameState(1, 1, 1, 0, 0)))
+@settings(max_examples=400, deadline=None)
+def test_core_matches_the_reference_core(level_state):
+    level, state = level_state
+    for move in canonical_moves(level.physics):
+        assert step(level, state, move) == reference_step(level, state, move), move
+
+
+def test_context_is_freed_without_cycle_collection(sample_formula):
+    level = compile_3sat(sample_formula)
+    sim_context.cache_clear()
+    gc.disable()
+    try:
+        ctx = weakref.ref(sim_context(level))
+        result = solve(level)
+        assert isinstance(result, Solvable) and replay(level, result.trace)
+        sim_context.cache_clear()
+        assert ctx() is None
+    finally:
+        gc.enable()
