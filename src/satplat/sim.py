@@ -145,6 +145,7 @@ StepOutcome = GameState | Death | Blocked
 # Cell codes in the packed grid; a dash gate splits a button cell into
 # the two codes of its action.
 _EMPTY, _SOLID, _DOOR, _PLAT, _BUTTON, _BLOCK, _OPENS, _CLOSES = range(8)
+# `bytes.translate` table from a tile byte to its cell code.
 _TILE_CODES = bytes(_SOLID if i == ord(SOLID) else _EMPTY for i in range(256))
 
 
@@ -235,15 +236,15 @@ class SimContext:
         self.physics = level.physics
         self.moves = canonical_moves(level.physics)
         self._shifts, self._dashes = _move_shapes(self.moves)
-        self.records: dict[int, tuple] = {}  # cell -> its move records
+        self._records: dict[int, tuple] = {}  # cell -> its move records
         self._landings: dict[int, tuple] = {}  # rest cell -> its landing
 
     def records_at(self, cell: int) -> tuple:
         """The move records of a cell (`y * width + x`), in canonical move
         order; a move blocked whatever the bits has no record."""
-        recs = self.records.get(cell)
+        recs = self._records.get(cell)
         if recs is None:
-            recs = self.records[cell] = tuple(self._build(cell))
+            recs = self._records[cell] = tuple(self._build(cell))
         return recs
 
     def _build(self, cell: int):
@@ -407,7 +408,7 @@ def _apply(rec, has_dash: int, doors: int, plats: int):
                     fired |= bit
                 elif code == _CLOSES:
                     fired &= ~bit
-                has_dash = 1
+                has_dash = 1  # a transit restores the charge
         if fall is None:
             return BLOCKED
         doors = fired

@@ -59,12 +59,12 @@ class _Keys(NamedTuple):
     plats` from the low bits up, where `cell` is `y * width + x`.  The
     field widths follow the level (and the start state's door bits); the
     platform bits take the top, so they need no width.  A parent link is
-    `parent key << moves | move index`."""
+    `parent key << move_bits | move index`."""
     width: int
     dash: int  # shift of has_dash: the bits of a cell index
     doors: int  # shift of the door bits
     plats: int  # shift of the platform bits
-    moves: int  # bits of a move index
+    move_bits: int
 
     @classmethod
     def of(cls, ctx, start: GameState) -> _Keys:
@@ -87,12 +87,12 @@ class _Keys(NamedTuple):
 
     def trace(self, ctx, parents, key: int) -> tuple[Move, ...]:
         """The moves of the path that `parents` records to a key."""
-        mask = (1 << self.moves) - 1
+        mask = (1 << self.move_bits) - 1
         moves = []
         link = parents[key]
         while link is not None:
             moves.append(ctx.moves[link & mask])
-            link = parents[link >> self.moves]
+            link = parents[link >> self.move_bits]
         moves.reverse()
         return tuple(moves)
 
@@ -118,7 +118,7 @@ def _search(ctx, start, goal_cell, max_states, max_time):
     parents = {start_key: None}
     goal_key = start_key if start_key & cell_mask == goal else None
     queue = deque() if goal_key is not None else deque([start_key])
-    records, records_at, apply = ctx.records, ctx.records_at, _apply
+    records_at, apply = ctx.records_at, _apply
     expanded = 0
     frontier_peak = 1
     limited = False
@@ -131,10 +131,7 @@ def _search(ctx, start, goal_cell, max_states, max_time):
         doors = key >> door_shift & door_mask
         plats = key >> plat_shift
         link = key << move_bits
-        recs = records.get(cell)
-        if recs is None:
-            recs = records_at(cell)
-        for rec in recs:
+        for rec in records_at(cell):
             out = apply(rec, has_dash, doors, plats)
             if out is BLOCKED or out is DEATH:
                 continue
@@ -142,7 +139,7 @@ def _search(ctx, start, goal_cell, max_states, max_time):
             nkey = ncell | ndash << dash_shift | ndoors << door_shift | nplats << plat_shift
             if nkey in parents:
                 continue
-            parents[nkey] = link | rec[0]
+            parents[nkey] = link | rec.move
             if ncell == goal:
                 goal_key = nkey
                 queue.clear()
