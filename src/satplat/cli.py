@@ -58,7 +58,8 @@ def _cmd_solve(args) -> int:
         s = result.stats
         sys.stderr.write(
             f"expanded {s.states_expanded} visited {s.states_visited} "
-            f"frontier_peak {s.frontier_peak} elapsed {s.elapsed:.3f}s\n"
+            f"frontier_peak {s.frontier_peak} successor_lists {s.successor_lists} "
+            f"elapsed {s.elapsed:.3f}s\n"
         )
     if isinstance(result, Solvable):
         _write_out(trace_to_text(result.trace), args.trace_out)

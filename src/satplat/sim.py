@@ -39,6 +39,12 @@ or jump path; a solid cell or the edge first on a dash) gets none.
   so reform is one `&`.
 One function, `_apply`, applies a record to `(has_dash, doors, plats)`;
 `step`, `legal_moves`, `replay` and the solver all call it.
+
+Next to a cell's records, `SimContext` keeps the door and platform bits
+they read (`read_bits`, built on the solver's first call for the cell).  A record's outcome depends on no other bit,
+and it keeps, sets or clears each other bit whatever that bit's value,
+which lets the solver reuse one cell's successors across every state
+that agrees on the dash and the read bits.
 """
 
 from __future__ import annotations
@@ -231,12 +237,14 @@ class SimContext:
         self.plat_cells = plat_cells
         self.initial_doors = initial_doors
         self.door_bits = door_bits  # every door bit a button or the level sets is below it
+        self.plat_bits = max((pid + 1 for pid, _, _ in plat_cells), default=0)
         self.spawn = level.spawn.cell
         self.flag = level.flag.cell
         self.physics = level.physics
         self.moves = canonical_moves(level.physics)
         self._shifts, self._dashes = _move_shapes(self.moves)
         self._records: dict[int, tuple] = {}  # cell -> its move records
+        self._reads: dict[int, tuple[int, int]] = {}  # cell -> the bits they read
         self._landings: dict[int, tuple] = {}  # rest cell -> its landing
 
     def records_at(self, cell: int) -> tuple:
@@ -246,6 +254,16 @@ class SimContext:
         if recs is None:
             recs = self._records[cell] = tuple(self._build(cell))
         return recs
+
+    def read_bits(self, cell: int) -> tuple[int, int]:
+        """`(doors, plats)`: every door bit and platform bit that a move
+        record of the cell names, so every bit `_apply` may read there.
+        `_apply` on a record of the cell depends on no other bit, and
+        keeps, sets or clears each other bit whatever its value."""
+        reads = self._reads.get(cell)
+        if reads is None:
+            reads = self._reads[cell] = _read_bits(self.records_at(cell))
+        return reads
 
     def _build(self, cell: int):
         w, h, code, eid = self.width, self.height, self.code, self.eid
@@ -324,6 +342,37 @@ class SimContext:
             if max(abs(bx - x), abs(by - y)) >= reform:
                 far |= 1 << pid
         return ~far
+
+
+def _read_bits(recs) -> tuple[int, int]:
+    """`(doors, plats)` named by move records: the bits of a shift's path,
+    of each dash gate (a button's door included) and of a transit cell,
+    and the support bit of every landing on each `below` chain, the
+    `before` landings of the gates included."""
+    doors = plats = 0
+    falls = []
+    for rec in recs:
+        if type(rec) is _Shift:
+            doors |= rec.doors
+            plats |= rec.plats
+        else:
+            gates = rec.gates if rec.transit is None or rec.transit is DEATH else (
+                *rec.gates, rec.transit)
+            for code, bit, fall in gates:
+                if code == _PLAT:
+                    plats |= bit
+                else:
+                    doors |= bit  # a door, a button's door, or 0 for an empty cell
+                falls.append(fall)
+        falls.append(rec.fall)
+    for fall in falls:
+        while fall is not None:
+            _, support, bit, _, fall = fall
+            if support == _DOOR:
+                doors |= bit
+            elif support == _PLAT:
+                plats |= bit
+    return doors, plats
 
 
 def canonical_moves(physics) -> tuple[Move, ...]:

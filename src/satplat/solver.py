@@ -1,16 +1,25 @@
 """Exhaustive breadth-first search over game states.
 
-`_search` expands each state through the move records of its cell
-(`SimContext.records_at`) with the simulator's one core, `sim._apply`,
-which returns the successor's fields or the `BLOCKED` or `DEATH`
-singleton, which the search skips.  Inside the search a state is one
-int key, `cell | has_dash | doors | plats` from the low bits up, with
-field widths derived from the level (`_Keys`); the layout exists only
-there, and `_Keys.state` turns a key back into the public `GameState`.
-One `parents` dict maps each reached key to its parent link, `parent key
-<< move bits | move index`, and the start to None; its keys are the
-visited set.  The move ordering is the canonical one from the simulator,
-so the returned trace is unique for a given level.  Unsolvable means the
+Inside the search a state is one int key, `cell | has_dash | doors |
+plats` from the low bits up, with field widths derived from the level
+(`_Keys`); the layout exists only there, and `_Keys.state` turns a key
+back into the public `GameState`.  One `parents` dict maps each reached
+key to its parent link, `parent key << move bits | move index`, and the
+start to None; its keys are the visited set.
+
+A move from a cell reads only the few door and platform bits on its path
+and under its landings (`SimContext.read_bits`), and keeps, sets or
+clears every other bit whatever its value.  So the successors of a key
+depend only on its signature, `key & read`, where `read` covers the
+cell, the dash and the cell's read bits.  On the first expansion of a
+signature the search runs the simulator's one core, `sim._apply`, twice
+per move record of the cell, with every unread bit 0 and then 1, and
+keeps each successor as a pair of masks: the successor of any key with
+that signature is `key & and_mask | or_mask`.  A `BLOCKED` or `DEATH`
+outcome gets no masks.
+
+The move ordering is the canonical one from the simulator, so the
+returned trace is unique for a given level.  Unsolvable means the
 reachable state space was exhausted.
 """
 
@@ -33,6 +42,7 @@ class SearchStats:
     states_visited: int
     frontier_peak: int
     elapsed: float
+    successor_lists: int = 0  # signatures whose successors were computed
 
 
 @dataclass(frozen=True)
@@ -57,21 +67,23 @@ SolveResult = Solvable | Unsolvable | LimitExceeded
 class _Keys(NamedTuple):
     """The layout of a search key, one int: `cell | has_dash | doors |
     plats` from the low bits up, where `cell` is `y * width + x`.  The
-    field widths follow the level (and the start state's door bits); the
-    platform bits take the top, so they need no width.  A parent link is
-    `parent key << move_bits | move index`."""
+    field widths follow the level and the start state's bits, which may
+    reach above the level's own: no move sets a bit there, so no key of
+    the search is longer than `top` bits.  A parent link is `parent key
+    << move_bits | move index`."""
     width: int
     dash: int  # shift of has_dash: the bits of a cell index
     doors: int  # shift of the door bits
     plats: int  # shift of the platform bits
+    top: int  # bit length of every key
     move_bits: int
 
     @classmethod
     def of(cls, ctx, start: GameState) -> _Keys:
         dash = (ctx.width * ctx.height - 1).bit_length()
-        door_bits = max(ctx.door_bits, start.door_open.bit_length())
-        return cls(ctx.width, dash, dash + 1, dash + 1 + door_bits,
-                   len(ctx.moves).bit_length())
+        plats = dash + 1 + max(ctx.door_bits, start.door_open.bit_length())
+        top = plats + max(ctx.plat_bits, start.platform_broken.bit_length())
+        return cls(ctx.width, dash, dash + 1, plats, top, len(ctx.moves).bit_length())
 
     def pack(self, state: GameState) -> int:
         x, y, has_dash, doors, plats = state
@@ -84,6 +96,48 @@ class _Keys(NamedTuple):
         return GameState(x, y, key >> self.dash & 1,
                          key >> self.doors & (1 << self.plats - self.doors) - 1,
                          key >> self.plats)
+
+    def read_mask(self, ctx, cell: int) -> int:
+        """The key bits the moves from a cell read: the cell and dash
+        fields and the cell's `SimContext.read_bits`."""
+        doors, plats = ctx.read_bits(cell)
+        return (1 << self.doors) - 1 | doors << self.doors | plats << self.plats
+
+    def successors(self, ctx, sig: int, read: int) -> tuple:
+        """The successors of every key whose bits under `read` (the cell
+        and dash fields and the cell's read bits, laid out as a key) are
+        `sig`: one `(and_mask, or_mask, move index)` per record of the
+        cell that yields a state, in record order, where the successor
+        of `key` is `key & and_mask | or_mask`.
+
+        `_apply` runs twice per record, on the read bits with every other
+        door and platform bit 0 and then 1; a bit that differs between
+        the two outcomes is kept, any other is set as the outcome has it.
+        Platform bits above `ctx.plat_bits` are kept.  Masks that map a
+        key to itself or to an earlier record's successor are left out:
+        the search would find that successor visited already."""
+        _, dash, doors, plats, top, _ = self
+        door_mask = (1 << plats - doors) - 1
+        plat_mask = (1 << ctx.plat_bits) - 1
+        has_dash = sig >> dash & 1
+        lo_doors, lo_plats = sig >> doors & door_mask, sig >> plats
+        hi_doors = lo_doors | door_mask & ~(read >> doors)
+        hi_plats = lo_plats | plat_mask & ~(read >> plats)
+        unowned = (1 << top) - (1 << plats + ctx.plat_bits)
+        seen = {((1 << top) - 1 & ~read, sig)}  # the masks of the key itself
+        out = []
+        for rec in ctx.records_at(sig & (1 << dash) - 1):
+            lo = _apply(rec, has_dash, lo_doors, lo_plats)
+            if lo is BLOCKED or lo is DEATH:
+                continue
+            hi = _apply(rec, has_dash, hi_doors, hi_plats)
+            lo_key = lo[0] | lo[1] << dash | lo[2] << doors | lo[3] << plats
+            hi_key = hi[0] | hi[1] << dash | hi[2] << doors | hi[3] << plats
+            masks = (hi_key & ~lo_key | unowned, lo_key)
+            if masks not in seen:
+                seen.add(masks)
+                out.append((*masks, rec.move))
+        return tuple(out)
 
     def trace(self, ctx, parents, key: int) -> tuple[Move, ...]:
         """The moves of the path that `parents` records to a key."""
@@ -105,12 +159,18 @@ def _search(ctx, start, goal_cell, max_states, max_time):
     goal, found with nothing expanded.  `keys.state` turns a key of
     `parents` back into a GameState.  With `max_time`, the clock is read
     after the first expansion and after every `check_every` more.
+
+    A key's successors depend only on its signature, `key & read`, where
+    `read` holds the cell and dash fields and the door and platform bits
+    the cell's records read (`SimContext.read_bits`).  The successor
+    masks of each signature (`_Keys.successors`) are computed on its
+    first expansion and reused for every later key that shares it; the
+    cache lives for this call only.
     """
     t0 = time.perf_counter()
     keys = _Keys.of(ctx, start)
-    w, dash_shift, door_shift, plat_shift, move_bits = keys
-    cell_mask = (1 << dash_shift) - 1
-    door_mask = (1 << plat_shift - door_shift) - 1
+    w, move_bits = keys.width, keys.move_bits
+    cell_mask = (1 << keys.dash) - 1
     goal = -1
     if goal_cell is not None and 0 <= goal_cell[0] < w and 0 <= goal_cell[1] < ctx.height:
         goal = goal_cell[1] * w + goal_cell[0]
@@ -118,7 +178,8 @@ def _search(ctx, start, goal_cell, max_states, max_time):
     parents = {start_key: None}
     goal_key = start_key if start_key & cell_mask == goal else None
     queue = deque() if goal_key is not None else deque([start_key])
-    records_at, apply = ctx.records_at, _apply
+    reads = [0] * (w * ctx.height)  # cell -> its read mask laid out as a key, or 0
+    successors: dict[int, tuple] = {}  # signature -> its successor masks
     expanded = 0
     frontier_peak = 1
     limited = False
@@ -127,20 +188,21 @@ def _search(ctx, start, goal_cell, max_states, max_time):
         key = queue.popleft()
         expanded += 1
         cell = key & cell_mask
-        has_dash = key >> dash_shift & 1
-        doors = key >> door_shift & door_mask
-        plats = key >> plat_shift
+        read = reads[cell]
+        if not read:
+            read = reads[cell] = keys.read_mask(ctx, cell)
+        sig = key & read
+        try:
+            nexts = successors[sig]
+        except KeyError:
+            nexts = successors[sig] = keys.successors(ctx, sig, read)
         link = key << move_bits
-        for rec in records_at(cell):
-            out = apply(rec, has_dash, doors, plats)
-            if out is BLOCKED or out is DEATH:
-                continue
-            ncell, ndash, ndoors, nplats = out
-            nkey = ncell | ndash << dash_shift | ndoors << door_shift | nplats << plat_shift
+        for and_mask, or_mask, move in nexts:
+            nkey = key & and_mask | or_mask
             if nkey in parents:
                 continue
-            parents[nkey] = link | rec.move
-            if ncell == goal:
+            parents[nkey] = link | move
+            if nkey & cell_mask == goal:
                 goal_key = nkey
                 queue.clear()
                 break
@@ -157,7 +219,8 @@ def _search(ctx, start, goal_cell, max_states, max_time):
             if time.perf_counter() - t0 > max_time:
                 limited = True
                 break
-    stats = SearchStats(expanded, len(parents), frontier_peak, time.perf_counter() - t0)
+    stats = SearchStats(expanded, len(parents), frontier_peak, time.perf_counter() - t0,
+                        len(successors))
     return goal_key, parents, stats, limited, keys
 
 

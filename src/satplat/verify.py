@@ -31,7 +31,15 @@ from satplat.formula import (
 )
 from satplat.compiler import compile_3sat, compile_qbf
 from satplat.level import NP, PSPACE, Level, save_level
-from satplat.sim import GameState, Move, canonical_moves, replay, replay_states, step, trace_to_text
+from satplat.sim import (
+    GameState,
+    Move,
+    replay,
+    replay_states,
+    sim_context,
+    step,
+    trace_to_text,
+)
 from satplat.solver import LimitExceeded, SearchStats, Solvable, solve
 
 SOLVABLE = "solvable"
@@ -274,7 +282,7 @@ def _mutants(level: Level, trace, i, states, rng: random.Random):
         return
     before = states[i]
     original = step(level, before, trace[i])
-    candidates = [m for m in canonical_moves(level.physics) if m != trace[i]]
+    candidates = [m for m in sim_context(level).moves if m != trace[i]]
     rng.shuffle(candidates)
     for cand in candidates:
         out = step(level, before, cand)

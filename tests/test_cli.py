@@ -30,7 +30,7 @@ class TestEndToEnd:
         assert run(capsys, "compile", sample_cnf, "-o", level)[0] == 0
         code, out, err = run(capsys, "solve", level, "--trace-out", trace, "--stats")
         assert code == 0
-        assert "expanded" in err
+        assert "expanded" in err and "successor_lists" in err
         code, _, err = run(capsys, "replay", level, trace)
         assert code == 0 and "replay ok" in err
 

@@ -3,6 +3,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from satplat.compiler import compile_3sat
+from satplat.formula import gen_random_3cnf
 from satplat.level import (
     CLOSE,
     OPEN,
@@ -90,6 +91,14 @@ class TestSolve:
         assert s.states_visited >= s.states_expanded >= 0
         assert s.frontier_peak >= 1
 
+    def test_successor_lists_repeat_exactly(self):
+        # A level of tests/test_search_pins.py, solved with and without its
+        # move records already built.
+        level = compile_3sat(gen_random_3cnf(4, 4, seed=400))
+        sim_context.cache_clear()
+        first, second = solve(level).stats, solve(level).stats
+        assert 0 < first.successor_lists == second.successor_lists <= first.states_expanded
+
 
 class TestReachablePorts:
     def test_unknown_port(self, minimal_level):
@@ -175,12 +184,12 @@ class TestStartState:
             load_level(doc)
 
 
-def naive_search(level):
-    """Breadth-first search over the public `step` from `initial_state`,
-    run until no new state appears: (the fewest moves that reach the flag
-    or None, every state reached)."""
+def naive_search(level, start=None):
+    """Breadth-first search over the public `step` from `start` (by
+    default `initial_state`), run until no new state appears: (the fewest
+    moves that reach the flag or None, every state reached)."""
     moves = canonical_moves(level.physics)
-    layer = [initial_state(level)]
+    layer = [start or initial_state(level)]
     seen = set(layer)
     depth, flag_depth = 0, None
     while layer:
@@ -279,22 +288,29 @@ def test_solve_matches_naive_search_over_step(spec):
         assert len(result.trace) == depth
 
 
-@given(small_levels())
-@example(PLATFORM_SPAWN)
+@given(small_levels(), st.integers(0, 7), st.integers(0, 7))
+@example(PLATFORM_SPAWN, 0, 0)
 @settings(max_examples=150, deadline=None)
-def test_search_visits_exactly_the_states_step_reaches(spec):
+def test_search_visits_exactly_the_states_step_reaches(spec, extra_doors, plats):
     # Both directions: the solver's successor generation neither invents
     # nor loses a state that `step` reaches, and a witness replays only
-    # through states the solver visited.
+    # through states the solver visited.  A start may also carry door bits
+    # above the level's own and any platform bits, as `solve_between` and
+    # `reachable_positions` can pass them; the search carries them on as
+    # `step` does.
     try:
         level = level_from_art(*spec)
     except LevelError:
         reject()
-    _, parents, _, _, keys = _search(sim_context(level), initial_state(level), None,
-                                     DEFAULT_MAX_STATES, None)
-    visited = set(map(keys.state, parents))
-    _, reached = naive_search(level)
-    assert visited == reached
+    ctx = sim_context(level)
+    initial = initial_state(level)
+    visited = {}
+    for start in (initial, initial._replace(
+            door_open=initial.door_open | extra_doors << ctx.door_bits, platform_broken=plats)):
+        _, parents, _, _, keys = _search(ctx, start, None, DEFAULT_MAX_STATES, None)
+        visited[start] = set(map(keys.state, parents))
+        _, reached = naive_search(level, start)
+        assert visited[start] == reached
     result = solve(level)
     if isinstance(result, Solvable):
-        assert set(replay_states(level, result.trace)) <= visited
+        assert set(replay_states(level, result.trace)) <= visited[initial]

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from satplat.compiler import compile_3sat, compile_qbf
 from satplat.formula import gen_random_3cnf
-from satplat.level import OPEN, SOLID, Button, Door, LevelError, SpaceBlock
+from satplat.level import OPEN, SOLID, Button, Door, LevelError, SpaceBlock, UnstablePlatform
 from satplat.sim import GameState, canonical_moves, replay, sim_context, step
-from satplat.solver import Solvable, solve
+from satplat.solver import Solvable, _Keys, solve
 from satplat.verify import gen_random_qbf
 from tests.conftest import level_from_art
 from tests.reference_core import reference_step
@@ -70,6 +70,61 @@ def test_core_matches_the_reference_core(level_state):
     level, state = level_state
     for move in canonical_moves(level.physics):
         assert step(level, state, move) == reference_step(level, state, move), move
+
+
+# A walk onto an open door two cells tall over an intact platform: only
+# the `below` chain of a landing reads the platform.
+DOOR_OVER_PLATFORM = level_from_art(
+    "######\n#S.F.#\n##D###\n##D###\n##=###\n######",
+    (Door(0, ((2, 3), (2, 2)), True), UnstablePlatform(0, (2, 1))),
+)
+# A dash through a space block into a door no button toggles: the exit
+# reads the door bit.
+BLOCK_DOOR = level_from_art(
+    "########\n#S.*D.F#\n########",
+    (SpaceBlock(0, (3, 1, 3, 1)), Door(0, ((4, 1),))),
+)
+
+
+@given(levels_and_states(), st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1))
+@example((DOOR_OVER_PLATFORM, GameState(1, 4, 1, 1, 0)), 0, 1)
+@example((BUTTON_BLOCK_DOOR, GameState(1, 1, 1, 0, 0)), 1, 0)
+@example((BLOCK_DOOR, GameState(1, 1, 1, 0, 0)), 1, 0)
+@settings(max_examples=400, deadline=None)
+def test_successor_masks_hold_for_every_state_that_shares_the_read_bits(
+        level_state, other_doors, other_plats):
+    # The masks derived from one state reproduce `step` on another that
+    # agrees with it on the cell, the dash and the cell's read bits and
+    # takes any other door and platform bits.  A move with no mask either
+    # fails on the other state too, or reaches the other state itself or
+    # an earlier move's successor, which the search has visited.
+    level, state = level_state
+    ctx = sim_context(level)
+    cell = state.y * ctx.width + state.x
+    read_doors, read_plats = ctx.read_bits(cell)
+    other = state._replace(
+        door_open=state.door_open & read_doors | other_doors & ~read_doors,
+        platform_broken=state.platform_broken & read_plats | other_plats & ~read_plats)
+    keys = _Keys.of(ctx, state._replace(door_open=state.door_open | other.door_open,
+                                        platform_broken=state.platform_broken
+                                        | other.platform_broken))
+    read = keys.read_mask(ctx, cell)
+    key, other_key = keys.pack(state), keys.pack(other)
+    masks = keys.successors(ctx, key & read, read)
+    successors = {move: other_key & and_mask | or_mask for and_mask, or_mask, move in masks}
+    assert list(successors) == sorted(successors)
+    reached = {other_key}
+    for rec in ctx.records_at(cell):
+        out = step(level, other, ctx.moves[rec.move])
+        if not isinstance(out, GameState):
+            assert rec.move not in successors
+            continue
+        out_key = keys.pack(out)
+        if rec.move in successors:
+            assert successors[rec.move] == out_key, ctx.moves[rec.move]
+        else:
+            assert out_key in reached, ctx.moves[rec.move]
+        reached.add(out_key)
 
 
 def test_context_is_freed_without_cycle_collection(sample_formula):
