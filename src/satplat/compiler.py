@@ -62,8 +62,6 @@ class Placement:
     origin: tuple[int, int]
     prefix: str
     door_offset: int = 0
-    plat_offset: int = 0
-    block_offset: int = 0
 
 
 @dataclass(frozen=True)
@@ -154,8 +152,7 @@ def route_and_place(plan: LayoutPlan) -> Level:
     for cell in plan.carves:
         builder.carve(*cell)
     for p in plan.placements:
-        stamp_into(builder, p.blueprint, p.origin, p.door_offset,
-                   p.plat_offset, p.block_offset, p.prefix)
+        stamp_into(builder, p.blueprint, p.origin, p.door_offset, p.prefix)
     builder.add(Spawn(plan.spawn))
     builder.add(Flag(plan.flag))
     return builder.build(validate=True)
@@ -225,8 +222,7 @@ def plan_3sat(formula: CnfFormula, top_flag: bool = False) -> LayoutPlan:
         cy = cy1 - V_PITCH * (i - 1)
         rt, ru = cy - 2, cy - 10
         chamber = build_variable_gadget(i)
-        plan.placements.append(Placement(chamber, (cx, cy), f"x{i}.",
-                                         plat_offset=2 * (i - 1)))
+        plan.placements.append(Placement(chamber, (cx, cy), f"x{i}."))
         # true exit pocket and drop to the true tunnel band
         carve((cx - 2, cy + 1))
         carve((cx - 1, cy + 1))
@@ -236,8 +232,7 @@ def plan_3sat(formula: CnfFormula, top_flag: bool = False) -> LayoutPlan:
             carve((x, rt))
         cross = build_crossover()
         ox, oy = cx + 9, cy - 7
-        plan.placements.append(Placement(cross, (ox, oy), f"x{i}.cross.",
-                                         block_offset=2 * (i - 1)))
+        plan.placements.append(Placement(cross, (ox, oy), f"x{i}.cross."))
         # true tunnel east of the crossover
         t_bp = build_tunnel([(d, OPEN) for d in pos[i]])
         tx0 = cx + 20
@@ -302,8 +297,7 @@ def _plan_top_flag(plan: LayoutPlan, formula: CnfFormula, mx: int, pr: int, heig
     oy = preg - 8
     ox = mx + 2
     pr2 = preg - 11
-    plan.placements.append(Placement(build_crossover(), (ox, oy), "flagcross.",
-                                     block_offset=2 * formula.num_variables))
+    plan.placements.append(Placement(build_crossover(), (ox, oy), "flagcross."))
     # approach pocket into B1 (the merge shaft already ends at (mx, preg))
     carve((mx + 1, preg))
     # B2 shaft down to the passage pocket
@@ -318,8 +312,7 @@ def _plan_top_flag(plan: LayoutPlan, formula: CnfFormula, mx: int, pr: int, heig
     carve((pe, pr2))
     lift = 8  # lands the flag corridor exactly on the crossover's A row
     ex0 = pe + 1
-    plan.placements.append(Placement(build_elevator(lift), (ex0, pr2 - 1), "flaglift.",
-                                     block_offset=2 * formula.num_variables + 2))
+    plan.placements.append(Placement(build_elevator(lift), (ex0, pr2 - 1), "flaglift."))
     fcr = pr2 + lift  # flag corridor row (the elevator's upper ledge)
     for x in range(ox + 11, ex0):
         carve((x, fcr))

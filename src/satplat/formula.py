@@ -11,8 +11,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-DEFAULT_SAT_BOUND = 20
-DEFAULT_QBF_BOUND = 12
+SAT_BOUND = 20  # most variables `sat_oracle` takes
+QBF_BOUND = 12  # most variables `qbf_oracle` takes
 
 
 class FormulaError(ValueError):
@@ -130,15 +130,15 @@ def assignment_from_index(n: int, index: int) -> Assignment:
     return {v: bool((index >> (v - 1)) & 1) for v in range(1, n + 1)}
 
 
-def sat_oracle(formula: CnfFormula, bound: int = DEFAULT_SAT_BOUND) -> Assignment | None:
+def sat_oracle(formula: CnfFormula) -> Assignment | None:
     """Exhaustive SAT check; returns the binary-counting-least witness.
 
-    Raises FormulaError when the formula has more variables than `bound`
+    Raises FormulaError when the formula has more variables than `SAT_BOUND`
     (the oracle is meant for desk-scale formulas only).
     """
     n = formula.num_variables
-    if n > bound:
-        raise FormulaError(f"sat_oracle bound exceeded: {n} > {bound}")
+    if n > SAT_BOUND:
+        raise FormulaError(f"sat_oracle bound exceeded: {n} > {SAT_BOUND}")
     for index in range(1 << n):
         assignment = assignment_from_index(n, index)
         if eval_cnf(formula, assignment):
@@ -146,11 +146,11 @@ def sat_oracle(formula: CnfFormula, bound: int = DEFAULT_SAT_BOUND) -> Assignmen
     return None
 
 
-def qbf_oracle(qbf: QbfFormula, bound: int = DEFAULT_QBF_BOUND) -> bool:
+def qbf_oracle(qbf: QbfFormula) -> bool:
     """Standard recursive QBF evaluation; EXISTS is OR, FORALL is AND."""
     n = qbf.matrix.num_variables
-    if n > bound:
-        raise FormulaError(f"qbf_oracle bound exceeded: {n} > {bound}")
+    if n > QBF_BOUND:
+        raise FormulaError(f"qbf_oracle bound exceeded: {n} > {QBF_BOUND}")
 
     def recurse(depth: int, assignment: Assignment) -> bool:
         if depth == len(qbf.prefix):

@@ -152,10 +152,11 @@ class StampError(LevelError):
 
 
 def stamp_into(builder: LevelBuilder, bp: GadgetBlueprint, origin: tuple[int, int],
-               door_offset: int = 0, plat_offset: int = 0, block_offset: int = 0,
-               prefix: str = "") -> None:
+               door_offset: int = 0, prefix: str = "") -> None:
     """Apply a blueprint patch to a builder. Every target cell must still
-    be solid (stamps may abut but never overlap carved content)."""
+    be solid (stamps may abut but never overlap carved content).
+    Platforms and space blocks are numbered in stamping order: a
+    blueprint's local ids follow those already in the builder."""
     ox, oy = origin
     if ox < 0 or oy < 0 or ox + bp.width > builder.width or oy + bp.height > builder.height:
         raise StampError(f"{bp.kind} at {origin} does not fit the grid")
@@ -164,6 +165,8 @@ def stamp_into(builder: LevelBuilder, bp: GadgetBlueprint, origin: tuple[int, in
             if builder.is_carved(ox + x, oy + y):
                 raise StampError(f"{bp.kind} at {origin} overlaps carved cell {(ox + x, oy + y)}")
     existing_doors = {e.id for e in builder.entities if isinstance(e, Door)}
+    plat_offset = sum(isinstance(e, UnstablePlatform) for e in builder.entities)
+    block_offset = sum(isinstance(e, SpaceBlock) for e in builder.entities)
     for d in bp.doors:
         if d.local_id + door_offset in existing_doors:
             raise StampError(f"door id collision at offset {door_offset}")

@@ -284,16 +284,6 @@ def validate_level(level: Level) -> list[Violation]:
 
 # --- serialization ----------------------------------------------------------
 
-_ENTITY_KINDS = {
-    "platform": UnstablePlatform,
-    "door": Door,
-    "button": Button,
-    "space_block": SpaceBlock,
-    "spawn": Spawn,
-    "flag": Flag,
-}
-
-
 def _entity_to_record(ent: Entity) -> dict:
     if isinstance(ent, UnstablePlatform):
         return {"kind": "platform", "id": ent.id, "cell": list(ent.cell)}

@@ -38,13 +38,18 @@ or jump path; a solid cell or the edge first on a dash) gets none.
   support there, and the mask of the platforms within reform distance,
   so reform is one `&`.
 One function, `_apply`, applies a record to `(has_dash, doors, plats)`;
-`step`, `legal_moves`, `replay` and the solver all call it.
+`step`, `legal_moves`, `replay` and the solver all call it; `replay`
+and `replay_states` share one loop over it.  `canonical_moves` is the
+one move table: a record names its move by its index there
+(`SimContext.index`), and a `Move` not in it, such as a WALK with a
+rise, is refused (`step` raises ValueError, a replay stops).
 
 Next to a cell's records, `SimContext` keeps the door and platform bits
-they read (`read_bits`, built on the solver's first call for the cell).  A record's outcome depends on no other bit,
-and it keeps, sets or clears each other bit whatever that bit's value,
-which lets the solver reuse one cell's successors across every state
-that agrees on the dash and the read bits.
+they read (`read_bits`, built on the solver's first call for the cell).
+A record's outcome depends on no other bit, and it keeps, sets or
+clears each other bit whatever that bit's value, which lets the solver
+reuse one cell's successors across every state that agrees on the dash
+and the read bits.
 """
 
 from __future__ import annotations
@@ -55,8 +60,7 @@ from typing import NamedTuple
 
 from satplat.level import CLOSE, SOLID, Button, Door, Level, SpaceBlock, UnstablePlatform
 
-# Compass directions in canonical order.
-COMPASS = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
+# Compass directions in canonical order, with their steps.
 COMPASS_DELTA = {
     "N": (0, 1),
     "NE": (1, 1),
@@ -67,12 +71,13 @@ COMPASS_DELTA = {
     "W": (-1, 0),
     "NW": (-1, 1),
 }
+COMPASS = tuple(COMPASS_DELTA)
 
 DEATH_BLOCKED_EXIT = "blocked space-block exit"
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
+    """One move, printed as its trace line; only its kind's fields are set."""
     kind: str  # "WALK" | "JUMP" | "DASH"
     dx: int = 0
     rise: int = 0
@@ -242,10 +247,13 @@ class SimContext:
         self.flag = level.flag.cell
         self.physics = level.physics
         self.moves = canonical_moves(level.physics)
+        self.index = {move: i for i, move in enumerate(self.moves)}
         self._shifts, self._dashes = _move_shapes(self.moves)
+        self._near = _near_platforms(w, h, plat_cells, level.physics.reform_distance)
+        self._every = sum({1 << pid for pid, _, _ in plat_cells})  # every platform bit
         self._records: dict[int, tuple] = {}  # cell -> its move records
         self._reads: dict[int, tuple[int, int]] = {}  # cell -> the bits they read
-        self._landings: dict[int, tuple] = {}  # rest cell -> its landing
+        self._landings: dict[int, tuple] = {}  # start or rest cell -> its landing
 
     def records_at(self, cell: int) -> tuple:
         """The move records of a cell (`y * width + x`), in canonical move
@@ -256,8 +264,8 @@ class SimContext:
         return recs
 
     def read_bits(self, cell: int) -> tuple[int, int]:
-        """`(doors, plats)`: every door bit and platform bit that a move
-        record of the cell names, so every bit `_apply` may read there.
+        """`(doors, plats)`: every door bit and platform bit that `_apply`
+        may read on a move record of the cell (see `_read_bits`).
         `_apply` on a record of the cell depends on no other bit, and
         keeps, sets or clears each other bit whatever its value."""
         reads = self._reads.get(cell)
@@ -316,39 +324,47 @@ class SimContext:
             return (_OPENS if set_open else _CLOSES), 1 << door_id
         return c, (1 << self.eid[i] if c == _DOOR or c == _PLAT else 0)
 
-    def _landing(self, cell: int) -> tuple:
-        """The landing of a player let go in `cell`."""
-        w, code = self.width, self.code
-        while cell >= w and code[cell - w] in (_EMPTY, _BUTTON):
-            cell -= w
-        landing = self._landings.get(cell)
+    def _landing(self, start: int) -> tuple:
+        """The landing of a player let go in cell `start`, kept under
+        the start cell and the rest cell."""
+        landing = self._landings.get(start)
         if landing is None:
-            support = code[cell - w] if cell >= w else _SOLID
-            if support == _DOOR or support == _PLAT:
-                landing = (cell, support, 1 << self.eid[cell - w], self._keep(cell),
-                           self._landing(cell - w))
-            else:
-                landing = (cell, support, 0, self._keep(cell), None)
-            self._landings[cell] = landing
+            w, code, cell = self.width, self.code, start
+            while cell >= w and code[cell - w] in (_EMPTY, _BUTTON):
+                cell -= w
+            landing = self._landings.get(cell)
+            if landing is None:
+                support = code[cell - w] if cell >= w else _SOLID
+                keep = self._near.get(cell, 0) | ~self._every
+                if support == _DOOR or support == _PLAT:
+                    landing = (cell, support, 1 << self.eid[cell - w], keep,
+                               self._landing(cell - w))
+                else:
+                    landing = (cell, support, 0, keep, None)
+                self._landings[cell] = landing
+            self._landings[start] = landing
         return landing
 
-    def _keep(self, cell: int) -> int:
-        """The mask that clears every platform at or beyond the reform
-        distance of a player resting in `cell`."""
-        y, x = divmod(cell, self.width)
-        reform = self.physics.reform_distance
-        far = 0
-        for pid, bx, by in self.plat_cells:
-            if max(abs(bx - x), abs(by - y)) >= reform:
-                far |= 1 << pid
-        return ~far
+
+def _near_platforms(w: int, h: int, plat_cells, reform: int) -> dict[int, int]:
+    """The bits of the platforms within reform distance of each cell that
+    has any: each platform marks the cells within distance `reform - 1`."""
+    near: dict[int, int] = {}
+    r = reform - 1
+    for pid, bx, by in plat_cells:
+        for y in range(max(by - r, 0), min(by + r + 1, h)):
+            for i in range(y * w + max(bx - r, 0), y * w + min(bx + r + 1, w)):
+                near[i] = near.get(i, 0) | 1 << pid
+    return near
 
 
 def _read_bits(recs) -> tuple[int, int]:
     """`(doors, plats)` named by move records: the bits of a shift's path,
-    of each dash gate (a button's door included) and of a transit cell,
-    and the support bit of every landing on each `below` chain, the
-    `before` landings of the gates included."""
+    of each door and platform gate of a dash and of a transit cell, and
+    the support bit of every landing on each `below` chain, the `before`
+    landings of the gates included.  A button's door bit is left out: a
+    fired button only sets or clears it, and a door later on the path
+    reads the bits from before the dash."""
     doors = plats = 0
     falls = []
     for rec in recs:
@@ -359,10 +375,10 @@ def _read_bits(recs) -> tuple[int, int]:
             gates = rec.gates if rec.transit is None or rec.transit is DEATH else (
                 *rec.gates, rec.transit)
             for code, bit, fall in gates:
-                if code == _PLAT:
+                if code == _DOOR:
+                    doors |= bit
+                elif code == _PLAT:
                     plats |= bit
-                else:
-                    doors |= bit  # a door, a button's door, or 0 for an empty cell
                 falls.append(fall)
         falls.append(rec.fall)
     for fall in falls:
@@ -376,7 +392,7 @@ def _read_bits(recs) -> tuple[int, int]:
 
 
 def canonical_moves(physics) -> tuple[Move, ...]:
-    """The fixed move enumeration order: WALK L, WALK R, JUMPs by
+    """The one move table, in its fixed order: WALK L, WALK R, JUMPs by
     (dx, rise), then DASH in compass order."""
     moves = [walk(-1), walk(1)]
     for dx in (-1, 0, 1):
@@ -478,29 +494,12 @@ def _apply(rec, has_dash: int, doors: int, plats: int):
         return cell, has_dash, doors, plats & keep
 
 
-def _move_index(ctx: SimContext, move: Move) -> int:
-    """The index of a move in `ctx.moves`; ValueError if the move is not
-    one of them."""
-    rise = ctx.physics.jump_rise
-    if move.kind == "WALK":
-        if move.dx not in (-1, 1):
-            raise ValueError(f"bad WALK dx {move.dx}")
-        return (move.dx + 1) // 2
-    if move.kind == "JUMP":
-        if move.dx not in (-1, 0, 1) or not 1 <= move.rise <= rise:
-            raise ValueError(f"bad JUMP ({move.dx}, {move.rise})")
-        return 1 + (move.dx + 1) * rise + move.rise
-    if move.kind == "DASH":
-        if move.direction not in COMPASS:
-            raise ValueError(f"bad DASH direction {move.direction!r}")
-        return 2 + 3 * rise + COMPASS.index(move.direction)
-    raise ValueError(f"unknown move kind {move.kind!r}")
-
-
 def _record(ctx: SimContext, cell: int, move: Move):
     """The record of a move from a cell, or None if the move is blocked
     whatever the bits; ValueError for a move that is not canonical."""
-    mi = _move_index(ctx, move)
+    mi = ctx.index.get(move)
+    if mi is None:
+        raise ValueError(f"not a canonical move: {move!r}")
     for rec in ctx.records_at(cell):
         if rec.move == mi:
             return rec
@@ -541,24 +540,35 @@ def legal_moves(level: Level, state: GameState) -> list[Move]:
     return out
 
 
+def _outcomes(ctx: SimContext, state: GameState, trace):
+    """The one replay loop: the core's outcome `(cell, has_dash, doors,
+    plats)` of each move of the trace in turn, from `state`.  It stops
+    after the first outcome that is `BLOCKED` or `DEATH`; a move that is
+    not canonical is `BLOCKED` here."""
+    cell = _cell(ctx, state)
+    _, _, has_dash, doors, plats = state
+    for move in trace:
+        try:
+            rec = _record(ctx, cell, move)
+        except ValueError:
+            rec = None
+        out = BLOCKED if rec is None else _apply(rec, has_dash, doors, plats)
+        yield out
+        if out is BLOCKED or out is DEATH:
+            return
+        cell, has_dash, doors, plats = out
+
+
 def replay(level: Level, trace) -> bool:
     """True iff the trace applies cleanly from the initial state and ends
     on the flag cell; linear in the trace length."""
     ctx = sim_context(level)
     start = initial_state(level)
     cell = _cell(ctx, start)
-    _, _, has_dash, doors, plats = start
-    for move in trace:
-        try:
-            rec = _record(ctx, cell, move)
-        except ValueError:
+    for out in _outcomes(ctx, start, trace):
+        if out is BLOCKED or out is DEATH:
             return False
-        if rec is None:
-            return False
-        nxt = _apply(rec, has_dash, doors, plats)
-        if nxt is BLOCKED or nxt is DEATH:
-            return False
-        cell, has_dash, doors, plats = nxt
+        cell = out[0]
     fx, fy = ctx.flag
     return cell == fy * ctx.width + fx
 
@@ -567,13 +577,12 @@ def replay_states(level: Level, trace):
     """Yield the successive states of a replay (initial state first);
     stops early if a move fails or is not a canonical move.  Library
     helper for tests and tooling."""
-    state = initial_state(level)
-    yield state
-    for move in trace:
-        try:
-            state = step(level, state, move)
-        except ValueError:
+    ctx = sim_context(level)
+    start = initial_state(level)
+    yield start
+    for out in _outcomes(ctx, start, trace):
+        if out is BLOCKED or out is DEATH:
             return
-        if state is BLOCKED or state is DEATH:
-            return
-        yield state
+        cell, has_dash, doors, plats = out
+        y, x = divmod(cell, ctx.width)
+        yield GameState(x, y, has_dash, doors, plats)

@@ -45,6 +45,7 @@ from satplat.solver import LimitExceeded, SearchStats, Solvable, solve
 SOLVABLE = "solvable"
 UNSOLVABLE = "unsolvable"
 LIMIT = "limit"
+MAX_MUTATION_ATTEMPTS = 10_000  # draws `mutate_trace` makes before it gives up
 
 
 @dataclass(frozen=True)
@@ -291,8 +292,7 @@ def _mutants(level: Level, trace, i, states, rng: random.Random):
         yield tuple(trace[:i] + [cand] + trace[i + 1:]), isinstance(out, GameState)
 
 
-def mutate_trace(level: Level, trace, rng: random.Random, states=None,
-                 max_attempts: int = 10_000, counters=None):
+def mutate_trace(level: Level, trace, rng: random.Random, states=None, counters=None):
     """One random single-move corruption (deletion or substitution) of a
     witness trace.
 
@@ -307,7 +307,7 @@ def mutate_trace(level: Level, trace, rng: random.Random, states=None,
     trace = list(trace)
     if states is None:
         states = trace_prefix_states(level, trace)
-    for _ in range(max_attempts):
+    for _ in range(MAX_MUTATION_ATTEMPTS):
         i = rng.randrange(len(trace))
         for mutant, may_replay in _mutants(level, trace, i, states, rng):
             if not (may_replay and replay(level, mutant)):

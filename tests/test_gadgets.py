@@ -217,7 +217,7 @@ class TestStamp:
     def test_two_disjoint_crossovers_keep_their_contracts(self):
         builder = LevelBuilder(30, 15)
         stamp_into(builder, build_crossover(), (1, 1), prefix="a.")
-        stamp_into(builder, build_crossover(), (15, 1), block_offset=2, prefix="b.")
+        stamp_into(builder, build_crossover(), (15, 1), prefix="b.")
         builder.add(Spawn((2, 6)))
         builder.add(Flag((16, 6)))
         level = builder.build()
@@ -229,7 +229,7 @@ class TestStamp:
         builder = LevelBuilder(30, 15)
         stamp_into(builder, build_crossover(), (1, 1))
         with pytest.raises(StampError, match="overlap"):
-            stamp_into(builder, build_crossover(), (5, 1), block_offset=2)
+            stamp_into(builder, build_crossover(), (5, 1))
 
     def test_out_of_bounds_stamp_rejected(self):
         builder = LevelBuilder(8, 8)

@@ -1,10 +1,12 @@
 import pytest
 
+from satplat.compiler import compile_3sat
 from satplat.level import Button, Door, SpaceBlock, UnstablePlatform
 from satplat.sim import (
     BLOCKED,
     DEATH,
     GameState,
+    Move,
     canonical_moves,
     dash,
     initial_state,
@@ -18,6 +20,7 @@ from satplat.sim import (
     trace_to_text,
     walk,
 )
+from satplat.solver import solve
 from tests.conftest import level_from_art
 
 
@@ -447,3 +450,15 @@ class TestReplayAndTraces:
     def test_replay_states_stops_on_failure(self, minimal_level):
         states = list(replay_states(minimal_level, (walk(-1), walk(1))))
         assert len(states) == 1  # just the initial state
+
+    @pytest.mark.parametrize("move", [Move("WALK", dx=1, rise=2), jump(1, 9)], ids=repr)
+    def test_non_canonical_move_is_refused_everywhere(self, sample_formula, move):
+        # A WALK with a stray rise is not `walk(1)`; it is not a move.
+        level = compile_3sat(sample_formula)
+        trace = solve(level).trace
+        assert replay(level, trace)
+        start = initial_state(level)
+        with pytest.raises(ValueError):
+            step(level, start, move)
+        assert replay(level, (move, *trace)) is False
+        assert list(replay_states(level, (move, *trace))) == [start]

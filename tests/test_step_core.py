@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from satplat.compiler import compile_3sat, compile_qbf
 from satplat.formula import gen_random_3cnf
 from satplat.level import OPEN, SOLID, Button, Door, LevelError, SpaceBlock, UnstablePlatform
-from satplat.sim import GameState, canonical_moves, replay, sim_context, step
+from satplat.sim import GameState, canonical_moves, dash, replay, sim_context, step
 from satplat.solver import Solvable, _Keys, solve
 from satplat.verify import gen_random_qbf
 from tests.conftest import level_from_art
@@ -84,12 +84,19 @@ BLOCK_DOOR = level_from_art(
     "########\n#S.*D.F#\n########",
     (SpaceBlock(0, (3, 1, 3, 1)), Door(0, ((4, 1),))),
 )
+# A dash over a button whose door sits in a sealed pocket: no record of
+# the spawn cell reads the door's bit, which the dash only sets.
+BUTTON_FAR_DOOR = level_from_art(
+    "#########\n#S.B..F.#\n#########\n#D#######\n#########",
+    (Button((3, 3), 0, OPEN), Door(0, ((1, 1),))),
+)
 
 
 @given(levels_and_states(), st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1))
 @example((DOOR_OVER_PLATFORM, GameState(1, 4, 1, 1, 0)), 0, 1)
 @example((BUTTON_BLOCK_DOOR, GameState(1, 1, 1, 0, 0)), 1, 0)
 @example((BLOCK_DOOR, GameState(1, 1, 1, 0, 0)), 1, 0)
+@example((BUTTON_FAR_DOOR, GameState(1, 3, 1, 0, 0)), 1, 0)
 @settings(max_examples=400, deadline=None)
 def test_successor_masks_hold_for_every_state_that_shares_the_read_bits(
         level_state, other_doors, other_plats):
@@ -125,6 +132,13 @@ def test_successor_masks_hold_for_every_state_that_shares_the_read_bits(
         else:
             assert out_key in reached, ctx.moves[rec.move]
         reached.add(out_key)
+
+
+def test_read_bits_leave_out_the_door_of_a_swept_button():
+    ctx = sim_context(BUTTON_FAR_DOOR)
+    cell = 3 * ctx.width + 1
+    assert dash("E") in (ctx.moves[rec.move] for rec in ctx.records_at(cell))
+    assert ctx.read_bits(cell) == (0, 0)
 
 
 def test_context_is_freed_without_cycle_collection(sample_formula):
