@@ -13,6 +13,9 @@ then the clause walls, then a space-block elevator up to a return band
 that runs back over everything.  Universal gadgets reroute the player
 forward again (one-way drop) until exhausted; the flag sits at the far
 end of the return band.
+
+A plan's wires are its corridors: `route_and_place` carves every wire
+cell outside every gadget, and the gadgets must leave the rest open.
 """
 
 from __future__ import annotations
@@ -66,8 +69,9 @@ class Placement:
 
 @dataclass(frozen=True)
 class Wire:
-    """A rectilinear routed path, kept for the plan report and for the
-    crossing audit; points are polyline vertices."""
+    """A rectilinear corridor; points are polyline vertices.  The cells
+    between consecutive vertices are carved wherever no gadget covers
+    them, and the crossing audit reads the same segments."""
 
     name: str
     points: tuple[tuple[int, int], ...]
@@ -79,7 +83,6 @@ class LayoutPlan:
     width: int
     height: int
     placements: list[Placement] = field(default_factory=list)
-    carves: list[tuple[int, int]] = field(default_factory=list)
     spawn: tuple[int, int] | None = None
     flag: tuple[int, int] | None = None
     wires: list[Wire] = field(default_factory=list)
@@ -130,10 +133,49 @@ def _cross_point(a1, a2, b1, b2):
     return None
 
 
+def _wire_cells(wire: Wire):
+    """Every cell of a wire in order; a vertex shared by two segments twice."""
+    for (x0, y0), (x1, y1) in _segments(wire):
+        if x0 == x1:
+            for y in range(min(y0, y1), max(y0, y1) + 1):
+                yield x0, y
+        elif y0 == y1:
+            for x in range(min(x0, x1), max(x0, x1) + 1):
+                yield x, y0
+        else:
+            raise CompileError(f"wire {wire.name} has a diagonal segment {(x0, y0)} -> {(x1, y1)}")
+
+
+def _corridors(plan: LayoutPlan):
+    """Split the wire cells into the cells to carve, those outside every
+    placement (each once, in wire order), and (wire name, cell) for those
+    inside one, which the placement itself must leave open."""
+    w, h = plan.width, plan.height
+    grid = bytearray(w * h)  # 0 free, 1 inside a placement, 2 carved
+    for p in plan.placements:  # stamp_into rejects one that does not fit
+        ox, oy = p.origin
+        bw = p.blueprint.width
+        for y in range(oy, oy + p.blueprint.height):
+            grid[y * w + ox:y * w + ox + bw] = b"\1" * bw
+    carved, inside = [], []
+    for wire in plan.wires:
+        for x, y in _wire_cells(wire):
+            if not (0 <= x < w and 0 <= y < h):
+                raise CompileError(f"wire {wire.name} leaves the grid at {(x, y)}")
+            i = y * w + x
+            if grid[i] == 0:
+                grid[i] = 2
+                carved.append((x, y))
+            elif grid[i] == 1:
+                inside.append((wire.name, (x, y)))
+    return carved, inside
+
+
 def route_and_place(plan: LayoutPlan) -> Level:
-    """Deterministically realize a plan: stamp every placement, carve
-    every corridor cell, verify every wire crossing is covered by a
-    crossover, and validate the result."""
+    """Deterministically realize a plan: verify every wire crossing is
+    covered by a crossover, carve the wires outside the placements, stamp
+    every placement, check that the wires run open through them, and
+    validate the result."""
     crossings = detect_crossings(plan.wires)
     cover = {
         (p.origin[0] + 5, p.origin[1] + 5)
@@ -146,13 +188,14 @@ def route_and_place(plan: LayoutPlan) -> Level:
     plan.crossings = crossings
 
     builder = LevelBuilder(plan.width, plan.height, plan.variant)
-    # Carve first: stamping rejects any carved cell inside a blueprint
-    # rectangle, so conflicts between corridors and gadgets cannot slip
-    # through silently.
-    for cell in plan.carves:
+    carved, inside = _corridors(plan)
+    for cell in carved:
         builder.carve(*cell)
     for p in plan.placements:
         stamp_into(builder, p.blueprint, p.origin, p.door_offset, p.prefix)
+    for name, cell in inside:
+        if not builder.is_carved(*cell):
+            raise CompileError(f"wire {name} runs through solid gadget cell {cell}")
     builder.add(Spawn(plan.spawn))
     builder.add(Flag(plan.flag))
     return builder.build(validate=True)
@@ -161,7 +204,7 @@ def route_and_place(plan: LayoutPlan) -> Level:
 def plan_report(plan: LayoutPlan) -> str:
     lines = [
         f"variant {plan.variant}, grid {plan.width}x{plan.height}",
-        f"placements {len(plan.placements)}, carved cells {len(plan.carves)}, "
+        f"placements {len(plan.placements)}, carved cells {len(_corridors(plan)[0])}, "
         f"wires {len(plan.wires)}, crossings {len(plan.crossings)}",
     ]
     for p in plan.placements:
@@ -194,7 +237,6 @@ def plan_3sat(formula: CnfFormula, top_flag: bool = False) -> LayoutPlan:
     pos, neg = _occurrences(formula)
 
     plan = LayoutPlan(NP, 0, 0)
-    carve = plan.carves.append
 
     # The cascade: chamber i sits V_PITCH rows above chamber i+1; the
     # passage pocket row for the strip after the last chamber is pr_n.
@@ -206,14 +248,9 @@ def plan_3sat(formula: CnfFormula, top_flag: bool = False) -> LayoutPlan:
     if n == 0:
         pr = 4
         plan.spawn = (2, pr)
-        carve((2, pr))
-        carve((3, pr))
-        px0 = 4
         height = 10
     else:
         plan.spawn = (cx - 3, cy1 + 6)
-        for x in (cx - 3, cx - 2, cx - 1):
-            carve((x, cy1 + 6))
         height = cy1 + 9
 
     spawn_wire = [plan.spawn]
@@ -223,13 +260,6 @@ def plan_3sat(formula: CnfFormula, top_flag: bool = False) -> LayoutPlan:
         rt, ru = cy - 2, cy - 10
         chamber = build_variable_gadget(i)
         plan.placements.append(Placement(chamber, (cx, cy), f"x{i}."))
-        # true exit pocket and drop to the true tunnel band
-        carve((cx - 2, cy + 1))
-        carve((cx - 1, cy + 1))
-        carve((cx - 2, cy))
-        carve((cx - 2, cy - 1))
-        for x in range(cx - 2, cx + 9):
-            carve((x, rt))
         cross = build_crossover()
         ox, oy = cx + 9, cy - 7
         plan.placements.append(Placement(cross, (ox, oy), f"x{i}.cross."))
@@ -238,23 +268,12 @@ def plan_3sat(formula: CnfFormula, top_flag: bool = False) -> LayoutPlan:
         tx0 = cx + 20
         plan.placements.append(Placement(t_bp, (tx0, rt - 1), f"x{i}.true."))
         t_end = tx0 + t_bp.width - 1
-        # false drop continues below the crossover into the false tunnel
-        for y in range(ru, oy):
-            carve((ox + 5, y))
         f_bp = build_tunnel([(d, OPEN) for d in neg[i]])
         fx0 = cx + 15
         plan.placements.append(Placement(f_bp, (fx0, ru - 1), f"x{i}.false."))
         f_end = fx0 + f_bp.width - 1
-        mx = max(t_end, f_end) + 1
-        for x in range(t_end + 1, mx):
-            carve((x, rt))
-        for x in range(f_end + 1, mx):
-            carve((x, ru))
-        # merge shaft down to the next pocket
+        mx = max(t_end, f_end) + 1  # the merge shaft down to the next pocket
         pr = cy - 14
-        for y in range(pr, rt + 1):
-            carve((mx, y))
-        carve((mx + 1, pr))
 
         plan.wires.append(Wire(f"x{i}.true", (
             (cx, cy + 1), (cx - 2, cy + 1), (cx - 2, rt), (mx, rt), (mx, pr), (mx + 2, pr),
@@ -267,14 +286,12 @@ def plan_3sat(formula: CnfFormula, top_flag: bool = False) -> LayoutPlan:
             plan.wires.append(Wire("spawn", tuple(spawn_wire)))
         cx = mx + 2
 
-    # Final stage: pocket cells at (cx-2, pr), (cx-1, pr) already carved
-    # (merge shaft bottom) for n >= 1.
+    # Final stage: the merge shaft ends at (cx - 2, pr) for n >= 1.
     if not top_flag or n == 0:
         px0 = cx if n else 4
         passage = build_final_passage(k)
         plan.placements.append(Placement(passage, (px0, pr - 1), "passage."))
         fx = px0 + passage.width
-        carve((fx, pr))
         plan.flag = (fx, pr)
         plan.wires.append(Wire("final", ((cx - 2 if n else 2, pr), (fx, pr))))
         width = fx + 2
@@ -289,7 +306,6 @@ def _plan_top_flag(plan: LayoutPlan, formula: CnfFormula, mx: int, pr: int, heig
     """Variant layout: the passage sits deeper, its exit rides an elevator
     up to a flag corridor that crosses the level's inflow shaft through a
     crossover (the flag ends up above the passage)."""
-    carve = plan.carves.append
     k = formula.num_clauses
     # mx is the last merge column; the default pocket row pr becomes the
     # crossover approach row, and the passage moves 11 rows deeper.
@@ -298,26 +314,14 @@ def _plan_top_flag(plan: LayoutPlan, formula: CnfFormula, mx: int, pr: int, heig
     ox = mx + 2
     pr2 = preg - 11
     plan.placements.append(Placement(build_crossover(), (ox, oy), "flagcross."))
-    # approach pocket into B1 (the merge shaft already ends at (mx, preg))
-    carve((mx + 1, preg))
-    # B2 shaft down to the passage pocket
-    bx = ox + 5
-    for y in range(pr2, oy):
-        carve((bx, y))
-    carve((bx + 1, pr2))
-    px0 = bx + 2
+    px0 = ox + 7  # east of the B2 shaft, which drops from the crossover
     passage = build_final_passage(k)
     plan.placements.append(Placement(passage, (px0, pr2 - 1), "passage."))
     pe = px0 + passage.width
-    carve((pe, pr2))
     lift = 8  # lands the flag corridor exactly on the crossover's A row
     ex0 = pe + 1
     plan.placements.append(Placement(build_elevator(lift), (ex0, pr2 - 1), "flaglift."))
     fcr = pr2 + lift  # flag corridor row (the elevator's upper ledge)
-    for x in range(ox + 11, ex0):
-        carve((x, fcr))
-    carve((mx, fcr))
-    carve((mx + 1, fcr))
     plan.flag = (mx, fcr)
     plan.wires.append(Wire("final", (
         (mx, pr + 4), (mx, preg), (ox + 5, preg), (ox + 5, pr2), (px0, pr2), (pe, pr2),
@@ -376,12 +380,9 @@ def plan_qbf(qbf: QbfFormula) -> LayoutPlan:
                            f"k={k} (max {DEFAULT_MAX_QBF_CLAUSES})")
 
     plan = LayoutPlan(PSPACE, 0, 0)
-    carve = plan.carves.append
     fwd_y, ret_y = 2, 9
 
     plan.spawn = (2, fwd_y)
-    carve((2, fwd_y))
-    carve((3, fwd_y))
     x = 4
     door_base = 3 * k
     fwd_wire = [(2, fwd_y)]
@@ -391,23 +392,14 @@ def plan_qbf(qbf: QbfFormula) -> LayoutPlan:
         true_syms, false_syms = _symbol_lists(qbf.matrix, var)
         if quant is Quantifier.EXISTS:
             bp = build_exists_gadget(var, true_syms, false_syms)
-            n_doors = 2
         else:
             bp = build_forall_gadget(var, true_syms, false_syms)
-            n_doors = 4
         plan.placements.append(Placement(bp, (x, 1), f"q{qi}.", door_offset=door_base))
-        door_base += n_doors
+        door_base += len(bp.doors)
         east = x + bp.width - 1
         fwd_wire.append((east, fwd_y))
-        # forward connector (and the reroute drop for universal gadgets)
-        for gx in range(east + 1, east + 4):
-            carve((gx, fwd_y))
-            carve((gx, ret_y))
         if quant is Quantifier.FORALL:
             jx = east + 2
-            carve((east + 1, 4))
-            carve((jx, 4))
-            carve((jx, 3))
             plan.wires.append(Wire(f"q{qi}.reroute", ((east, 4), (jx, 4), (jx, fwd_y))))
         ret_wire_pts.append((east, ret_y))
         x = east + 4
@@ -415,8 +407,6 @@ def plan_qbf(qbf: QbfFormula) -> LayoutPlan:
     for c in range(k):
         bp = build_clause_gadget(c)
         plan.placements.append(Placement(bp, (x, 1), f"c{c}.", door_offset=3 * c))
-        for gx in range(x, x + bp.width):
-            carve((gx, ret_y))
         x += bp.width
 
     lift = ret_y - fwd_y
@@ -426,8 +416,6 @@ def plan_qbf(qbf: QbfFormula) -> LayoutPlan:
     plan.wires.append(Wire("return", tuple([(x, ret_y)] + ret_wire_pts[::-1] + [(2, ret_y)])))
 
     # flag pocket at the west end of the return band
-    carve((2, ret_y))
-    carve((3, ret_y))
     plan.flag = (2, ret_y)
 
     plan.width = x + elev.width + 1

@@ -213,8 +213,14 @@ def validate_level(level: Level) -> list[Violation]:
 
     for i, ent in enumerate(level.entities):
         name = f"{type(ent).__name__}#{i}"
-        cells = level.entity_cells(ent)
-        for cell in cells:
+        fits = True
+        if isinstance(ent, SpaceBlock):
+            # corners first: listing a huge rect's cells has no time bound
+            x0, y0, x1, y1 = ent.rect
+            fits = 0 <= x0 <= x1 < level.width and 0 <= y0 <= y1 < level.height
+            if not fits:
+                bad("block-rect", name, f"rect {ent.rect} is degenerate or leaves the grid")
+        for cell in level.entity_cells(ent) if fits else ():
             x, y = cell
             if not (0 <= x < level.width and 0 <= y < level.height):
                 bad("in-bounds", name, f"cell {cell} outside the grid")
@@ -247,9 +253,6 @@ def validate_level(level: Level) -> list[Violation]:
             if ent.id in block_ids:
                 bad("unique-block-id", name, f"duplicate space block id {ent.id}")
             block_ids.add(ent.id)
-            x0, y0, x1, y1 = ent.rect
-            if x0 > x1 or y0 > y1:
-                bad("block-rect", name, f"degenerate rect {ent.rect}")
 
     for i, ent in enumerate(level.entities):
         if isinstance(ent, Button):

@@ -201,6 +201,8 @@ def corpus_items(spec: CorpusSpec) -> list[str]:
 
 def run_items(items: list[str], spec: CorpusSpec, jobs: int = 1) -> CorpusSummary:
     """Verify an explicit list of formula texts under a spec's variant."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     runner = _run_np_item if spec.variant == NP else _run_pspace_item
     summary = CorpusSummary(spec)
     if jobs > 1:

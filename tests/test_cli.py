@@ -163,6 +163,8 @@ class TestErrorPaths:
         ("verify", "--random", "--count", "-1"),
         ("verify", "--random", "--count", "0"),
         ("verify", "--exhaustive", "--nmax", "-1", "--kmax", "-1"),
+        ("verify", "--random", "--jobs", "0"),
+        ("verify", "--random", "--jobs", "-3"),
         ("gen", "--n", "1", "--k", "-1"),
         ("gen", "--n", "-2", "--k", "0"),
     ])

@@ -2,6 +2,7 @@ import pytest
 
 from satplat.compiler import (
     CompileError,
+    Wire,
     compile_3sat,
     compile_qbf,
     plan_3sat,
@@ -133,16 +134,26 @@ class TestPlanAndRouting:
         plan = plan_3sat(sample_formula)
         route_and_place(plan)
         report = plan_report(plan)
-        assert "crossings 3" in report
+        assert "crossings 3" in report and "carved cells 117," in report
         assert "variable" in report and "crossover" in report
+        plan = plan_3sat(sample_formula, top_flag=True)
+        route_and_place(plan)
+        # each cell counts once, the merge shaft's last cell included
+        assert "carved cells 131," in plan_report(plan)
 
     def test_deterministic_plans(self, sample_formula):
-        a = plan_3sat(sample_formula)
-        b = plan_3sat(sample_formula)
-        assert a.placements == b.placements and a.carves == b.carves
+        assert plan_3sat(sample_formula) == plan_3sat(sample_formula)
+
+    def test_wire_through_a_solid_gadget_cell_rejected(self, sample_formula):
+        plan = plan_3sat(sample_formula)
+        i = next(i for i, w in enumerate(plan.wires) if w.name == "spawn")
+        # one row lower, the spawn wire enters the first chamber through its wall
+        plan.wires[i] = Wire("spawn", tuple((x, y - 1) for x, y in plan.wires[i].points))
+        with pytest.raises(CompileError, match="wire spawn runs through solid gadget cell"):
+            route_and_place(plan)
 
     def test_three_wires_at_a_point_rejected(self):
-        from satplat.compiler import Wire, detect_crossings
+        from satplat.compiler import detect_crossings
 
         wires = [
             Wire("h", ((0, 5), (10, 5))),

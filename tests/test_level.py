@@ -173,6 +173,13 @@ class TestValidation:
         with pytest.raises(LevelError, match="must be"):
             load_level(json.dumps(doc))
 
+    def test_huge_block_rect_rejected_quickly(self, minimal_level):
+        doc = json.loads(save_level(minimal_level))
+        doc["entities"].append({"kind": "space_block", "id": 0, "rect": [2, 2, 400, 400]})
+        with pytest.raises(LevelError, match="block-rect") as err:
+            load_level(json.dumps(doc))
+        assert len(str(err.value)) < 1000
+
     def test_bad_physics_rejected(self):
         with pytest.raises(LevelError):
             PhysicsParams(0, 4, 2)
