@@ -89,85 +89,57 @@ class LayoutPlan:
     crossings: list[tuple[int, int]] = field(default_factory=list)
 
 
-def _segments(wire: Wire):
-    for a, b in zip(wire.points, wire.points[1:]):
-        yield a, b
+def _segments(wires: list[Wire]):
+    """Each wire segment as (wire name, x_lo, y_lo, x_hi, y_hi); a segment
+    runs along one axis."""
+    for wire in wires:
+        for (x0, y0), (x1, y1) in zip(wire.points, wire.points[1:]):
+            if x0 != x1 and y0 != y1:
+                raise CompileError(f"wire {wire.name} has a diagonal segment {(x0, y0)} -> {(x1, y1)}")
+            yield wire.name, min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1)
 
 
 def detect_crossings(wires: list[Wire]) -> list[tuple[int, int]]:
     """Strict interior intersections between perpendicular wire segments.
     Endpoint touches are joins, not crossings.  More than two wires
     meeting at one point is a routing error."""
+    segments = list(_segments(wires))
+    horizontal = [s for s in segments if s[2] == s[4]]  # y_lo == y_hi
+    vertical = [s for s in segments if s[2] != s[4]]
     hits: dict[tuple[int, int], set[str]] = {}
-    for i, wa in enumerate(wires):
-        for wb in wires[i:]:
-            for (a1, a2) in _segments(wa):
-                for (b1, b2) in _segments(wb):
-                    if wa is wb and (a1, a2) == (b1, b2):
-                        continue
-                    pt = _cross_point(a1, a2, b1, b2)
-                    if pt is not None:
-                        hits.setdefault(pt, set()).update((wa.name, wb.name))
-    for pt, names in hits.items():
-        if len(names) > 2:
-            raise CompileError(f"more than two wires cross at {pt}: {sorted(names)}")
-    return sorted(hits)
-
-
-def _cross_point(a1, a2, b1, b2):
-    def is_h(p, q):
-        return p[1] == q[1]
-
-    if is_h(a1, a2) == is_h(b1, b2):
-        return None  # parallel or collinear: joins are allowed
-    if is_h(a1, a2):
-        h1, h2, v1, v2 = a1, a2, b1, b2
-    else:
-        h1, h2, v1, v2 = b1, b2, a1, a2
-    hy = h1[1]
-    vx = v1[0]
-    hx_lo, hx_hi = sorted((h1[0], h2[0]))
-    vy_lo, vy_hi = sorted((v1[1], v2[1]))
-    if hx_lo < vx < hx_hi and vy_lo < hy < vy_hi:
-        return (vx, hy)
-    return None
-
-
-def _wire_cells(wire: Wire):
-    """Every cell of a wire in order; a vertex shared by two segments twice."""
-    for (x0, y0), (x1, y1) in _segments(wire):
-        if x0 == x1:
-            for y in range(min(y0, y1), max(y0, y1) + 1):
-                yield x0, y
-        elif y0 == y1:
-            for x in range(min(x0, x1), max(x0, x1) + 1):
-                yield x, y0
-        else:
-            raise CompileError(f"wire {wire.name} has a diagonal segment {(x0, y0)} -> {(x1, y1)}")
+    for h_name, hx_lo, hy, hx_hi, _ in horizontal:
+        for v_name, vx, vy_lo, _, vy_hi in vertical:
+            if hx_lo < vx < hx_hi and vy_lo < hy < vy_hi:
+                hits.setdefault((vx, hy), set()).update((h_name, v_name))
+    crossings = sorted(hits)
+    for pt in crossings:
+        if len(hits[pt]) > 2:
+            raise CompileError(f"more than two wires cross at {pt}: {sorted(hits[pt])}")
+    return crossings
 
 
 def _corridors(plan: LayoutPlan):
-    """Split the wire cells into the cells to carve, those outside every
-    placement (each once, in wire order), and (wire name, cell) for those
-    inside one, which the placement itself must leave open."""
+    """Walk every wire cell.  Returns the cells outside every placement,
+    each once and in wire order, and (wire name, cell) for each cell
+    inside one."""
     w, h = plan.width, plan.height
-    grid = bytearray(w * h)  # 0 free, 1 inside a placement, 2 carved
+    grid = bytearray(w * h)  # by y * w + x: 0 free, 1 inside a placement, 2 carved
     for p in plan.placements:  # stamp_into rejects one that does not fit
         ox, oy = p.origin
-        bw = p.blueprint.width
-        for y in range(oy, oy + p.blueprint.height):
-            grid[y * w + ox:y * w + ox + bw] = b"\1" * bw
+        row = b"\1" * p.blueprint.width
+        for i in range(oy * w + ox, (oy + p.blueprint.height) * w + ox, w):
+            grid[i:i + len(row)] = row
     carved, inside = [], []
-    for wire in plan.wires:
-        for x, y in _wire_cells(wire):
-            if not (0 <= x < w and 0 <= y < h):
-                raise CompileError(f"wire {wire.name} leaves the grid at {(x, y)}")
-            i = y * w + x
+    for name, x_lo, y_lo, x_hi, y_hi in _segments(plan.wires):
+        if x_lo < 0 or y_lo < 0 or x_hi >= w or y_hi >= h:
+            raise CompileError(f"wire {name} leaves the grid: {(x_lo, y_lo)} -> {(x_hi, y_hi)}")
+        # along the segment's one varying axis
+        for i in range(y_lo * w + x_lo, y_hi * w + x_hi + 1, 1 if y_lo == y_hi else w):
             if grid[i] == 0:
                 grid[i] = 2
-                carved.append((x, y))
+                carved.append((i % w, i // w))
             elif grid[i] == 1:
-                inside.append((wire.name, (x, y)))
+                inside.append((name, (i % w, i // w)))
     return carved, inside
 
 

@@ -152,6 +152,29 @@ class TestPlanAndRouting:
         with pytest.raises(CompileError, match="wire spawn runs through solid gadget cell"):
             route_and_place(plan)
 
+    @pytest.mark.parametrize("points, message", [
+        (((3, 63), (6, 62)), "diagonal segment"),
+        (((-1, 63), (6, 63)), "leaves the grid"),
+    ])
+    def test_malformed_wire_rejected(self, sample_formula, points, message):
+        plan = plan_3sat(sample_formula)
+        i = next(i for i, w in enumerate(plan.wires) if w.name == "spawn")
+        plan.wires[i] = Wire("spawn", points)
+        with pytest.raises(CompileError, match=message):
+            route_and_place(plan)
+
+    def test_endpoint_touches_are_joins(self):
+        from satplat.compiler import detect_crossings
+
+        wires = [
+            Wire("h", ((0, 5), (10, 5))),
+            Wire("l", ((0, 0), (0, 10))),  # through h's west end
+            Wire("r", ((10, 5), (10, 9))),  # from h's east end
+            Wire("t", ((5, 5), (5, 9))),  # a T on h
+            Wire("x", ((3, 0), (3, 10))),  # the one crossing
+        ]
+        assert detect_crossings(wires) == [(3, 5)]
+
     def test_three_wires_at_a_point_rejected(self):
         from satplat.compiler import detect_crossings
 
