@@ -40,6 +40,7 @@ from satplat.level import (
     NP,
     OPEN,
     PSPACE,
+    SOLID,
     Flag,
     Level,
     LevelBuilder,
@@ -118,10 +119,8 @@ def detect_crossings(wires: list[Wire]) -> list[tuple[int, int]]:
     return crossings
 
 
-def _corridors(plan: LayoutPlan):
-    """Walk every wire cell.  Returns the cells outside every placement,
-    each once and in wire order, and (wire name, cell) for each cell
-    inside one."""
+def _corridors(plan: LayoutPlan) -> list[tuple[int, int]]:
+    """The wire cells outside every placement, each once, in wire order."""
     w, h = plan.width, plan.height
     grid = bytearray(w * h)  # by y * w + x: 0 free, 1 inside a placement, 2 carved
     for p in plan.placements:  # stamp_into rejects one that does not fit
@@ -129,7 +128,7 @@ def _corridors(plan: LayoutPlan):
         row = b"\1" * p.blueprint.width
         for i in range(oy * w + ox, (oy + p.blueprint.height) * w + ox, w):
             grid[i:i + len(row)] = row
-    carved, inside = [], []
+    carved = []
     for name, x_lo, y_lo, x_hi, y_hi in _segments(plan.wires):
         if x_lo < 0 or y_lo < 0 or x_hi >= w or y_hi >= h:
             raise CompileError(f"wire {name} leaves the grid: {(x_lo, y_lo)} -> {(x_hi, y_hi)}")
@@ -138,9 +137,7 @@ def _corridors(plan: LayoutPlan):
             if grid[i] == 0:
                 grid[i] = 2
                 carved.append((i % w, i // w))
-            elif grid[i] == 1:
-                inside.append((name, (i % w, i // w)))
-    return carved, inside
+    return carved
 
 
 def route_and_place(plan: LayoutPlan) -> Level:
@@ -160,14 +157,18 @@ def route_and_place(plan: LayoutPlan) -> Level:
     plan.crossings = crossings
 
     builder = LevelBuilder(plan.width, plan.height, plan.variant)
-    carved, inside = _corridors(plan)
-    for cell in carved:
+    for cell in _corridors(plan):
         builder.carve(*cell)
     for p in plan.placements:
         stamp_into(builder, p.blueprint, p.origin, p.door_offset, p.prefix)
-    for name, cell in inside:
-        if not builder.is_carved(*cell):
-            raise CompileError(f"wire {name} runs through solid gadget cell {cell}")
+    # Every wire cell outside the placements is carved, so a solid one
+    # lies in a gadget.
+    for name, x_lo, y_lo, x_hi, y_hi in _segments(plan.wires):
+        for y in range(y_lo, y_hi + 1):
+            cells = builder.grid[y][x_lo:x_hi + 1]
+            if SOLID in cells:
+                cell = (x_lo + cells.index(SOLID), y)
+                raise CompileError(f"wire {name} runs through solid gadget cell {cell}")
     builder.add(Spawn(plan.spawn))
     builder.add(Flag(plan.flag))
     return builder.build(validate=True)
@@ -176,7 +177,7 @@ def route_and_place(plan: LayoutPlan) -> Level:
 def plan_report(plan: LayoutPlan) -> str:
     lines = [
         f"variant {plan.variant}, grid {plan.width}x{plan.height}",
-        f"placements {len(plan.placements)}, carved cells {len(_corridors(plan)[0])}, "
+        f"placements {len(plan.placements)}, carved cells {len(_corridors(plan))}, "
         f"wires {len(plan.wires)}, crossings {len(plan.crossings)}",
     ]
     for p in plan.placements:

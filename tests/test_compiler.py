@@ -5,6 +5,7 @@ from satplat.compiler import (
     Wire,
     compile_3sat,
     compile_qbf,
+    detect_crossings,
     plan_3sat,
     plan_qbf,
     plan_report,
@@ -144,28 +145,21 @@ class TestPlanAndRouting:
     def test_deterministic_plans(self, sample_formula):
         assert plan_3sat(sample_formula) == plan_3sat(sample_formula)
 
-    def test_wire_through_a_solid_gadget_cell_rejected(self, sample_formula):
-        plan = plan_3sat(sample_formula)
-        i = next(i for i, w in enumerate(plan.wires) if w.name == "spawn")
-        # one row lower, the spawn wire enters the first chamber through its wall
-        plan.wires[i] = Wire("spawn", tuple((x, y - 1) for x, y in plan.wires[i].points))
-        with pytest.raises(CompileError, match="wire spawn runs through solid gadget cell"):
-            route_and_place(plan)
-
     @pytest.mark.parametrize("points, message", [
-        (((3, 63), (6, 62)), "diagonal segment"),
-        (((-1, 63), (6, 63)), "leaves the grid"),
+        # one row lower, the spawn wire enters the first chamber through its wall
+        (((3, 62), (6, 62)), r"wire spawn runs through solid gadget cell \(6, 62\)"),
+        (((3, 63), (6, 62)), "wire spawn has a diagonal segment"),
+        (((-1, 63), (6, 63)), "wire spawn leaves the grid"),
     ])
-    def test_malformed_wire_rejected(self, sample_formula, points, message):
+    def test_misrouted_wire_rejected(self, sample_formula, points, message):
         plan = plan_3sat(sample_formula)
         i = next(i for i, w in enumerate(plan.wires) if w.name == "spawn")
+        assert plan.wires[i].points == ((3, 63), (6, 63))
         plan.wires[i] = Wire("spawn", points)
         with pytest.raises(CompileError, match=message):
             route_and_place(plan)
 
     def test_endpoint_touches_are_joins(self):
-        from satplat.compiler import detect_crossings
-
         wires = [
             Wire("h", ((0, 5), (10, 5))),
             Wire("l", ((0, 0), (0, 10))),  # through h's west end
@@ -176,8 +170,6 @@ class TestPlanAndRouting:
         assert detect_crossings(wires) == [(3, 5)]
 
     def test_three_wires_at_a_point_rejected(self):
-        from satplat.compiler import detect_crossings
-
         wires = [
             Wire("h", ((0, 5), (10, 5))),
             Wire("v1", ((5, 0), (5, 10))),
