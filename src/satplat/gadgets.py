@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 
 from satplat.level import (
     CLOSE,
+    EMPTY,
     NP,
     OPEN,
     PSPACE,
@@ -160,10 +161,11 @@ def stamp_into(builder: LevelBuilder, bp: GadgetBlueprint, origin: tuple[int, in
     ox, oy = origin
     if ox < 0 or oy < 0 or ox + bp.width > builder.width or oy + bp.height > builder.height:
         raise StampError(f"{bp.kind} at {origin} does not fit the grid")
-    for y in range(bp.height):
-        for x in range(bp.width):
-            if builder.is_carved(ox + x, oy + y):
-                raise StampError(f"{bp.kind} at {origin} overlaps carved cell {(ox + x, oy + y)}")
+    for y in range(oy, oy + bp.height):
+        cells = builder.grid[y][ox:ox + bp.width]
+        if EMPTY in cells:
+            cell = (ox + cells.index(EMPTY), y)
+            raise StampError(f"{bp.kind} at {origin} overlaps carved cell {cell}")
     existing_doors = {e.id for e in builder.entities if isinstance(e, Door)}
     plat_offset = sum(isinstance(e, UnstablePlatform) for e in builder.entities)
     block_offset = sum(isinstance(e, SpaceBlock) for e in builder.entities)

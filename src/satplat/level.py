@@ -473,9 +473,6 @@ class LevelBuilder:
             raise LevelError(f"cannot carve boundary or out-of-bounds cell ({x}, {y})")
         self.grid[y][x] = EMPTY
 
-    def is_carved(self, x: int, y: int) -> bool:
-        return self.grid[y][x] == EMPTY
-
     def add(self, entity: Entity):
         self.entities.append(entity)
 

@@ -44,6 +44,16 @@ one move table: a record names its move by its index there
 (`SimContext.index`), and a `Move` not in it, such as a WALK with a
 rise, is refused (`step` raises ValueError, a replay stops).
 
+`SimContext.trail` is the first trace `replay` found winning on the
+level, with the core state `(cell, has_dash, doors, plats)` before each
+of its moves and after the last.  A replay takes the trail's state at
+the end of the longest prefix its trace shares with the trail (moves
+compared with `==`, as `SimContext.index` compares them) and runs the
+loop over the rest of the trace only.  The core is deterministic and
+the trail's states are its own earlier outcomes, so the result is the
+same as a replay from the start: a mutant of the witness replays only
+the moves from its mutation on.
+
 Next to a cell's records, `SimContext` keeps the door and platform bits
 they read (`read_bits`, built on the solver's first call for the cell).
 A record's outcome depends on no other bit, and it keeps, sets or
@@ -56,6 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 from satplat.level import CLOSE, SOLID, Button, Door, Level, SpaceBlock, UnstablePlatform
@@ -200,9 +211,14 @@ class SimContext:
     entity id of each entity cell) and the move records, built lazily per
     cell and kept for the level.
 
-    The tables hold no reference back to the context, so a context that
-    `sim_context` drops is freed at once, not at the next cycle
-    collection."""
+    `trail` is None until `replay` first finds a trace winning on the
+    level, then `(moves, states)`: that trace as a tuple, and the core
+    state before each of its moves and after the last.  A losing replay
+    never sets it, and once set it is never replaced.
+
+    The tables and the trail hold no reference back to the context, so a
+    context that `sim_context` drops is freed at once, not at the next
+    cycle collection."""
 
     def __init__(self, level: Level):
         w, h = level.width, level.height
@@ -254,6 +270,7 @@ class SimContext:
         self._records: dict[int, tuple] = {}  # cell -> its move records
         self._reads: dict[int, tuple[int, int]] = {}  # cell -> the bits they read
         self._landings: dict[int, tuple] = {}  # start or rest cell -> its landing
+        self.trail: tuple[tuple, tuple] | None = None
 
     def records_at(self, cell: int) -> tuple:
         """The move records of a cell (`y * width + x`), in canonical move
@@ -540,14 +557,14 @@ def legal_moves(level: Level, state: GameState) -> list[Move]:
     return out
 
 
-def _outcomes(ctx: SimContext, state: GameState, trace):
+def _outcomes(ctx: SimContext, core, trace: tuple, start: int):
     """The one replay loop: the core's outcome `(cell, has_dash, doors,
-    plats)` of each move of the trace in turn, from `state`.  It stops
-    after the first outcome that is `BLOCKED` or `DEATH`; a move that is
-    not canonical is `BLOCKED` here."""
-    cell = _cell(ctx, state)
-    _, _, has_dash, doors, plats = state
-    for move in trace:
+    plats)` of each move of `trace[start:]` in turn, from the core state
+    `core` that move `start` applies to.  It stops after the first
+    outcome that is `BLOCKED` or `DEATH`; a move that is not canonical is
+    `BLOCKED` here."""
+    cell, has_dash, doors, plats = core
+    for move in trace[start:]:
         try:
             rec = _record(ctx, cell, move)
         except ValueError:
@@ -559,28 +576,53 @@ def _outcomes(ctx: SimContext, state: GameState, trace):
         cell, has_dash, doors, plats = out
 
 
+def _resume(ctx: SimContext, trail, level: Level, trace: tuple):
+    """`(k, states)`: `trace` shares its first k moves with the trail,
+    and `states[:k + 1]` are the core states before each of them and
+    after the last.  Without a trail, k is 0 and `states` is the start
+    state alone."""
+    if trail is None:
+        start = initial_state(level)
+        return 0, ((_cell(ctx, start), *start[2:]),)
+    moves, states = trail
+    k = 0
+    for move, mine in zip(moves, trace):
+        if not move == mine:  # the equality `SimContext.index` looks moves up by
+            break
+        k += 1
+    return k, states
+
+
 def replay(level: Level, trace) -> bool:
     """True iff the trace applies cleanly from the initial state and ends
-    on the flag cell; linear in the trace length."""
+    on the flag cell; linear in the trace length.  It resumes from the
+    level's trail (`SimContext.trail`) after the prefix the trace shares
+    with it, and the first winning trace it finds becomes the trail."""
     ctx = sim_context(level)
-    start = initial_state(level)
-    cell = _cell(ctx, start)
-    for out in _outcomes(ctx, start, trace):
-        if out is BLOCKED or out is DEATH:
-            return False
-        cell = out[0]
+    trace = tuple(trace)
+    trail = ctx.trail
+    k, states = _resume(ctx, trail, level, trace)
+    outs = list(_outcomes(ctx, states[k], trace, k))
+    end = outs[-1] if outs else states[k]
+    if end is BLOCKED or end is DEATH:
+        return False
     fx, fy = ctx.flag
-    return cell == fy * ctx.width + fx
+    if end[0] != fy * ctx.width + fx:
+        return False
+    if trail is None:
+        ctx.trail = (trace, (*states, *outs))
+    return True
 
 
 def replay_states(level: Level, trace):
     """Yield the successive states of a replay (initial state first);
-    stops early if a move fails or is not a canonical move.  Library
-    helper for tests and tooling."""
+    stops early if a move fails or is not a canonical move.  The states
+    of the prefix the trace shares with the level's trail are the
+    trail's.  Library helper for tests and tooling."""
     ctx = sim_context(level)
-    start = initial_state(level)
-    yield start
-    for out in _outcomes(ctx, start, trace):
+    trace = tuple(trace)
+    k, states = _resume(ctx, ctx.trail, level, trace)
+    for out in chain(states[:k + 1], _outcomes(ctx, states[k], trace, k)):
         if out is BLOCKED or out is DEATH:
             return
         cell, has_dash, doors, plats = out

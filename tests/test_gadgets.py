@@ -231,6 +231,14 @@ class TestStamp:
         with pytest.raises(StampError, match="overlap"):
             stamp_into(builder, build_crossover(), (5, 1))
 
+    def test_overlap_names_the_first_carved_cell_in_row_major_order(self):
+        builder = LevelBuilder(30, 15)
+        for cell in ((9, 3), (16, 2), (4, 3), (7, 4), (8, 3)):
+            builder.carve(*cell)
+        with pytest.raises(StampError) as err:
+            stamp_into(builder, build_crossover(), (5, 2))
+        assert str(err.value) == "crossover at (5, 2) overlaps carved cell (8, 3)"
+
     def test_out_of_bounds_stamp_rejected(self):
         builder = LevelBuilder(8, 8)
         with pytest.raises(StampError, match="fit"):

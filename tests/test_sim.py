@@ -1,7 +1,12 @@
-import pytest
+from functools import cache
 
+import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+import satplat.sim as sim
 from satplat.compiler import compile_3sat
-from satplat.level import Button, Door, SpaceBlock, UnstablePlatform
+from satplat.level import Button, Door, LevelError, SpaceBlock, UnstablePlatform
 from satplat.sim import (
     BLOCKED,
     DEATH,
@@ -15,13 +20,16 @@ from satplat.sim import (
     move_from_text,
     replay,
     replay_states,
+    sim_context,
     step,
     trace_from_text,
     trace_to_text,
     walk,
 )
-from satplat.solver import solve
+from satplat.solver import Solvable, solve
 from tests.conftest import level_from_art
+from tests.test_solver import small_levels
+from tests.test_step_core import compiled_levels
 
 
 def advance(level, state, *moves):
@@ -462,3 +470,124 @@ class TestReplayAndTraces:
             step(level, start, move)
         assert replay(level, (move, *trace)) is False
         assert list(replay_states(level, (move, *trace))) == [start]
+
+
+class TestTrail:
+    """`SimContext.trail`: the first winning trace `replay` finds, and the
+    core states along it."""
+
+    def test_a_losing_replay_sets_no_trail(self, minimal_level):
+        sim_context.cache_clear()
+        assert replay(minimal_level, (walk(-1),)) is False
+        assert replay(minimal_level, ()) is False
+        assert list(replay_states(minimal_level, (walk(1),)))[-1].position == (2, 1)
+        assert sim_context(minimal_level).trail is None
+        assert replay(minimal_level, (walk(1),))
+        # cells 5 and 6 are (1, 1) and (2, 1) on the 4-wide level
+        assert sim_context(minimal_level).trail == ((walk(1),), ((5, 1, 0, 0), (6, 1, 0, 0)))
+
+    def test_a_second_winning_trace_does_not_replace_the_first(self, minimal_level):
+        sim_context.cache_clear()
+        assert replay(minimal_level, (walk(1),))
+        trail = sim_context(minimal_level).trail
+        assert replay(minimal_level, (dash("E"),))
+        assert replay(minimal_level, (walk(1), walk(-1), walk(1)))
+        assert sim_context(minimal_level).trail is trail
+
+    def test_cache_clear_drops_the_trail(self, minimal_level):
+        sim_context.cache_clear()
+        assert replay(minimal_level, (walk(1),))
+        sim_context.cache_clear()
+        assert sim_context(minimal_level).trail is None
+
+    def test_a_mutant_replays_only_the_moves_after_its_mutation(self, sample_formula,
+                                                                monkeypatch):
+        level = compile_3sat(sample_formula)
+        trace = solve(level).trace
+        sim_context.cache_clear()
+        assert replay(level, trace)
+        calls = []
+        apply = sim._apply
+        monkeypatch.setattr(sim, "_apply", lambda *args: calls.append(args) or apply(*args))
+        assert replay(level, trace)
+        assert len(list(replay_states(level, trace))) == len(trace) + 1
+        assert not calls
+        for i in range(len(trace)):
+            calls.clear()
+            assert replay(level, trace[:i] + trace[i + 1:]) is False
+            assert len(calls) <= len(trace) - i
+
+
+NOT_A_MOVE = Move("WALK", dx=1, rise=2)
+
+
+@cache
+def witnessed_levels():
+    """The compiled NP and QBF levels that have a witness, with it."""
+    return tuple((level, result.trace) for level in compiled_levels()
+                 if isinstance(result := solve(level), Solvable))
+
+
+@st.composite
+def witnesses_and_traces(draw):
+    """A level, from `small_levels` or a compiled NP or QBF level, its
+    witness, and a trace drawn from the witness: a move deleted, a move
+    substituted by any canonical move, the witness truncated or extended
+    past the flag, or `NOT_A_MOVE` inserted, inside the witness or at its
+    end."""
+    if draw(st.booleans()):
+        try:
+            level = level_from_art(*draw(small_levels()))
+        except LevelError:
+            reject()
+        result = solve(level)
+        if not isinstance(result, Solvable):
+            reject()
+        witness = result.trace
+    else:
+        level, witness = draw(st.sampled_from(witnessed_levels()))
+    moves = canonical_moves(level.physics)
+    n = len(witness)
+    kind = draw(st.sampled_from(["delete", "substitute", "truncate", "extend", "insert"]))
+    if kind == "delete":
+        i = draw(st.integers(0, n - 1))
+        trace = witness[:i] + witness[i + 1:]
+    elif kind == "substitute":
+        i = draw(st.integers(0, n - 1))
+        trace = (*witness[:i], draw(st.sampled_from(moves)), *witness[i + 1:])
+    elif kind == "truncate":
+        trace = witness[:draw(st.integers(0, n))]
+    elif kind == "extend":
+        trace = (*witness, *draw(st.lists(st.sampled_from(moves), min_size=1, max_size=3)))
+    else:
+        i = draw(st.just(n) | st.integers(0, n))
+        trace = (*witness[:i], NOT_A_MOVE, *witness[i:])
+    return level, tuple(witness), tuple(trace)
+
+
+def walk_over_step(level, trace):
+    """The states of a replay of `trace` and whether it wins, by `step`
+    alone from `initial_state`."""
+    states = [initial_state(level)]
+    for move in trace:
+        try:
+            out = step(level, states[-1], move)
+        except ValueError:  # not a canonical move
+            return states, False
+        if not isinstance(out, GameState):
+            return states, False
+        states.append(out)
+    return states, states[-1].position == level.flag.cell
+
+
+@given(witnesses_and_traces())
+@settings(max_examples=200, deadline=None)
+def test_replay_from_the_trail_matches_a_walk_over_step(case):
+    level, witness, trace = case
+    sim_context.cache_clear()
+    assert replay(level, witness)
+    assert sim_context(level).trail[0] == witness
+    states, wins = walk_over_step(level, trace)
+    assert replay(level, trace) is wins
+    assert list(replay_states(level, trace)) == states
+    assert sim_context(level).trail[0] == witness
