@@ -87,7 +87,10 @@ class LayoutPlan:
     spawn: tuple[int, int] | None = None
     flag: tuple[int, int] | None = None
     wires: list[Wire] = field(default_factory=list)
-    crossings: list[tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def crossings(self) -> list[tuple[int, int]]:
+        return detect_crossings(self.wires)
 
 
 def _segments(wires: list[Wire]):
@@ -145,16 +148,14 @@ def route_and_place(plan: LayoutPlan) -> Level:
     covered by a crossover, carve the wires outside the placements, stamp
     every placement, check that the wires run open through them, and
     validate the result."""
-    crossings = detect_crossings(plan.wires)
     cover = {
         (p.origin[0] + 5, p.origin[1] + 5)
         for p in plan.placements
         if p.blueprint.kind == "crossover"
     }
-    for pt in crossings:
+    for pt in plan.crossings:
         if pt not in cover:
             raise CompileError(f"wire crossing at {pt} is not covered by a crossover")
-    plan.crossings = crossings
 
     builder = LevelBuilder(plan.width, plan.height, plan.variant)
     for cell in _corridors(plan):
@@ -175,16 +176,17 @@ def route_and_place(plan: LayoutPlan) -> Level:
 
 
 def plan_report(plan: LayoutPlan) -> str:
+    crossings = plan.crossings
     lines = [
         f"variant {plan.variant}, grid {plan.width}x{plan.height}",
         f"placements {len(plan.placements)}, carved cells {len(_corridors(plan))}, "
-        f"wires {len(plan.wires)}, crossings {len(plan.crossings)}",
+        f"wires {len(plan.wires)}, crossings {len(crossings)}",
     ]
     for p in plan.placements:
         lines.append(f"  {p.blueprint.kind:14s} at {p.origin} as {p.prefix or '-'}")
     for w in plan.wires:
         lines.append(f"  wire {w.name}: " + " -> ".join(map(str, w.points)))
-    for pt in plan.crossings:
+    for pt in crossings:
         lines.append(f"  crossing at {pt} (crossover)")
     return "\n".join(lines) + "\n"
 

@@ -1,10 +1,14 @@
 """Stampable gadget blueprints with reachability contracts.
 
-Each blueprint is a self-contained tile patch plus entity records using
-blueprint-local ids, named boundary ports, and a list of contract
-assertions that must hold when the blueprint is stamped alone into an
-otherwise solid level.  Geometry is calibrated to the default physics
-(jump rise 3, dash length 4, reform distance 2).
+Each blueprint is a patch of level: tile rows plus the level's own
+`Door`, `UnstablePlatform`, `SpaceBlock` and `Port` records, with ids
+and cells local to the patch, and a list of contract assertions that
+must hold when it is stamped alone into an otherwise solid level.  Only
+its buttons (`BButton`) are its own: their door, local or global, is
+resolved when it is stamped.  Its size is that of its rows, and it needs
+the PSPACE variant exactly when a button closes a door.  Geometry is
+calibrated to the default physics (jump rise 3, dash length 4, reform
+distance 2).
 
 Conventions used throughout the blueprints:
 
@@ -45,25 +49,6 @@ EXT = "ext"
 
 
 @dataclass(frozen=True)
-class BDoor:
-    local_id: int
-    cells: tuple[tuple[int, int], ...]
-    initially_open: bool = False
-
-
-@dataclass(frozen=True)
-class BPlatform:
-    local_id: int
-    cell: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class BBlock:
-    local_id: int
-    rect: tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
 class BButton:
     cell: tuple[int, int]
     ref: tuple[str, int]  # (LOCAL, blueprint door id) or (EXT, global door id)
@@ -85,17 +70,27 @@ class Assertion:
 @dataclass(frozen=True)
 class GadgetBlueprint:
     kind: str
-    width: int
-    height: int
-    rows: tuple[str, ...]  # bottom row first
-    doors: tuple[BDoor, ...] = ()
-    platforms: tuple[BPlatform, ...] = ()
-    blocks: tuple[BBlock, ...] = ()
+    rows: tuple[str, ...]  # bottom row first, all of one width
+    doors: tuple[Door, ...] = ()
+    platforms: tuple[UnstablePlatform, ...] = ()
+    blocks: tuple[SpaceBlock, ...] = ()
     buttons: tuple[BButton, ...] = ()
     ports: tuple[Port, ...] = ()
     contract: tuple[Assertion, ...] = ()
-    variant: str = NP  # minimum variant the patch needs (CLOSE buttons -> PSPACE)
     notes: str = ""
+
+    @property
+    def width(self) -> int:
+        return len(self.rows[0])
+
+    @property
+    def height(self) -> int:
+        return len(self.rows)
+
+    @property
+    def variant(self) -> str:
+        """The minimum variant the patch needs."""
+        return PSPACE if any(b.action == CLOSE for b in self.buttons) else NP
 
     def external_door_ids(self) -> list[int]:
         seen = []
@@ -141,8 +136,8 @@ def _valve(d: int) -> list:
     return [((LOCAL, d), OPEN), d, ((LOCAL, d), CLOSE)]
 
 
-def _doors(cells: dict[int, tuple[int, int]]) -> tuple[BDoor, ...]:
-    return tuple(BDoor(d, (cells[d],)) for d in sorted(cells))
+def _doors(cells: dict[int, tuple[int, int]]) -> tuple[Door, ...]:
+    return tuple(Door(d, (cells[d],)) for d in sorted(cells))
 
 
 # --- stamping ---------------------------------------------------------------
@@ -159,10 +154,11 @@ def stamp_into(builder: LevelBuilder, bp: GadgetBlueprint, origin: tuple[int, in
     Platforms and space blocks are numbered in stamping order: a
     blueprint's local ids follow those already in the builder."""
     ox, oy = origin
-    if ox < 0 or oy < 0 or ox + bp.width > builder.width or oy + bp.height > builder.height:
+    w, h = bp.width, bp.height
+    if ox < 0 or oy < 0 or ox + w > builder.width or oy + h > builder.height:
         raise StampError(f"{bp.kind} at {origin} does not fit the grid")
-    for y in range(oy, oy + bp.height):
-        cells = builder.grid[y][ox:ox + bp.width]
+    for y in range(oy, oy + h):
+        cells = builder.grid[y][ox:ox + w]
         if EMPTY in cells:
             cell = (ox + cells.index(EMPTY), y)
             raise StampError(f"{bp.kind} at {origin} overlaps carved cell {cell}")
@@ -170,23 +166,22 @@ def stamp_into(builder: LevelBuilder, bp: GadgetBlueprint, origin: tuple[int, in
     plat_offset = sum(isinstance(e, UnstablePlatform) for e in builder.entities)
     block_offset = sum(isinstance(e, SpaceBlock) for e in builder.entities)
     for d in bp.doors:
-        if d.local_id + door_offset in existing_doors:
+        if d.id + door_offset in existing_doors:
             raise StampError(f"door id collision at offset {door_offset}")
-    for y in range(bp.height):
-        row = bp.rows[y]
-        for x in range(bp.width):
-            if row[x] == ".":
-                builder.carve(ox + x, oy + y)
+    for y, row in enumerate(bp.rows, start=oy):
+        for x, tile in enumerate(row, start=ox):
+            if tile == EMPTY:
+                builder.carve(x, y)
     for d in bp.doors:
-        builder.add(Door(d.local_id + door_offset,
+        builder.add(Door(d.id + door_offset,
                          tuple((ox + x, oy + y) for x, y in d.cells),
                          d.initially_open))
     for p in bp.platforms:
-        builder.add(UnstablePlatform(p.local_id + plat_offset,
+        builder.add(UnstablePlatform(p.id + plat_offset,
                                      (ox + p.cell[0], oy + p.cell[1])))
     for blk in bp.blocks:
         x0, y0, x1, y1 = blk.rect
-        builder.add(SpaceBlock(blk.local_id + block_offset,
+        builder.add(SpaceBlock(blk.id + block_offset,
                                (ox + x0, oy + y0, ox + x1, oy + y1)))
     for b in bp.buttons:
         door_id = b.ref[1] + door_offset if b.ref[0] == LOCAL else b.ref[1]
@@ -256,10 +251,8 @@ def build_variable_gadget(var: int) -> GadgetBlueprint:
     ])
     return GadgetBlueprint(
         kind="variable",
-        width=9,
-        height=8,
         rows=rows,
-        platforms=(BPlatform(0, (1, 3)), BPlatform(1, (7, 3))),
+        platforms=(UnstablePlatform(0, (1, 3)), UnstablePlatform(1, (7, 3))),
         ports=(
             Port("entry", (0, 6), "E"),
             Port("exit_true", (0, 1), "W"),
@@ -309,8 +302,6 @@ def build_tunnel(symbols=()) -> GadgetBlueprint:
     _lane(1, 2, _ext(symbols), buttons)
     return GadgetBlueprint(
         kind="tunnel",
-        width=w,
-        height=3,
         rows=_freeze(grid),
         buttons=tuple(buttons),
         ports=(Port("tunnel_in", (0, 1), "E"), Port("tunnel_out", (w - 1, 1), "E")),
@@ -318,7 +309,6 @@ def build_tunnel(symbols=()) -> GadgetBlueprint:
             Assertion("tunnel_in", "tunnel_out", True),
             Assertion("tunnel_out", "tunnel_in", True),
         ),
-        variant=PSPACE if any(a == CLOSE for _, a in symbols) else NP,
         notes=f"literal tunnel, {m} forced symbols in order",
     )
 
@@ -352,10 +342,8 @@ def build_crossover() -> GadgetBlueprint:
             pairs.append(Assertion(b, a, False, note="no B-to-A leakage"))
     return GadgetBlueprint(
         kind="crossover",
-        width=11,
-        height=11,
         rows=rows,
-        blocks=(BBlock(0, (4, 5, 6, 5)), BBlock(1, (5, 2, 5, 4))),
+        blocks=(SpaceBlock(0, (4, 5, 6, 5)), SpaceBlock(1, (5, 2, 5, 4))),
         ports=(
             Port("A1", (0, 5), "E"),
             Port("A2", (10, 5), "W"),
@@ -389,7 +377,7 @@ def build_final_passage(num_clauses: int) -> GadgetBlueprint:
     for c in range(k):
         wall_x = 3 + 4 * c  # the check wall is the column of three doors
         for s in range(3):
-            doors.append(BDoor(3 * c + s, ((wall_x, 1 + s),)))
+            doors.append(Door(3 * c + s, ((wall_x, 1 + s),)))
     contract = [
         Assertion("passage_in", "flag_port", k == 0,
                   note="all doors closed" if k else "empty passage"),
@@ -403,8 +391,6 @@ def build_final_passage(num_clauses: int) -> GadgetBlueprint:
                                   doors=all_but_last, note="one clause fully closed"))
     return GadgetBlueprint(
         kind="final_passage",
-        width=w,
-        height=5,
         rows=_freeze(grid),
         doors=tuple(doors),
         ports=(Port("passage_in", (0, 1), "E"), Port("flag_port", (w - 1, 1), "E")),
@@ -441,8 +427,6 @@ def build_exists_gadget(var: int, true_symbols=(), false_symbols=()) -> GadgetBl
 
     return GadgetBlueprint(
         kind="exists",
-        width=w,
-        height=10,
         rows=_freeze(grid),
         doors=_doors(doors),
         buttons=tuple(buttons),
@@ -459,7 +443,6 @@ def build_exists_gadget(var: int, true_symbols=(), false_symbols=()) -> GadgetBl
             Assertion("q_in", "ret_out", False, note="forward and return are isolated"),
             Assertion("q_out", "q_in", False, note="exit is sealed behind the valves"),
         ),
-        variant=PSPACE,  # valves use CLOSE buttons
         notes=f"existential choice for variable {var}; ground lane = true, upper lane = false",
     )
 
@@ -509,8 +492,6 @@ def build_forall_gadget(var: int, true_symbols=(), false_symbols=()) -> GadgetBl
 
     return GadgetBlueprint(
         kind="forall",
-        width=w,
-        height=10,
         rows=_freeze(grid),
         doors=_doors(doors),
         buttons=tuple(buttons),
@@ -533,7 +514,6 @@ def build_forall_gadget(var: int, true_symbols=(), false_symbols=()) -> GadgetBl
                       note="exhaust gate open: pass through outward"),
             Assertion("q_in", "ret_out", False, note="bands are isolated"),
         ),
-        variant=PSPACE,
         notes=f"universal quantifier for variable {var}: true pass, forced flip, exhaust",
     )
 
@@ -560,10 +540,8 @@ def build_elevator(lift: int = 7) -> GadgetBlueprint:
     grid[top + 1][1] = "."
     return GadgetBlueprint(
         kind="elevator",
-        width=w,
-        height=h,
         rows=_freeze(grid),
-        blocks=(BBlock(0, (2, 3, 2, lift)),),
+        blocks=(SpaceBlock(0, (2, 3, 2, lift)),),
         ports=(Port("elev_in", (0, 1), "E"), Port("elev_out", (0, top), "W")),
         contract=(
             Assertion("elev_in", "elev_out", True),

@@ -210,6 +210,7 @@ def validate_level(level: Level) -> list[Violation]:
     plat_ids: set[int] = set()
     block_ids: set[int] = set()
     spawns = flags = 0
+    n_cells = level.width * level.height  # door and platform ids are bit positions
 
     for i, ent in enumerate(level.entities):
         name = f"{type(ent).__name__}#{i}"
@@ -236,6 +237,8 @@ def validate_level(level: Level) -> list[Violation]:
         elif isinstance(ent, Flag):
             flags += 1
         elif isinstance(ent, Door):
+            if not 0 <= ent.id < n_cells:
+                bad("bit-id-range", name, f"door id {ent.id} outside 0..{n_cells - 1}")
             if ent.id in door_ids:
                 bad("unique-door-id", name, f"duplicate door id {ent.id}")
             door_ids.add(ent.id)
@@ -246,6 +249,8 @@ def validate_level(level: Level) -> list[Violation]:
             if len(xs) != 1 or ys != list(range(ys[0], ys[0] + len(ys))):
                 bad("door-strip", name, "door cells must form a vertical contiguous strip")
         elif isinstance(ent, UnstablePlatform):
+            if not 0 <= ent.id < n_cells:
+                bad("bit-id-range", name, f"platform id {ent.id} outside 0..{n_cells - 1}")
             if ent.id in plat_ids:
                 bad("unique-platform-id", name, f"duplicate platform id {ent.id}")
             plat_ids.add(ent.id)
@@ -458,12 +463,10 @@ class LevelBuilder:
     """Mutable construction buffer used by the gadget stamper and the
     compiler; starts all-solid and is carved empty cell by cell."""
 
-    def __init__(self, width: int, height: int, variant: str = NP,
-                 physics: PhysicsParams | None = None):
+    def __init__(self, width: int, height: int, variant: str = NP):
         self.width = width
         self.height = height
         self.variant = variant
-        self.physics = physics or PhysicsParams()
         self.grid = [[SOLID] * width for _ in range(height)]
         self.entities: list[Entity] = []
         self.ports: list[Port] = []
@@ -486,7 +489,6 @@ class LevelBuilder:
             tiles=tuple("".join(row) for row in self.grid),
             entities=tuple(self.entities),
             variant=self.variant,
-            physics=self.physics,
             # canonical port order, so load(save(level)) == level
             ports=tuple(sorted(self.ports, key=lambda p: p.name)),
         )

@@ -54,12 +54,11 @@ the trail's states are its own earlier outcomes, so the result is the
 same as a replay from the start: a mutant of the witness replays only
 the moves from its mutation on.
 
-Next to a cell's records, `SimContext` keeps the door and platform bits
-they read (`read_bits`, built on the solver's first call for the cell).
-A record's outcome depends on no other bit, and it keeps, sets or
-clears each other bit whatever that bit's value, which lets the solver
-reuse one cell's successors across every state that agrees on the dash
-and the read bits.
+`SimContext.read_bits` gives the door and platform bits a cell's
+records read.  A record's outcome depends on no other bit, and it
+keeps, sets or clears each other bit whatever that bit's value, which
+lets the solver reuse one cell's successors across every state that
+agrees on the dash and the read bits.
 """
 
 from __future__ import annotations
@@ -268,7 +267,6 @@ class SimContext:
         self._near = _near_platforms(w, h, plat_cells, level.physics.reform_distance)
         self._every = sum({1 << pid for pid, _, _ in plat_cells})  # every platform bit
         self._records: dict[int, tuple] = {}  # cell -> its move records
-        self._reads: dict[int, tuple[int, int]] = {}  # cell -> the bits they read
         self._landings: dict[int, tuple] = {}  # start or rest cell -> its landing
         self.trail: tuple[tuple, tuple] | None = None
 
@@ -285,10 +283,7 @@ class SimContext:
         may read on a move record of the cell (see `_read_bits`).
         `_apply` on a record of the cell depends on no other bit, and
         keeps, sets or clears each other bit whatever its value."""
-        reads = self._reads.get(cell)
-        if reads is None:
-            reads = self._reads[cell] = _read_bits(self.records_at(cell))
-        return reads
+        return _read_bits(self.records_at(cell))
 
     def _build(self, cell: int):
         w, h, code, eid = self.width, self.height, self.code, self.eid

@@ -162,10 +162,11 @@ def _search(ctx, start, goal_cell, max_states, max_time):
 
     A key's successors depend only on its signature, `key & read`, where
     `read` holds the cell and dash fields and the door and platform bits
-    the cell's records read (`SimContext.read_bits`).  The successor
-    masks of each signature (`_Keys.successors`) are computed on its
-    first expansion and reused for every later key that shares it; the
-    cache lives for this call only.
+    the cell's records read (`SimContext.read_bits`).  The read mask of
+    each cell and the successor masks of each signature
+    (`_Keys.successors`) are computed on their first expansion and
+    reused for every later key that shares them; both caches live for
+    this call only.
     """
     t0 = time.perf_counter()
     keys = _Keys.of(ctx, start)

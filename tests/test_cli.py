@@ -159,6 +159,16 @@ class TestErrorPaths:
         code, _, err = run(capsys, "solve", level)
         assert code == 2 and err.startswith("error:") and "cell" in err
 
+    @pytest.mark.parametrize("kind, value", [("door", -1), ("platform", -1), ("door", 10**6)])
+    def test_out_of_range_bit_id_exits_two(self, tmp_path, sample_cnf, capsys, kind, value):
+        level = tmp_path / "s.level"
+        run(capsys, "compile", sample_cnf, "-o", level)
+        doc = json.loads(level.read_text())
+        next(e for e in doc["entities"] if e["kind"] == kind)["id"] = value
+        level.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", level)
+        assert code == 2 and out == "" and err.startswith("error:") and "bit-id-range" in err
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--random", "--count", "-1"),
         ("verify", "--random", "--count", "0"),

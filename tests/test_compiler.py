@@ -145,6 +145,11 @@ class TestPlanAndRouting:
     def test_deterministic_plans(self, sample_formula):
         assert plan_3sat(sample_formula) == plan_3sat(sample_formula)
 
+    def test_unrouted_plan_reports_its_crossings(self, sample_formula):
+        # the crossings are the wires', not a side effect of routing
+        report = plan_report(plan_3sat(sample_formula))
+        assert "crossings 3" in report and report.count("(crossover)") == 3
+
     @pytest.mark.parametrize("points, message", [
         # one row lower, the spawn wire enters the first chamber through its wall
         (((3, 62), (6, 62)), r"wire spawn runs through solid gadget cell \(6, 62\)"),

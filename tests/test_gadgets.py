@@ -5,7 +5,9 @@ from satplat.gadgets import (
     StampError,
     build_clause_gadget,
     build_crossover,
+    build_elevator,
     build_exists_gadget,
+    build_final_passage,
     build_forall_gadget,
     build_tunnel,
     build_variable_gadget,
@@ -273,6 +275,37 @@ class TestStamp:
             reached = reachable_ports(level, "entry")
             assert {"exit_true", "exit_false"} <= reached
             assert "entry" not in reachable_ports(level, "exit_true")
+
+
+def _sized_blueprints():
+    """Every catalog entry, and the resizable gadgets over a range of sizes."""
+    for kind, builder in ALL_GADGET_BUILDERS.items():
+        yield kind, builder()
+    symbols = [(0, OPEN), (3, CLOSE), (1, OPEN), (2, OPEN), (4, CLOSE)]
+    for m in range(len(symbols) + 1):
+        yield f"tunnel-open-{m}", build_tunnel([(d, OPEN) for d, _ in symbols[:m]])
+        yield f"tunnel-mixed-{m}", build_tunnel(symbols[:m])
+        yield f"exists-{m}", build_exists_gadget(1, symbols[:m], symbols[m:])
+        yield f"forall-{m}", build_forall_gadget(1, symbols[m:], symbols[:m])
+    for k in range(5):
+        yield f"final_passage-{k}", build_final_passage(k)
+    for lift in range(4, 11):
+        yield f"elevator-{lift}", build_elevator(lift)
+
+
+@pytest.mark.parametrize("bp", [pytest.param(bp, id=name) for name, bp in _sized_blueprints()])
+def test_size_and_variant_are_those_of_the_patch(bp):
+    assert len(bp.rows) == bp.height
+    assert all(len(row) == bp.width for row in bp.rows)
+    closes = any(b.action == CLOSE for b in bp.buttons)
+    assert (bp.variant == PSPACE) == closes
+    # stamped, the patch's own entities become the level's, and the
+    # level validates under exactly that variant
+    level, _ = contract_level(bp)
+    assert level.variant == bp.variant
+    assert len(level.doors) == len(bp.doors) + len(bp.external_door_ids())
+    assert len(level.platforms) == len(bp.platforms)
+    assert any(b.action == CLOSE for b in level.buttons) == closes
 
 
 def test_catalog_lists_every_kind():

@@ -180,6 +180,16 @@ class TestValidation:
             load_level(json.dumps(doc))
         assert len(str(err.value)) < 1000
 
+    @pytest.mark.parametrize("kind, value", [
+        ("door", -1), ("door", 10**6), ("platform", -1), ("platform", 10**6),
+    ])
+    def test_out_of_range_bit_id_rejected(self, sample_formula, kind, value):
+        # door and platform ids are bit positions of the search state
+        doc = json.loads(save_level(compile_3sat(sample_formula)))
+        next(e for e in doc["entities"] if e["kind"] == kind)["id"] = value
+        with pytest.raises(LevelError, match="bit-id-range"):
+            load_level(json.dumps(doc))
+
     def test_bad_physics_rejected(self):
         with pytest.raises(LevelError):
             PhysicsParams(0, 4, 2)
