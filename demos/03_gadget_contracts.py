@@ -9,7 +9,7 @@ from satplat.gadgets import ALL_GADGET_BUILDERS, build_crossover, check_contract
 from satplat.level import render_ascii
 
 bp = build_crossover()
-level, _ = contract_level(bp)
+level = contract_level(bp)
 print("the crossover, stamped alone (A runs left-right, B top-bottom):\n")
 print(render_ascii(level))
 print()

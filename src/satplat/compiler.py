@@ -65,7 +65,6 @@ class Placement:
     blueprint: GadgetBlueprint
     origin: tuple[int, int]
     prefix: str
-    door_offset: int = 0
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,7 @@ def route_and_place(plan: LayoutPlan) -> Level:
     for cell in _corridors(plan):
         builder.carve(*cell)
     for p in plan.placements:
-        stamp_into(builder, p.blueprint, p.origin, p.door_offset, p.prefix)
+        stamp_into(builder, p.blueprint, p.origin, p.prefix)
     # Every wire cell outside the placements is carved, so a solid one
     # lies in a gadget.
     for name, x_lo, y_lo, x_hi, y_hi in _segments(plan.wires):
@@ -172,7 +171,7 @@ def route_and_place(plan: LayoutPlan) -> Level:
                 raise CompileError(f"wire {name} runs through solid gadget cell {cell}")
     builder.add(Spawn(plan.spawn))
     builder.add(Flag(plan.flag))
-    return builder.build(validate=True)
+    return builder.build()
 
 
 def plan_report(plan: LayoutPlan) -> str:
@@ -366,10 +365,10 @@ def plan_qbf(qbf: QbfFormula) -> LayoutPlan:
     for qi, (quant, var) in enumerate(qbf.prefix, start=1):
         true_syms, false_syms = _symbol_lists(qbf.matrix, var)
         if quant is Quantifier.EXISTS:
-            bp = build_exists_gadget(var, true_syms, false_syms)
+            bp = build_exists_gadget(var, door_base, true_syms, false_syms)
         else:
-            bp = build_forall_gadget(var, true_syms, false_syms)
-        plan.placements.append(Placement(bp, (x, 1), f"q{qi}.", door_offset=door_base))
+            bp = build_forall_gadget(var, door_base, true_syms, false_syms)
+        plan.placements.append(Placement(bp, (x, 1), f"q{qi}."))
         door_base += len(bp.doors)
         east = x + bp.width - 1
         fwd_wire.append((east, fwd_y))
@@ -381,7 +380,7 @@ def plan_qbf(qbf: QbfFormula) -> LayoutPlan:
 
     for c in range(k):
         bp = build_clause_gadget(c)
-        plan.placements.append(Placement(bp, (x, 1), f"c{c}.", door_offset=3 * c))
+        plan.placements.append(Placement(bp, (x, 1), f"c{c}."))
         x += bp.width
 
     lift = ret_y - fwd_y

@@ -1,14 +1,15 @@
 """Stampable gadget blueprints with reachability contracts.
 
 Each blueprint is a patch of level: tile rows plus the level's own
-`Door`, `UnstablePlatform`, `SpaceBlock` and `Port` records, with ids
-and cells local to the patch, and a list of contract assertions that
-must hold when it is stamped alone into an otherwise solid level.  Only
-its buttons (`BButton`) are its own: their door, local or global, is
-resolved when it is stamped.  Its size is that of its rows, and it needs
-the PSPACE variant exactly when a button closes a door.  Geometry is
-calibrated to the default physics (jump rise 3, dash length 4, reform
-distance 2).
+`Door`, `UnstablePlatform`, `SpaceBlock`, `Button` and `Port` records,
+with cells local to the patch, and a list of contract assertions that
+must hold when it is stamped alone into an otherwise solid level.  There
+is one door-id space: the plan chooses every door id when it builds a
+blueprint, and stamping copies door ids unchanged (platforms and space
+blocks are numbered in stamping order).  Its size is that of its rows,
+and it needs the PSPACE variant exactly when a button closes a door.
+Geometry is calibrated to the default physics (jump rise 3, dash length
+4, reform distance 2).
 
 Conventions used throughout the blueprints:
 
@@ -44,21 +45,10 @@ from satplat.level import (
     UnstablePlatform,
 )
 
-LOCAL = "local"
-EXT = "ext"
-
-
-@dataclass(frozen=True)
-class BButton:
-    cell: tuple[int, int]
-    ref: tuple[str, int]  # (LOCAL, blueprint door id) or (EXT, global door id)
-    action: str = OPEN
-
-
 @dataclass(frozen=True)
 class Assertion:
     """port-pair reachability, optionally conditioned on door bits
-    (blueprint-local ids)."""
+    (level door ids)."""
 
     from_port: str
     to_port: str
@@ -74,7 +64,7 @@ class GadgetBlueprint:
     doors: tuple[Door, ...] = ()
     platforms: tuple[UnstablePlatform, ...] = ()
     blocks: tuple[SpaceBlock, ...] = ()
-    buttons: tuple[BButton, ...] = ()
+    buttons: tuple[Button, ...] = ()
     ports: tuple[Port, ...] = ()
     contract: tuple[Assertion, ...] = ()
     notes: str = ""
@@ -92,13 +82,6 @@ class GadgetBlueprint:
         """The minimum variant the patch needs."""
         return PSPACE if any(b.action == CLOSE for b in self.buttons) else NP
 
-    def external_door_ids(self) -> list[int]:
-        seen = []
-        for b in self.buttons:
-            if b.ref[0] == EXT and b.ref[1] not in seen:
-                seen.append(b.ref[1])
-        return seen
-
 
 def _grid(width: int, height: int) -> list[list[str]]:
     return [["#"] * width for _ in range(height)]
@@ -113,27 +96,22 @@ def _from_art(art: list[str]) -> tuple[str, ...]:
     return tuple(art[::-1])
 
 
-def _lane(y: int, x: int, items, buttons: list[BButton]) -> dict[int, tuple[int, int]]:
+def _lane(y: int, x: int, items, buttons: list[Button]) -> dict[int, tuple[int, int]]:
     """Lay items left to right along row y from column x, one per cell.
-    A (door ref, action) pair is a forced button, appended to `buttons`;
-    a bare int is the cell of that local door.  Returns {door: cell}."""
+    A (door, action) pair is a forced button, appended to `buttons`; a
+    bare int is the cell of that door.  Returns {door: cell}."""
     doors = {}
     for cx, item in enumerate(items, start=x):
         if isinstance(item, int):
             doors[item] = (cx, y)
         else:
-            buttons.append(BButton((cx, y), *item))
+            buttons.append(Button((cx, y), *item))
     return doors
 
 
-def _ext(symbols) -> list:
-    """(global door, action) symbols as lane buttons."""
-    return [((EXT, d), a) for d, a in symbols]
-
-
 def _valve(d: int) -> list:
-    """The [+d][d][-d] valve of local door d, as lane items."""
-    return [((LOCAL, d), OPEN), d, ((LOCAL, d), CLOSE)]
+    """The [+d][d][-d] valve of door d, as lane items."""
+    return [(d, OPEN), d, (d, CLOSE)]
 
 
 def _doors(cells: dict[int, tuple[int, int]]) -> tuple[Door, ...]:
@@ -148,11 +126,13 @@ class StampError(LevelError):
 
 
 def stamp_into(builder: LevelBuilder, bp: GadgetBlueprint, origin: tuple[int, int],
-               door_offset: int = 0, prefix: str = "") -> None:
+               prefix: str = "") -> None:
     """Apply a blueprint patch to a builder. Every target cell must still
-    be solid (stamps may abut but never overlap carved content).
-    Platforms and space blocks are numbered in stamping order: a
-    blueprint's local ids follow those already in the builder."""
+    be solid (stamps may abut but never overlap carved content).  Door
+    ids are copied unchanged; a collision is left to the level's
+    `unique-door-id` rule.  Platforms and space blocks are numbered in
+    stamping order: a blueprint's ids follow those already in the
+    builder."""
     ox, oy = origin
     w, h = bp.width, bp.height
     if ox < 0 or oy < 0 or ox + w > builder.width or oy + h > builder.height:
@@ -162,19 +142,14 @@ def stamp_into(builder: LevelBuilder, bp: GadgetBlueprint, origin: tuple[int, in
         if EMPTY in cells:
             cell = (ox + cells.index(EMPTY), y)
             raise StampError(f"{bp.kind} at {origin} overlaps carved cell {cell}")
-    existing_doors = {e.id for e in builder.entities if isinstance(e, Door)}
-    plat_offset = sum(isinstance(e, UnstablePlatform) for e in builder.entities)
-    block_offset = sum(isinstance(e, SpaceBlock) for e in builder.entities)
-    for d in bp.doors:
-        if d.id + door_offset in existing_doors:
-            raise StampError(f"door id collision at offset {door_offset}")
+    plat_offset = builder.count[UnstablePlatform]
+    block_offset = builder.count[SpaceBlock]
     for y, row in enumerate(bp.rows, start=oy):
         for x, tile in enumerate(row, start=ox):
             if tile == EMPTY:
                 builder.carve(x, y)
     for d in bp.doors:
-        builder.add(Door(d.id + door_offset,
-                         tuple((ox + x, oy + y) for x, y in d.cells),
+        builder.add(Door(d.id, tuple((ox + x, oy + y) for x, y in d.cells),
                          d.initially_open))
     for p in bp.platforms:
         builder.add(UnstablePlatform(p.id + plat_offset,
@@ -184,25 +159,23 @@ def stamp_into(builder: LevelBuilder, bp: GadgetBlueprint, origin: tuple[int, in
         builder.add(SpaceBlock(blk.id + block_offset,
                                (ox + x0, oy + y0, ox + x1, oy + y1)))
     for b in bp.buttons:
-        door_id = b.ref[1] + door_offset if b.ref[0] == LOCAL else b.ref[1]
-        builder.add(Button((ox + b.cell[0], oy + b.cell[1]), door_id, b.action))
+        builder.add(Button((ox + b.cell[0], oy + b.cell[1]), b.door_id, b.action))
     for port in bp.ports:
         builder.add_port(prefix + port.name,
                          (ox + port.cell[0], oy + port.cell[1]), port.direction)
 
 
-def contract_level(bp: GadgetBlueprint) -> tuple[Level, int]:
+def contract_level(bp: GadgetBlueprint) -> Level:
     """Stamp a blueprint alone into an otherwise-solid level (1-cell
-    margin).  External door references get parked 1-cell doors in sealed
-    pockets above the patch so the level validates and their bits are
-    observable; local door ids are shifted past the external ones.
-    Returns (level, local_door_offset)."""
-    ext = bp.external_door_ids()
+    margin).  Every door a button names that the blueprint does not hold
+    gets a parked 1-cell door in a sealed pocket above the patch, so the
+    level validates and its bit is observable."""
+    own = {d.id for d in bp.doors}
+    ext = list(dict.fromkeys(b.door_id for b in bp.buttons if b.door_id not in own))
     extra_h = 3 if ext else 0
     width = max(bp.width + 2, 2 * len(ext) + 3)
     builder = LevelBuilder(width, bp.height + 2 + extra_h, bp.variant)
-    door_offset = max(ext) + 1 if ext else 0
-    stamp_into(builder, bp, (1, 1), door_offset=door_offset)
+    stamp_into(builder, bp, (1, 1))
     for i, door_id in enumerate(ext):
         cell = (1 + 2 * i, bp.height + 2)
         builder.carve(*cell)
@@ -211,7 +184,7 @@ def contract_level(bp: GadgetBlueprint) -> tuple[Level, int]:
     goal = bp.ports[-1].cell
     builder.add(Spawn((anchor[0] + 1, anchor[1] + 1)))
     builder.add(Flag((goal[0] + 1, goal[1] + 1)))
-    return builder.build(), door_offset
+    return builder.build()
 
 
 def check_contract(bp: GadgetBlueprint):
@@ -219,10 +192,9 @@ def check_contract(bp: GadgetBlueprint):
     Yields (assertion, passed) pairs."""
     from satplat.solver import reachable_ports
 
-    level, door_offset = contract_level(bp)
+    level = contract_level(bp)
     for a in bp.contract:
-        doors = {i + door_offset: v for i, v in a.doors}
-        reached = reachable_ports(level, a.from_port, doors)
+        reached = reachable_ports(level, a.from_port, dict(a.doors))
         passed = (a.to_port in reached) == a.reachable
         yield a, passed
 
@@ -274,15 +246,19 @@ def build_clause_gadget(clause_index: int) -> GadgetBlueprint:
     """Check corridor blocked by three stacked doors; passable iff at
     least one is open (walk through the bottom door, or jump into an open
     upper door and rest on the closed one beneath).  It is the
-    one-clause final passage with its own ports and an 8-mask contract."""
+    one-clause final passage with its own ports and an 8-mask contract.
+    Its doors are 3*clause_index + slot, the ids the plan's buttons name."""
+    first = 3 * clause_index
     combos = []
     for mask in range(8):
-        bits = tuple((s, bool((mask >> s) & 1)) for s in range(3))
+        bits = tuple((first + s, bool((mask >> s) & 1)) for s in range(3))
         combos.append(Assertion("check_in", "check_out", any(v for _, v in bits),
                                 doors=bits, note=f"door mask {mask:03b}"))
+    passage = build_final_passage(1)
     return replace(
-        build_final_passage(1),
+        passage,
         kind="clause",
+        doors=tuple(replace(d, id=first + d.id) for d in passage.doors),
         ports=(Port("check_in", (0, 1), "E"), Port("check_out", (6, 1), "E")),
         contract=tuple(combos),
         notes=f"clause {clause_index}: slot doors 0..2 bottom-up, OR semantics",
@@ -298,8 +274,8 @@ def build_tunnel(symbols=()) -> GadgetBlueprint:
     grid = _grid(w, 3)
     for x in range(0, w):
         grid[1][x] = "."
-    buttons: list[BButton] = []
-    _lane(1, 2, _ext(symbols), buttons)
+    buttons: list[Button] = []
+    _lane(1, 2, symbols, buttons)
     return GadgetBlueprint(
         kind="tunnel",
         rows=_freeze(grid),
@@ -364,7 +340,7 @@ def build_crossover() -> GadgetBlueprint:
 def build_final_passage(num_clauses: int) -> GadgetBlueprint:
     """The clause check walls composed in series along one corridor;
     passable end to end iff every clause has at least one open door.
-    Door local ids are 3*clause + slot."""
+    Door ids are 3*clause + slot."""
     k = num_clauses
     w = max(3, 4 * k + 3)
     grid = _grid(w, 5)
@@ -399,14 +375,16 @@ def build_final_passage(num_clauses: int) -> GadgetBlueprint:
     )
 
 
-def build_exists_gadget(var: int, true_symbols=(), false_symbols=()) -> GadgetBlueprint:
+def build_exists_gadget(var: int, first_door: int, true_symbols=(),
+                        false_symbols=()) -> GadgetBlueprint:
     """One-time (per forward entry) binary choice.
 
     Two lanes leave a junction: the ground lane commits the variable to
     true, the upper lane to false.  Each lane ends in a valve, so a lane
     can only be crossed forward and exactly one full symbol list is
     applied before the merged exit.  The return path is a plain corridor.
-    Symbol lists must put OPEN symbols before CLOSE symbols.
+    Symbol lists must put OPEN symbols before CLOSE symbols.  Its own
+    doors are first_door (true valve) and first_door + 1 (false valve).
     """
     s = max(len(true_symbols), len(false_symbols))
     me = 7 + s  # merge column
@@ -421,9 +399,9 @@ def build_exists_gadget(var: int, true_symbols=(), false_symbols=()) -> GadgetBl
         grid[y][1] = "."  # junction climb
         grid[y][me] = "."  # merge drop
 
-    buttons: list[BButton] = []
-    doors = _lane(1, 3, [*_ext(true_symbols), *_valve(0)], buttons)
-    doors |= _lane(4, 3, [*_ext(false_symbols), *_valve(1)], buttons)
+    buttons: list[Button] = []
+    doors = _lane(1, 3, [*true_symbols, *_valve(first_door)], buttons)
+    doors |= _lane(4, 3, [*false_symbols, *_valve(first_door + 1)], buttons)
 
     return GadgetBlueprint(
         kind="exists",
@@ -447,7 +425,8 @@ def build_exists_gadget(var: int, true_symbols=(), false_symbols=()) -> GadgetBl
     )
 
 
-def build_forall_gadget(var: int, true_symbols=(), false_symbols=()) -> GadgetBlueprint:
+def build_forall_gadget(var: int, first_door: int, true_symbols=(),
+                        false_symbols=()) -> GadgetBlueprint:
     """Forced two-pass quantifier.
 
     Forward pass: a tunnel applies the true configuration, closes the
@@ -460,8 +439,8 @@ def build_forall_gadget(var: int, true_symbols=(), false_symbols=()) -> GadgetBl
     now-open FX gate (re-closing it behind: the gadget is reset) and
     continues outward.
 
-    Local doors: 0 forward valve, 1 FT (flip gate), 2 FX (exhaust gate),
-    3 flip valve.
+    Own doors, from first_door: +0 forward valve, +1 FT (flip gate),
+    +2 FX (exhaust gate), +3 flip valve.
     """
     s_t, s_f = len(true_symbols), len(false_symbols)
     fc = 5  # pit column in the return corridor
@@ -479,16 +458,16 @@ def build_forall_gadget(var: int, true_symbols=(), false_symbols=()) -> GadgetBl
     grid[6][fc] = "."  # pit climb shaft
     grid[7][fc] = "."
 
-    open_ft, close_ft = ((LOCAL, 1), OPEN), ((LOCAL, 1), CLOSE)
-    open_fx, close_fx = ((LOCAL, 2), OPEN), ((LOCAL, 2), CLOSE)
-    buttons: list[BButton] = []
+    ft, fx = first_door + 1, first_door + 2
+    buttons: list[Button] = []
     # forward tunnel: [true symbols, -FX, +FT, +V, V, -V]
-    doors = _lane(1, 2, [*_ext(true_symbols), close_fx, open_ft, *_valve(0)], buttons)
+    doors = _lane(1, 2, [*true_symbols, (fx, CLOSE), (ft, OPEN), *_valve(first_door)],
+                  buttons)
     # flip tunnel: [FT gate, false symbols, -FT, +FX, +V, V, -V] then the drop
-    doors |= _lane(5, fc + 1, [1, *_ext(false_symbols), close_ft, open_fx, *_valve(3)],
-                   buttons)
+    doors |= _lane(5, fc + 1, [ft, *false_symbols, (ft, CLOSE), (fx, OPEN),
+                               *_valve(first_door + 3)], buttons)
     # return corridor: [ret_out ... -FX, FX gate ... pit ... ret_in]
-    doors |= _lane(8, 2, [close_fx, 2], buttons)
+    doors |= _lane(8, 2, [(fx, CLOSE), fx], buttons)
 
     return GadgetBlueprint(
         kind="forall",
@@ -506,11 +485,11 @@ def build_forall_gadget(var: int, true_symbols=(), false_symbols=()) -> GadgetBl
             Assertion("q_in", "q_out", True, note="fresh forward pass"),
             Assertion("ret_in", "ret_out", False, note="fresh: both gates closed"),
             Assertion("ret_in", "reroute_out", False, note="fresh: flip gate closed"),
-            Assertion("ret_in", "reroute_out", True, doors=((1, True),),
+            Assertion("ret_in", "reroute_out", True, doors=((ft, True),),
                       note="flip gate open: forced through the flip tunnel"),
-            Assertion("ret_in", "ret_out", False, doors=((1, True),),
+            Assertion("ret_in", "ret_out", False, doors=((ft, True),),
                       note="flip gate open: cannot skip the flip"),
-            Assertion("ret_in", "ret_out", True, doors=((2, True),),
+            Assertion("ret_in", "ret_out", True, doors=((fx, True),),
                       note="exhaust gate open: pass through outward"),
             Assertion("q_in", "ret_out", False, note="bands are isolated"),
         ),
@@ -557,8 +536,9 @@ ALL_GADGET_BUILDERS = {
     "tunnel": lambda: build_tunnel(((0, OPEN), (1, OPEN))),
     "crossover": build_crossover,
     "final_passage": lambda: build_final_passage(2),
-    "exists": lambda: build_exists_gadget(1, ((0, OPEN),), ((0, CLOSE),)),
-    "forall": lambda: build_forall_gadget(1, ((0, OPEN),), ((0, CLOSE),)),
+    # own doors from 0; the symbols drive door 4, above them
+    "exists": lambda: build_exists_gadget(1, 0, ((4, OPEN),), ((4, CLOSE),)),
+    "forall": lambda: build_forall_gadget(1, 0, ((4, OPEN),), ((4, CLOSE),)),
     "elevator": build_elevator,
 }
 

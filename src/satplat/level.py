@@ -8,6 +8,7 @@ text document and the ASCII renderer both show the top row first.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 Cell = tuple[int, int]
@@ -204,6 +205,11 @@ def validate_level(level: Level) -> list[Violation]:
 
     if level.variant not in (NP, PSPACE):
         bad("variant", level.variant, "variant must be NP or PSPACE")
+    # No jump rises past the grid, and the move table built before the
+    # search grows with the square of the jump rise.
+    if level.physics.jump_rise > level.height:
+        bad("physics-range", "physics",
+            f"jump rise {level.physics.jump_rise} exceeds the grid height {level.height}")
 
     seen_cells: dict[Cell, str] = {}
     door_ids: set[int] = set()
@@ -461,7 +467,8 @@ def render_ascii(level: Level, state=None) -> str:
 
 class LevelBuilder:
     """Mutable construction buffer used by the gadget stamper and the
-    compiler; starts all-solid and is carved empty cell by cell."""
+    compiler; starts all-solid and is carved empty cell by cell.  `count`
+    holds the number of entities added per entity type."""
 
     def __init__(self, width: int, height: int, variant: str = NP):
         self.width = width
@@ -469,6 +476,7 @@ class LevelBuilder:
         self.variant = variant
         self.grid = [[SOLID] * width for _ in range(height)]
         self.entities: list[Entity] = []
+        self.count: Counter[type] = Counter()
         self.ports: list[Port] = []
 
     def carve(self, x: int, y: int):
@@ -478,11 +486,12 @@ class LevelBuilder:
 
     def add(self, entity: Entity):
         self.entities.append(entity)
+        self.count[type(entity)] += 1
 
     def add_port(self, name: str, cell: Cell, direction: str):
         self.ports.append(Port(name, cell, direction))
 
-    def build(self, validate: bool = True) -> Level:
+    def build(self) -> Level:
         level = Level(
             width=self.width,
             height=self.height,
@@ -492,10 +501,7 @@ class LevelBuilder:
             # canonical port order, so load(save(level)) == level
             ports=tuple(sorted(self.ports, key=lambda p: p.name)),
         )
-        if validate:
-            violations = validate_level(level)
-            if violations:
-                raise LevelError(
-                    "built an invalid level: " + "; ".join(str(v) for v in violations)
-                )
+        violations = validate_level(level)
+        if violations:
+            raise LevelError("built an invalid level: " + "; ".join(str(v) for v in violations))
         return level

@@ -230,7 +230,7 @@ def solve(level: Level, max_states: int = DEFAULT_MAX_STATES,
     """Decide solvability; Solvable carries the unique shortest witness
     trace under the canonical move order.  Negative limits raise
     ValueError."""
-    if max_states < 0 or (max_time is not None and max_time < 0):
+    if max_states < 0 or (max_time is not None and not max_time >= 0):  # NaN too
         raise ValueError(f"search limits must be non-negative, got "
                          f"max_states={max_states}, max_time={max_time}")
     ctx = sim_context(level)

@@ -84,14 +84,34 @@ class CorpusSpec:
 
 @dataclass
 class CorpusSummary:
+    """A corpus run: its reports, and the counts derived from them."""
+
     spec: CorpusSpec
-    items: int = 0
-    agreements: int = 0
-    limit_hits: int = 0
-    disagreements: list[EquivalenceReport] = field(default_factory=list)
     reports: list[EquivalenceReport] = field(default_factory=list)
-    worst_states: int = 0
-    total_elapsed: float = 0.0
+
+    @property
+    def items(self) -> int:
+        return len(self.reports)
+
+    @property
+    def agreements(self) -> int:
+        return sum(r.agree for r in self.reports)
+
+    @property
+    def limit_hits(self) -> int:
+        return sum(r.level_verdict == LIMIT for r in self.reports)
+
+    @property
+    def disagreements(self) -> list[EquivalenceReport]:
+        return [r for r in self.reports if not r.agree]
+
+    @property
+    def worst_states(self) -> int:
+        return max((r.stats.states_visited for r in self.reports), default=0)
+
+    @property
+    def total_elapsed(self) -> float:
+        return sum(r.stats.elapsed for r in self.reports)
 
     @property
     def all_agree(self) -> bool:
@@ -204,24 +224,10 @@ def run_items(items: list[str], spec: CorpusSpec, jobs: int = 1) -> CorpusSummar
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     runner = _run_np_item if spec.variant == NP else _run_pspace_item
-    summary = CorpusSummary(spec)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(runner, items, chunksize=8))
-    else:
-        reports = [runner(t) for t in items]
-    summary.reports = reports
-    for report in reports:
-        summary.items += 1
-        if report.level_verdict == LIMIT:
-            summary.limit_hits += 1
-        if report.agree:
-            summary.agreements += 1
-        else:
-            summary.disagreements.append(report)
-        summary.worst_states = max(summary.worst_states, report.stats.states_visited)
-        summary.total_elapsed += report.stats.elapsed
-    return summary
+            return CorpusSummary(spec, list(pool.map(runner, items, chunksize=8)))
+    return CorpusSummary(spec, [runner(t) for t in items])
 
 
 def run_corpus(spec: CorpusSpec, jobs: int = 1,

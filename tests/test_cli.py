@@ -169,6 +169,15 @@ class TestErrorPaths:
         code, out, err = run(capsys, "solve", level)
         assert code == 2 and out == "" and err.startswith("error:") and "bit-id-range" in err
 
+    def test_huge_jump_rise_exits_two(self, tmp_path, sample_cnf, capsys):
+        level = tmp_path / "s.level"
+        run(capsys, "compile", sample_cnf, "-o", level)
+        doc = json.loads(level.read_text())
+        doc["physics"]["J"] = 1000000
+        level.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", level)
+        assert code == 2 and out == "" and err.startswith("error:") and "physics-range" in err
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--random", "--count", "-1"),
         ("verify", "--random", "--count", "0"),
@@ -191,11 +200,15 @@ class TestErrorPaths:
         code, _, err = run(capsys, "replay", level, trace)
         assert code == 2 and "bad move text" in err
 
-    @pytest.mark.parametrize("flag", ["--max-states", "--max-time"])
-    def test_negative_search_limit_exits_two(self, tmp_path, sample_cnf, capsys, flag):
+    @pytest.mark.parametrize("flag, value", [
+        pytest.param("--max-states", "-1", id="--max-states"),
+        pytest.param("--max-time", "-1", id="--max-time"),
+        pytest.param("--max-time", "nan", id="--max-time-nan"),
+    ])
+    def test_negative_search_limit_exits_two(self, tmp_path, sample_cnf, capsys, flag, value):
         level = tmp_path / "s.level"
         run(capsys, "compile", sample_cnf, "-o", level)
-        code, out, err = run(capsys, "solve", level, flag, "-1")
+        code, out, err = run(capsys, "solve", level, flag, value)
         assert code == 2 and out == "" and err.startswith("error:")
 
     def test_top_flag_compile(self, tmp_path, sample_cnf, capsys):

@@ -16,7 +16,7 @@ from satplat.gadgets import (
     contract_level,
     stamp_into,
 )
-from satplat.level import CLOSE, NP, OPEN, PSPACE, Flag, LevelBuilder, Spawn
+from satplat.level import CLOSE, NP, OPEN, PSPACE, Flag, LevelBuilder, LevelError, Spawn
 from satplat.sim import BLOCKED, Death, GameState, dash, jump, step
 from satplat.solver import DEFAULT_MAX_STATES, reachable_ports, reachable_positions, solve_between
 
@@ -40,7 +40,7 @@ class TestVariableGadget:
         # walk in, break the true-side platform, fall through: the
         # reformed platform now blocks the way back up
         bp = build_variable_gadget(1)
-        level, _ = contract_level(bp)
+        level = contract_level(bp)
         entry = probe_state(level, "entry")
         leg = solve_between(level, entry, level.port("exit_true").cell)
         assert leg is not None
@@ -51,7 +51,7 @@ class TestVariableGadget:
 
     def test_both_exits_reachable_fresh(self):
         bp = build_variable_gadget(1)
-        level, _ = contract_level(bp)
+        level = contract_level(bp)
         reached = reachable_ports(level, "entry")
         assert {"exit_true", "exit_false"} <= reached
 
@@ -59,9 +59,9 @@ class TestVariableGadget:
 class TestClauseGadget:
     @pytest.mark.parametrize("mask", range(8))
     def test_or_semantics(self, mask):
-        bp = build_clause_gadget(0)
-        level, off = contract_level(bp)
-        doors = {off + s: bool((mask >> s) & 1) for s in range(3)}
+        bp = build_clause_gadget(2)
+        level = contract_level(bp)
+        doors = {6 + s: bool((mask >> s) & 1) for s in range(3)}
         reached = reachable_ports(level, "check_in", doors)
         assert ("check_out" in reached) == (mask != 0)
 
@@ -70,7 +70,7 @@ class TestTunnel:
     def test_traversal_presses_every_button(self):
         bp = build_tunnel(((4, OPEN), (9, OPEN)))
         assert bp.variant == NP
-        level, _ = contract_level(bp)
+        level = contract_level(bp)
         start = probe_state(level, "tunnel_in")
         leg = solve_between(level, start, level.port("tunnel_out").cell)
         assert leg is not None
@@ -80,12 +80,12 @@ class TestTunnel:
     def test_no_occurrences_is_a_plain_corridor(self):
         bp = build_tunnel(())
         assert not bp.buttons
-        level, _ = contract_level(bp)
+        level = contract_level(bp)
         assert "tunnel_out" in reachable_ports(level, "tunnel_in")
 
     def test_empty_symbols_plain_corridor(self):
         # the crossing of an empty tunnel leaves every door as it was
-        level, _ = contract_level(build_tunnel(()))
+        level = contract_level(build_tunnel(()))
         start = probe_state(level, "tunnel_in")
         leg = solve_between(level, start, level.port("tunnel_out").cell)
         assert leg is not None
@@ -95,7 +95,7 @@ class TestTunnel:
     def test_symbols_apply_in_order(self):
         bp = build_tunnel(((7, OPEN), (7, CLOSE)))
         assert bp.variant == PSPACE
-        level, _ = contract_level(bp)
+        level = contract_level(bp)
         leg = solve_between(level, probe_state(level, "tunnel_in"),
                             level.port("tunnel_out").cell)
         _, state = leg
@@ -103,7 +103,7 @@ class TestTunnel:
 
     def test_reversed_symbols_leave_door_open(self):
         bp = build_tunnel(((7, CLOSE), (7, OPEN)))
-        level, _ = contract_level(bp)
+        level = contract_level(bp)
         leg = solve_between(level, probe_state(level, "tunnel_in"),
                             level.port("tunnel_out").cell)
         _, state = leg
@@ -113,7 +113,7 @@ class TestTunnel:
 class TestCrossover:
     def test_dash_off_the_safe_line_dies(self):
         bp = build_crossover()
-        level, _ = contract_level(bp)
+        level = contract_level(bp)
         # drop onto the horizontal block from the top corridor
         state = probe_state(level, "B1")
         leg = solve_between(level, state, (6, 7))  # the block-top rest cell
@@ -127,7 +127,7 @@ class TestCrossover:
 
     def test_all_port_pairs(self):
         bp = build_crossover()
-        level, _ = contract_level(bp)
+        level = contract_level(bp)
         assert reachable_ports(level, "A1") >= {"A1", "A2"}
         assert reachable_ports(level, "A1").isdisjoint({"B1", "B2"})
         assert reachable_ports(level, "B2") >= {"B1", "B2"}
@@ -136,12 +136,13 @@ class TestCrossover:
 
 class TestExistsGadget:
     def build(self):
-        # variable drives doors 0 (true-open) and 1 (false-open)
-        bp = build_exists_gadget(1, ((0, OPEN), (1, CLOSE)), ((1, OPEN), (0, CLOSE)))
+        # variable drives doors 0 (true-open) and 1 (false-open); the
+        # gadget's own valves are doors 2 and 3
+        bp = build_exists_gadget(1, 2, ((0, OPEN), (1, CLOSE)), ((1, OPEN), (0, CLOSE)))
         return contract_level(bp)
 
     def test_both_branches_open_fresh(self):
-        level, _ = self.build()
+        level = self.build()
         positions = reachable_positions(level, probe_state(level, "q_in"))
         ground_lane_entry = (3, 2)
         upper_lane_entry = (3, 5)
@@ -149,7 +150,7 @@ class TestExistsGadget:
         assert upper_lane_entry in positions
 
     def test_commit_true_seals_false_branch_and_reentry(self):
-        level, off = self.build()
+        level = self.build()
         # drive the player through the ground (true) lane explicitly
         s = probe_state(level, "q_in")
         leg = solve_between(level, s, (9, 2))  # the true lane's exit stub
@@ -172,7 +173,7 @@ class TestExistsGadget:
         from satplat.sim import sim_context
         from satplat.solver import _search
 
-        level, off = self.build()
+        level = self.build()
         ctx = sim_context(level)
         s = probe_state(level, "q_in")
         _, parents, _, _, keys = _search(ctx, s, None, DEFAULT_MAX_STATES, None)
@@ -185,12 +186,12 @@ class TestExistsGadget:
 
 class TestForallGadget:
     def build(self):
-        bp = build_forall_gadget(1, ((0, OPEN), (1, CLOSE)), ((1, OPEN), (0, CLOSE)))
+        bp = build_forall_gadget(1, 2, ((0, OPEN), (1, CLOSE)), ((1, OPEN), (0, CLOSE)))
         return contract_level(bp)
 
     def test_full_protocol(self):
-        level, off = self.build()
-        vf, ft, fx = off, off + 1, off + 2
+        level = self.build()
+        ft, fx = 3, 4  # the gadget's own doors start at 2
         # forward pass: true configuration, flip gate armed
         leg = solve_between(level, probe_state(level, "q_in"), level.port("q_out").cell)
         assert leg is not None
@@ -248,19 +249,24 @@ class TestStamp:
 
     def test_door_id_collision_rejected(self):
         builder = LevelBuilder(30, 15)
-        stamp_into(builder, build_clause_gadget(0), (1, 1))
-        with pytest.raises(StampError, match="collision"):
-            stamp_into(builder, build_clause_gadget(1), (12, 1), door_offset=2)
+        stamp_into(builder, build_clause_gadget(1), (1, 1))
+        stamp_into(builder, build_clause_gadget(1), (12, 1))
+        builder.carve(13, 12)
+        builder.carve(14, 12)
+        builder.add(Spawn((13, 12)))
+        builder.add(Flag((14, 12)))
+        with pytest.raises(LevelError, match="unique-door-id"):
+            builder.build()
 
-    def test_pure_stamp_applies_offsets(self):
+    def test_stamp_keeps_the_blueprint_door_ids(self):
         builder = LevelBuilder(12, 10)
         builder.add(Spawn((5, 8)))
         builder.add(Flag((6, 8)))
         builder.carve(5, 8)
         builder.carve(6, 8)
-        stamp_into(builder, build_clause_gadget(0), (1, 1), door_offset=10)
+        stamp_into(builder, build_clause_gadget(3), (1, 1))
         level = builder.build()
-        assert sorted(d.id for d in level.doors) == [10, 11, 12]
+        assert sorted(d.id for d in level.doors) == [9, 10, 11]
         assert {p.name for p in level.ports} == {"check_in", "check_out"}
 
     def test_contract_translation_invariance(self):
@@ -285,8 +291,8 @@ def _sized_blueprints():
     for m in range(len(symbols) + 1):
         yield f"tunnel-open-{m}", build_tunnel([(d, OPEN) for d, _ in symbols[:m]])
         yield f"tunnel-mixed-{m}", build_tunnel(symbols[:m])
-        yield f"exists-{m}", build_exists_gadget(1, symbols[:m], symbols[m:])
-        yield f"forall-{m}", build_forall_gadget(1, symbols[m:], symbols[:m])
+        yield f"exists-{m}", build_exists_gadget(1, 5, symbols[:m], symbols[m:])
+        yield f"forall-{m}", build_forall_gadget(1, 5, symbols[m:], symbols[:m])
     for k in range(5):
         yield f"final_passage-{k}", build_final_passage(k)
     for lift in range(4, 11):
@@ -301,11 +307,21 @@ def test_size_and_variant_are_those_of_the_patch(bp):
     assert (bp.variant == PSPACE) == closes
     # stamped, the patch's own entities become the level's, and the
     # level validates under exactly that variant
-    level, _ = contract_level(bp)
+    level = contract_level(bp)
     assert level.variant == bp.variant
-    assert len(level.doors) == len(bp.doors) + len(bp.external_door_ids())
+    named = {b.door_id for b in bp.buttons} | {d.id for d in bp.doors}
+    assert sorted(d.id for d in level.doors) == sorted(named)
     assert len(level.platforms) == len(bp.platforms)
     assert any(b.action == CLOSE for b in level.buttons) == closes
+
+
+@pytest.mark.parametrize("first_door", [2, 9])
+@pytest.mark.parametrize("build", [build_exists_gadget, build_forall_gadget])
+def test_quantifier_contract_holds_at_any_first_door(build, first_door):
+    bp = build(1, first_door, ((0, OPEN), (1, CLOSE)), ((1, OPEN), (0, CLOSE)))
+    assert min(d.id for d in bp.doors) == first_door
+    failed = [a for a, ok in check_contract(bp) if not ok]
+    assert not failed, failed
 
 
 def test_catalog_lists_every_kind():

@@ -190,6 +190,12 @@ class TestValidation:
         with pytest.raises(LevelError, match="bit-id-range"):
             load_level(json.dumps(doc))
 
+    def test_jump_rise_above_the_grid_rejected(self, sample_formula):
+        doc = json.loads(save_level(compile_3sat(sample_formula)))
+        doc["physics"]["J"] = doc["height"] + 1
+        with pytest.raises(LevelError, match="physics-range"):
+            load_level(json.dumps(doc))
+
     def test_bad_physics_rejected(self):
         with pytest.raises(LevelError):
             PhysicsParams(0, 4, 2)
