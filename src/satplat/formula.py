@@ -189,10 +189,14 @@ def gen_random_3cnf(n: int, k: int, seed: int) -> CnfFormula:
 
 
 def _tokenize(text: str):
-    """Yield (token, line_number) pairs, skipping comment lines."""
+    """Yield (token, line_number) pairs, skipping comment lines.  A line
+    starting with `%` ends the input: SATLIB's uf/uuf files end in `%`
+    and then `0`."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            return
+        if not line or line.startswith("c"):
             continue
         for tok in line.split():
             yield tok, lineno

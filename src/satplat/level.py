@@ -275,6 +275,11 @@ def validate_level(level: Level) -> list[Violation]:
             if ent.action == CLOSE and level.variant != PSPACE:
                 bad("close-button-variant", name, "CLOSE button in NP variant")
 
+    for port in level.ports:
+        x, y = port.cell
+        if not (0 <= x < level.width and 0 <= y < level.height) or level.tile(x, y) != EMPTY:
+            bad("port-cell", f"port {port.name}", f"cell {port.cell} is not an EMPTY tile in the grid")
+
     if spawns != 1:
         bad("spawn-count", "level", f"exactly one Spawn required, found {spawns}")
     if flags != 1:

@@ -37,22 +37,23 @@ or jump path; a solid cell or the edge first on a dash) gets none.
 - A landing is where a player let go in a cell comes to rest, the
   support there, and the mask of the platforms within reform distance,
   so reform is one `&`.
-One function, `_apply`, applies a record to `(has_dash, doors, plats)`;
-`step`, `legal_moves`, `replay` and the solver all call it; `replay`
-and `replay_states` share one loop over it.  `canonical_moves` is the
-one move table: a record names its move by its index there
-(`SimContext.index`), and a `Move` not in it, such as a WALK with a
-rise, is refused (`step` raises ValueError, a replay stops).
+One function, `_apply`, applies a record to `(has_dash, doors, plats)`
+and returns the fields of the next `GameState`; `step`, `legal_moves`,
+`replay` and the solver all call it, and `replay` and `replay_states`
+share one loop over it.  `canonical_moves` is the one move table: a
+record names its move by its index there (`SimContext.index`), and a
+`Move` not in it, such as a WALK with a rise, is refused (`step` raises
+ValueError, a replay stops).
 
 `SimContext.trail` is the first trace `replay` found winning on the
-level, with the core state `(cell, has_dash, doors, plats)` before each
-of its moves and after the last.  A replay takes the trail's state at
-the end of the longest prefix its trace shares with the trail (moves
-compared with `==`, as `SimContext.index` compares them) and runs the
-loop over the rest of the trace only.  The core is deterministic and
-the trail's states are its own earlier outcomes, so the result is the
-same as a replay from the start: a mutant of the witness replays only
-the moves from its mutation on.
+level, with the state before each of its moves and after the last.  A
+replay takes the trail's state at the end of the longest prefix its
+trace shares with the trail (moves compared with `==`, as
+`SimContext.index` compares them) and runs the loop over the rest of
+the trace only.  The core is deterministic and the trail's states are
+its own earlier outcomes, so the result is the same as a replay from the
+start: a mutant of the witness replays only the moves from its mutation
+on.
 
 `SimContext.read_bits` gives the door and platform bits a cell's
 records read.  A record's outcome depends on no other bit, and it
@@ -197,7 +198,7 @@ class _Dash(NamedTuple):
     transit: object
 
 
-# A landing is `(cell, support, bit, keep, below)`: the cell a falling
+# A landing is `(x, y, support, bit, keep, below)`: the cell a falling
 # player comes to rest in; the code of the cell below it (solid at the
 # bottom edge) and, for a door or platform, its bit; the mask that clears
 # every platform out of reform distance of the cell; and, for a door or
@@ -211,9 +212,9 @@ class SimContext:
     cell and kept for the level.
 
     `trail` is None until `replay` first finds a trace winning on the
-    level, then `(moves, states)`: that trace as a tuple, and the core
-    state before each of its moves and after the last.  A losing replay
-    never sets it, and once set it is never replaced.
+    level, then `(moves, states)`: that trace as a tuple, and the state
+    before each of its moves and after the last.  A losing replay never
+    sets it, and once set it is never replaced.
 
     The tables and the trail hold no reference back to the context, so a
     context that `sim_context` drops is freed at once, not at the next
@@ -346,13 +347,14 @@ class SimContext:
                 cell -= w
             landing = self._landings.get(cell)
             if landing is None:
+                y, x = divmod(cell, w)
                 support = code[cell - w] if cell >= w else _SOLID
                 keep = self._near.get(cell, 0) | ~self._every
                 if support == _DOOR or support == _PLAT:
-                    landing = (cell, support, 1 << self.eid[cell - w], keep,
+                    landing = (x, y, support, 1 << self.eid[cell - w], keep,
                                self._landing(cell - w))
                 else:
-                    landing = (cell, support, 0, keep, None)
+                    landing = (x, y, support, 0, keep, None)
                 self._landings[cell] = landing
             self._landings[start] = landing
         return landing
@@ -395,7 +397,7 @@ def _read_bits(recs) -> tuple[int, int]:
         falls.append(rec.fall)
     for fall in falls:
         while fall is not None:
-            _, support, bit, _, fall = fall
+            _, _, support, bit, _, fall = fall
             if support == _DOOR:
                 doors |= bit
             elif support == _PLAT:
@@ -446,8 +448,8 @@ def initial_state(level: Level) -> GameState:
 
 def _apply(rec, has_dash: int, doors: int, plats: int):
     """The transition core: apply one move record to the bits of a state
-    in the record's cell.  Returns `(cell, has_dash, doors, plats)` of
-    the next state, `BLOCKED` or `DEATH`.
+    in the record's cell.  Returns the fields of the next `GameState`
+    as a tuple, `BLOCKED` or `DEATH`.
 
     Order: path legality, button triggering, space-block transit,
     gravity, platform breaking, platform reform, dash accounting."""
@@ -490,7 +492,7 @@ def _apply(rec, has_dash: int, doors: int, plats: int):
             return BLOCKED
         doors = fired
     while True:
-        cell, support, bit, keep, below = fall
+        x, y, support, bit, keep, below = fall
         if support == _DOOR:
             if doors & bit:
                 fall = below
@@ -503,7 +505,7 @@ def _apply(rec, has_dash: int, doors: int, plats: int):
             has_dash = 1
         elif support == _SOLID:
             has_dash = 1
-        return cell, has_dash, doors, plats & keep
+        return x, y, has_dash, doors, plats & keep
 
 
 def _record(ctx: SimContext, cell: int, move: Move):
@@ -519,9 +521,14 @@ def _record(ctx: SimContext, cell: int, move: Move):
 
 
 def _cell(ctx: SimContext, state: GameState) -> int:
-    x, y = state.x, state.y
+    """The cell index of a state passed in from outside; ValueError
+    unless it is on the level, with a dash of 0 or 1 and no negative
+    bits.  The one check on such a state."""
+    x, y, has_dash, doors, plats = state
     if not (0 <= x < ctx.width and 0 <= y < ctx.height):
         raise ValueError(f"position {(x, y)} is off the level")
+    if has_dash not in (0, 1) or doors < 0 or plats < 0:
+        raise ValueError(f"bad state {state}: has_dash must be 0 or 1, bits non-negative")
     return y * ctx.width + x
 
 
@@ -532,11 +539,7 @@ def step(level: Level, state: GameState, move: Move) -> StepOutcome:
     if rec is None:
         return BLOCKED
     out = _apply(rec, state.has_dash, state.door_open, state.platform_broken)
-    if out is BLOCKED or out is DEATH:
-        return out
-    cell, has_dash, doors, plats = out
-    y, x = divmod(cell, ctx.width)
-    return GameState(x, y, has_dash, doors, plats)
+    return out if out is BLOCKED or out is DEATH else GameState._make(out)
 
 
 def legal_moves(level: Level, state: GameState) -> list[Move]:
@@ -552,33 +555,31 @@ def legal_moves(level: Level, state: GameState) -> list[Move]:
     return out
 
 
-def _outcomes(ctx: SimContext, core, trace: tuple, start: int):
-    """The one replay loop: the core's outcome `(cell, has_dash, doors,
-    plats)` of each move of `trace[start:]` in turn, from the core state
-    `core` that move `start` applies to.  It stops after the first
-    outcome that is `BLOCKED` or `DEATH`; a move that is not canonical is
-    `BLOCKED` here."""
-    cell, has_dash, doors, plats = core
+def _outcomes(ctx: SimContext, state, trace: tuple, start: int):
+    """The one replay loop: the core's outcome of each move of
+    `trace[start:]` in turn, from the state that move `start` applies to.
+    It stops after the first outcome that is `BLOCKED` or `DEATH`; a move
+    that is not canonical is `BLOCKED` here."""
+    x, y, has_dash, doors, plats = state
     for move in trace[start:]:
         try:
-            rec = _record(ctx, cell, move)
+            rec = _record(ctx, y * ctx.width + x, move)
         except ValueError:
             rec = None
         out = BLOCKED if rec is None else _apply(rec, has_dash, doors, plats)
         yield out
         if out is BLOCKED or out is DEATH:
             return
-        cell, has_dash, doors, plats = out
+        x, y, has_dash, doors, plats = out
 
 
-def _resume(ctx: SimContext, trail, level: Level, trace: tuple):
+def _resume(trail, level: Level, trace: tuple):
     """`(k, states)`: `trace` shares its first k moves with the trail,
-    and `states[:k + 1]` are the core states before each of them and
-    after the last.  Without a trail, k is 0 and `states` is the start
-    state alone."""
+    and `states[:k + 1]` are the states before each of them and after
+    the last.  Without a trail, k is 0 and `states` is the start state
+    alone."""
     if trail is None:
-        start = initial_state(level)
-        return 0, ((_cell(ctx, start), *start[2:]),)
+        return 0, (initial_state(level),)
     moves, states = trail
     k = 0
     for move, mine in zip(moves, trace):
@@ -596,13 +597,12 @@ def replay(level: Level, trace) -> bool:
     ctx = sim_context(level)
     trace = tuple(trace)
     trail = ctx.trail
-    k, states = _resume(ctx, trail, level, trace)
+    k, states = _resume(trail, level, trace)
     outs = list(_outcomes(ctx, states[k], trace, k))
     end = outs[-1] if outs else states[k]
     if end is BLOCKED or end is DEATH:
         return False
-    fx, fy = ctx.flag
-    if end[0] != fy * ctx.width + fx:
+    if end[:2] != ctx.flag:
         return False
     if trail is None:
         ctx.trail = (trace, (*states, *outs))
@@ -616,10 +616,8 @@ def replay_states(level: Level, trace):
     trail's.  Library helper for tests and tooling."""
     ctx = sim_context(level)
     trace = tuple(trace)
-    k, states = _resume(ctx, ctx.trail, level, trace)
+    k, states = _resume(ctx.trail, level, trace)
     for out in chain(states[:k + 1], _outcomes(ctx, states[k], trace, k)):
         if out is BLOCKED or out is DEATH:
             return
-        cell, has_dash, doors, plats = out
-        y, x = divmod(cell, ctx.width)
-        yield GameState(x, y, has_dash, doors, plats)
+        yield GameState._make(out)

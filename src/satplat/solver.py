@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from satplat.level import Level
-from satplat.sim import BLOCKED, DEATH, GameState, Move, _apply, initial_state, sim_context
+from satplat.sim import BLOCKED, DEATH, GameState, Move, _apply, _cell, initial_state, sim_context
 
 DEFAULT_MAX_STATES = 5_000_000
 
@@ -116,7 +116,7 @@ class _Keys(NamedTuple):
         Platform bits above `ctx.plat_bits` are kept.  Masks that map a
         key to itself or to an earlier record's successor are left out:
         the search would find that successor visited already."""
-        _, dash, doors, plats, top, _ = self
+        w, dash, doors, plats, top, _ = self
         door_mask = (1 << plats - doors) - 1
         plat_mask = (1 << ctx.plat_bits) - 1
         has_dash = sig >> dash & 1
@@ -131,8 +131,8 @@ class _Keys(NamedTuple):
             if lo is BLOCKED or lo is DEATH:
                 continue
             hi = _apply(rec, has_dash, hi_doors, hi_plats)
-            lo_key = lo[0] | lo[1] << dash | lo[2] << doors | lo[3] << plats
-            hi_key = hi[0] | hi[1] << dash | hi[2] << doors | hi[3] << plats
+            lo_key = lo[1] * w + lo[0] | lo[2] << dash | lo[3] << doors | lo[4] << plats
+            hi_key = hi[1] * w + hi[0] | hi[2] << dash | hi[3] << doors | hi[4] << plats
             masks = (hi_key & ~lo_key | unowned, lo_key)
             if masks not in seen:
                 seen.add(masks)
@@ -154,9 +154,9 @@ class _Keys(NamedTuple):
 def _search(ctx, start, goal_cell, max_states, max_time):
     """BFS core.  Returns (goal_key, parents, stats, limited, keys).
 
-    `start` is a GameState; `goal_cell` of None means exhaust the space
-    (used for reachability queries).  A start on the goal cell is the
-    goal, found with nothing expanded.  `keys.state` turns a key of
+    `start` is a GameState, checked by `sim._cell`; `goal_cell` of None
+    means exhaust the space (used for reachability queries).  A start on
+    the goal cell is the goal, found with nothing expanded.  `keys.state` turns a key of
     `parents` back into a GameState.  With `max_time`, the clock is read
     after the first expansion and after every `check_every` more.
 
@@ -169,6 +169,7 @@ def _search(ctx, start, goal_cell, max_states, max_time):
     this call only.
     """
     t0 = time.perf_counter()
+    _cell(ctx, start)
     keys = _Keys.of(ctx, start)
     w, move_bits = keys.width, keys.move_bits
     cell_mask = (1 << keys.dash) - 1

@@ -75,6 +75,9 @@ class CorpusSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.mode not in ("EXHAUSTIVE", "RANDOM") or self.variant not in (NP, PSPACE):
+            raise ValueError(f"corpus mode must be EXHAUSTIVE or RANDOM and variant NP or "
+                             f"PSPACE, got mode={self.mode!r}, variant={self.variant!r}")
         if self.mode == "RANDOM" and self.count < 1:
             raise ValueError(f"corpus count must be at least 1, got {self.count}")
         if self.mode == "EXHAUSTIVE" and (self.n_max < 0 or self.k_max < 0):

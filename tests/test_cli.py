@@ -169,6 +169,15 @@ class TestErrorPaths:
         code, out, err = run(capsys, "solve", level)
         assert code == 2 and out == "" and err.startswith("error:") and "bit-id-range" in err
 
+    def test_port_off_the_grid_exits_two(self, tmp_path, sample_cnf, capsys):
+        level = tmp_path / "s.level"
+        run(capsys, "compile", sample_cnf, "-o", level)
+        doc = json.loads(level.read_text())
+        doc["ports"]["passage.flag_port"]["cell"] = [doc["width"] + 3, 1]
+        level.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", level)
+        assert code == 2 and out == "" and err.startswith("error:") and "port-cell" in err
+
     def test_huge_jump_rise_exits_two(self, tmp_path, sample_cnf, capsys):
         level = tmp_path / "s.level"
         run(capsys, "compile", sample_cnf, "-o", level)

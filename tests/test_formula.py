@@ -66,6 +66,11 @@ class TestParseDimacs:
         with pytest.raises(FormulaError, match="missing 0"):
             parse_dimacs("p cnf 2 1\n1 2")
 
+    def test_satlib_trailer_ends_the_input(self):
+        # SATLIB's uf/uuf files end in "%" and then "0"
+        body = "p cnf 2 1\n1 -2 0\n"
+        assert parse_dimacs(body + "%\n0\n") == parse_dimacs(body)
+
 
 class TestParseQdimacs:
     def test_single_exists(self):
@@ -85,6 +90,10 @@ class TestParseQdimacs:
     def test_free_variables_become_outer_exists(self):
         q = parse_qdimacs("p cnf 2 1\na 2 0\n1 2 2 0")
         assert q.prefix == ((Quantifier.EXISTS, 1), (Quantifier.FORALL, 2))
+
+    def test_satlib_trailer_ends_the_input(self):
+        body = "p cnf 2 1\ne 1 0\na 2 0\n1 -2 0\n"
+        assert parse_qdimacs(body + "%\n0\n") == parse_qdimacs(body)
 
     def test_duplicate_quantification_rejected(self):
         with pytest.raises(FormulaError, match="quantified twice"):

@@ -190,6 +190,13 @@ class TestValidation:
         with pytest.raises(LevelError, match="bit-id-range"):
             load_level(json.dumps(doc))
 
+    @pytest.mark.parametrize("cell", [[104, 1], [0, 1], [-1, 1]])
+    def test_port_off_an_empty_cell_rejected(self, sample_formula, cell):
+        doc = json.loads(save_level(compile_3sat(sample_formula)))
+        doc["ports"]["passage.flag_port"]["cell"] = cell
+        with pytest.raises(LevelError, match="port-cell"):
+            load_level(json.dumps(doc))
+
     def test_jump_rise_above_the_grid_rejected(self, sample_formula):
         doc = json.loads(save_level(compile_3sat(sample_formula)))
         doc["physics"]["J"] = doc["height"] + 1

@@ -483,8 +483,8 @@ class TestTrail:
         assert list(replay_states(minimal_level, (walk(1),)))[-1].position == (2, 1)
         assert sim_context(minimal_level).trail is None
         assert replay(minimal_level, (walk(1),))
-        # cells 5 and 6 are (1, 1) and (2, 1) on the 4-wide level
-        assert sim_context(minimal_level).trail == ((walk(1),), ((5, 1, 0, 0), (6, 1, 0, 0)))
+        assert sim_context(minimal_level).trail == ((walk(1),),
+                                                    ((1, 1, 1, 0, 0), (2, 1, 1, 0, 0)))
 
     def test_a_second_winning_trace_does_not_replace_the_first(self, minimal_level):
         sim_context.cache_clear()

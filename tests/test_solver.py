@@ -20,6 +20,7 @@ from satplat.sim import (
     GameState,
     canonical_moves,
     initial_state,
+    legal_moves,
     replay,
     replay_states,
     sim_context,
@@ -33,6 +34,7 @@ from satplat.solver import (
     Unsolvable,
     _search,
     reachable_ports,
+    reachable_positions,
     solve,
     solve_between,
 )
@@ -182,6 +184,49 @@ class TestStartState:
         doc = save_level(level_from_art(*OPEN_DOOR_SPAWN, validate=False))
         with pytest.raises(LevelError, match="spawn-support"):
             load_level(doc)
+
+
+# A closed door with no button between the spawn and the flag.
+SHUT_DOOR = ("#######\n#S.D.F#\n#######", (Door(0, ((3, 1),)),))
+
+
+class TestStateGate:
+    """`step`, `legal_moves` and the search all check a state passed in
+    the same way: on the level, a dash of 0 or 1, no negative bits."""
+
+    @pytest.mark.parametrize("bad", [
+        {"has_dash": 2},  # would overflow the key's dash bit into door 0
+        {"has_dash": -1},
+        {"door_open": -1},
+        {"platform_broken": -2},
+        {"x": 10},  # width + 3: a key of another cell
+        {"x": -1},
+        {"y": 3},
+    ])
+    def test_a_bad_state_is_refused_everywhere(self, bad):
+        level = level_from_art(*SHUT_DOOR)
+        state = GameState(1, 1, 1, 0, 0)._replace(**bad)
+        for call in (lambda: step(level, state, walk(1)),
+                     lambda: legal_moves(level, state),
+                     lambda: solve_between(level, state, (5, 1)),
+                     lambda: reachable_positions(level, state)):
+            with pytest.raises(ValueError):
+                call()
+
+    def test_a_good_state_is_searched(self):
+        level = level_from_art(*SHUT_DOOR)
+        for has_dash in (1, True):
+            state = GameState(1, 1, has_dash, 0, 0)
+            assert solve_between(level, state, (5, 1)) is None
+            assert reachable_positions(level, state) == {(1, 1), (2, 1)}
+
+    def test_a_start_off_the_sample_level_is_refused(self, sample_formula):
+        level = compile_3sat(sample_formula)
+        state = initial_state(level)._replace(x=level.width + 3)
+        with pytest.raises(ValueError, match="off the level"):
+            solve_between(level, state, level.flag.cell)
+        with pytest.raises(ValueError, match="off the level"):
+            reachable_positions(level, state)
 
 
 def naive_search(level, start=None):

@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 from satplat.compiler import compile_3sat
 from satplat.formula import parse_dimacs, parse_qdimacs
 from satplat.level import NP, PSPACE
@@ -68,6 +70,14 @@ class TestEnumeration:
     def test_corpus_items_deterministic(self):
         spec = CorpusSpec("RANDOM", NP, n=3, k=2, count=5, seed=9)
         assert corpus_items(spec) == corpus_items(spec)
+
+    @pytest.mark.parametrize("mode, variant", [
+        ("Exhaustive", NP), ("random", NP), ("EXHAUSTIVE", "np"), ("RANDOM", "QBF"),
+    ])
+    def test_unknown_mode_or_variant_rejected(self, mode, variant):
+        # either would otherwise run a corpus the caller did not ask for
+        with pytest.raises(ValueError, match="corpus mode"):
+            CorpusSpec(mode, variant, n_max=0, k_max=0)
 
 
 class TestRunCorpus:
