@@ -316,7 +316,8 @@ def witness_trace(level: Level, assignment: dict[int, bool], num_variables: int)
     exit of each chamber (the 1-tall tunnels force every button press on
     the way) and walk the final passage to the flag.  Returns None if some
     leg is unreachable (e.g. the assignment does not satisfy the
-    formula)."""
+    formula), and raises RuntimeError if a leg's search reaches
+    `solver.DEFAULT_MAX_STATES` states first."""
     from satplat.sim import initial_state
     from satplat.solver import solve_between
 

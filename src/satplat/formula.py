@@ -7,6 +7,7 @@ trivially auditable.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -317,17 +318,10 @@ def write_dimacs(formula: CnfFormula) -> str:
 
 
 def write_qdimacs(qbf: QbfFormula) -> str:
-    lines = [f"p cnf {qbf.matrix.num_variables} {qbf.matrix.num_clauses}"]
-    # Adjacent same-quantifier variables are grouped into one block line.
-    i = 0
-    prefix = qbf.prefix
-    while i < len(prefix):
-        quant = prefix[i][0]
-        block = []
-        while i < len(prefix) and prefix[i][0] is quant:
-            block.append(str(prefix[i][1]))
-            i += 1
-        lines.append(f"{quant.value} {' '.join(block)} 0")
-    for clause in qbf.matrix.clauses:
-        lines.append(" ".join(str(l) for l in clause.literals) + " 0")
-    return "\n".join(lines) + "\n"
+    """Round-trip writer: the DIMACS text of the matrix, with one
+    quantifier block line after the header per run of adjacent variables
+    under the same quantifier."""
+    header, _, clauses = write_dimacs(qbf.matrix).partition("\n")
+    blocks = [f"{quant.value} {' '.join(str(var) for _, var in run)} 0"
+              for quant, run in itertools.groupby(qbf.prefix, key=lambda q: q[0])]
+    return "\n".join([header, *blocks, clauses])

@@ -195,6 +195,11 @@ def validate_level(level: Level) -> list[Violation]:
     if len(level.tiles) != level.height or any(len(r) != level.width for r in level.tiles):
         bad("grid-shape", "tiles", "tile grid does not match width/height")
         return out  # nothing else is checkable
+    # Deleting every tile character leaves the stray ones; one pass over
+    # the whole grid, since every build and load runs this check.
+    stray = "".join(level.tiles).encode().translate(None, (SOLID + EMPTY).encode())
+    if stray:
+        bad("tile-char", "tiles", f"a tile is '#' or '.', got {sorted(set(stray.decode()))}")
 
     for x in range(level.width):
         if level.tile(x, 0) != SOLID or level.tile(x, level.height - 1) != SOLID:
@@ -303,43 +308,45 @@ def validate_level(level: Level) -> list[Violation]:
 
 # --- serialization ----------------------------------------------------------
 
-def _entity_to_record(ent: Entity) -> dict:
-    if isinstance(ent, UnstablePlatform):
-        return {"kind": "platform", "id": ent.id, "cell": list(ent.cell)}
-    if isinstance(ent, Door):
-        return {
-            "kind": "door",
-            "id": ent.id,
-            "cells": [list(c) for c in ent.cells],
-            "open": ent.initially_open,
-        }
-    if isinstance(ent, Button):
-        return {
-            "kind": "button",
-            "cell": list(ent.cell),
-            "door": ent.door_id,
-            "action": ent.action,
-        }
-    if isinstance(ent, SpaceBlock):
-        return {"kind": "space_block", "id": ent.id, "rect": list(ent.rect)}
-    if isinstance(ent, Spawn):
-        return {"kind": "spawn", "cell": list(ent.cell)}
-    if isinstance(ent, Flag):
-        return {"kind": "flag", "cell": list(ent.cell)}
-    raise LevelError(f"unknown entity {ent!r}")
-
-
-def _typed(value, kind: type, what: str):
+def _typed(value, kind: type, *what: str):
     if type(value) is not kind:
-        raise LevelError(f"{what} must be of type {kind.__name__}, got {value!r}")
+        raise LevelError(f"{' '.join(what)} must be of type {kind.__name__}, got {value!r}")
     return value
 
 
-def _ints(value, count: int, what: str) -> tuple[int, ...]:
+def _ints(value, count: int, *what: str) -> tuple[int, ...]:
     if type(value) is not list or len(value) != count \
             or any(type(v) is not int for v in value):
-        raise LevelError(f"{what} must be a list of {count} ints, got {value!r}")
+        raise LevelError(f"{' '.join(what)} must be a list of {count} ints, got {value!r}")
     return tuple(value)
+
+
+def _cells(value, count: int, *what: str) -> tuple[tuple[int, ...], ...]:
+    return tuple(_ints(c, count, *what, "entry") for c in _typed(value, list, *what))
+
+
+# Each entity kind's record: its document name, and per field the
+# document key, the dataclass field, and the check and its argument that
+# read the value.  JSON writes the tuples of a field as arrays.
+_RECORDS = {
+    UnstablePlatform: ("platform", (("id", "id", _typed, int), ("cell", "cell", _ints, 2))),
+    Door: ("door", (("id", "id", _typed, int), ("cells", "cells", _cells, 2),
+                    ("open", "initially_open", _typed, bool))),
+    Button: ("button", (("cell", "cell", _ints, 2), ("door", "door_id", _typed, int),
+                        ("action", "action", _typed, str))),
+    SpaceBlock: ("space_block", (("id", "id", _typed, int), ("rect", "rect", _ints, 4))),
+    Spawn: ("spawn", (("cell", "cell", _ints, 2),)),
+    Flag: ("flag", (("cell", "cell", _ints, 2),)),
+}
+_KINDS = {name: (cls, fields) for cls, (name, fields) in _RECORDS.items()}
+
+
+def _entity_to_record(ent: Entity) -> dict:
+    try:
+        name, fields = _RECORDS[type(ent)]
+    except KeyError:
+        raise LevelError(f"unknown entity {ent!r}") from None
+    return {"kind": name, **{key: getattr(ent, attr) for key, attr, _, _ in fields}}
 
 
 def _record_to_entity(rec: dict) -> Entity:
@@ -347,24 +354,11 @@ def _record_to_entity(rec: dict) -> Entity:
         kind = rec["kind"]
     except (KeyError, TypeError):
         raise LevelError(f"entity record without a kind: {rec!r}") from None
-    if kind == "platform":
-        return UnstablePlatform(_typed(rec["id"], int, "platform id"),
-                                _ints(rec["cell"], 2, "cell"))
-    if kind == "door":
-        return Door(_typed(rec["id"], int, "door id"),
-                    tuple(_ints(c, 2, "door cell") for c in rec["cells"]),
-                    _typed(rec["open"], bool, "door open"))
-    if kind == "button":
-        return Button(_ints(rec["cell"], 2, "cell"), _typed(rec["door"], int, "button door"),
-                      _typed(rec["action"], str, "button action"))
-    if kind == "space_block":
-        return SpaceBlock(_typed(rec["id"], int, "space block id"),
-                          _ints(rec["rect"], 4, "rect"))
-    if kind == "spawn":
-        return Spawn(_ints(rec["cell"], 2, "cell"))
-    if kind == "flag":
-        return Flag(_ints(rec["cell"], 2, "cell"))
-    raise LevelError(f"unknown entity kind {kind!r}")
+    try:
+        cls, fields = _KINDS[kind]
+    except (KeyError, TypeError):
+        raise LevelError(f"unknown entity kind {kind!r}") from None
+    return cls(**{attr: check(rec[key], arg, kind, key) for key, attr, check, arg in fields})
 
 
 def save_level(level: Level) -> str:
@@ -399,7 +393,7 @@ def load_level(document: str) -> Level:
         raise LevelError(f"bad level document: {exc}") from None
     try:
         physics = PhysicsParams(
-            *(_typed(doc["physics"][k], int, f"physics {k}") for k in ("J", "D", "R"))
+            *(_typed(doc["physics"][k], int, "physics", k) for k in ("J", "D", "R"))
         )
         level = Level(
             width=_typed(doc["width"], int, "width"),
@@ -409,15 +403,13 @@ def load_level(document: str) -> Level:
             variant=_typed(doc["variant"], str, "variant"),
             physics=physics,
             ports=tuple(
-                Port(name, _ints(p["cell"], 2, "port cell"), _typed(p["dir"], str, "port dir"))
+                Port(name, _ints(p["cell"], 2, "port", "cell"),
+                     _typed(p["dir"], str, "port", "dir"))
                 for name, p in sorted(doc.get("ports", {}).items())
             ),
         )
     except (KeyError, TypeError, AttributeError) as exc:
         raise LevelError(f"bad level document: missing or malformed field ({exc})") from None
-    for row in level.tiles:
-        if set(row) - {SOLID, EMPTY}:
-            raise LevelError(f"tile rows may contain only '#' and '.', got {row!r}")
     violations = validate_level(level)
     if violations:
         raise LevelError("invalid level: " + "; ".join(str(v) for v in violations))

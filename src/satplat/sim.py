@@ -522,9 +522,13 @@ def _record(ctx: SimContext, cell: int, move: Move):
 
 def _cell(ctx: SimContext, state: GameState) -> int:
     """The cell index of a state passed in from outside; ValueError
-    unless it is on the level, with a dash of 0 or 1 and no negative
-    bits.  The one check on such a state."""
+    unless its fields are ints (a bool counts), it is on the level, its
+    dash is 0 or 1 and no bit is negative.  The one check on such a
+    state."""
     x, y, has_dash, doors, plats = state
+    if not (isinstance(x, int) and isinstance(y, int) and isinstance(has_dash, int)
+            and isinstance(doors, int) and isinstance(plats, int)):
+        raise ValueError(f"bad state {state}: every field must be an int")
     if not (0 <= x < ctx.width and 0 <= y < ctx.height):
         raise ValueError(f"position {(x, y)} is off the level")
     if has_dash not in (0, 1) or doors < 0 or plats < 0:

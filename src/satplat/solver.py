@@ -245,15 +245,24 @@ def solve(level: Level, max_states: int = DEFAULT_MAX_STATES,
     return Unsolvable(stats)
 
 
+def _complete_search(ctx, state: GameState, goal_cell):
+    """`_search` under `DEFAULT_MAX_STATES`: (goal_key, parents, keys),
+    or RuntimeError if it stops at the limit before an answer."""
+    goal_key, parents, _, limited, keys = _search(ctx, state, goal_cell, DEFAULT_MAX_STATES, None)
+    if limited:
+        raise RuntimeError(f"search stopped at the limit of {DEFAULT_MAX_STATES} states")
+    return goal_key, parents, keys
+
+
 def solve_between(level: Level, state: GameState, goal_cell):
     """BFS from an explicit GameState to a goal cell.
 
     Returns (trace, end_state) or None.  Used by the witness builder and
-    by scripted gadget-contract checks.
+    by scripted gadget-contract checks.  Raises RuntimeError if the
+    search reaches `DEFAULT_MAX_STATES` states first.
     """
     ctx = sim_context(level)
-    goal_key, parents, _, _, keys = _search(ctx, state, tuple(goal_cell),
-                                            DEFAULT_MAX_STATES, None)
+    goal_key, parents, keys = _complete_search(ctx, state, tuple(goal_cell))
     if goal_key is None:
         return None
     return keys.trace(ctx, parents, goal_key), keys.state(goal_key)
@@ -261,19 +270,21 @@ def solve_between(level: Level, state: GameState, goal_cell):
 
 def reachable_ports(level: Level, from_port: str, doors=None) -> set[str]:
     """Names of ports whose cells some reachable rest state occupies,
-    starting from a fresh probe (dash charged, every platform intact) at
-    `from_port`.  `doors` ({door id: open}) overrides initial door bits.
+    starting from a fresh probe (the start state moved to `from_port`).
+    `doors` ({door id: open}) overrides initial door bits.
     """
-    port = level.port(from_port)  # raises LevelError for unknown ports
-    bits = sim_context(level).initial_doors
+    x, y = level.port(from_port).cell  # raises LevelError for unknown ports
+    start = initial_state(level)
+    bits = start.door_open
     for door_id, value in (doors or {}).items():
         bits = bits | (1 << door_id) if value else bits & ~(1 << door_id)
-    positions = reachable_positions(level, GameState(*port.cell, 1, bits, 0))
+    positions = reachable_positions(level, start._replace(x=x, y=y, door_open=bits))
     return {p.name for p in level.ports if tuple(p.cell) in positions}
 
 
 def reachable_positions(level: Level, state: GameState) -> set[tuple[int, int]]:
-    """All rest positions reachable from a state; diagnostic helper."""
-    _, parents, _, _, keys = _search(sim_context(level), state, None,
-                                     DEFAULT_MAX_STATES, None)
+    """All rest positions reachable from a state; diagnostic helper.
+    Raises RuntimeError if the search reaches `DEFAULT_MAX_STATES`
+    states first."""
+    _, parents, keys = _complete_search(sim_context(level), state, None)
     return {keys.state(key).position for key in parents}

@@ -134,32 +134,25 @@ class CorpusSummary:
         return "\n".join(lines) + "\n"
 
 
-def _verdict(result):
-    if isinstance(result, Solvable):
-        return SOLVABLE, result.trace
-    if isinstance(result, LimitExceeded):
-        return LIMIT, None
-    return UNSOLVABLE, None
+def _report(variant: str, text: str, oracle: bool, level: Level) -> EquivalenceReport:
+    """Solve a compiled level and compare its verdict with the oracle's."""
+    result = solve(level)
+    trace = result.trace if isinstance(result, Solvable) else None
+    verdict = (SOLVABLE if trace is not None else
+               LIMIT if isinstance(result, LimitExceeded) else UNSOLVABLE)
+    agree = verdict != LIMIT and (verdict == SOLVABLE) == oracle
+    return EquivalenceReport(text, variant, oracle, verdict, agree, trace, result.stats)
 
 
 def verify_formula(formula: CnfFormula) -> EquivalenceReport:
     """Compare sat_oracle with solving the compiled NP level."""
-    oracle = sat_oracle(formula) is not None
-    result = solve(compile_3sat(formula))
-    verdict, trace = _verdict(result)
-    agree = verdict != LIMIT and (verdict == SOLVABLE) == oracle
-    return EquivalenceReport(write_dimacs(formula), NP, oracle, verdict, agree,
-                             trace, result.stats)
+    return _report(NP, write_dimacs(formula), sat_oracle(formula) is not None,
+                   compile_3sat(formula))
 
 
 def verify_qbf(qbf: QbfFormula) -> EquivalenceReport:
     """Compare qbf_oracle with solving the compiled PSPACE level."""
-    oracle = qbf_oracle(qbf)
-    result = solve(compile_qbf(qbf))
-    verdict, trace = _verdict(result)
-    agree = verdict != LIMIT and (verdict == SOLVABLE) == oracle
-    return EquivalenceReport(write_qdimacs(qbf), PSPACE, oracle, verdict, agree,
-                             trace, result.stats)
+    return _report(PSPACE, write_qdimacs(qbf), qbf_oracle(qbf), compile_qbf(qbf))
 
 
 # --- corpora ----------------------------------------------------------------

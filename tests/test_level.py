@@ -146,6 +146,18 @@ class TestValidation:
         rules = {v.rule for v in validate_level(level)}
         assert "door-strip" in rules
 
+    def test_stray_tile_char(self, minimal_level):
+        tiles = (minimal_level.tiles[0], minimal_level.tiles[1].replace(".", "x", 1),
+                 *minimal_level.tiles[2:])
+        level = Level(minimal_level.width, minimal_level.height, tiles, minimal_level.entities)
+        assert "tile-char" in {v.rule for v in validate_level(level)}
+
+    def test_load_rejects_a_stray_tile_char(self, minimal_level):
+        doc = json.loads(save_level(minimal_level))
+        doc["tiles"][1] = doc["tiles"][1].replace(".", "x", 1)
+        with pytest.raises(LevelError, match="tile-char"):
+            load_level(json.dumps(doc))
+
     def test_load_rejects_invalid(self, minimal_level):
         doc = save_level(minimal_level).replace('"spawn"', '"flag"')
         with pytest.raises(LevelError, match="flag"):

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from satplat import solver
 from satplat.compiler import compile_3sat
 from satplat.formula import gen_random_3cnf
+from satplat.gadgets import build_crossover, check_contract
 from satplat.level import (
     CLOSE,
     OPEN,
@@ -202,6 +204,10 @@ class TestStateGate:
         {"x": 10},  # width + 3: a key of another cell
         {"x": -1},
         {"y": 3},
+        {"has_dash": 1.0},  # equal to 1, but not an int
+        {"x": 1.5},
+        {"door_open": 0.5},
+        {"platform_broken": 1.0},
     ])
     def test_a_bad_state_is_refused_everywhere(self, bad):
         level = level_from_art(*SHUT_DOOR)
@@ -227,6 +233,24 @@ class TestStateGate:
             solve_between(level, state, level.flag.cell)
         with pytest.raises(ValueError, match="off the level"):
             reachable_positions(level, state)
+
+
+class TestLimitIsReported:
+    """The search helpers answer only from a complete search: a search
+    cut off at `DEFAULT_MAX_STATES` raises, it does not answer."""
+
+    def test_helpers_raise_at_the_limit(self, sample_formula, monkeypatch):
+        level = compile_3sat(sample_formula)
+        monkeypatch.setattr(solver, "DEFAULT_MAX_STATES", 50)
+        with pytest.raises(RuntimeError, match="limit of 50 states"):
+            reachable_positions(level, initial_state(level))
+        with pytest.raises(RuntimeError, match="limit of 50 states"):
+            solve_between(level, initial_state(level), level.flag.cell)
+
+    def test_contract_check_raises_at_the_limit(self, monkeypatch):
+        monkeypatch.setattr(solver, "DEFAULT_MAX_STATES", 3)
+        with pytest.raises(RuntimeError, match="limit of 3 states"):
+            list(check_contract(build_crossover()))
 
 
 def naive_search(level, start=None):

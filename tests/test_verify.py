@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from satplat.compiler import compile_3sat
+from satplat.compiler import compile_3sat, compile_qbf
 from satplat.formula import parse_dimacs, parse_qdimacs
-from satplat.level import NP, PSPACE
+from satplat.level import NP, PSPACE, load_level
 from satplat.sim import replay
 from satplat.solver import Solvable, solve
 from satplat.verify import (
@@ -110,6 +110,13 @@ class TestRunCorpus:
         assert (case / "level.json").exists()
         verdicts = json.loads((case / "verdicts.json").read_text())
         assert verdicts == {"oracle": False, "level": "solvable", "agree": False}
+
+    def test_pspace_repro_bundle_writer(self, tmp_path):
+        report = verify_qbf(gen_random_qbf(3, 2, 1))
+        case, = write_repro_bundles([report], tmp_path)
+        text = (case / "formula.qdimacs").read_text()
+        assert text == report.formula_text
+        assert load_level((case / "level.json").read_text()) == compile_qbf(parse_qdimacs(text))
 
 
 class TestMutation:
