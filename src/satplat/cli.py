@@ -36,7 +36,7 @@ def _write_out(text: str, out: str | None):
 
 def _cmd_compile(args) -> int:
     formula = parse_dimacs(Path(args.cnf).read_text())
-    plan = plan_3sat(formula, top_flag=args.top_flag)
+    plan = plan_3sat(formula)
     level = route_and_place(plan)
     _write_out(save_level(level), args.output)
     if args.plan:
@@ -137,8 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="3-CNF (DIMACS) to NP-variant level")
     p.add_argument("cnf")
     p.add_argument("-o", "--output")
-    p.add_argument("--top-flag", action="store_true",
-                   help="re-route the flag above the passage through an extra crossover")
     p.add_argument("--plan", action="store_true", help="print the layout plan to stderr")
     p.set_defaults(func=_cmd_compile)
 

@@ -203,7 +203,7 @@ def _occurrences(formula: CnfFormula):
     return pos, neg
 
 
-def plan_3sat(formula: CnfFormula, top_flag: bool = False) -> LayoutPlan:
+def plan_3sat(formula: CnfFormula) -> LayoutPlan:
     n, k = formula.num_variables, formula.num_clauses
     if n > DEFAULT_MAX_VARS or k > DEFAULT_MAX_CLAUSES:
         raise CompileError(f"layout bounds exceeded: n={n} (max {DEFAULT_MAX_VARS}), "
@@ -214,8 +214,7 @@ def plan_3sat(formula: CnfFormula, top_flag: bool = False) -> LayoutPlan:
 
     # The cascade: chamber i sits V_PITCH rows above chamber i+1; the
     # passage pocket row for the strip after the last chamber is pr_n.
-    # The top-flag variant pushes the passage 11 rows deeper.
-    cy1 = (17 + V_PITCH * (n - 1) + (11 if top_flag else 0)) if n else 0
+    cy1 = (17 + V_PITCH * (n - 1)) if n else 0
     cx = 6
     pr = cy1 + 6  # row of the pocket feeding the next stage (spawn row for n=0)
 
@@ -261,54 +260,20 @@ def plan_3sat(formula: CnfFormula, top_flag: bool = False) -> LayoutPlan:
         cx = mx + 2
 
     # Final stage: the merge shaft ends at (cx - 2, pr) for n >= 1.
-    if not top_flag or n == 0:
-        px0 = cx if n else 4
-        passage = build_final_passage(k)
-        plan.placements.append(Placement(passage, (px0, pr - 1), "passage."))
-        fx = px0 + passage.width
-        plan.flag = (fx, pr)
-        plan.wires.append(Wire("final", ((cx - 2 if n else 2, pr), (fx, pr))))
-        width = fx + 2
-    else:
-        width, height = _plan_top_flag(plan, formula, cx - 2, pr, height)
-
-    plan.width, plan.height = width, height
+    px0 = cx if n else 4
+    passage = build_final_passage(k)
+    plan.placements.append(Placement(passage, (px0, pr - 1), "passage."))
+    fx = px0 + passage.width
+    plan.flag = (fx, pr)
+    plan.wires.append(Wire("final", ((cx - 2 if n else 2, pr), (fx, pr))))
+    plan.width, plan.height = fx + 2, height
     return plan
 
 
-def _plan_top_flag(plan: LayoutPlan, formula: CnfFormula, mx: int, pr: int, height: int):
-    """Variant layout: the passage sits deeper, its exit rides an elevator
-    up to a flag corridor that crosses the level's inflow shaft through a
-    crossover (the flag ends up above the passage)."""
-    k = formula.num_clauses
-    # mx is the last merge column; the default pocket row pr becomes the
-    # crossover approach row, and the passage moves 11 rows deeper.
-    preg = pr
-    oy = preg - 8
-    ox = mx + 2
-    pr2 = preg - 11
-    plan.placements.append(Placement(build_crossover(), (ox, oy), "flagcross."))
-    px0 = ox + 7  # east of the B2 shaft, which drops from the crossover
-    passage = build_final_passage(k)
-    plan.placements.append(Placement(passage, (px0, pr2 - 1), "passage."))
-    pe = px0 + passage.width
-    lift = 8  # lands the flag corridor exactly on the crossover's A row
-    ex0 = pe + 1
-    plan.placements.append(Placement(build_elevator(lift), (ex0, pr2 - 1), "flaglift."))
-    fcr = pr2 + lift  # flag corridor row (the elevator's upper ledge)
-    plan.flag = (mx, fcr)
-    plan.wires.append(Wire("final", (
-        (mx, pr + 4), (mx, preg), (ox + 5, preg), (ox + 5, pr2), (px0, pr2), (pe, pr2),
-    )))
-    plan.wires.append(Wire("flag", ((ex0, fcr), (mx, fcr))))
-    return ex0 + 6, height
-
-
-def compile_3sat(formula: CnfFormula, top_flag: bool = False) -> Level:
+def compile_3sat(formula: CnfFormula) -> Level:
     """NP-variant level whose solvability matches the formula's
     satisfiability."""
-    plan = plan_3sat(formula, top_flag)
-    return route_and_place(plan)
+    return route_and_place(plan_3sat(formula))
 
 
 def witness_trace(level: Level, assignment: dict[int, bool], num_variables: int):

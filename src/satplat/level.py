@@ -192,8 +192,9 @@ def validate_level(level: Level) -> list[Violation]:
     def bad(rule: str, subject: str, message: str):
         out.append(Violation(rule, subject, message))
 
-    if len(level.tiles) != level.height or any(len(r) != level.width for r in level.tiles):
-        bad("grid-shape", "tiles", "tile grid does not match width/height")
+    if (level.width < 1 or level.height < 1 or len(level.tiles) != level.height
+            or any(len(r) != level.width for r in level.tiles)):
+        bad("grid-shape", "tiles", "tile grid must be at least 1x1 and match width/height")
         return out  # nothing else is checkable
     # Deleting every tile character leaves the stray ones; one pass over
     # the whole grid, since every build and load runs this check.

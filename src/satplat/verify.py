@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -46,6 +47,9 @@ SOLVABLE = "solvable"
 UNSOLVABLE = "unsolvable"
 LIMIT = "limit"
 MAX_MUTATION_ATTEMPTS = 10_000  # draws `mutate_trace` makes before it gives up
+CHUNK_ITEMS = 8  # corpus items a worker process takes per task
+# Every file a repro bundle may hold; a rewrite leaves none of another report's.
+BUNDLE_FILES = ("formula.cnf", "formula.qdimacs", "level.json", "witness.trace", "verdicts.json")
 
 
 @dataclass(frozen=True)
@@ -216,13 +220,17 @@ def corpus_items(spec: CorpusSpec) -> list[str]:
 
 
 def run_items(items: list[str], spec: CorpusSpec, jobs: int = 1) -> CorpusSummary:
-    """Verify an explicit list of formula texts under a spec's variant."""
+    """Verify an explicit list of formula texts under a spec's variant,
+    in at most `jobs` worker processes."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     runner = _run_np_item if spec.variant == NP else _run_pspace_item
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return CorpusSummary(spec, list(pool.map(runner, items, chunksize=8)))
+    # The pool hands out CHUNK_ITEMS items at a time and starts every
+    # worker up front, so a worker beyond the chunk count would only idle.
+    workers = min(jobs, math.ceil(len(items) / CHUNK_ITEMS))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return CorpusSummary(spec, list(pool.map(runner, items, chunksize=CHUNK_ITEMS)))
     return CorpusSummary(spec, [runner(t) for t in items])
 
 
@@ -247,21 +255,24 @@ def write_repro_bundles(reports, repro_dir: str | Path) -> list[Path]:
         case = root / f"case_{i:04d}"
         case.mkdir(exist_ok=True)
         if r.variant == NP:
-            formula = parse_dimacs(r.formula_text)
-            (case / "formula.cnf").write_text(r.formula_text)
-            level = compile_3sat(formula)
+            files = {"formula.cnf": r.formula_text}
+            level = compile_3sat(parse_dimacs(r.formula_text))
         else:
-            qbf = parse_qdimacs(r.formula_text)
-            (case / "formula.qdimacs").write_text(r.formula_text)
-            level = compile_qbf(qbf)
-        (case / "level.json").write_text(save_level(level))
+            files = {"formula.qdimacs": r.formula_text}
+            level = compile_qbf(parse_qdimacs(r.formula_text))
+        files["level.json"] = save_level(level)
         if r.trace is not None:
-            (case / "witness.trace").write_text(trace_to_text(r.trace))
-        (case / "verdicts.json").write_text(json.dumps({
+            files["witness.trace"] = trace_to_text(r.trace)
+        files["verdicts.json"] = json.dumps({
             "oracle": r.oracle_verdict,
             "level": r.level_verdict,
             "agree": r.agree,
-        }, indent=2) + "\n")
+        }, indent=2) + "\n"
+        for name in BUNDLE_FILES:
+            if name in files:
+                (case / name).write_text(files[name])
+            else:
+                (case / name).unlink(missing_ok=True)
         written.append(case)
     return written
 

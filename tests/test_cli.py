@@ -187,6 +187,16 @@ class TestErrorPaths:
         code, out, err = run(capsys, "solve", level)
         assert code == 2 and out == "" and err.startswith("error:") and "physics-range" in err
 
+    @pytest.mark.parametrize("command", ["solve", "render"])
+    def test_zero_size_grid_exits_two(self, tmp_path, sample_cnf, capsys, command):
+        level = tmp_path / "s.level"
+        run(capsys, "compile", sample_cnf, "-o", level)
+        doc = json.loads(level.read_text())
+        doc.update(width=0, height=3, tiles=["", "", ""])
+        level.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, level)
+        assert code == 2 and out == "" and err.startswith("error:") and "grid-shape" in err
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--random", "--count", "-1"),
         ("verify", "--random", "--count", "0"),
@@ -220,12 +230,6 @@ class TestErrorPaths:
         code, out, err = run(capsys, "solve", level, flag, value)
         assert code == 2 and out == "" and err.startswith("error:")
 
-    def test_top_flag_compile(self, tmp_path, sample_cnf, capsys):
-        level = tmp_path / "tf.level"
-        assert run(capsys, "compile", sample_cnf, "--top-flag", "-o", level)[0] == 0
-        code, _, _ = run(capsys, "solve", level)
-        assert code == 0
-
     def test_compile_plan_report(self, tmp_path, sample_cnf, capsys):
         level = tmp_path / "s.level"
         code, _, err = run(capsys, "compile", sample_cnf, "--plan", "-o", level)
@@ -239,7 +243,7 @@ FUZZ_VALUES = ("-1", "0", "1", "x", "")
 
 # subcommand -> (positional arguments it takes, {flag: value pool or None})
 FUZZ_COMMANDS = {
-    "compile": (1, {"-o": "out", "--top-flag": None, "--plan": None}),
+    "compile": (1, {"-o": "out", "--plan": None}),
     "qcompile": (1, {"-o": "out"}),
     "solve": (1, {"--trace-out": "out", "--stats": None,
                   "--max-states": "value", "--max-time": "value"}),

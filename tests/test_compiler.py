@@ -121,26 +121,12 @@ class TestPlanAndRouting:
         crossovers = [p for p in plan.placements if p.blueprint.kind == "crossover"]
         assert len(crossovers) == 3
 
-    def test_top_flag_adds_one_crossover_and_preserves_verdicts(self, sample_formula):
-        plan = plan_3sat(sample_formula, top_flag=True)
-        route_and_place(plan)
-        assert len(plan.crossings) == 4
-        level = compile_3sat(sample_formula, top_flag=True)
-        assert validate_level(level) == []
-        assert isinstance(solve(level), Solvable)
-        unsat = parse_dimacs("p cnf 1 2\n1 0\n-1 0")
-        assert isinstance(solve(compile_3sat(unsat, top_flag=True)), Unsolvable)
-
     def test_plan_report_mentions_crossings(self, sample_formula):
         plan = plan_3sat(sample_formula)
         route_and_place(plan)
         report = plan_report(plan)
         assert "crossings 3" in report and "carved cells 117," in report
         assert "variable" in report and "crossover" in report
-        plan = plan_3sat(sample_formula, top_flag=True)
-        route_and_place(plan)
-        # each cell counts once, the merge shaft's last cell included
-        assert "carved cells 131," in plan_report(plan)
 
     def test_deterministic_plans(self, sample_formula):
         assert plan_3sat(sample_formula) == plan_3sat(sample_formula)

@@ -178,6 +178,13 @@ class TestValidation:
         with pytest.raises(LevelError, match="must be"):
             load_level(json.dumps(doc))
 
+    @pytest.mark.parametrize("width, height, tiles", [(0, 3, ["", "", ""]), (5, 0, [])])
+    def test_load_rejects_a_zero_size_grid(self, minimal_level, width, height, tiles):
+        doc = json.loads(save_level(minimal_level))
+        doc.update(width=width, height=height, tiles=tiles)
+        with pytest.raises(LevelError, match="grid-shape"):
+            load_level(json.dumps(doc))
+
     @pytest.mark.parametrize("key, value", [("width", 4.0), ("height", "3"), ("variant", [])])
     def test_load_type_checks_document_fields(self, minimal_level, key, value):
         doc = json.loads(save_level(minimal_level))

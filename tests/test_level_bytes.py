@@ -12,7 +12,7 @@ from satplat.compiler import compile_3sat, compile_qbf
 from satplat.formula import Quantifier, QbfFormula, gen_random_3cnf
 from satplat.level import save_level
 
-NP_DIGEST = "3fc1448aea821c472ec63fa4364f26666585004d02e89e1b0f9f24bb8272a7bd"
+NP_DIGEST = "89dd1e5098291ea3e72b0dd1a416c5208f571df8e6f77cf86770853f4c71c2cf"
 QBF_DIGEST = "037db9e67ca1fe1bff7bb9e348e4f423dbe4af2f6d53cdeae02b97a06d9e990c"
 
 E, A = Quantifier.EXISTS, Quantifier.FORALL
@@ -23,9 +23,7 @@ QBF_PREFIXES = ("E", "A", "EE", "AA", "EA", "AE", "EEE", "AAA", "EAE", "AEA",
 def np_levels():
     for n in range(0, 8):
         for k in ((0,) if n == 0 else (0, 1, 4, 7)):
-            formula = gen_random_3cnf(n, k, seed=1000 * n + k)
-            for top_flag in (False, True):
-                yield compile_3sat(formula, top_flag=top_flag)
+            yield compile_3sat(gen_random_3cnf(n, k, seed=1000 * n + k))
 
 
 def qbf_levels():

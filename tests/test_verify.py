@@ -8,6 +8,7 @@ from satplat.formula import parse_dimacs, parse_qdimacs
 from satplat.level import NP, PSPACE, load_level
 from satplat.sim import replay
 from satplat.solver import Solvable, solve
+from satplat import verify
 from satplat.verify import (
     CorpusSpec,
     EquivalenceReport,
@@ -17,6 +18,7 @@ from satplat.verify import (
     gen_random_qbf,
     mutate_trace,
     run_corpus,
+    run_items,
     verify_formula,
     verify_qbf,
     write_repro_bundles,
@@ -93,10 +95,43 @@ class TestRunCorpus:
         assert summary.items == 6 and summary.all_agree
 
     def test_parallel_matches_serial(self):
-        spec = CorpusSpec("RANDOM", NP, n=3, k=3, count=8, seed=1)
+        # 16 items are two chunks, so this runs a real 2-worker pool
+        spec = CorpusSpec("RANDOM", NP, n=3, k=3, count=16, seed=1)
         serial = run_corpus(spec)
         parallel = run_corpus(spec, jobs=2)
-        assert serial.agreements == parallel.agreements == 8
+        assert serial.agreements == parallel.agreements == 16
+
+    def test_workers_capped_by_chunk_count(self, monkeypatch):
+        requested = []
+
+        class RecordingPool:
+            """Records the worker count asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+        spec = CorpusSpec("RANDOM", NP, n=1, k=1, count=20, seed=1)
+        items = corpus_items(spec)
+
+        def outcomes(summary):
+            return [(r.formula_text, r.level_verdict, r.agree, r.trace) for r in summary.reports]
+
+        one = run_items(items[:1], spec, jobs=5000)
+        assert requested == []
+        many = run_items(items, spec, jobs=5000)
+        assert requested == [3]
+        assert outcomes(one) == outcomes(run_items(items[:1], spec))
+        assert outcomes(many) == outcomes(run_items(items, spec))
 
     def test_repro_bundle_writer(self, tmp_path):
         # synthesize a disagreement record and check the bundle contents
@@ -117,6 +152,23 @@ class TestRunCorpus:
         text = (case / "formula.qdimacs").read_text()
         assert text == report.formula_text
         assert load_level((case / "level.json").read_text()) == compile_qbf(parse_qdimacs(text))
+
+
+    def test_rewritten_bundle_holds_only_its_reports_files(self, tmp_path):
+        reports = [verify_formula(parse_dimacs(SAMPLE_DIMACS)),
+                   verify_formula(parse_dimacs("p cnf 1 2\n1 0\n-1 0\n")),
+                   verify_qbf(gen_random_qbf(3, 2, 1))]
+        assert [r.trace is not None for r in reports] == [True, False, True]
+        (tmp_path / "case_0000").mkdir()
+        (tmp_path / "case_0000" / "notes.txt").write_text("kept")
+        expected = [
+            {"formula.cnf", "level.json", "witness.trace", "verdicts.json"},
+            {"formula.cnf", "level.json", "verdicts.json"},
+            {"formula.qdimacs", "level.json", "witness.trace", "verdicts.json"},
+        ]
+        for report, names in zip(reports, expected):
+            case, = write_repro_bundles([report], tmp_path)
+            assert {p.name for p in case.iterdir()} == names | {"notes.txt"}
 
 
 class TestMutation:
