@@ -48,10 +48,9 @@ from satplat.level import (
     Spawn,
 )
 
-DEFAULT_MAX_VARS = 8
-DEFAULT_MAX_CLAUSES = 8
-DEFAULT_MAX_PREFIX = 4
-DEFAULT_MAX_QBF_CLAUSES = 4
+# Most cells a plan's grid may have.  An NP grid grows with n^2: random
+# 3-CNF fits up to n=k=81, and n=k=1000 would be 630M cells.
+MAX_GRID_CELLS = 1 << 22
 
 V_PITCH = 20  # rows consumed per variable strip
 
@@ -122,8 +121,11 @@ def detect_crossings(wires: list[Wire]) -> list[tuple[int, int]]:
 
 
 def _corridors(plan: LayoutPlan) -> list[tuple[int, int]]:
-    """The wire cells outside every placement, each once, in wire order."""
+    """The wire cells outside every placement, each once, in wire order.
+    A grid over `MAX_GRID_CELLS` cells is refused before it is allocated."""
     w, h = plan.width, plan.height
+    if w * h > MAX_GRID_CELLS:
+        raise CompileError(f"grid {w}x{h} has {w * h} cells, over the bound of {MAX_GRID_CELLS}")
     grid = bytearray(w * h)  # by y * w + x: 0 free, 1 inside a placement, 2 carved
     for p in plan.placements:  # stamp_into rejects one that does not fit
         ox, oy = p.origin
@@ -143,10 +145,11 @@ def _corridors(plan: LayoutPlan) -> list[tuple[int, int]]:
 
 
 def route_and_place(plan: LayoutPlan) -> Level:
-    """Deterministically realize a plan: verify every wire crossing is
-    covered by a crossover, carve the wires outside the placements, stamp
-    every placement, check that the wires run open through them, and
-    validate the result."""
+    """Deterministically realize a plan: check the grid bound, verify every
+    wire crossing is covered by a crossover, carve the wires outside the
+    placements, stamp every placement, check that the wires run open
+    through them, and validate the result."""
+    carved = _corridors(plan)
     cover = {
         (p.origin[0] + 5, p.origin[1] + 5)
         for p in plan.placements
@@ -157,7 +160,7 @@ def route_and_place(plan: LayoutPlan) -> Level:
             raise CompileError(f"wire crossing at {pt} is not covered by a crossover")
 
     builder = LevelBuilder(plan.width, plan.height, plan.variant)
-    for cell in _corridors(plan):
+    for cell in carved:
         builder.carve(*cell)
     for p in plan.placements:
         stamp_into(builder, p.blueprint, p.origin, p.prefix)
@@ -175,10 +178,11 @@ def route_and_place(plan: LayoutPlan) -> Level:
 
 
 def plan_report(plan: LayoutPlan) -> str:
+    carved = _corridors(plan)
     crossings = plan.crossings
     lines = [
         f"variant {plan.variant}, grid {plan.width}x{plan.height}",
-        f"placements {len(plan.placements)}, carved cells {len(_corridors(plan))}, "
+        f"placements {len(plan.placements)}, carved cells {len(carved)}, "
         f"wires {len(plan.wires)}, crossings {len(crossings)}",
     ]
     for p in plan.placements:
@@ -205,9 +209,6 @@ def _occurrences(formula: CnfFormula):
 
 def plan_3sat(formula: CnfFormula) -> LayoutPlan:
     n, k = formula.num_variables, formula.num_clauses
-    if n > DEFAULT_MAX_VARS or k > DEFAULT_MAX_CLAUSES:
-        raise CompileError(f"layout bounds exceeded: n={n} (max {DEFAULT_MAX_VARS}), "
-                           f"k={k} (max {DEFAULT_MAX_CLAUSES})")
     pos, neg = _occurrences(formula)
 
     plan = LayoutPlan(NP, 0, 0)
@@ -305,19 +306,9 @@ def witness_trace(level: Level, assignment: dict[int, bool], num_variables: int)
 # --- PSPACE: QBF ------------------------------------------------------------
 
 
-def _symbol_lists(formula: CnfFormula, var: int):
-    pos, neg = _occurrences(formula)
-    true_syms = tuple((d, OPEN) for d in pos[var]) + tuple((d, CLOSE) for d in neg[var])
-    false_syms = tuple((d, OPEN) for d in neg[var]) + tuple((d, CLOSE) for d in pos[var])
-    return true_syms, false_syms
-
-
 def plan_qbf(qbf: QbfFormula) -> LayoutPlan:
-    n = qbf.matrix.num_variables
     k = qbf.matrix.num_clauses
-    if n > DEFAULT_MAX_PREFIX or k > DEFAULT_MAX_QBF_CLAUSES:
-        raise CompileError(f"layout bounds exceeded: prefix {n} (max {DEFAULT_MAX_PREFIX}), "
-                           f"k={k} (max {DEFAULT_MAX_QBF_CLAUSES})")
+    pos, neg = _occurrences(qbf.matrix)
 
     plan = LayoutPlan(PSPACE, 0, 0)
     fwd_y, ret_y = 2, 9
@@ -329,7 +320,8 @@ def plan_qbf(qbf: QbfFormula) -> LayoutPlan:
     ret_wire_pts = []
 
     for qi, (quant, var) in enumerate(qbf.prefix, start=1):
-        true_syms, false_syms = _symbol_lists(qbf.matrix, var)
+        true_syms = tuple((d, OPEN) for d in pos[var]) + tuple((d, CLOSE) for d in neg[var])
+        false_syms = tuple((d, OPEN) for d in neg[var]) + tuple((d, CLOSE) for d in pos[var])
         if quant is Quantifier.EXISTS:
             bp = build_exists_gadget(var, door_base, true_syms, false_syms)
         else:

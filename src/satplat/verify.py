@@ -12,6 +12,8 @@ import itertools
 import json
 import math
 import random
+import re
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -238,16 +240,18 @@ def run_corpus(spec: CorpusSpec, jobs: int = 1,
                repro_dir: str | Path | None = None) -> CorpusSummary:
     """Verify every corpus item; aggregation is order-independent and the
     summary is deterministic for a given spec.  Disagreements are written
-    as reproduction bundles under repro_dir."""
+    as reproduction bundles under repro_dir, in place of any earlier
+    run's."""
     summary = run_items(corpus_items(spec), spec, jobs)
-    if repro_dir is not None and summary.disagreements:
+    if repro_dir is not None:
         write_repro_bundles(summary.disagreements, repro_dir)
     return summary
 
 
 def write_repro_bundles(reports, repro_dir: str | Path) -> list[Path]:
     """One directory per disagreement: the formula, the compiled level
-    document, the trace if any, and both verdicts."""
+    document, the trace if any, and both verdicts.  Every other `case_NNNN`
+    directory under repro_dir, left by an earlier call, is removed."""
     root = Path(repro_dir)
     root.mkdir(parents=True, exist_ok=True)
     written = []
@@ -274,6 +278,9 @@ def write_repro_bundles(reports, repro_dir: str | Path) -> list[Path]:
             else:
                 (case / name).unlink(missing_ok=True)
         written.append(case)
+    for stale in set(root.iterdir()) - set(written):
+        if stale.is_dir() and re.fullmatch(r"case_[0-9]{4,}", stale.name):
+            shutil.rmtree(stale)
     return written
 
 

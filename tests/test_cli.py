@@ -236,6 +236,15 @@ class TestErrorPaths:
         assert code == 0
         assert "crossings" in err
 
+    def test_compile_over_the_grid_bound_exits_two(self, tmp_path, capsys):
+        from satplat.formula import gen_random_3cnf, write_dimacs
+
+        cnf = tmp_path / "big.cnf"
+        cnf.write_text(write_dimacs(gen_random_3cnf(128, 128, 0)))
+        code, out, err = run(capsys, "compile", cnf)
+        assert code == 2 and out == ""
+        assert err.startswith("error: grid ") and "over the bound" in err
+
 
 # --- fuzzing main ---------------------------------------------------------
 

@@ -1,6 +1,11 @@
+import time
+import tracemalloc
+
 import pytest
 
+from satplat import compiler
 from satplat.compiler import (
+    MAX_GRID_CELLS,
     CompileError,
     Wire,
     compile_3sat,
@@ -12,10 +17,11 @@ from satplat.compiler import (
     route_and_place,
     witness_trace,
 )
-from satplat.formula import parse_dimacs, parse_qdimacs, sat_oracle
+from satplat.formula import gen_random_3cnf, parse_dimacs, parse_qdimacs, sat_oracle
 from satplat.level import save_level, validate_level
 from satplat.sim import initial_state, replay
 from satplat.solver import Solvable, Unsolvable, solve
+from satplat.verify import gen_random_qbf
 
 
 class TestCompile3Sat:
@@ -64,21 +70,40 @@ class TestCompile3Sat:
         b = save_level(compile_3sat(sample_formula))
         assert a == b
 
-    def test_bounds_enforced(self):
-        import satplat.formula as fm
+    @pytest.mark.parametrize("n", [9, 16, 32, 64])
+    def test_compiles_beyond_small_sizes(self, n):
+        level = compile_3sat(gen_random_3cnf(n, n, n))
+        assert validate_level(level) == []
+        assert len(level.platforms) == 2 * n and len(level.doors) == 3 * n
 
-        big = fm.gen_random_3cnf(9, 1, 0)
-        with pytest.raises(CompileError, match="bounds"):
-            compile_3sat(big)
+    def test_grid_bound_refused_before_the_grid_is_allocated(self, monkeypatch):
+        formula = gen_random_3cnf(128, 128, 0)
+        plan = plan_3sat(formula)
+        cells = plan.width * plan.height
+        assert cells > MAX_GRID_CELLS
+        monkeypatch.setattr(compiler, "LevelBuilder", None)  # must not be reached
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(CompileError, match=f"grid {plan.width}x{plan.height} has "
+                                                   f"{cells} cells, over the bound of {MAX_GRID_CELLS}"):
+                compile_3sat(formula)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < cells // 4  # the 1-byte-per-cell coverage grid was never made
+        with pytest.raises(CompileError, match=f"{cells} cells"):
+            plan_report(plan)
 
     def test_area_polynomial_proxy(self):
         # frozen constant: grid area <= 1200 * (n + k)^2 for n + k >= 1
-        import satplat.formula as fm
-
+        sizes = [(1 + seed % 4, seed % 5) for seed in range(12)]
+        sizes += [(9, 9), (16, 16), (32, 32), (32, 1), (1, 32)]
         worst = 0.0
-        for seed in range(12):
-            n, k = 1 + seed % 4, seed % 5
-            f = fm.gen_random_3cnf(n, k, seed)
+        for seed, (n, k) in enumerate(sizes):
+            f = gen_random_3cnf(n, k, seed)
             level = compile_3sat(f)
             ratio = (level.width * level.height) / (n + k) ** 2
             worst = max(worst, ratio)
@@ -199,10 +224,10 @@ class TestCompileQbf:
         q = parse_qdimacs("p cnf 1 1\ne 1 0\n1 0")
         assert save_level(compile_qbf(q)) == save_level(compile_qbf(q))
 
-    def test_bounds_enforced(self):
-        q = parse_qdimacs("p cnf 5 0\ne 1 2 3 4 5 0\n")
-        with pytest.raises(CompileError, match="bounds"):
-            compile_qbf(q)
+    def test_prefix_of_eight_compiles(self):
+        level = compile_qbf(gen_random_qbf(8, 8, 1))
+        assert validate_level(level) == []
+        assert level.height == 14
 
     def test_quantifier_gadget_counts(self):
         q = parse_qdimacs("p cnf 2 1\ne 1 0\na 2 0\n1 2 -2 0")

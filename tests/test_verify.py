@@ -170,6 +170,31 @@ class TestRunCorpus:
             case, = write_repro_bundles([report], tmp_path)
             assert {p.name for p in case.iterdir()} == names | {"notes.txt"}
 
+    def test_reused_repro_dir_holds_only_the_last_runs_bundles(self, tmp_path):
+        report = verify_formula(parse_dimacs(SAMPLE_DIMACS))
+        (tmp_path / "notes.txt").write_text("kept")
+        for kept in ("case_studies", "case_12"):
+            (tmp_path / kept).mkdir()
+            (tmp_path / kept / "notes.txt").write_text("kept")
+        write_repro_bundles([report] * 3, tmp_path)
+        assert sorted(p.name for p in tmp_path.glob("case_0*")) == [
+            "case_0000", "case_0001", "case_0002"]
+        write_repro_bundles([report], tmp_path)
+        assert [p.name for p in tmp_path.glob("case_0*")] == ["case_0000"]
+        summary = run_corpus(CorpusSpec("EXHAUSTIVE", NP, n_max=0, k_max=0), repro_dir=tmp_path)
+        assert summary.all_agree
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "case_12", "case_studies", "notes.txt"]
+        assert (tmp_path / "case_studies" / "notes.txt").read_text() == "kept"
+
+    @pytest.mark.parametrize("spec", [
+        CorpusSpec("RANDOM", NP, n=9, k=9, count=3, seed=1),
+        CorpusSpec("RANDOM", PSPACE, n=6, k=4, count=3, seed=1),
+    ], ids=["np-9x9", "pspace-6x4"])
+    def test_random_corpus_beyond_small_sizes_agrees(self, spec):
+        summary = run_corpus(spec)
+        assert summary.items == 3 and summary.all_agree
+
 
 class TestMutation:
     def test_mutations_break_solver_traces(self, sample_formula):
