@@ -24,11 +24,15 @@ the one public state type.  The outcome of a step is the next
 or moves nowhere) or `DEATH` (a dash through a space block exits into a
 blocked cell or off the level).
 
-The step core is table-driven.  `SimContext` turns each (cell, canonical
-move) pair into a move record the first time the cell is visited, and
-keeps it for the level; a pair that is blocked whatever the door and
-platform bits (a solid cell, button, space block or the edge on a walk
-or jump path; a solid cell or the edge first on a dash) gets none.
+The step core is table-driven.  `SimContext` turns a (cell, canonical
+move) pair into a move record the first time it is needed, and keeps it
+for the level: the search builds the records of every move of a cell
+on its first expansion there (`SimContext.records_at`), and `step` and
+`replay` build the record of the one move they apply
+(`SimContext.record`), or read it from the cell's records if the search
+built them.  A pair that is blocked whatever the door
+and platform bits (a solid cell, button, space block or the edge on a
+walk or jump path; a solid cell or the edge first on a dash) gets none.
 - A WALK or JUMP record is the door bits that must be open, the platform
   bits that must be broken, and the landing of its end cell.
 - A DASH record is its static path: the doors, platforms and buttons on
@@ -208,8 +212,10 @@ class _Dash(NamedTuple):
 class SimContext:
     """Static tables for one level, shared by `step`, `replay` and the
     solver: the packed grid (`code`, one byte per cell, and `eid`, the
-    entity id of each entity cell) and the move records, built lazily per
-    cell and kept for the level.
+    entity id of each entity cell) and the move records, kept for the
+    level once built: per move for `step` and `replay` (`record`), and
+    per cell for the search (`records_at`), on its first expansion there;
+    `record` reads a cell's records once the search has built them.
 
     `trail` is None until `replay` first finds a trace winning on the
     level, then `(moves, states)`: that trace as a tuple, and the state
@@ -264,10 +270,16 @@ class SimContext:
         self.physics = level.physics
         self.moves = canonical_moves(level.physics)
         self.index = {move: i for i, move in enumerate(self.moves)}
-        self._shifts, self._dashes = _move_shapes(self.moves)
+        self._shapes = _move_shapes(self.moves)  # (shifts, dashes) of every move
+        self._alone = [None] * len(self.moves)  # move index -> (shifts, dashes) of it alone
+        for shape in self._shapes[0]:
+            self._alone[shape[0]] = ((shape,), ())
+        for shape in self._shapes[1]:
+            self._alone[shape[0]] = ((), (shape,))
         self._near = _near_platforms(w, h, plat_cells, level.physics.reform_distance)
         self._every = sum({1 << pid for pid, _, _ in plat_cells})  # every platform bit
         self._records: dict[int, tuple] = {}  # cell -> its move records
+        self._moved: dict[int, object] = {}  # cell * len(moves) + move index -> record or None
         self._landings: dict[int, tuple] = {}  # start or rest cell -> its landing
         self.trail: tuple[tuple, tuple] | None = None
 
@@ -276,8 +288,26 @@ class SimContext:
         order; a move blocked whatever the bits has no record."""
         recs = self._records.get(cell)
         if recs is None:
-            recs = self._records[cell] = tuple(self._build(cell))
+            recs = self._records[cell] = tuple(self._build(cell, *self._shapes))
         return recs
+
+    def record(self, cell: int, mi: int):
+        """The record of move `mi` (an index into `moves`) from a cell, or
+        None if the move is blocked whatever the bits: the one in
+        `records_at(cell)` if the cell's records are built, else one
+        built alone, not with the cell's other moves, and kept."""
+        recs = self._records.get(cell)
+        if recs is not None:  # read, not copied: a replay after a search adds no record
+            for rec in recs:
+                if rec.move == mi:
+                    return rec
+            return None
+        key = cell * len(self.moves) + mi
+        try:
+            return self._moved[key]
+        except KeyError:
+            rec = self._moved[key] = next(self._build(cell, *self._alone[mi]), None)
+            return rec
 
     def read_bits(self, cell: int) -> tuple[int, int]:
         """`(doors, plats)`: every door bit and platform bit that `_apply`
@@ -286,10 +316,13 @@ class SimContext:
         keeps, sets or clears each other bit whatever its value."""
         return _read_bits(self.records_at(cell))
 
-    def _build(self, cell: int):
+    def _build(self, cell: int, shifts, dashes):
+        """The records of the given move shapes (see `_move_shapes`) from a
+        cell, in shape order; a shape blocked whatever the bits yields
+        none."""
         w, h, code, eid = self.width, self.height, self.code, self.eid
         y, x = divmod(cell, w)
-        for mi, offsets in self._shifts:
+        for mi, offsets in shifts:
             doors = plats = 0
             for ox, oy in offsets:
                 cx, cy = x + ox, y + oy
@@ -305,7 +338,7 @@ class SimContext:
                     break  # solid, button or space block
             else:
                 yield _Shift(mi, doors, plats, self._landing(i))
-        for mi, (dx, dy) in self._dashes:
+        for mi, (dx, dy) in dashes:
             gates, fall, transit = [], None, None
             cx, cy = x, y
             for _ in range(self.physics.dash_length):
@@ -514,10 +547,7 @@ def _record(ctx: SimContext, cell: int, move: Move):
     mi = ctx.index.get(move)
     if mi is None:
         raise ValueError(f"not a canonical move: {move!r}")
-    for rec in ctx.records_at(cell):
-        if rec.move == mi:
-            return rec
-    return None
+    return ctx.record(cell, mi)
 
 
 def _cell(ctx: SimContext, state: GameState) -> int:

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from satplat.formula import (
+    QBF_BOUND,
+    SAT_BOUND,
     Clause,
     CnfFormula,
     Literal,
@@ -69,7 +71,9 @@ class EquivalenceReport:
 class CorpusSpec:
     """EXHAUSTIVE mode enumerates all formulas up to (n_max, k_max);
     RANDOM draws `count` seeded formulas at exactly (n, k).  The variant
-    selects the NP (3-CNF) or PSPACE (QBF) pipeline."""
+    selects the NP (3-CNF) or PSPACE (QBF) pipeline.  A spec whose
+    formulas may have more variables than its oracle takes (`SAT_BOUND`,
+    `QBF_BOUND`) is refused with ValueError."""
 
     mode: str  # "EXHAUSTIVE" | "RANDOM"
     variant: str = NP
@@ -89,6 +93,14 @@ class CorpusSpec:
         if self.mode == "EXHAUSTIVE" and (self.n_max < 0 or self.k_max < 0):
             raise ValueError(f"corpus bounds must be non-negative, got "
                              f"n_max={self.n_max}, k_max={self.k_max}")
+        # Refused before any item runs: the oracle itself would refuse
+        # only the first item this large, after every smaller one.
+        n = self.n_max if self.mode == "EXHAUSTIVE" else self.n
+        oracle, bound = (("sat_oracle", SAT_BOUND) if self.variant == NP
+                         else ("qbf_oracle", QBF_BOUND))
+        if n > bound:
+            raise ValueError(f"{oracle} bound exceeded: corpus formulas of {n} variables, "
+                             f"over the bound of {bound}")
 
 
 @dataclass

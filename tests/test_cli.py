@@ -126,6 +126,12 @@ class TestEndToEnd:
                            "--n", 2, "--k", 1, "--count", 3, "--seed", 2)
         assert code == 0
 
+    def test_verify_at_the_sat_oracle_bound(self, capsys):
+        # SAT_BOUND is 20: the bound itself is still a corpus size.
+        code, out, _ = run(capsys, "verify", "--random", "--n", 20, "--k", 1, "--count", 1)
+        assert code == 0
+        assert "1 items, 1 agree" in out
+
     def test_gadgets_catalog_and_check(self, capsys):
         code, out, err = run(capsys, "gadgets", "--check")
         assert code == 0
@@ -209,6 +215,21 @@ class TestErrorPaths:
     def test_empty_or_negative_sizes_exit_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--exhaustive", "--pspace", "--nmax", "13", "--kmax", "0"),
+        ("verify", "--random", "--pspace", "--n", "13", "--k", "1", "--count", "1"),
+        ("verify", "--exhaustive", "--nmax", "21", "--kmax", "0"),
+        ("verify", "--random", "--n", "21", "--k", "1", "--count", "1"),
+    ])
+    def test_verify_above_an_oracle_bound_exits_two_before_any_item(self, capsys,
+                                                                    monkeypatch, argv):
+        import satplat.verify
+
+        monkeypatch.setattr(satplat.verify, "corpus_items", None)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "oracle bound exceeded" in err
 
     def test_trace_with_trailing_token_exits_two(self, tmp_path, sample_cnf, capsys):
         level = tmp_path / "s.level"

@@ -1,3 +1,4 @@
+import re
 from functools import cache
 
 import pytest
@@ -499,6 +500,38 @@ class TestTrail:
         assert replay(minimal_level, (walk(1),))
         sim_context.cache_clear()
         assert sim_context(minimal_level).trail is None
+
+    def test_step_and_replay_build_only_the_records_they_apply(self, monkeypatch):
+        # Records are built per move for `step` and `replay`, never for a
+        # whole cell.
+        level, trace = witnessed_levels()[0]
+        built, applied = [], []
+        build, apply = sim.SimContext._build, sim._apply
+
+        def counted_build(ctx, cell, shifts, dashes):
+            for rec in build(ctx, cell, shifts, dashes):
+                built.append(rec)
+                yield rec
+
+        monkeypatch.setattr(sim.SimContext, "_build", counted_build)
+        monkeypatch.setattr(sim, "_apply", lambda *args: applied.append(args) or apply(*args))
+        sim_context.cache_clear()
+        assert replay(level, trace)
+        assert len(applied) == len(trace)
+        assert 0 < len(built) <= len(applied)
+        built.clear()
+        start = initial_state(level)
+        assert isinstance(step(level, start, trace[0]), GameState)
+        assert not built  # the replay built that record already
+        step(level, start, next(m for m in canonical_moves(level.physics) if m != trace[0]))
+        assert len(built) <= 1
+        with pytest.raises(ValueError, match=re.escape(f"not a canonical move: {NOT_A_MOVE!r}")):
+            step(level, start, NOT_A_MOVE)
+        sim_context.cache_clear()
+        assert isinstance(solve(level), Solvable)
+        built.clear()
+        assert replay(level, trace)
+        assert not built  # a replay after a search takes the records the search built
 
     def test_a_mutant_replays_only_the_moves_after_its_mutation(self, sample_formula,
                                                                 monkeypatch):

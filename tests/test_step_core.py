@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from satplat.compiler import compile_3sat, compile_qbf
 from satplat.formula import gen_random_3cnf
 from satplat.level import OPEN, SOLID, Button, Door, LevelError, SpaceBlock, UnstablePlatform
-from satplat.sim import GameState, canonical_moves, dash, replay, sim_context, step
+from satplat.sim import GameState, SimContext, canonical_moves, dash, replay, sim_context, step
 from satplat.solver import Solvable, _Keys, solve
 from satplat.verify import gen_random_qbf
 from tests.conftest import level_from_art
@@ -30,18 +30,22 @@ def compiled_levels():
 
 
 @st.composite
-def levels_and_states(draw):
-    """A level, from `small_levels` or a compiled NP or QBF level, and an
-    arbitrary state on it: any cell (mostly a non-solid one), either dash
-    value, and door and platform bits with one bit to spare above the
-    level's ids."""
+def levels(draw):
+    """A level from `small_levels`, or a compiled NP or QBF level."""
     if draw(st.booleans()):
         try:
-            level = level_from_art(*draw(small_levels()))
+            return level_from_art(*draw(small_levels()))
         except LevelError:
             reject()
-    else:
-        level = compiled_levels()[draw(st.integers(0, len(compiled_levels()) - 1))]
+    return compiled_levels()[draw(st.integers(0, len(compiled_levels()) - 1))]
+
+
+@st.composite
+def levels_and_states(draw):
+    """A level, from `levels`, and an arbitrary state on it: any cell
+    (mostly a non-solid one), either dash value, and door and platform
+    bits with one bit to spare above the level's ids."""
+    level = draw(levels())
     open_cells = [(x, y) for y in range(level.height) for x in range(level.width)
                   if level.tiles[y][x] != SOLID]
     if draw(st.integers(0, 3)):
@@ -132,6 +136,40 @@ def test_successor_masks_hold_for_every_state_that_shares_the_read_bits(
         else:
             assert out_key in reached, ctx.moves[rec.move]
         reached.add(out_key)
+
+
+def single_records_agree_with_records_at(level, singles_first: bool):
+    """On a fresh context, `record(cell, mi)` is the record of move `mi`
+    in `records_at(cell)`, or None when that has none, for every cell and
+    canonical move; the single records are built before the per-cell
+    ones, or after."""
+    ctx = SimContext(level)
+    cells = range(ctx.width * ctx.height)
+
+    def singles():
+        return {(cell, mi): ctx.record(cell, mi) for cell in cells
+                for mi in range(len(ctx.moves))}
+
+    single = singles() if singles_first else None
+    by_cell = {cell: {rec.move: rec for rec in ctx.records_at(cell)} for cell in cells}
+    for (cell, mi), rec in (single or singles()).items():
+        assert rec == by_cell[cell].get(mi), (divmod(cell, ctx.width)[::-1], ctx.moves[mi])
+
+
+@cache
+def both_build_orders_agree(level):
+    """Checked once per level: the check is deterministic, and the
+    compiled levels are drawn again and again."""
+    single_records_agree_with_records_at(level, singles_first=True)
+    single_records_agree_with_records_at(level, singles_first=False)
+
+
+@given(levels())
+@example(BUTTON_BLOCK_DOOR)
+@example(DOOR_OVER_PLATFORM)
+@settings(max_examples=60, deadline=None)
+def test_single_records_match_records_at_in_either_build_order(level):
+    both_build_orders_agree(level)
 
 
 def test_read_bits_leave_out_the_door_of_a_swept_button():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from satplat.compiler import compile_3sat, compile_qbf
-from satplat.formula import parse_dimacs, parse_qdimacs
+from satplat.formula import QBF_BOUND, SAT_BOUND, parse_dimacs, parse_qdimacs
 from satplat.level import NP, PSPACE, load_level
 from satplat.sim import replay
 from satplat.solver import Solvable, solve
@@ -80,6 +80,23 @@ class TestEnumeration:
         # either would otherwise run a corpus the caller did not ask for
         with pytest.raises(ValueError, match="corpus mode"):
             CorpusSpec(mode, variant, n_max=0, k_max=0)
+
+    @pytest.mark.parametrize("variant, oracle, bound", [
+        (NP, "sat_oracle", SAT_BOUND), (PSPACE, "qbf_oracle", QBF_BOUND),
+    ])
+    def test_a_spec_above_the_oracle_bound_is_refused(self, variant, oracle, bound):
+        # Refused when built, so no item is enumerated or solved first.
+        for spec in (dict(mode="EXHAUSTIVE", n_max=bound + 1, k_max=0),
+                     dict(mode="RANDOM", n=bound + 1, k=1, count=1)):
+            with pytest.raises(ValueError, match=f"{oracle} bound exceeded: .* {bound + 1} "
+                                                 f"variables, over the bound of {bound}"):
+                CorpusSpec(variant=variant, **spec)
+
+    @pytest.mark.parametrize("variant, bound", [(NP, SAT_BOUND), (PSPACE, QBF_BOUND)])
+    def test_a_spec_at_the_oracle_bound_is_accepted(self, variant, bound):
+        CorpusSpec("EXHAUSTIVE", variant, n_max=bound, k_max=0)
+        spec = CorpusSpec("RANDOM", variant, n=bound, k=1, count=1, seed=1)
+        assert len(corpus_items(spec)) == 1
 
 
 class TestRunCorpus:
