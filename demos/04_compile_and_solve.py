@@ -7,15 +7,17 @@ unsatisfiable formula.
 
 from satplat.compiler import compile_3sat, plan_3sat, route_and_place, witness_trace
 from satplat.formula import parse_dimacs, sat_oracle
-from satplat.level import render_ascii
+from satplat.level import Door, UnstablePlatform, render_ascii
 from satplat.sim import replay, trace_to_text
 from satplat.solver import Solvable, solve
 
 formula = parse_dimacs("p cnf 3 2\n1 2 -3 0\n-1 2 3 0\n")
 plan = plan_3sat(formula)
 level = route_and_place(plan)
+platforms = sum(isinstance(e, UnstablePlatform) for e in level.entities)
+doors = sum(isinstance(e, Door) for e in level.entities)
 print(f"compiled to a {level.width}x{level.height} grid with "
-      f"{len(level.platforms)} platforms, {len(level.doors)} doors, "
+      f"{platforms} platforms, {doors} doors, "
       f"{len(plan.crossings)} wire crossings (one crossover each)\n")
 print(render_ascii(level))
 

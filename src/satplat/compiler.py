@@ -53,6 +53,7 @@ from satplat.level import (
 MAX_GRID_CELLS = 1 << 22
 
 V_PITCH = 20  # rows consumed per variable strip
+QBF_HEIGHT = 14  # rows of every QBF grid
 
 
 class CompileError(LevelError):
@@ -120,12 +121,19 @@ def detect_crossings(wires: list[Wire]) -> list[tuple[int, int]]:
     return crossings
 
 
+def _check_grid(w: int, h: int) -> None:
+    """Refuse a grid over `MAX_GRID_CELLS` cells.  The planners check
+    their grid so far as each stage is laid out, so an oversized formula
+    is refused before its gadgets are built."""
+    if w * h > MAX_GRID_CELLS:
+        raise CompileError(f"grid {w}x{h} has {w * h} cells, over the bound of {MAX_GRID_CELLS}")
+
+
 def _corridors(plan: LayoutPlan) -> list[tuple[int, int]]:
     """The wire cells outside every placement, each once, in wire order.
     A grid over `MAX_GRID_CELLS` cells is refused before it is allocated."""
     w, h = plan.width, plan.height
-    if w * h > MAX_GRID_CELLS:
-        raise CompileError(f"grid {w}x{h} has {w * h} cells, over the bound of {MAX_GRID_CELLS}")
+    _check_grid(w, h)
     grid = bytearray(w * h)  # by y * w + x: 0 free, 1 inside a placement, 2 carved
     for p in plan.placements:  # stamp_into rejects one that does not fit
         ox, oy = p.origin
@@ -198,12 +206,13 @@ def plan_report(plan: LayoutPlan) -> str:
 
 
 def _occurrences(formula: CnfFormula):
-    """pos[v], neg[v]: global door ids (3*clause + slot) per literal."""
-    pos = {v: [] for v in range(1, formula.num_variables + 1)}
-    neg = {v: [] for v in range(1, formula.num_variables + 1)}
+    """pos[v], neg[v]: global door ids (3*clause + slot) per literal, for
+    the variables that occur; read them with `.get(v, ())`."""
+    pos: dict[int, list[int]] = {}
+    neg: dict[int, list[int]] = {}
     for c, clause in enumerate(formula.clauses):
         for s, lit in enumerate(clause.literals):
-            (neg if lit.negated else pos)[lit.variable].append(3 * c + s)
+            (neg if lit.negated else pos).setdefault(lit.variable, []).append(3 * c + s)
     return pos, neg
 
 
@@ -238,11 +247,11 @@ def plan_3sat(formula: CnfFormula) -> LayoutPlan:
         ox, oy = cx + 9, cy - 7
         plan.placements.append(Placement(cross, (ox, oy), f"x{i}.cross."))
         # true tunnel east of the crossover
-        t_bp = build_tunnel([(d, OPEN) for d in pos[i]])
+        t_bp = build_tunnel([(d, OPEN) for d in pos.get(i, ())])
         tx0 = cx + 20
         plan.placements.append(Placement(t_bp, (tx0, rt - 1), f"x{i}.true."))
         t_end = tx0 + t_bp.width - 1
-        f_bp = build_tunnel([(d, OPEN) for d in neg[i]])
+        f_bp = build_tunnel([(d, OPEN) for d in neg.get(i, ())])
         fx0 = cx + 15
         plan.placements.append(Placement(f_bp, (fx0, ru - 1), f"x{i}.false."))
         f_end = fx0 + f_bp.width - 1
@@ -259,6 +268,7 @@ def plan_3sat(formula: CnfFormula) -> LayoutPlan:
             spawn_wire.append((cx, cy1 + 6))
             plan.wires.append(Wire("spawn", tuple(spawn_wire)))
         cx = mx + 2
+        _check_grid(cx + 1, height)  # the grid so far, up to the merge pocket
 
     # Final stage: the merge shaft ends at (cx - 2, pr) for n >= 1.
     px0 = cx if n else 4
@@ -320,8 +330,9 @@ def plan_qbf(qbf: QbfFormula) -> LayoutPlan:
     ret_wire_pts = []
 
     for qi, (quant, var) in enumerate(qbf.prefix, start=1):
-        true_syms = tuple((d, OPEN) for d in pos[var]) + tuple((d, CLOSE) for d in neg[var])
-        false_syms = tuple((d, OPEN) for d in neg[var]) + tuple((d, CLOSE) for d in pos[var])
+        ps, ns = pos.get(var, ()), neg.get(var, ())
+        true_syms = tuple((d, OPEN) for d in ps) + tuple((d, CLOSE) for d in ns)
+        false_syms = tuple((d, OPEN) for d in ns) + tuple((d, CLOSE) for d in ps)
         if quant is Quantifier.EXISTS:
             bp = build_exists_gadget(var, door_base, true_syms, false_syms)
         else:
@@ -335,11 +346,13 @@ def plan_qbf(qbf: QbfFormula) -> LayoutPlan:
             plan.wires.append(Wire(f"q{qi}.reroute", ((east, 4), (jx, 4), (jx, fwd_y))))
         ret_wire_pts.append((east, ret_y))
         x = east + 4
+        _check_grid(x, QBF_HEIGHT)
 
     for c in range(k):
         bp = build_clause_gadget(c)
         plan.placements.append(Placement(bp, (x, 1), f"c{c}."))
         x += bp.width
+        _check_grid(x, QBF_HEIGHT)
 
     lift = ret_y - fwd_y
     elev = build_elevator(lift)
@@ -351,7 +364,7 @@ def plan_qbf(qbf: QbfFormula) -> LayoutPlan:
     plan.flag = (2, ret_y)
 
     plan.width = x + elev.width + 1
-    plan.height = 14
+    plan.height = QBF_HEIGHT
     return plan
 
 

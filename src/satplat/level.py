@@ -156,18 +156,6 @@ class Level:
     def flag(self) -> Flag:
         return next(e for e in self.entities if isinstance(e, Flag))
 
-    @property
-    def doors(self) -> list[Door]:
-        return [e for e in self.entities if isinstance(e, Door)]
-
-    @property
-    def platforms(self) -> list[UnstablePlatform]:
-        return [e for e in self.entities if isinstance(e, UnstablePlatform)]
-
-    @property
-    def buttons(self) -> list[Button]:
-        return [e for e in self.entities if isinstance(e, Button)]
-
     def port(self, name: str) -> Port:
         for p in self.ports:
             if p.name == name:

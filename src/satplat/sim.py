@@ -44,17 +44,17 @@ walk or jump path; a solid cell or the edge first on a dash) gets none.
 One function, `_apply`, applies a record to `(has_dash, doors, plats)`
 and returns the fields of the next `GameState`; `step`, `legal_moves`,
 `replay` and the solver all call it, and `replay` and `replay_states`
-share one loop over it.  `canonical_moves` is the one move table: a
+both run the one replay loop over it, `_replay`.  `canonical_moves` is the one move table: a
 record names its move by its index there (`SimContext.index`), and a
 `Move` not in it, such as a WALK with a rise, is refused (`step` raises
 ValueError, a replay stops).
 
 `SimContext.trail` is the first trace `replay` found winning on the
-level, with the state before each of its moves and after the last.  A
-replay takes the trail's state at the end of the longest prefix its
-trace shares with the trail (moves compared with `==`, as
-`SimContext.index` compares them) and runs the loop over the rest of
-the trace only.  The core is deterministic and the trail's states are
+level, with the state before each of its moves and after the last.
+`_replay`, the one place that reads it, takes the trail's state at the
+end of the longest prefix its trace shares with the trail (moves
+compared with `==`, as `SimContext.index` compares them) and applies
+the rest of the trace only.  The core is deterministic and the trail's states are
 its own earlier outcomes, so the result is the same as a replay from the
 start: a mutant of the witness replays only the moves from its mutation
 on.
@@ -70,7 +70,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import NamedTuple
 
 from satplat.level import CLOSE, SOLID, Button, Door, Level, SpaceBlock, UnstablePlatform
@@ -220,7 +219,8 @@ class SimContext:
     `trail` is None until `replay` first finds a trace winning on the
     level, then `(moves, states)`: that trace as a tuple, and the state
     before each of its moves and after the last.  A losing replay never
-    sets it, and once set it is never replaced.
+    sets it, and once set it is never replaced.  `_replay`, the one
+    replay loop of `replay` and `replay_states`, resumes from it.
 
     The tables and the trail hold no reference back to the context, so a
     context that `sim_context` drops is freed at once, not at the next
@@ -541,15 +541,6 @@ def _apply(rec, has_dash: int, doors: int, plats: int):
         return x, y, has_dash, doors, plats & keep
 
 
-def _record(ctx: SimContext, cell: int, move: Move):
-    """The record of a move from a cell, or None if the move is blocked
-    whatever the bits; ValueError for a move that is not canonical."""
-    mi = ctx.index.get(move)
-    if mi is None:
-        raise ValueError(f"not a canonical move: {move!r}")
-    return ctx.record(cell, mi)
-
-
 def _cell(ctx: SimContext, state: GameState) -> int:
     """The cell index of a state passed in from outside; ValueError
     unless its fields are ints (a bool counts), it is on the level, its
@@ -569,7 +560,11 @@ def _cell(ctx: SimContext, state: GameState) -> int:
 def step(level: Level, state: GameState, move: Move) -> StepOutcome:
     """Apply one move; a pure function of (level, state, move)."""
     ctx = sim_context(level)
-    rec = _record(ctx, _cell(ctx, state), move)
+    cell = _cell(ctx, state)
+    mi = ctx.index.get(move)
+    if mi is None:
+        raise ValueError(f"not a canonical move: {move!r}")
+    rec = ctx.record(cell, mi)
     if rec is None:
         return BLOCKED
     out = _apply(rec, state.has_dash, state.door_open, state.platform_broken)
@@ -589,38 +584,34 @@ def legal_moves(level: Level, state: GameState) -> list[Move]:
     return out
 
 
-def _outcomes(ctx: SimContext, state, trace: tuple, start: int):
-    """The one replay loop: the core's outcome of each move of
-    `trace[start:]` in turn, from the state that move `start` applies to.
-    It stops after the first outcome that is `BLOCKED` or `DEATH`; a move
-    that is not canonical is `BLOCKED` here."""
-    x, y, has_dash, doors, plats = state
-    for move in trace[start:]:
-        try:
-            rec = _record(ctx, y * ctx.width + x, move)
-        except ValueError:
-            rec = None
-        out = BLOCKED if rec is None else _apply(rec, has_dash, doors, plats)
-        yield out
-        if out is BLOCKED or out is DEATH:
-            return
-        x, y, has_dash, doors, plats = out
-
-
-def _resume(trail, level: Level, trace: tuple):
-    """`(k, states)`: `trace` shares its first k moves with the trail,
-    and `states[:k + 1]` are the states before each of them and after
-    the last.  Without a trail, k is 0 and `states` is the start state
-    alone."""
+def _replay(ctx: SimContext, level: Level, trace: tuple):
+    """The one replay loop: `(states, ok)`, the states before each move of
+    `trace` and after the last that applied, and whether every move
+    applied.  It starts from the trail's state at the end of the prefix
+    `trace` shares with the trail, or from `initial_state` without a
+    trail, and applies the rest of the trace only.  A move that is not
+    canonical, or whose outcome is `BLOCKED` or `DEATH`, stops it."""
+    trail = ctx.trail
     if trail is None:
-        return 0, (initial_state(level),)
-    moves, states = trail
-    k = 0
-    for move, mine in zip(moves, trace):
-        if not move == mine:  # the equality `SimContext.index` looks moves up by
-            break
-        k += 1
-    return k, states
+        k, states = 0, [initial_state(level)]
+    else:
+        moves, trail_states = trail
+        k = 0
+        for move, mine in zip(moves, trace):
+            if move is not mine and move != mine:  # the equality `SimContext.index` looks moves up by
+                break
+            k += 1
+        states = list(trail_states[:k + 1])
+    x, y, has_dash, doors, plats = states[-1]
+    for move in trace[k:]:
+        mi = ctx.index.get(move)
+        rec = None if mi is None else ctx.record(y * ctx.width + x, mi)
+        out = BLOCKED if rec is None else _apply(rec, has_dash, doors, plats)
+        if out is BLOCKED or out is DEATH:
+            return states, False
+        states.append(out)
+        x, y, has_dash, doors, plats = out
+    return states, True
 
 
 def replay(level: Level, trace) -> bool:
@@ -630,16 +621,11 @@ def replay(level: Level, trace) -> bool:
     with it, and the first winning trace it finds becomes the trail."""
     ctx = sim_context(level)
     trace = tuple(trace)
-    trail = ctx.trail
-    k, states = _resume(trail, level, trace)
-    outs = list(_outcomes(ctx, states[k], trace, k))
-    end = outs[-1] if outs else states[k]
-    if end is BLOCKED or end is DEATH:
+    states, ok = _replay(ctx, level, trace)
+    if not ok or states[-1][:2] != ctx.flag:
         return False
-    if end[:2] != ctx.flag:
-        return False
-    if trail is None:
-        ctx.trail = (trace, (*states, *outs))
+    if ctx.trail is None:
+        ctx.trail = (trace, tuple(states))
     return True
 
 
@@ -648,10 +634,5 @@ def replay_states(level: Level, trace):
     stops early if a move fails or is not a canonical move.  The states
     of the prefix the trace shares with the level's trail are the
     trail's.  Library helper for tests and tooling."""
-    ctx = sim_context(level)
-    trace = tuple(trace)
-    k, states = _resume(ctx.trail, level, trace)
-    for out in chain(states[:k + 1], _outcomes(ctx, states[k], trace, k)):
-        if out is BLOCKED or out is DEATH:
-            return
-        yield GameState._make(out)
+    states, _ = _replay(sim_context(level), level, tuple(trace))
+    yield from map(GameState._make, states)

@@ -42,7 +42,7 @@ class SearchStats:
     states_visited: int
     frontier_peak: int
     elapsed: float
-    successor_lists: int = 0  # signatures whose successors were computed
+    successor_lists: int  # signatures whose successors were computed
 
 
 @dataclass(frozen=True)

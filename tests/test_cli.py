@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -265,6 +268,23 @@ class TestErrorPaths:
         code, out, err = run(capsys, "compile", cnf)
         assert code == 2 and out == ""
         assert err.startswith("error: grid ") and "over the bound" in err
+
+    @pytest.mark.parametrize("command, header", [
+        ("compile", "p cnf 200000 0\n"), ("qcompile", "p cnf 500000 0\n"),
+    ])
+    def test_a_tiny_file_declaring_a_huge_formula_is_refused_quickly(self, tmp_path, command,
+                                                                     header):
+        # Refused as its stages are laid out: no gadget grid is built for
+        # variables that do not fit, and nothing is listed per variable.
+        path = tmp_path / "huge.cnf"
+        path.write_text(header)
+        limit = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                 "from satplat.cli import main; sys.exit(main(sys.argv[1:]))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", limit, command, str(path)], env=env,
+                              capture_output=True, text=True, timeout=10)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: grid ") and "over the bound" in done.stderr
 
 
 # --- fuzzing main ---------------------------------------------------------

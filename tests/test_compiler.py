@@ -7,6 +7,7 @@ from satplat import compiler
 from satplat.compiler import (
     MAX_GRID_CELLS,
     CompileError,
+    LayoutPlan,
     Wire,
     compile_3sat,
     compile_qbf,
@@ -18,7 +19,7 @@ from satplat.compiler import (
     witness_trace,
 )
 from satplat.formula import gen_random_3cnf, parse_dimacs, parse_qdimacs, sat_oracle
-from satplat.level import save_level, validate_level
+from satplat.level import NP, Button, Door, UnstablePlatform, save_level, validate_level
 from satplat.sim import initial_state, replay
 from satplat.solver import Solvable, Unsolvable, solve
 from satplat.verify import gen_random_qbf
@@ -28,8 +29,8 @@ class TestCompile3Sat:
     def test_sample_formula_structure(self, sample_formula):
         level = compile_3sat(sample_formula)
         assert validate_level(level) == []
-        assert len(level.platforms) == 6  # 2 per variable chamber
-        assert len(level.doors) == 6  # 3 per clause wall
+        assert sum(isinstance(e, UnstablePlatform) for e in level.entities) == 6  # 2 per variable chamber
+        assert sum(isinstance(e, Door) for e in level.entities) == 6  # 3 per clause wall
         assert len([p for p in level.ports if p.name.endswith(".entry")]) == 3
         # clause walls live in the final passage
         assert len([p for p in level.ports if p.name.startswith("passage.")]) == 2
@@ -48,11 +49,12 @@ class TestCompile3Sat:
         # x1 occurs once positively, once negatively; x2 twice positively
         # and never negatively; x3 once each
         level = compile_3sat(sample_formula)
+        buttons = [e for e in level.entities if isinstance(e, Button)]
         by_door = {}
-        for b in level.buttons:
+        for b in buttons:
             by_door.setdefault(b.door_id, 0)
             by_door[b.door_id] += 1
-        assert len(level.buttons) == 6  # one per literal occurrence
+        assert len(buttons) == 6  # one per literal occurrence
         assert set(by_door) == {0, 1, 2, 3, 4, 5}
 
     def test_empty_formula_trivially_solvable(self):
@@ -74,28 +76,34 @@ class TestCompile3Sat:
     def test_compiles_beyond_small_sizes(self, n):
         level = compile_3sat(gen_random_3cnf(n, n, n))
         assert validate_level(level) == []
-        assert len(level.platforms) == 2 * n and len(level.doors) == 3 * n
+        assert sum(isinstance(e, UnstablePlatform) for e in level.entities) == 2 * n
+        assert sum(isinstance(e, Door) for e in level.entities) == 3 * n
 
     def test_grid_bound_refused_before_the_grid_is_allocated(self, monkeypatch):
+        # n=k=128 needs 2566 rows; the plan is refused at the first
+        # chamber that takes the grid so far over the bound, so the
+        # chambers after it are never built.
         formula = gen_random_3cnf(128, 128, 0)
-        plan = plan_3sat(formula)
-        cells = plan.width * plan.height
-        assert cells > MAX_GRID_CELLS
+        built = []
+        build = compiler.build_variable_gadget
+        monkeypatch.setattr(compiler, "build_variable_gadget", lambda i: built.append(i) or build(i))
         monkeypatch.setattr(compiler, "LevelBuilder", None)  # must not be reached
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            with pytest.raises(CompileError, match=f"grid {plan.width}x{plan.height} has "
-                                                   f"{cells} cells, over the bound of {MAX_GRID_CELLS}"):
+            with pytest.raises(CompileError, match=r"grid \d+x2566 has \d+ cells, over the bound "
+                                                   f"of {MAX_GRID_CELLS}"):
                 compile_3sat(formula)
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert elapsed < 1.0
-        assert peak < cells // 4  # the 1-byte-per-cell coverage grid was never made
-        with pytest.raises(CompileError, match=f"{cells} cells"):
-            plan_report(plan)
+        assert peak < MAX_GRID_CELLS // 4  # the 1-byte-per-cell coverage grid was never made
+        assert built == list(range(1, len(built) + 1)) and len(built) < 128
+        oversized = LayoutPlan(NP, MAX_GRID_CELLS + 1, 1)
+        with pytest.raises(CompileError, match=f"{MAX_GRID_CELLS + 1} cells"):
+            plan_report(oversized)
 
     def test_area_polynomial_proxy(self):
         # frozen constant: grid area <= 1200 * (n + k)^2 for n + k >= 1

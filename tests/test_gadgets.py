@@ -16,7 +16,19 @@ from satplat.gadgets import (
     contract_level,
     stamp_into,
 )
-from satplat.level import CLOSE, NP, OPEN, PSPACE, Flag, LevelBuilder, LevelError, Spawn
+from satplat.level import (
+    CLOSE,
+    NP,
+    OPEN,
+    PSPACE,
+    Button,
+    Door,
+    Flag,
+    LevelBuilder,
+    LevelError,
+    Spawn,
+    UnstablePlatform,
+)
 from satplat.sim import BLOCKED, Death, GameState, dash, jump, step
 from satplat.solver import DEFAULT_MAX_STATES, reachable_ports, reachable_positions, solve_between
 
@@ -266,7 +278,7 @@ class TestStamp:
         builder.carve(6, 8)
         stamp_into(builder, build_clause_gadget(3), (1, 1))
         level = builder.build()
-        assert sorted(d.id for d in level.doors) == [9, 10, 11]
+        assert sorted(e.id for e in level.entities if isinstance(e, Door)) == [9, 10, 11]
         assert {p.name for p in level.ports} == {"check_in", "check_out"}
 
     def test_contract_translation_invariance(self):
@@ -310,9 +322,9 @@ def test_size_and_variant_are_those_of_the_patch(bp):
     level = contract_level(bp)
     assert level.variant == bp.variant
     named = {b.door_id for b in bp.buttons} | {d.id for d in bp.doors}
-    assert sorted(d.id for d in level.doors) == sorted(named)
-    assert len(level.platforms) == len(bp.platforms)
-    assert any(b.action == CLOSE for b in level.buttons) == closes
+    assert sorted(e.id for e in level.entities if isinstance(e, Door)) == sorted(named)
+    assert sum(isinstance(e, UnstablePlatform) for e in level.entities) == len(bp.platforms)
+    assert any(isinstance(e, Button) and e.action == CLOSE for e in level.entities) == closes
 
 
 @pytest.mark.parametrize("first_door", [2, 9])

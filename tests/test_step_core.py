@@ -52,8 +52,8 @@ def levels_and_states(draw):
         x, y = draw(st.sampled_from(open_cells))
     else:
         x, y = draw(st.integers(0, level.width - 1)), draw(st.integers(0, level.height - 1))
-    doors = max((d.id for d in level.doors), default=0) + 2
-    plats = max((p.id for p in level.platforms), default=0) + 2
+    doors = max((e.id for e in level.entities if isinstance(e, Door)), default=0) + 2
+    plats = max((e.id for e in level.entities if isinstance(e, UnstablePlatform)), default=0) + 2
     state = GameState(x, y, draw(st.integers(0, 1)), draw(st.integers(0, 2**doors - 1)),
                       draw(st.integers(0, 2**plats - 1)))
     return level, state

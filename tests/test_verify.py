@@ -205,9 +205,9 @@ class TestRunCorpus:
         assert (tmp_path / "case_studies" / "notes.txt").read_text() == "kept"
 
     @pytest.mark.parametrize("spec", [
-        CorpusSpec("RANDOM", NP, n=9, k=9, count=3, seed=1),
+        CorpusSpec("RANDOM", NP, n=10, k=10, count=3, seed=1),
         CorpusSpec("RANDOM", PSPACE, n=6, k=4, count=3, seed=1),
-    ], ids=["np-9x9", "pspace-6x4"])
+    ], ids=["np-10x10", "pspace-6x4"])
     def test_random_corpus_beyond_small_sizes_agrees(self, spec):
         summary = run_corpus(spec)
         assert summary.items == 3 and summary.all_agree
