@@ -33,10 +33,13 @@ from satplat.gadgets import (
     build_forall_gadget,
     build_tunnel,
     build_variable_gadget,
+    exists_width,
+    forall_width,
     stamp_into,
 )
 from satplat.level import (
     CLOSE,
+    EMPTY,
     NP,
     OPEN,
     PSPACE,
@@ -129,27 +132,33 @@ def _check_grid(w: int, h: int) -> None:
         raise CompileError(f"grid {w}x{h} has {w * h} cells, over the bound of {MAX_GRID_CELLS}")
 
 
-def _corridors(plan: LayoutPlan) -> list[tuple[int, int]]:
-    """The wire cells outside every placement, each once, in wire order.
-    A grid over `MAX_GRID_CELLS` cells is refused before it is allocated."""
+def _span(x_lo: int, y_lo: int, x_hi: int, y_hi: int, w: int) -> slice:
+    """A wire segment's cells as a slice of a grid indexed by y * w + x,
+    along the segment's one varying axis."""
+    return slice(y_lo * w + x_lo, y_hi * w + x_hi + 1, 1 if y_lo == y_hi else w)
+
+
+def _corridors(plan: LayoutPlan) -> bytearray:
+    """The plan's grid by y * w + x: 1 inside a placement, 2 on a wire
+    outside every placement (a corridor cell), 0 elsewhere.  A grid over
+    `MAX_GRID_CELLS` cells is refused before it is allocated."""
     w, h = plan.width, plan.height
     _check_grid(w, h)
-    grid = bytearray(w * h)  # by y * w + x: 0 free, 1 inside a placement, 2 carved
+    grid = bytearray(w * h)
     for p in plan.placements:  # stamp_into rejects one that does not fit
         ox, oy = p.origin
         row = b"\1" * p.blueprint.width
         for i in range(oy * w + ox, (oy + p.blueprint.height) * w + ox, w):
             grid[i:i + len(row)] = row
-    carved = []
     for name, x_lo, y_lo, x_hi, y_hi in _segments(plan.wires):
         if x_lo < 0 or y_lo < 0 or x_hi >= w or y_hi >= h:
             raise CompileError(f"wire {name} leaves the grid: {(x_lo, y_lo)} -> {(x_hi, y_hi)}")
-        # along the segment's one varying axis
-        for i in range(y_lo * w + x_lo, y_hi * w + x_hi + 1, 1 if y_lo == y_hi else w):
-            if grid[i] == 0:
-                grid[i] = 2
-                carved.append((i % w, i // w))
-    return carved
+        cells = _span(x_lo, y_lo, x_hi, y_hi, w)
+        grid[cells] = grid[cells].replace(b"\0", b"\2")
+    return grid
+
+
+_TILES = bytes.maketrans(b"\0\1\2", (SOLID + SOLID + EMPTY).encode())
 
 
 def route_and_place(plan: LayoutPlan) -> Level:
@@ -157,7 +166,7 @@ def route_and_place(plan: LayoutPlan) -> Level:
     wire crossing is covered by a crossover, carve the wires outside the
     placements, stamp every placement, check that the wires run open
     through them, and validate the result."""
-    carved = _corridors(plan)
+    corridors = _corridors(plan)
     cover = {
         (p.origin[0] + 5, p.origin[1] + 5)
         for p in plan.placements
@@ -167,30 +176,38 @@ def route_and_place(plan: LayoutPlan) -> Level:
         if pt not in cover:
             raise CompileError(f"wire crossing at {pt} is not covered by a crossover")
 
-    builder = LevelBuilder(plan.width, plan.height, plan.variant)
-    for cell in carved:
-        builder.carve(*cell)
+    w, h = plan.width, plan.height
+    builder = LevelBuilder(w, h, plan.variant)
+    if w > 0 and 2 in corridors[:w] + corridors[-w:] + corridors[::w] + corridors[w - 1::w]:
+        # a corridor cell on the boundary: carve refuses the first, in wire order
+        for _, *segment in _segments(plan.wires):
+            for i in range(len(corridors))[_span(*segment, w)]:
+                if corridors[i] == 2:
+                    builder.carve(i % w, i // w)
+    tiles = corridors.translate(_TILES).decode()  # the corridors open, the rest solid
+    builder.grid = [tiles[y * w:(y + 1) * w] for y in range(h)]
     for p in plan.placements:
         stamp_into(builder, p.blueprint, p.origin, p.prefix)
     # Every wire cell outside the placements is carved, so a solid one
     # lies in a gadget.
-    for name, x_lo, y_lo, x_hi, y_hi in _segments(plan.wires):
-        for y in range(y_lo, y_hi + 1):
-            cells = builder.grid[y][x_lo:x_hi + 1]
-            if SOLID in cells:
-                cell = (x_lo + cells.index(SOLID), y)
-                raise CompileError(f"wire {name} runs through solid gadget cell {cell}")
+    tiles = "".join(builder.grid)
+    for name, *segment in _segments(plan.wires):
+        span = _span(*segment, w)
+        i = tiles[span].find(SOLID)
+        if i >= 0:
+            i = range(len(tiles))[span][i]
+            raise CompileError(f"wire {name} runs through solid gadget cell {(i % w, i // w)}")
     builder.add(Spawn(plan.spawn))
     builder.add(Flag(plan.flag))
     return builder.build()
 
 
 def plan_report(plan: LayoutPlan) -> str:
-    carved = _corridors(plan)
+    carved = _corridors(plan).count(2)
     crossings = plan.crossings
     lines = [
         f"variant {plan.variant}, grid {plan.width}x{plan.height}",
-        f"placements {len(plan.placements)}, carved cells {len(carved)}, "
+        f"placements {len(plan.placements)}, carved cells {carved}, "
         f"wires {len(plan.wires)}, crossings {len(crossings)}",
     ]
     for p in plan.placements:
@@ -329,10 +346,20 @@ def plan_qbf(qbf: QbfFormula) -> LayoutPlan:
     fwd_wire = [(2, fwd_y)]
     ret_wire_pts = []
 
-    for qi, (quant, var) in enumerate(qbf.prefix, start=1):
+    # A quantifier gadget's width follows from its symbols, so the grid is
+    # checked for every gadget before the first is built.
+    gadgets = []
+    end = x
+    for quant, var in qbf.prefix:
         ps, ns = pos.get(var, ()), neg.get(var, ())
         true_syms = tuple((d, OPEN) for d in ps) + tuple((d, CLOSE) for d in ns)
         false_syms = tuple((d, OPEN) for d in ns) + tuple((d, CLOSE) for d in ps)
+        width = exists_width if quant is Quantifier.EXISTS else forall_width
+        end += width(true_syms, false_syms) + 3  # and the gap after it
+        _check_grid(end, QBF_HEIGHT)
+        gadgets.append((quant, var, true_syms, false_syms))
+
+    for qi, (quant, var, true_syms, false_syms) in enumerate(gadgets, start=1):
         if quant is Quantifier.EXISTS:
             bp = build_exists_gadget(var, door_base, true_syms, false_syms)
         else:
@@ -346,7 +373,6 @@ def plan_qbf(qbf: QbfFormula) -> LayoutPlan:
             plan.wires.append(Wire(f"q{qi}.reroute", ((east, 4), (jx, 4), (jx, fwd_y))))
         ret_wire_pts.append((east, ret_y))
         x = east + 4
-        _check_grid(x, QBF_HEIGHT)
 
     for c in range(k):
         bp = build_clause_gadget(c)

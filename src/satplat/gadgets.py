@@ -127,27 +127,32 @@ class StampError(LevelError):
 
 def stamp_into(builder: LevelBuilder, bp: GadgetBlueprint, origin: tuple[int, int],
                prefix: str = "") -> None:
-    """Apply a blueprint patch to a builder. Every target cell must still
-    be solid (stamps may abut but never overlap carved content).  Door
-    ids are copied unchanged; a collision is left to the level's
-    `unique-door-id` rule.  Platforms and space blocks are numbered in
-    stamping order: a blueprint's ids follow those already in the
-    builder."""
+    """Apply a blueprint patch to a builder, one row slice of the grid
+    at a time. Every target cell must still be solid (stamps may abut but
+    never overlap carved content), and the patch may open no cell of the
+    grid's boundary, which `LevelBuilder.carve` refuses.  Door ids are
+    copied unchanged; a collision is left to the level's `unique-door-id`
+    rule.  Platforms and space blocks are numbered in stamping order: a
+    blueprint's ids follow those already in the builder."""
     ox, oy = origin
     w, h = bp.width, bp.height
     if ox < 0 or oy < 0 or ox + w > builder.width or oy + h > builder.height:
         raise StampError(f"{bp.kind} at {origin} does not fit the grid")
+    grid = builder.grid
     for y in range(oy, oy + h):
-        cells = builder.grid[y][ox:ox + w]
-        if EMPTY in cells:
-            cell = (ox + cells.index(EMPTY), y)
-            raise StampError(f"{bp.kind} at {origin} overlaps carved cell {cell}")
+        x = grid[y].find(EMPTY, ox, ox + w)
+        if x >= 0:
+            raise StampError(f"{bp.kind} at {origin} overlaps carved cell {(x, y)}")
     plat_offset = builder.count[UnstablePlatform]
     block_offset = builder.count[SpaceBlock]
-    for y, row in enumerate(bp.rows, start=oy):
-        for x, tile in enumerate(row, start=ox):
-            if tile == EMPTY:
-                builder.carve(x, y)
+    inside = 0 < ox and ox + w < builder.width  # clear of the side boundaries
+    for y, tiles in enumerate(bp.rows, start=oy):
+        if not (inside and 0 < y < builder.height - 1) and EMPTY in tiles:
+            for x, tile in enumerate(tiles, start=ox):  # carve refuses a boundary cell
+                if tile == EMPTY:
+                    builder.carve(x, y)
+        row = grid[y]
+        grid[y] = row[:ox] + tiles + row[ox + w:]
     for d in bp.doors:
         builder.add(Door(d.id, tuple((ox + x, oy + y) for x, y in d.cells),
                          d.initially_open))
@@ -375,6 +380,12 @@ def build_final_passage(num_clauses: int) -> GadgetBlueprint:
     )
 
 
+def exists_width(true_symbols, false_symbols) -> int:
+    """The width of the existential gadget, known before it is built:
+    the junction, the longer lane of symbols and its valve, the merge."""
+    return 9 + max(len(true_symbols), len(false_symbols))
+
+
 def build_exists_gadget(var: int, first_door: int, true_symbols=(),
                         false_symbols=()) -> GadgetBlueprint:
     """One-time (per forward entry) binary choice.
@@ -386,9 +397,8 @@ def build_exists_gadget(var: int, first_door: int, true_symbols=(),
     Symbol lists must put OPEN symbols before CLOSE symbols.  Its own
     doors are first_door (true valve) and first_door + 1 (false valve).
     """
-    s = max(len(true_symbols), len(false_symbols))
-    me = 7 + s  # merge column
-    w = me + 2
+    w = exists_width(true_symbols, false_symbols)
+    me = w - 2  # merge column
     grid = _grid(w, 10)
     for x in range(0, w):
         grid[1][x] = "."  # ground lane + ports
@@ -425,6 +435,16 @@ def build_exists_gadget(var: int, first_door: int, true_symbols=(),
     )
 
 
+_FORALL_PIT = 5  # the universal gadget's pit column in the return corridor
+
+
+def forall_width(true_symbols, false_symbols) -> int:
+    """The width of the universal gadget, known before it is built: the
+    longer of the forward tunnel and the flip tunnel, which starts past
+    the pit."""
+    return max(len(true_symbols) + 9, _FORALL_PIT + len(false_symbols) + 10, 14)
+
+
 def build_forall_gadget(var: int, first_door: int, true_symbols=(),
                         false_symbols=()) -> GadgetBlueprint:
     """Forced two-pass quantifier.
@@ -442,9 +462,8 @@ def build_forall_gadget(var: int, first_door: int, true_symbols=(),
     Own doors, from first_door: +0 forward valve, +1 FT (flip gate),
     +2 FX (exhaust gate), +3 flip valve.
     """
-    s_t, s_f = len(true_symbols), len(false_symbols)
-    fc = 5  # pit column in the return corridor
-    w = max(s_t + 9, fc + s_f + 10, 14)
+    fc = _FORALL_PIT
+    w = forall_width(true_symbols, false_symbols)
     dsx = w - 2  # flip tunnel drop column
     grid = _grid(w, 10)
     for x in range(0, w):

@@ -133,9 +133,6 @@ class Level:
         # String hashes differ between processes: never pickle the cache.
         return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
-    def tile(self, x: int, y: int) -> str:
-        return self.tiles[y][x]
-
     def is_solid(self, x: int, y: int) -> bool:
         if not (0 <= x < self.width and 0 <= y < self.height):
             return True  # outside the grid counts as solid
@@ -190,11 +187,13 @@ def validate_level(level: Level) -> list[Violation]:
     if stray:
         bad("tile-char", "tiles", f"a tile is '#' or '.', got {sorted(set(stray.decode()))}")
 
-    for x in range(level.width):
-        if level.tile(x, 0) != SOLID or level.tile(x, level.height - 1) != SOLID:
-            bad("sealed-boundary", f"column {x}", "top/bottom boundary must be solid")
-    for y in range(level.height):
-        if level.tile(0, y) != SOLID or level.tile(level.width - 1, y) != SOLID:
+    bottom, top = level.tiles[0], level.tiles[-1]
+    if bottom.strip(SOLID) or top.strip(SOLID):  # some column's end is open
+        for x, ends in enumerate(zip(bottom, top)):
+            if ends != (SOLID, SOLID):
+                bad("sealed-boundary", f"column {x}", "top/bottom boundary must be solid")
+    for y, row in enumerate(level.tiles):
+        if row[0] != SOLID or row[-1] != SOLID:
             bad("sealed-boundary", f"row {y}", "left/right boundary must be solid")
 
     if level.variant not in (NP, PSPACE):
@@ -226,7 +225,7 @@ def validate_level(level: Level) -> list[Violation]:
             if not (0 <= x < level.width and 0 <= y < level.height):
                 bad("in-bounds", name, f"cell {cell} outside the grid")
                 continue
-            if level.tile(x, y) != EMPTY:
+            if level.tiles[y][x] != EMPTY:
                 bad("entity-on-empty", name, f"cell {cell} is not an EMPTY tile")
             if cell in seen_cells:
                 bad("entity-overlap", name, f"cell {cell} already used by {seen_cells[cell]}")
@@ -269,10 +268,16 @@ def validate_level(level: Level) -> list[Violation]:
             if ent.action == CLOSE and level.variant != PSPACE:
                 bad("close-button-variant", name, "CLOSE button in NP variant")
 
+    # A document keys ports by name, so a second port of a name would be
+    # lost on save.
+    port_names: set[str] = set()
     for port in level.ports:
         x, y = port.cell
-        if not (0 <= x < level.width and 0 <= y < level.height) or level.tile(x, y) != EMPTY:
+        if not (0 <= x < level.width and 0 <= y < level.height) or level.tiles[y][x] != EMPTY:
             bad("port-cell", f"port {port.name}", f"cell {port.cell} is not an EMPTY tile in the grid")
+        if port.name in port_names:
+            bad("unique-port-name", f"port {port.name}", f"duplicate port name {port.name!r}")
+        port_names.add(port.name)
 
     if spawns != 1:
         bad("spawn-count", "level", f"exactly one Spawn required, found {spawns}")
@@ -296,6 +301,66 @@ def validate_level(level: Level) -> list[Violation]:
 
 
 # --- serialization ----------------------------------------------------------
+
+_quote = json.encoder.encode_basestring_ascii  # the C function json.dumps quotes with
+
+
+def _quote_all(strings, sep: str) -> str:
+    """The strings quoted as json.dumps quotes them, joined by `sep`.
+    Printable ASCII other than a quote or a backslash (every row of
+    tiles) is written as it stands."""
+    text = "".join(strings)
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + f'"{sep}"'.join(strings) + '"'
+    return sep.join(map(_quote, strings))
+
+
+class _Written(str):
+    """A value's text, already written by `_write_json` at the indent of
+    the place it goes; written as it stands."""
+
+
+def _write_json(value, pad: str = "") -> str:
+    """`value` as `json.dumps(value, indent=2)` writes it, its nested lines
+    indented past `pad`, the indent of the line it starts on.  It takes
+    dicts with str keys, lists, tuples, str, bool and int, not their
+    subclasses, and raises TypeError on anything else.  json.dumps falls
+    back to its pure-Python encoder whenever it indents; this writer joins
+    a flat list of ints or of strings in one call."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is _Written:
+        return value
+    if kind is int:
+        return int.__repr__(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        sep = f",\n{inner}"
+        kinds = {*map(type, value)}
+        if kinds == {int}:
+            body = sep.join(map(int.__repr__, value))
+        elif kinds == {str}:
+            body = _quote_all(value, sep)
+        elif kinds == {_Written}:
+            body = sep.join(value)
+        else:
+            body = sep.join([_write_json(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        if {*map(type, value)} != {str}:
+            raise TypeError(f"keys must be str, got {list(value)!r}")
+        inner = pad + "  "
+        return f"{{\n{inner}" + f",\n{inner}".join(
+            [f"{_quote(k)}: {_write_json(v, inner)}" for k, v in value.items()]) + f"\n{pad}}}"
+    if kind is bool:
+        return "true" if value else "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
 
 def _typed(value, kind: type, *what: str):
     if type(value) is not kind:
@@ -330,14 +395,6 @@ _RECORDS = {
 _KINDS = {name: (cls, fields) for cls, (name, fields) in _RECORDS.items()}
 
 
-def _entity_to_record(ent: Entity) -> dict:
-    try:
-        name, fields = _RECORDS[type(ent)]
-    except KeyError:
-        raise LevelError(f"unknown entity {ent!r}") from None
-    return {"kind": name, **{key: getattr(ent, attr) for key, attr, _, _ in fields}}
-
-
 def _record_to_entity(rec: dict) -> Entity:
     try:
         kind = rec["kind"]
@@ -350,9 +407,32 @@ def _record_to_entity(rec: dict) -> Entity:
     return cls(**{attr: check(rec[key], arg, kind, key) for key, attr, check, arg in fields})
 
 
+def _record_text(ent: Entity) -> _Written:
+    """The entity's record, as `_write_json` writes it in the document's
+    list of entities (two levels deep)."""
+    try:
+        name, fields = _RECORDS[type(ent)]
+    except KeyError:
+        raise LevelError(f"unknown entity {ent!r}") from None
+    pad = "      "
+    return _Written(f'{{\n{pad}"kind": "{name}"' + "".join(
+        [f',\n{pad}"{key}": {_write_json(getattr(ent, attr), pad)}' for key, attr, _, _ in fields]
+    ) + "\n    }")
+
+
+def _port_text(port: Port) -> _Written:
+    """The port's record, as `_write_json` writes it in the document's
+    ports (two levels deep)."""
+    pad = "      "
+    return _Written(f'{{\n{pad}"cell": {_write_json(port.cell, pad)},\n'
+                    f'{pad}"dir": {_write_json(port.direction, pad)}\n    }}')
+
+
 def save_level(level: Level) -> str:
     """Serialize to the canonical JSON document (byte-stable field order,
-    tiles written top row first)."""
+    tiles written top row first).  The text is byte for byte
+    `json.dumps(doc, indent=2)` plus a newline, written by `_write_json`,
+    each entity record from its `_RECORDS` fields."""
     doc = {
         "variant": level.variant,
         "width": level.width,
@@ -362,14 +442,22 @@ def save_level(level: Level) -> str:
             "D": level.physics.dash_length,
             "R": level.physics.reform_distance,
         },
-        "tiles": list(reversed(level.tiles)),
-        "entities": [_entity_to_record(e) for e in level.entities],
-        "ports": {
-            p.name: {"cell": list(p.cell), "dir": p.direction}
-            for p in sorted(level.ports, key=lambda p: p.name)
-        },
+        "tiles": level.tiles[::-1],
+        "entities": [_record_text(e) for e in level.entities],
+        "ports": {p.name: _port_text(p) for p in sorted(level.ports, key=lambda p: p.name)},
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _write_json(doc) + "\n"
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict, refusing a repeated name, which
+    json.loads would let overwrite the first (two ports of one name)."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        names = [name for name, _ in pairs]
+        key = next(name for name in obj if names.count(name) > 1)
+        raise LevelError(f"bad level document: duplicate key {key!r}")
+    return obj
 
 
 def load_level(document: str) -> Level:
@@ -377,8 +465,8 @@ def load_level(document: str) -> Level:
     schema or invariant violation, including a field of the wrong JSON
     type."""
     try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(document, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise LevelError(f"bad level document: {exc}") from None
     try:
         physics = PhysicsParams(
@@ -453,14 +541,17 @@ def render_ascii(level: Level, state=None) -> str:
 
 class LevelBuilder:
     """Mutable construction buffer used by the gadget stamper and the
-    compiler; starts all-solid and is carved empty cell by cell.  `count`
-    holds the number of entities added per entity type."""
+    compiler; starts all-solid.  `grid` holds one tile string per row,
+    bottom row first, and becomes the level's tiles as it stands: `carve`
+    opens one cell, and the stamper and the compiler replace whole row
+    slices.  `count` holds the number of entities added per entity
+    type."""
 
     def __init__(self, width: int, height: int, variant: str = NP):
         self.width = width
         self.height = height
         self.variant = variant
-        self.grid = [[SOLID] * width for _ in range(height)]
+        self.grid = [SOLID * width] * height
         self.entities: list[Entity] = []
         self.count: Counter[type] = Counter()
         self.ports: list[Port] = []
@@ -468,7 +559,8 @@ class LevelBuilder:
     def carve(self, x: int, y: int):
         if not (0 < x < self.width - 1 and 0 < y < self.height - 1):
             raise LevelError(f"cannot carve boundary or out-of-bounds cell ({x}, {y})")
-        self.grid[y][x] = EMPTY
+        row = self.grid[y]
+        self.grid[y] = row[:x] + EMPTY + row[x + 1:]
 
     def add(self, entity: Entity):
         self.entities.append(entity)
@@ -481,7 +573,7 @@ class LevelBuilder:
         level = Level(
             width=self.width,
             height=self.height,
-            tiles=tuple("".join(row) for row in self.grid),
+            tiles=tuple(self.grid),
             entities=tuple(self.entities),
             variant=self.variant,
             # canonical port order, so load(save(level)) == level

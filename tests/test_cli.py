@@ -206,6 +206,16 @@ class TestErrorPaths:
         code, out, err = run(capsys, command, level)
         assert code == 2 and out == "" and err.startswith("error:") and "grid-shape" in err
 
+    @pytest.mark.parametrize("command", ["solve", "render", "replay"])
+    def test_deeply_nested_document_exits_two(self, tmp_path, capsys, command):
+        level = tmp_path / "deep.level"
+        level.write_text("[" * 200_000)
+        trace = tmp_path / "s.trace"
+        trace.write_text("WALK R\n")
+        code, out, err = run(capsys, command, level, *([trace] if command == "replay" else []))
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad level document: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--random", "--count", "-1"),
         ("verify", "--random", "--count", "0"),

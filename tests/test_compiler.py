@@ -18,11 +18,29 @@ from satplat.compiler import (
     route_and_place,
     witness_trace,
 )
-from satplat.formula import gen_random_3cnf, parse_dimacs, parse_qdimacs, sat_oracle
-from satplat.level import NP, Button, Door, UnstablePlatform, save_level, validate_level
+from satplat.formula import (
+    CnfFormula,
+    QbfFormula,
+    Quantifier,
+    gen_random_3cnf,
+    parse_dimacs,
+    parse_qdimacs,
+    sat_oracle,
+)
+from satplat.level import (
+    NP,
+    Button,
+    Door,
+    LevelError,
+    UnstablePlatform,
+    save_level,
+    validate_level,
+)
 from satplat.sim import initial_state, replay
 from satplat.solver import Solvable, Unsolvable, solve
 from satplat.verify import gen_random_qbf
+
+QUANTIFIERS = {"e": Quantifier.EXISTS, "a": Quantifier.FORALL}
 
 
 class TestCompile3Sat:
@@ -174,6 +192,8 @@ class TestPlanAndRouting:
         (((3, 62), (6, 62)), r"wire spawn runs through solid gadget cell \(6, 62\)"),
         (((3, 63), (6, 62)), "wire spawn has a diagonal segment"),
         (((-1, 63), (6, 63)), "wire spawn leaves the grid"),
+        # down into the first chamber: a vertical wire is checked bottom up
+        (((12, 63), (12, 55)), r"wire spawn runs through solid gadget cell \(12, 57\)"),
     ])
     def test_misrouted_wire_rejected(self, sample_formula, points, message):
         plan = plan_3sat(sample_formula)
@@ -181,6 +201,28 @@ class TestPlanAndRouting:
         assert plan.wires[i].points == ((3, 63), (6, 63))
         plan.wires[i] = Wire("spawn", points)
         with pytest.raises(CompileError, match=message):
+            route_and_place(plan)
+
+    @pytest.mark.parametrize("points, extra, cell", [
+        (((3, 0), (6, 0)), (), (3, 0)),
+        (((3, 63), (3, 0)), (), (3, 0)),  # a vertical wire's cells run bottom up
+        # the first boundary cell in wire order, not in grid order
+        (((6, 63), (0, 63)), (Wire("edge", ((2, 0), (4, 0))),), (0, 63)),
+    ])
+    def test_a_corridor_on_the_boundary_is_refused_as_carve_refuses_it(
+            self, sample_formula, points, extra, cell):
+        plan = plan_3sat(sample_formula)
+        i = next(i for i, w in enumerate(plan.wires) if w.name == "spawn")
+        plan.wires[i] = Wire("spawn", points)
+        plan.wires.extend(extra)
+        with pytest.raises(LevelError) as err:
+            route_and_place(plan)
+        assert str(err.value) == f"cannot carve boundary or out-of-bounds cell {cell}"
+
+    @pytest.mark.parametrize("width, height", [(0, 3), (4, 0)])
+    def test_a_zero_size_plan_is_refused_by_the_grid_shape_rule(self, width, height):
+        plan = LayoutPlan(NP, width, height, spawn=(1, 1), flag=(1, 1))
+        with pytest.raises(LevelError, match=r"\[grid-shape\]"):
             route_and_place(plan)
 
     def test_endpoint_touches_are_joins(self):
@@ -236,6 +278,26 @@ class TestCompileQbf:
         level = compile_qbf(gen_random_qbf(8, 8, 1))
         assert validate_level(level) == []
         assert level.height == 14
+
+    @pytest.mark.parametrize("quantifiers, width", [("e", 299596), ("ea", 299602)])
+    def test_grid_bound_refused_before_any_gadget_is_built(self, monkeypatch, quantifiers,
+                                                           width):
+        # The refusal a plan built gadget by gadget met (for "e", that of
+        # `p cnf 500000 0`), now reached from the gadgets' widths alone.
+        n = 500_000
+        qbf = QbfFormula(tuple((QUANTIFIERS[quantifiers[v % len(quantifiers)]], v)
+                               for v in range(1, n + 1)), CnfFormula(n, ()))
+        calls = []
+        for name in ("build_exists_gadget", "build_forall_gadget", "build_clause_gadget",
+                     "build_elevator"):
+            monkeypatch.setattr(compiler, name, lambda *args, name=name: calls.append(name))
+        start = time.perf_counter()
+        with pytest.raises(CompileError) as err:
+            plan_qbf(qbf)
+        assert time.perf_counter() - start < 1.0
+        assert calls == []
+        assert str(err.value) == (f"grid {width}x14 has {width * 14} cells, "
+                                  f"over the bound of {MAX_GRID_CELLS}")
 
     def test_quantifier_gadget_counts(self):
         q = parse_qdimacs("p cnf 2 1\ne 1 0\na 2 0\n1 2 -2 0")

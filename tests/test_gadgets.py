@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satplat.gadgets import (
     ALL_GADGET_BUILDERS,
@@ -14,10 +16,13 @@ from satplat.gadgets import (
     catalog,
     check_contract,
     contract_level,
+    exists_width,
+    forall_width,
     stamp_into,
 )
 from satplat.level import (
     CLOSE,
+    EMPTY,
     NP,
     OPEN,
     PSPACE,
@@ -281,6 +286,18 @@ class TestStamp:
         assert sorted(e.id for e in level.entities if isinstance(e, Door)) == [9, 10, 11]
         assert {p.name for p in level.ports} == {"check_in", "check_out"}
 
+    @pytest.mark.parametrize("build, origin, cell", [
+        (build_tunnel, (0, 3), (0, 4)),  # the tunnel's corridor runs edge to edge
+        (build_tunnel, (24, 3), (27, 4)),
+        (build_crossover, (3, 0), (8, 0)),  # its bottom row holds the B2 port
+    ])
+    def test_a_patch_opening_the_boundary_is_refused_as_carve_refuses_it(self, build, origin,
+                                                                          cell):
+        builder = LevelBuilder(28, 12)
+        with pytest.raises(LevelError) as err:
+            stamp_into(builder, build(), origin)
+        assert str(err.value) == f"cannot carve boundary or out-of-bounds cell {cell}"
+
     def test_contract_translation_invariance(self):
         # the same gadget stamped at a different origin keeps its verdicts
         bp = build_variable_gadget(1)
@@ -341,3 +358,54 @@ def test_catalog_lists_every_kind():
     for kind in ALL_GADGET_BUILDERS:
         assert kind in text
     assert "REACHABLE" in text and "UNREACHABLE" in text
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_quantifier_widths_are_known_before_the_gadget_is_built(m):
+    symbols = [(0, OPEN), (3, CLOSE), (1, OPEN), (2, OPEN), (4, CLOSE)]
+    for true_syms, false_syms in ((symbols[:m], symbols[m:]), (symbols[m:], symbols[:m])):
+        assert exists_width(true_syms, false_syms) == \
+            build_exists_gadget(1, 5, true_syms, false_syms).width
+        assert forall_width(true_syms, false_syms) == \
+            build_forall_gadget(1, 5, true_syms, false_syms).width
+
+
+def stamp_cell_by_cell(builder, bp, origin):
+    """The tiles of a stamp as one `carve` per empty cell of the patch."""
+    for y, row in enumerate(bp.rows, start=origin[1]):
+        for x, tile in enumerate(row, start=origin[0]):
+            if tile == EMPTY:
+                builder.carve(x, y)
+
+
+def tiles_or_error(stamp, bp, width, height, origin, carved):
+    builder = LevelBuilder(width, height)
+    for cell in carved:
+        builder.carve(*cell)
+    try:
+        stamp(builder, bp, origin)
+    except LevelError as exc:
+        return str(exc)
+    return builder.grid
+
+
+@st.composite
+def stamps(draw):
+    """A catalog blueprint at an origin where it fits a grid at most two
+    cells wider and taller, so that it often reaches the boundary, and
+    carved cells that miss it."""
+    bp = ALL_GADGET_BUILDERS[draw(st.sampled_from(sorted(ALL_GADGET_BUILDERS)))]()
+    width, height = bp.width + draw(st.integers(0, 2)), bp.height + draw(st.integers(0, 2))
+    ox, oy = draw(st.integers(0, width - bp.width)), draw(st.integers(0, height - bp.height))
+    outside = [(x, y) for y in range(1, height - 1) for x in range(1, width - 1)
+               if not (ox <= x < ox + bp.width and oy <= y < oy + bp.height)]
+    carved = draw(st.lists(st.sampled_from(outside), max_size=4)) if outside else []
+    return bp, width, height, (ox, oy), carved
+
+
+@given(stamps())
+@settings(max_examples=200, deadline=None)
+def test_stamped_rows_match_carving_cell_by_cell(case):
+    bp, width, height, origin, carved = case
+    assert tiles_or_error(stamp_into, bp, width, height, origin, carved) == \
+        tiles_or_error(stamp_cell_by_cell, bp, width, height, origin, carved)

@@ -1,11 +1,12 @@
 import json
 import os
 import pickle
+import string
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from satplat.compiler import compile_3sat
@@ -14,11 +15,14 @@ from satplat.level import (
     Door,
     Flag,
     Level,
+    LevelBuilder,
     LevelError,
     PhysicsParams,
+    Port,
     SpaceBlock,
     Spawn,
     UnstablePlatform,
+    _write_json,
     load_level,
     render_ascii,
     save_level,
@@ -27,6 +31,8 @@ from satplat.level import (
 from satplat.sim import GameState, initial_state, step, walk
 from satplat.solver import solve
 from tests.conftest import level_from_art
+from tests.test_solver import small_levels
+from tests.test_step_core import compiled_levels
 
 
 class TestRoundTrip:
@@ -83,6 +89,98 @@ class TestRoundTrip:
                               input=pickle.dumps(level), env=env, capture_output=True,
                               timeout=60)
         assert done.returncode == 0, done.stderr.decode()
+
+
+# --- the document writer ----------------------------------------------------
+
+def json_documents():
+    """Documents of every type the writer takes: strings with escapes,
+    non-ASCII and lone surrogates, ints past 64 bits either side of zero,
+    bools, empty and nested lists and dicts, tuples, and the flat lists of
+    ints and of strings it joins in one call."""
+    text = st.text(st.characters(exclude_categories=()), max_size=6)
+    scalars = (text | st.booleans() | st.integers()
+               | st.integers(min_value=2**64) | st.integers(max_value=-2**64))
+    flat = (st.lists(st.integers(), max_size=5) | st.lists(text, max_size=5)
+            | st.lists(st.text(string.printable, max_size=6), max_size=5)
+            | st.lists(st.integers(), max_size=3).map(tuple))
+    return st.recursive(
+        scalars | flat,
+        lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                       | st.dictionaries(text, inner, max_size=4)),
+        max_leaves=20,
+    )
+
+
+@given(json_documents())
+@settings(max_examples=200, deadline=None)
+def test_writer_matches_json_dumps(doc):
+    assert _write_json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [1.5, None, {1: 2}, [1, [None]], {"a": {b"x"}}])
+def test_writer_refuses_what_a_level_never_holds(doc):
+    with pytest.raises(TypeError):
+        _write_json(doc)
+
+
+def old_document(level: Level) -> dict:
+    """The canonical document as a dict, as `save_level` built it for
+    json.dumps before it had a writer of its own."""
+    records = {UnstablePlatform: ("platform", ("id", "cell")),
+               Door: ("door", ("id", "cells", "initially_open")),
+               Button: ("button", ("cell", "door_id", "action")),
+               SpaceBlock: ("space_block", ("id", "rect")),
+               Spawn: ("spawn", ("cell",)), Flag: ("flag", ("cell",))}
+    keys = {"initially_open": "open", "door_id": "door"}
+    entities = []
+    for e in level.entities:
+        kind, fields = records[type(e)]
+        entities.append({"kind": kind, **{keys.get(f, f): getattr(e, f) for f in fields}})
+    return {
+        "variant": level.variant,
+        "width": level.width,
+        "height": level.height,
+        "physics": {"J": level.physics.jump_rise, "D": level.physics.dash_length,
+                    "R": level.physics.reform_distance},
+        "tiles": list(reversed(level.tiles)),
+        "entities": entities,
+        "ports": {p.name: {"cell": list(p.cell), "dir": p.direction}
+                  for p in sorted(level.ports, key=lambda p: p.name)},
+    }
+
+
+@given(small_levels())
+@settings(max_examples=150, deadline=None)
+def test_saved_small_levels_are_json_dumps_bytes_and_round_trip(spec):
+    try:
+        level = level_from_art(*spec)
+    except LevelError:
+        reject()
+    doc = save_level(level)
+    assert doc == json.dumps(old_document(level), indent=2) + "\n"
+    assert load_level(doc) == level
+
+
+@pytest.mark.parametrize("i", range(len(compiled_levels())))
+def test_saved_compiled_levels_are_json_dumps_bytes(i):
+    level = compiled_levels()[i]
+    assert save_level(level) == json.dumps(old_document(level), indent=2) + "\n"
+
+
+def test_a_level_with_every_entity_kind_saves_as_json_dumps_bytes():
+    level = level_from_art(
+        "########\n#F.....#\n#.....S#\n########",
+        entities=[Door(2, ((2, 1), (2, 2)), True), Button((3, 1), 2, "close"),
+                  UnstablePlatform(0, (4, 2)), SpaceBlock(0, (5, 2, 5, 2))],
+        variant="PSPACE",
+    )
+    level = Level(level.width, level.height, level.tiles, level.entities, level.variant,
+                  ports=(Port("a", (3, 2), "E"), Port("b\u00e9\"", (1, 1), "W")))
+    assert validate_level(level) == []
+    doc = save_level(level)
+    assert doc == json.dumps(old_document(level), indent=2) + "\n"
+    assert load_level(doc) == level
 
 
 class TestValidation:
@@ -145,6 +243,54 @@ class TestValidation:
         )
         rules = {v.rule for v in validate_level(level)}
         assert "door-strip" in rules
+
+    def test_holes_in_every_border_are_named_columns_first_then_rows(self):
+        tiles = ("#.######", "#......#", "........", "#......#", "####..##")  # bottom row first
+        level = Level(8, 5, tiles, (Spawn((3, 1)), Flag((4, 1))))
+        found = [(v.subject, v.message) for v in validate_level(level)
+                 if v.rule == "sealed-boundary"]
+        assert found == [
+            ("column 1", "top/bottom boundary must be solid"),
+            ("column 4", "top/bottom boundary must be solid"),
+            ("column 5", "top/bottom boundary must be solid"),
+            ("row 2", "left/right boundary must be solid"),
+        ]
+
+    def test_a_hole_at_a_corner_is_named_by_column_and_row(self):
+        tiles = ("####", "#..#", "#..#", "###.")
+        level = Level(4, 4, tiles, (Spawn((1, 1)), Flag((2, 1))))
+        assert [v.subject for v in validate_level(level)] == ["column 3", "row 3"]
+
+    @given(st.integers(1, 8).flatmap(
+        lambda w: st.lists(st.text("#.", min_size=w, max_size=w), min_size=1, max_size=6)))
+    @settings(max_examples=200, deadline=None)
+    def test_sealed_boundary_matches_a_cell_by_cell_check(self, tiles):
+        level = Level(len(tiles[0]), len(tiles), tuple(tiles), ())
+        expected = [f"column {x}" for x in range(level.width)
+                    if tiles[0][x] != "#" or tiles[-1][x] != "#"]
+        expected += [f"row {y}" for y in range(level.height)
+                     if tiles[y][0] != "#" or tiles[y][-1] != "#"]
+        assert [v.subject for v in validate_level(level) if v.rule == "sealed-boundary"] == expected
+
+    def test_duplicate_port_names_refused_by_build(self):
+        builder = LevelBuilder(5, 3)
+        for x in (1, 2, 3):
+            builder.carve(x, 1)
+        builder.add(Spawn((1, 1)))
+        builder.add(Flag((3, 1)))
+        builder.add_port("p", (1, 1), "E")
+        builder.add_port("p", (2, 1), "E")
+        with pytest.raises(LevelError, match=r"\[unique-port-name\] port p: duplicate port name 'p'"):
+            builder.build()
+
+    def test_duplicate_port_names_refused_by_load(self, sample_formula):
+        doc = save_level(compile_3sat(sample_formula))
+        first = doc.index('"passage.flag_port": {')
+        record = doc[first:doc.index("}", first) + 1]
+        doc = doc.replace(record, record + ",\n    " + record)
+        assert doc.count('"passage.flag_port"') == 2
+        with pytest.raises(LevelError, match="duplicate key 'passage.flag_port'"):
+            load_level(doc)
 
     def test_stray_tile_char(self, minimal_level):
         tiles = (minimal_level.tiles[0], minimal_level.tiles[1].replace(".", "x", 1),

@@ -2,7 +2,7 @@ import re
 from functools import cache
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import satplat.sim as sim
@@ -613,7 +613,18 @@ def walk_over_step(level, trace):
     return states, states[-1].position == level.flag.cell
 
 
+def walk_right_twin():
+    """`NOT_A_MOVE`, which prints as `WALK R`, inserted where the witness
+    walks right: a trail lookup that compared moves by their text would
+    take it for the witness's move."""
+    level = level_from_art("#######\n###..F#\n#S..###\n#######")
+    witness = solve(level).trace
+    assert witness == (dash("E"), jump(1, 1), walk(1))
+    return level, witness, (*witness[:2], NOT_A_MOVE, *witness[2:])
+
+
 @given(witnesses_and_traces())
+@example(walk_right_twin())
 @settings(max_examples=200, deadline=None)
 def test_replay_from_the_trail_matches_a_walk_over_step(case):
     level, witness, trace = case
