@@ -254,13 +254,13 @@ def plan_3sat(formula: CnfFormula) -> LayoutPlan:
         height = cy1 + 9
 
     spawn_wire = [plan.spawn]
+    cross = build_crossover()  # takes no argument and is immutable: one for every variable
 
     for i in range(1, n + 1):
         cy = cy1 - V_PITCH * (i - 1)
         rt, ru = cy - 2, cy - 10
         chamber = build_variable_gadget(i)
         plan.placements.append(Placement(chamber, (cx, cy), f"x{i}."))
-        cross = build_crossover()
         ox, oy = cx + 9, cy - 7
         plan.placements.append(Placement(cross, (ox, oy), f"x{i}.cross."))
         # true tunnel east of the crossover

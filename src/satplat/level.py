@@ -171,7 +171,34 @@ class Violation:
 
 
 def validate_level(level: Level) -> list[Violation]:
-    """All level invariants; an empty list means the level is valid."""
+    """All level invariants; an empty list means the level is valid.
+    The rules read the entity fields as typed, so none runs unless every
+    field has the type `load_level` reads (rule `field-type`)."""
+    return _field_types(level.entities) or _invariants(level)
+
+
+def _field_types(entities) -> list[Violation]:
+    """A `field-type` violation for each entity that is not of a kind in
+    `_RECORDS`, or whose fields fail the checks `load_level` reads them
+    with (on the entity's tuples, where a document has lists)."""
+    out = []
+    for i, ent in enumerate(entities):
+        record = _RECORDS.get(type(ent))
+        if record is None:
+            out.append(Violation("field-type", f"entity #{i}",
+                                 f"not an entity record type: {ent!r}"))
+            continue
+        kind, fields = record
+        try:
+            for key, attr, check, arg in fields:
+                check(getattr(ent, attr), arg, kind, key, seq=tuple)
+        except LevelError as exc:
+            out.append(Violation("field-type", f"{type(ent).__name__}#{i}", str(exc)))
+    return out
+
+
+def _invariants(level: Level) -> list[Violation]:
+    """Every rule of `validate_level` but `field-type`."""
     out: list[Violation] = []
 
     def bad(rule: str, subject: str, message: str):
@@ -362,26 +389,31 @@ def _write_json(value, pad: str = "") -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _typed(value, kind: type, *what: str):
+def _typed(value, kind: type, *what: str, seq: type = list):
     if type(value) is not kind:
         raise LevelError(f"{' '.join(what)} must be of type {kind.__name__}, got {value!r}")
     return value
 
 
-def _ints(value, count: int, *what: str) -> tuple[int, ...]:
-    if type(value) is not list or len(value) != count \
-            or any(type(v) is not int for v in value):
-        raise LevelError(f"{' '.join(what)} must be a list of {count} ints, got {value!r}")
-    return tuple(value)
+def _ints(value, count: int, *what: str, seq: type = list) -> tuple[int, ...]:
+    if type(value) is seq and len(value) == count:
+        for v in value:  # a loop, not any() over a generator: every load and build runs it
+            if type(v) is not int:
+                break
+        else:
+            return tuple(value)
+    raise LevelError(f"{' '.join(what)} must be a {seq.__name__} of {count} ints, got {value!r}")
 
 
-def _cells(value, count: int, *what: str) -> tuple[tuple[int, ...], ...]:
-    return tuple(_ints(c, count, *what, "entry") for c in _typed(value, list, *what))
+def _cells(value, count: int, *what: str, seq: type = list) -> tuple[tuple[int, ...], ...]:
+    return tuple([_ints(c, count, *what, "entry", seq=seq) for c in _typed(value, seq, *what)])
 
 
 # Each entity kind's record: its document name, and per field the
 # document key, the dataclass field, and the check and its argument that
-# read the value.  JSON writes the tuples of a field as arrays.
+# read the value.  JSON writes the tuples of a field as arrays, so a
+# check takes `seq=list` on a document's value and `seq=tuple` on an
+# entity's field (`validate_level`'s field-type rule).
 _RECORDS = {
     UnstablePlatform: ("platform", (("id", "id", _typed, int), ("cell", "cell", _ints, 2))),
     Door: ("door", (("id", "id", _typed, int), ("cells", "cells", _cells, 2),
@@ -487,7 +519,7 @@ def load_level(document: str) -> Level:
         )
     except (KeyError, TypeError, AttributeError) as exc:
         raise LevelError(f"bad level document: missing or malformed field ({exc})") from None
-    violations = validate_level(level)
+    violations = _invariants(level)  # `_record_to_entity` read every field with its check
     if violations:
         raise LevelError("invalid level: " + "; ".join(str(v) for v in violations))
     return level

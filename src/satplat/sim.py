@@ -43,21 +43,23 @@ walk or jump path; a solid cell or the edge first on a dash) gets none.
   so reform is one `&`.
 One function, `_apply`, applies a record to `(has_dash, doors, plats)`
 and returns the fields of the next `GameState`; `step`, `legal_moves`,
-`replay` and the solver all call it, and `replay` and `replay_states`
-both run the one replay loop over it, `_replay`.  `canonical_moves` is the one move table: a
-record names its move by its index there (`SimContext.index`), and a
-`Move` not in it, such as a WALK with a rise, is refused (`step` raises
-ValueError, a replay stops).
+`replay` and the solver all call it.  `_run` is the one replay loop
+over it: `replay` and `replay_states` run it through `_replay`, and
+`verify.mutate_trace` runs it from a mutation point.  `canonical_moves`
+is the one move table: a record names its move by its index there
+(`SimContext.index`), and a `Move` not in it, such as a WALK with a
+rise, is refused (`step` raises ValueError, a replay stops).
 
 `SimContext.trail` is the first trace `replay` found winning on the
 level, with the state before each of its moves and after the last.
-`_replay`, the one place that reads it, takes the trail's state at the
-end of the longest prefix its trace shares with the trail (moves
-compared with `==`, as `SimContext.index` compares them) and applies
-the rest of the trace only.  The core is deterministic and the trail's states are
-its own earlier outcomes, so the result is the same as a replay from the
-start: a mutant of the witness replays only the moves from its mutation
-on.
+`_replay`, the one place that reads it, finds the longest prefix its
+trace shares with the trail (moves compared with `==`, as
+`SimContext.index` compares them) and runs `_run` over the rest of the
+trace only, from the trail's state at the end of that prefix; the
+prefix's states stay the trail's, uncopied.  The core is deterministic
+and the trail's states are its own earlier outcomes, so the result is
+the same as a replay from the start: a mutant of the witness replays
+only the moves from its mutation on.
 
 `SimContext.read_bits` gives the door and platform bits a cell's
 records read.  A record's outcome depends on no other bit, and it
@@ -70,6 +72,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import NamedTuple
 
 from satplat.level import CLOSE, SOLID, Button, Door, Level, SpaceBlock, UnstablePlatform
@@ -220,7 +223,7 @@ class SimContext:
     level, then `(moves, states)`: that trace as a tuple, and the state
     before each of its moves and after the last.  A losing replay never
     sets it, and once set it is never replaced.  `_replay`, the one
-    replay loop of `replay` and `replay_states`, resumes from it.
+    trail lookup of `replay` and `replay_states`, resumes from it.
 
     The tables and the trail hold no reference back to the context, so a
     context that `sim_context` drops is freed at once, not at the next
@@ -584,26 +587,14 @@ def legal_moves(level: Level, state: GameState) -> list[Move]:
     return out
 
 
-def _replay(ctx: SimContext, level: Level, trace: tuple):
-    """The one replay loop: `(states, ok)`, the states before each move of
-    `trace` and after the last that applied, and whether every move
-    applied.  It starts from the trail's state at the end of the prefix
-    `trace` shares with the trail, or from `initial_state` without a
-    trail, and applies the rest of the trace only.  A move that is not
+def _run(ctx: SimContext, state: tuple, moves) -> tuple[list, bool]:
+    """The one replay loop: `(states, ok)`, `state` (a `GameState` or its
+    fields) and the state after each move of `moves` that applied from it
+    in turn, and whether every move applied.  A move that is not
     canonical, or whose outcome is `BLOCKED` or `DEATH`, stops it."""
-    trail = ctx.trail
-    if trail is None:
-        k, states = 0, [initial_state(level)]
-    else:
-        moves, trail_states = trail
-        k = 0
-        for move, mine in zip(moves, trace):
-            if move is not mine and move != mine:  # the equality `SimContext.index` looks moves up by
-                break
-            k += 1
-        states = list(trail_states[:k + 1])
-    x, y, has_dash, doors, plats = states[-1]
-    for move in trace[k:]:
+    states = [state]
+    x, y, has_dash, doors, plats = state
+    for move in moves:
         mi = ctx.index.get(move)
         rec = None if mi is None else ctx.record(y * ctx.width + x, mi)
         out = BLOCKED if rec is None else _apply(rec, has_dash, doors, plats)
@@ -614,6 +605,25 @@ def _replay(ctx: SimContext, level: Level, trace: tuple):
     return states, True
 
 
+def _replay(ctx: SimContext, level: Level, trace: tuple) -> tuple[int, list, bool]:
+    """The one trail lookup: `(k, states, ok)`, where k is the length of
+    the prefix `trace` shares with the trail (0 without a trail), and
+    `(states, ok)` is `_run` over the rest of the trace from the trail's
+    state before move k, or from `initial_state` without a trail.  So
+    `states` are the replay's states from move k on; the ones before are
+    the trail's."""
+    trail = ctx.trail
+    if trail is None:
+        return 0, *_run(ctx, initial_state(level), trace)
+    moves, trail_states = trail
+    k = 0
+    for move, mine in zip(moves, trace):
+        if move is not mine and move != mine:  # the equality `SimContext.index` looks moves up by
+            break
+        k += 1
+    return k, *_run(ctx, trail_states[k], trace[k:])
+
+
 def replay(level: Level, trace) -> bool:
     """True iff the trace applies cleanly from the initial state and ends
     on the flag cell; linear in the trace length.  It resumes from the
@@ -621,10 +631,10 @@ def replay(level: Level, trace) -> bool:
     with it, and the first winning trace it finds becomes the trail."""
     ctx = sim_context(level)
     trace = tuple(trace)
-    states, ok = _replay(ctx, level, trace)
+    _, states, ok = _replay(ctx, level, trace)
     if not ok or states[-1][:2] != ctx.flag:
         return False
-    if ctx.trail is None:
+    if ctx.trail is None:  # so `_replay` ran from the start, and `states` are all of them
         ctx.trail = (trace, tuple(states))
     return True
 
@@ -634,5 +644,8 @@ def replay_states(level: Level, trace):
     stops early if a move fails or is not a canonical move.  The states
     of the prefix the trace shares with the level's trail are the
     trail's.  Library helper for tests and tooling."""
-    states, _ = _replay(sim_context(level), level, tuple(trace))
+    ctx = sim_context(level)
+    k, states, _ = _replay(ctx, level, tuple(trace))
+    if k:
+        yield from map(GameState._make, islice(ctx.trail[1], k))
     yield from map(GameState._make, states)

@@ -37,14 +37,18 @@ from satplat.formula import (
 from satplat.compiler import compile_3sat, compile_qbf
 from satplat.level import NP, PSPACE, Level, save_level
 from satplat.sim import (
-    GameState,
+    BLOCKED,
+    DEATH,
     Move,
-    replay,
+    _apply,
+    _cell,
+    _run,
     replay_states,
     sim_context,
-    step,
     trace_to_text,
 )
+# Not called here: the benchmark's traced pass wraps `verify.replay` and `verify.step`.
+from satplat.sim import replay, step  # noqa: F401
 from satplat.solver import LimitExceeded, SearchStats, Solvable, solve
 
 SOLVABLE = "solvable"
@@ -305,46 +309,80 @@ def trace_prefix_states(level: Level, trace):
     return list(replay_states(level, trace))
 
 
-def _mutants(level: Level, trace, i, states, rng: random.Random):
-    """The mutants drawn at move i, in trial order: the deletion of move
-    i, or each substitution of move i whose outcome differs from it.
-    Each comes with whether it can still replay: a substitute that is
-    blocked or dies at move i cannot."""
-    if rng.random() < 0.5:
-        yield tuple(trace[:i] + trace[i + 1:]), True
-        return
-    if i >= len(states):
+def _mutants(ctx, trace: tuple, i: int, states, rng: random.Random):
+    """The mutants drawn at move i, in trial order, each with whether it
+    still wins: the deletion of move i, or each substitution of move i
+    whose outcome differs from its, drawn one at a time in a uniformly
+    random order (a partial Fisher-Yates shuffle of the move indices).
+    The check applies only the moves from the mutation point on, from
+    `states[i]`, with the replay loop itself (`sim._run`): a substitute
+    that is blocked or dies at move i loses at once."""
+    deletion = rng.random() < 0.5
+    if i >= len(states):  # the first i moves do not replay, so neither does a mutant
+        if deletion:
+            yield trace[:i] + trace[i + 1:], False
         return
     before = states[i]
-    original = step(level, before, trace[i])
-    candidates = [m for m in sim_context(level).moves if m != trace[i]]
-    rng.shuffle(candidates)
-    for cand in candidates:
-        out = step(level, before, cand)
-        if isinstance(out, GameState) and out == original:
+    cell = _cell(ctx, before)
+    rest = trace[i + 1:]
+    if deletion:
+        yield trace[:i] + rest, _wins(ctx, before, rest)
+        return
+    bits = before[2:]
+    original = ctx.index.get(trace[i])
+    outcome = None if original is None else _outcome(ctx, cell, original, bits)
+    pool = [mi for mi in range(len(ctx.moves)) if mi != original]
+    for k in range(len(pool) - 1, -1, -1):
+        j = rng.randrange(k + 1)
+        mi, pool[j] = pool[j], pool[k]
+        out = _outcome(ctx, cell, mi, bits)
+        applies = out is not BLOCKED and out is not DEATH
+        if applies and out == outcome:
             continue  # outcome-identical: equivalent by construction
-        yield tuple(trace[:i] + [cand] + trace[i + 1:]), isinstance(out, GameState)
+        yield trace[:i] + (ctx.moves[mi],) + rest, applies and _wins(ctx, out, rest)
+
+
+def _outcome(ctx, cell: int, mi: int, bits):
+    """`step` on the context: the fields of the state after move `mi` (an
+    index into `ctx.moves`) from `cell` with the `(has_dash, doors,
+    plats)` bits, `BLOCKED` or `DEATH`."""
+    rec = ctx.record(cell, mi)
+    return BLOCKED if rec is None else _apply(rec, *bits)
+
+
+def _wins(ctx, state, moves) -> bool:
+    """Whether `moves` all apply from `state` and end on the flag."""
+    states, ok = _run(ctx, state, moves)
+    return ok and states[-1][:2] == ctx.flag
 
 
 def mutate_trace(level: Level, trace, rng: random.Random, states=None, counters=None):
     """One random single-move corruption (deletion or substitution) of a
-    witness trace.
+    witness trace, as a tuple that fails `replay`.
+
+    A draw picks a move uniformly, then deletes it or, with the same
+    chance, substitutes another canonical move for it, trying the
+    substitutes in a uniformly random order.  Each draw is checked
+    from the mutation point on, from the state before the mutated move,
+    with the replay loop that `replay` runs.
 
     Equivalent mutants are excluded, as is standard in mutation testing:
-    a draw whose result still replays to the flag is an alternative valid
-    witness, not a corruption (for example, substituting a walk with a
-    dash that gets clamped by the same wall, or a taller jump with the
-    same landing).  Such draws are rejected and redrawn; pass a
+    a substitute whose outcome equals the original move's is skipped,
+    and a draw whose result still replays to the flag is an alternative
+    valid witness, not a corruption (for example, substituting a walk
+    with a dash that gets clamped by the same wall, or a taller jump with
+    the same landing).  Such draws are rejected and redrawn; pass a
     `counters` dict to see how many.  Pass precomputed
     `trace_prefix_states` when mutating one trace many times.
     """
-    trace = list(trace)
+    trace = tuple(trace)
     if states is None:
         states = trace_prefix_states(level, trace)
+    ctx = sim_context(level)
     for _ in range(MAX_MUTATION_ATTEMPTS):
         i = rng.randrange(len(trace))
-        for mutant, may_replay in _mutants(level, trace, i, states, rng):
-            if not (may_replay and replay(level, mutant)):
+        for mutant, wins in _mutants(ctx, trace, i, states, rng):
+            if not wins:
                 return mutant
             if counters is not None:
                 counters["equivalent"] = counters.get("equivalent", 0) + 1

@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+import re
 import string
 import subprocess
 import sys
@@ -323,6 +324,34 @@ class TestValidation:
         next(e for e in doc["entities"] if e["kind"] == kind)[key] = value
         with pytest.raises(LevelError, match="must be"):
             load_level(json.dumps(doc))
+
+    @pytest.mark.parametrize("entity, message", [
+        (UnstablePlatform(1.5, (2, 1)), "platform id must be of type int, got 1.5"),
+        (UnstablePlatform(True, (2, 1)), "platform id must be of type int, got True"),
+        (Door(0, ((2, 1),), "yes"), "door open must be of type bool, got 'yes'"),
+    ])
+    def test_build_type_checks_entity_fields_as_load_does(self, entity, message):
+        # The level `build` refused is one that `save_level` cannot write
+        # (a float) or whose document `load_level` refuses, with the same text.
+        art = "#####\n#S.F#\n#####"
+        with pytest.raises(LevelError, match=re.escape(
+                f"[field-type] {type(entity).__name__}#0: {message}")):
+            level_from_art(art, entities=[entity])
+        level = level_from_art(art, entities=[entity], validate=False)
+        assert [v.rule for v in validate_level(level)] == ["field-type"]
+        if type(entity.id) is float:
+            with pytest.raises(TypeError, match="float is not JSON serializable"):
+                save_level(level)
+        else:
+            with pytest.raises(LevelError, match=re.escape(message)):
+                load_level(save_level(level))
+
+    def test_entity_fields_must_be_tuples(self):
+        level = level_from_art("#####\n#S.F#\n#####", entities=[UnstablePlatform(0, [2, 1])],
+                               validate=False)
+        assert [str(v) for v in validate_level(level)] == [
+            "[field-type] UnstablePlatform#0: platform cell must be a tuple of 2 ints, "
+            "got [2, 1]"]
 
     @pytest.mark.parametrize("width, height, tiles", [(0, 3, ["", "", ""]), (5, 0, [])])
     def test_load_rejects_a_zero_size_grid(self, minimal_level, width, height, tiles):

@@ -1,12 +1,13 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from satplat.compiler import compile_3sat, compile_qbf
 from satplat.formula import QBF_BOUND, SAT_BOUND, parse_dimacs, parse_qdimacs
 from satplat.level import NP, PSPACE, load_level
-from satplat.sim import replay
+from satplat.sim import replay, sim_context, step
 from satplat.solver import Solvable, solve
 from satplat import verify
 from satplat.verify import (
@@ -19,6 +20,7 @@ from satplat.verify import (
     mutate_trace,
     run_corpus,
     run_items,
+    trace_prefix_states,
     verify_formula,
     verify_qbf,
     write_repro_bundles,
@@ -230,3 +232,55 @@ class TestMutation:
         a = mutate_trace(level, trace, random.Random(7))
         b = mutate_trace(level, trace, random.Random(7))
         assert a == b
+
+    @pytest.mark.parametrize("variant", [NP, PSPACE])
+    def test_the_mutation_check_matches_replay_on_every_single_move_mutant(self, variant):
+        # Every deletion and every substitution at every move of a witness:
+        # the check `mutate_trace` runs from the mutation point must say
+        # "wins" exactly when `replay` of the whole mutant does.  A
+        # substitute skipped as outcome-identical must win as well.
+        if variant == NP:
+            level = compile_3sat(parse_dimacs(SAMPLE_DIMACS))
+        else:
+            level = compile_qbf(gen_random_qbf(3, 2, seed=324))
+        witness = solve(level).trace
+        sim_context.cache_clear()
+        assert replay(level, witness)
+        ctx = sim_context(level)
+        states = trace_prefix_states(level, witness)
+        outcomes, verdicts = Counter(), Counter()
+        for i, original in enumerate(witness):
+            [(mutant, wins)] = verify._mutants(ctx, witness, i, states, FixedDraw(0.0))
+            assert mutant == witness[:i] + witness[i + 1:]
+            assert wins is replay(level, mutant)
+            verdicts[wins] += 1
+            drawn = dict(verify._mutants(ctx, witness, i, states, FixedDraw(0.9)))
+            for move in ctx.moves:
+                if move == original:
+                    continue
+                mutant = (*witness[:i], move, *witness[i + 1:])
+                out = step(level, states[i], move)
+                outcomes[type(out).__name__] += 1
+                if mutant in drawn:
+                    wins = replay(level, mutant)
+                    assert drawn.pop(mutant) is wins
+                    verdicts[wins] += 1
+                else:
+                    assert out == step(level, states[i], original)
+                    assert replay(level, mutant)
+            assert not drawn
+        assert min(outcomes[kind] for kind in ("GameState", "Blocked", "Death")) > 0
+        assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+class FixedDraw:
+    """A random source for `verify._mutants` whose `random()` is fixed, so
+    that every draw is a deletion (below 0.5) or a substitution; its
+    `randrange` is a seeded `random.Random`'s."""
+
+    def __init__(self, u: float):
+        self.u = u
+        self.randrange = random.Random(0).randrange
+
+    def random(self) -> float:
+        return self.u
