@@ -172,29 +172,40 @@ class Violation:
 
 def validate_level(level: Level) -> list[Violation]:
     """All level invariants; an empty list means the level is valid.
-    The rules read the entity fields as typed, so none runs unless every
-    field has the type `load_level` reads (rule `field-type`)."""
-    return _field_types(level.entities) or _invariants(level)
+    The rules read the physics, entity and port fields as typed, so none
+    runs unless every such field has the type `load_level` reads (rule
+    `field-type`)."""
+    return _field_types(level) or _invariants(level)
 
 
-def _field_types(entities) -> list[Violation]:
-    """A `field-type` violation for each entity that is not of a kind in
-    `_RECORDS`, or whose fields fail the checks `load_level` reads them
-    with (on the entity's tuples, where a document has lists)."""
+def _field_types(level: Level) -> list[Violation]:
+    """A `field-type` violation for the physics, each entity and each port
+    that is not of its record type, or whose fields fail the checks
+    `load_level` reads them with (on the level's tuples, where a document
+    has lists)."""
     out = []
-    for i, ent in enumerate(entities):
-        record = _RECORDS.get(type(ent))
-        if record is None:
-            out.append(Violation("field-type", f"entity #{i}",
-                                 f"not an entity record type: {ent!r}"))
-            continue
-        kind, fields = record
-        try:
-            for key, attr, check, arg in fields:
-                check(getattr(ent, attr), arg, kind, key, seq=tuple)
-        except LevelError as exc:
-            out.append(Violation("field-type", f"{type(ent).__name__}#{i}", str(exc)))
+    for part, objs, records in (("physics", (level.physics,), {PhysicsParams: _PHYSICS}),
+                                ("entity", level.entities, _RECORDS),
+                                ("port", level.ports, {Port: _PORT_FIELDS})):
+        for i, obj in enumerate(objs):
+            record = records.get(type(obj))
+            if record is None:
+                out.append(Violation("field-type", f"{part} #{i}",
+                                     f"not a {part} record type: {obj!r}"))
+                continue
+            kind, fields = record
+            try:
+                for key, attr, check, arg in fields:
+                    check(getattr(obj, attr), arg, kind, key, seq=tuple)
+            except LevelError as exc:
+                out.append(Violation("field-type", f"{type(obj).__name__}#{i}", str(exc)))
     return out
+
+
+def _stray(tiles) -> bytes:
+    """The tiles' text (UTF-8) with every tile character deleted, in one
+    pass over the whole grid: every build, load and save runs it."""
+    return "".join(tiles).encode().translate(None, (SOLID + EMPTY).encode())
 
 
 def _invariants(level: Level) -> list[Violation]:
@@ -208,9 +219,7 @@ def _invariants(level: Level) -> list[Violation]:
             or any(len(r) != level.width for r in level.tiles)):
         bad("grid-shape", "tiles", "tile grid must be at least 1x1 and match width/height")
         return out  # nothing else is checkable
-    # Deleting every tile character leaves the stray ones; one pass over
-    # the whole grid, since every build and load runs this check.
-    stray = "".join(level.tiles).encode().translate(None, (SOLID + EMPTY).encode())
+    stray = _stray(level.tiles)
     if stray:
         bad("tile-char", "tiles", f"a tile is '#' or '.', got {sorted(set(stray.decode()))}")
 
@@ -295,8 +304,7 @@ def _invariants(level: Level) -> list[Violation]:
             if ent.action == CLOSE and level.variant != PSPACE:
                 bad("close-button-variant", name, "CLOSE button in NP variant")
 
-    # A document keys ports by name, so a second port of a name would be
-    # lost on save.
+    # A document keys ports by name, and `load_level` refuses a repeated key.
     port_names: set[str] = set()
     for port in level.ports:
         x, y = port.cell
@@ -332,61 +340,31 @@ def _invariants(level: Level) -> list[Violation]:
 _quote = json.encoder.encode_basestring_ascii  # the C function json.dumps quotes with
 
 
-def _quote_all(strings, sep: str) -> str:
-    """The strings quoted as json.dumps quotes them, joined by `sep`.
-    Printable ASCII other than a quote or a backslash (every row of
-    tiles) is written as it stands."""
-    text = "".join(strings)
-    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-        return '"' + f'"{sep}"'.join(strings) + '"'
-    return sep.join(map(_quote, strings))
-
-
-class _Written(str):
-    """A value's text, already written by `_write_json` at the indent of
-    the place it goes; written as it stands."""
-
-
-def _write_json(value, pad: str = "") -> str:
-    """`value` as `json.dumps(value, indent=2)` writes it, its nested lines
-    indented past `pad`, the indent of the line it starts on.  It takes
-    dicts with str keys, lists, tuples, str, bool and int, not their
-    subclasses, and raises TypeError on anything else.  json.dumps falls
-    back to its pure-Python encoder whenever it indents; this writer joins
-    a flat list of ints or of strings in one call."""
+def _value(value, pad: str) -> str:
+    """A field of a level as `json.dumps(value, indent=2)` writes it on a
+    line indented by `pad`: an int, bool or str, or a tuple of these or of
+    int tuples.  Any other type (a float, None, a list) raises TypeError."""
     kind = type(value)
-    if kind is str:
-        return _quote(value)
-    if kind is _Written:
-        return value
     if kind is int:
         return int.__repr__(value)
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
+    if kind is str:
+        return _quote(value)
+    if kind is tuple:
         inner = pad + "  "
-        sep = f",\n{inner}"
-        kinds = {*map(type, value)}
-        if kinds == {int}:
-            body = sep.join(map(int.__repr__, value))
-        elif kinds == {str}:
-            body = _quote_all(value, sep)
-        elif kinds == {_Written}:
-            body = sep.join(value)
-        else:
-            body = sep.join([_write_json(v, inner) for v in value])
-        return f"[\n{inner}{body}\n{pad}]"
-    if kind is dict:
-        if not value:
-            return "{}"
-        if {*map(type, value)} != {str}:
-            raise TypeError(f"keys must be str, got {list(value)!r}")
-        inner = pad + "  "
-        return f"{{\n{inner}" + f",\n{inner}".join(
-            [f"{_quote(k)}: {_write_json(v, inner)}" for k, v in value.items()]) + f"\n{pad}}}"
+        return _block("[]", [_value(v, inner) for v in value], pad)
     if kind is bool:
         return "true" if value else "false"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _block(brackets: str, items: list[str], pad: str) -> str:
+    """A JSON array or object (`brackets` is "[]" or "{}") of the written
+    items, laid out as `json.dumps(indent=2)` lays it out on a line
+    indented by `pad`."""
+    if not items:
+        return brackets
+    inner = f",\n{pad}  "
+    return f"{brackets[0]}\n{pad}  {inner.join(items)}\n{pad}{brackets[1]}"
 
 
 def _typed(value, kind: type, *what: str, seq: type = list):
@@ -412,8 +390,8 @@ def _cells(value, count: int, *what: str, seq: type = list) -> tuple[tuple[int, 
 # Each entity kind's record: its document name, and per field the
 # document key, the dataclass field, and the check and its argument that
 # read the value.  JSON writes the tuples of a field as arrays, so a
-# check takes `seq=list` on a document's value and `seq=tuple` on an
-# entity's field (`validate_level`'s field-type rule).
+# check takes `seq=list` on a document's value and `seq=tuple` on a
+# level's field (`validate_level`'s field-type rule).
 _RECORDS = {
     UnstablePlatform: ("platform", (("id", "id", _typed, int), ("cell", "cell", _ints, 2))),
     Door: ("door", (("id", "id", _typed, int), ("cells", "cells", _cells, 2),
@@ -424,7 +402,14 @@ _RECORDS = {
     Spawn: ("spawn", (("cell", "cell", _ints, 2),)),
     Flag: ("flag", (("cell", "cell", _ints, 2),)),
 }
-_KINDS = {name: (cls, fields) for cls, (name, fields) in _RECORDS.items()}
+_KINDS = {record[0]: (cls, record) for cls, record in _RECORDS.items()}
+# The physics and port records, in the same form.  A port's name is its
+# key in the document's object of ports, so only the field-type rule
+# reads it from `_PORT_FIELDS`.
+_PHYSICS = ("physics", (("J", "jump_rise", _typed, int), ("D", "dash_length", _typed, int),
+                        ("R", "reform_distance", _typed, int)))
+_PORT = ("port", (("cell", "cell", _ints, 2), ("dir", "direction", _typed, str)))
+_PORT_FIELDS = ("port", (("name", "name", _typed, str), *_PORT[1]))
 
 
 def _record_to_entity(rec: dict) -> Entity:
@@ -433,52 +418,56 @@ def _record_to_entity(rec: dict) -> Entity:
     except (KeyError, TypeError):
         raise LevelError(f"entity record without a kind: {rec!r}") from None
     try:
-        cls, fields = _KINDS[kind]
+        cls, record = _KINDS[kind]
     except (KeyError, TypeError):
         raise LevelError(f"unknown entity kind {kind!r}") from None
-    return cls(**{attr: check(rec[key], arg, kind, key) for key, attr, check, arg in fields})
+    return cls(**_read(rec, record))
 
 
-def _record_text(ent: Entity) -> _Written:
-    """The entity's record, as `_write_json` writes it in the document's
-    list of entities (two levels deep)."""
-    try:
-        name, fields = _RECORDS[type(ent)]
-    except KeyError:
-        raise LevelError(f"unknown entity {ent!r}") from None
-    pad = "      "
-    return _Written(f'{{\n{pad}"kind": "{name}"' + "".join(
-        [f',\n{pad}"{key}": {_write_json(getattr(ent, attr), pad)}' for key, attr, _, _ in fields]
-    ) + "\n    }")
+def _read(rec: dict, record) -> dict:
+    """The dataclass fields of a document record, each read with the check
+    of its `record` (a document name and fields, as in `_RECORDS`)."""
+    kind, fields = record
+    out = {}
+    for key, attr, check, arg in fields:  # a loop, not a comprehension: every load runs it
+        out[attr] = check(rec[key], arg, kind, key)
+    return out
 
 
-def _port_text(port: Port) -> _Written:
-    """The port's record, as `_write_json` writes it in the document's
-    ports (two levels deep)."""
-    pad = "      "
-    return _Written(f'{{\n{pad}"cell": {_write_json(port.cell, pad)},\n'
-                    f'{pad}"dir": {_write_json(port.direction, pad)}\n    }}')
+def _members(obj, record, pad: str) -> list[str]:
+    """The `"key": value` members of `obj`'s document `record` (a name and
+    fields, as in `_RECORDS`), as written on lines indented by `pad`."""
+    return [f'"{key}": {_value(getattr(obj, attr), pad)}' for key, attr, _, _ in record[1]]
 
 
 def save_level(level: Level) -> str:
     """Serialize to the canonical JSON document (byte-stable field order,
     tiles written top row first).  The text is byte for byte
-    `json.dumps(doc, indent=2)` plus a newline, written by `_write_json`,
-    each entity record from its `_RECORDS` fields."""
-    doc = {
-        "variant": level.variant,
-        "width": level.width,
-        "height": level.height,
-        "physics": {
-            "J": level.physics.jump_rise,
-            "D": level.physics.dash_length,
-            "R": level.physics.reform_distance,
-        },
-        "tiles": level.tiles[::-1],
-        "entities": [_record_text(e) for e in level.entities],
-        "ports": {p.name: _port_text(p) for p in sorted(level.ports, key=lambda p: p.name)},
-    }
-    return _write_json(doc) + "\n"
+    `json.dumps(doc, indent=2)` plus a newline, written member by member
+    from the fixed schema: each entity record from its `_RECORDS` fields,
+    the physics from `_PHYSICS` and each port from `_PORT`."""
+    entities = []
+    for ent in level.entities:
+        try:
+            record = _RECORDS[type(ent)]
+        except KeyError:
+            raise LevelError(f"unknown entity {ent!r}") from None
+        entities.append(_block("{}", [f'"kind": "{record[0]}"', *_members(ent, record, "      ")],
+                               "    "))
+    ports = [f"{_quote(p.name)}: {_block('{}', _members(p, _PORT, '      '), '    ')}"
+             for p in sorted(level.ports, key=lambda p: p.name)]
+    rows = level.tiles[::-1]
+    # A row of tile characters alone is its own JSON string, quotes aside.
+    tiles = [f'"{row}"' for row in rows] if not _stray(rows) else [*map(_quote, rows)]
+    return _block("{}", [
+        f'"variant": {_value(level.variant, "  ")}',
+        f'"width": {_value(level.width, "  ")}',
+        f'"height": {_value(level.height, "  ")}',
+        f'"physics": {_block("{}", _members(level.physics, _PHYSICS, "    "), "  ")}',
+        f'"tiles": {_block("[]", tiles, "  ")}',
+        f'"entities": {_block("[]", entities, "  ")}',
+        f'"ports": {_block("{}", ports, "  ")}',
+    ], "") + "\n"
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -501,9 +490,7 @@ def load_level(document: str) -> Level:
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise LevelError(f"bad level document: {exc}") from None
     try:
-        physics = PhysicsParams(
-            *(_typed(doc["physics"][k], int, "physics", k) for k in ("J", "D", "R"))
-        )
+        physics = PhysicsParams(**_read(doc["physics"], _PHYSICS))
         level = Level(
             width=_typed(doc["width"], int, "width"),
             height=_typed(doc["height"], int, "height"),
@@ -511,11 +498,8 @@ def load_level(document: str) -> Level:
             entities=tuple(_record_to_entity(r) for r in doc["entities"]),
             variant=_typed(doc["variant"], str, "variant"),
             physics=physics,
-            ports=tuple(
-                Port(name, _ints(p["cell"], 2, "port", "cell"),
-                     _typed(p["dir"], str, "port", "dir"))
-                for name, p in sorted(doc.get("ports", {}).items())
-            ),
+            ports=tuple(Port(name, **_read(p, _PORT))
+                        for name, p in sorted(doc.get("ports", {}).items())),
         )
     except (KeyError, TypeError, AttributeError) as exc:
         raise LevelError(f"bad level document: missing or malformed field ({exc})") from None

@@ -2,12 +2,11 @@ import json
 import os
 import pickle
 import re
-import string
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from satplat.compiler import compile_3sat
@@ -23,7 +22,6 @@ from satplat.level import (
     SpaceBlock,
     Spawn,
     UnstablePlatform,
-    _write_json,
     load_level,
     render_ascii,
     save_level,
@@ -92,42 +90,11 @@ class TestRoundTrip:
         assert done.returncode == 0, done.stderr.decode()
 
 
-# --- the document writer ----------------------------------------------------
-
-def json_documents():
-    """Documents of every type the writer takes: strings with escapes,
-    non-ASCII and lone surrogates, ints past 64 bits either side of zero,
-    bools, empty and nested lists and dicts, tuples, and the flat lists of
-    ints and of strings it joins in one call."""
-    text = st.text(st.characters(exclude_categories=()), max_size=6)
-    scalars = (text | st.booleans() | st.integers()
-               | st.integers(min_value=2**64) | st.integers(max_value=-2**64))
-    flat = (st.lists(st.integers(), max_size=5) | st.lists(text, max_size=5)
-            | st.lists(st.text(string.printable, max_size=6), max_size=5)
-            | st.lists(st.integers(), max_size=3).map(tuple))
-    return st.recursive(
-        scalars | flat,
-        lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
-                       | st.dictionaries(text, inner, max_size=4)),
-        max_leaves=20,
-    )
-
-
-@given(json_documents())
-@settings(max_examples=200, deadline=None)
-def test_writer_matches_json_dumps(doc):
-    assert _write_json(doc) == json.dumps(doc, indent=2)
-
-
-@pytest.mark.parametrize("doc", [1.5, None, {1: 2}, [1, [None]], {"a": {b"x"}}])
-def test_writer_refuses_what_a_level_never_holds(doc):
-    with pytest.raises(TypeError):
-        _write_json(doc)
-
+# --- the document bytes ---------------------------------------------------
 
 def old_document(level: Level) -> dict:
     """The canonical document as a dict, as `save_level` built it for
-    json.dumps before it had a writer of its own."""
+    json.dumps before it wrote the document itself."""
     records = {UnstablePlatform: ("platform", ("id", "cell")),
                Door: ("door", ("id", "cells", "initially_open")),
                Button: ("button", ("cell", "door_id", "action")),
@@ -151,16 +118,59 @@ def old_document(level: Level) -> dict:
     }
 
 
-@given(small_levels())
+# Port names and directions: any text, quotes, backslashes, control
+# characters, non-ASCII and lone surrogates included.
+port_text = st.text(st.characters(exclude_categories=()), max_size=6)
+
+
+@given(small_levels(),
+       st.lists(st.tuples(port_text, port_text, st.integers(0, 99)), max_size=3,
+                unique_by=lambda port: port[0]))
+@example(("#####\n#S.F#\n#####", (), "NP"),
+         [('"\\\x00\x1f\u00e9\ud800', "\u2028\udfff\"", 0), ("", "\\", 1)])
 @settings(max_examples=150, deadline=None)
-def test_saved_small_levels_are_json_dumps_bytes_and_round_trip(spec):
+def test_saved_small_levels_are_json_dumps_bytes_and_round_trip(spec, ports):
     try:
         level = level_from_art(*spec)
     except LevelError:
         reject()
+    empty = [(x, y) for y, row in enumerate(level.tiles) for x, tile in enumerate(row)
+             if tile == "."]
+    ports = tuple(sorted((Port(name, empty[i % len(empty)], heading)
+                          for name, heading, i in ports), key=lambda port: port.name))
+    level = Level(level.width, level.height, level.tiles, level.entities, level.variant,
+                  ports=ports)
+    assert validate_level(level) == []
     doc = save_level(level)
     assert doc == json.dumps(old_document(level), indent=2) + "\n"
     assert load_level(doc) == level
+
+
+@pytest.mark.parametrize("entity, port, physics, refusal", [
+    (UnstablePlatform(1.5, (2, 1)), None, None, "Object of type float is not JSON serializable"),
+    (UnstablePlatform(None, (2, 1)), None, None, "NoneType is not JSON serializable"),
+    (UnstablePlatform(0, [2, 1]), None, None, "list is not JSON serializable"),
+    (Door(0, [(2, 1)]), None, None, "list is not JSON serializable"),
+    (Door(0, ((2, 1),), 0.5), None, None, "float is not JSON serializable"),
+    (Button((2, 1), 0, None), None, None, "NoneType is not JSON serializable"),
+    (UnstablePlatform(True, (2, 1)), None, None, "platform id must be of type int, got True"),
+    (None, Port("a", (2.5, 1), "E"), None, "float is not JSON serializable"),
+    (None, Port("a", [2, 1], "E"), None, "list is not JSON serializable"),
+    (None, Port("a", (2, 1), None), None, "NoneType is not JSON serializable"),
+    (None, Port(None, (2, 1), "E"), None, "must be a string, not NoneType"),
+    (None, Port("a", (2, 1), 5), None, "port dir must be of type str, got 5"),
+    (None, None, PhysicsParams(3, 4.5, 2), "float is not JSON serializable"),
+])
+def test_save_refuses_what_a_level_never_holds(entity, port, physics, refusal):
+    # A field of a type no valid level holds is not written (TypeError),
+    # or is written as a document that `load_level` refuses.
+    level = level_from_art("#####\n#S.F#\n#####", entities=[entity] if entity else [],
+                           validate=False)
+    level = Level(level.width, level.height, level.tiles, level.entities, level.variant,
+                  physics=physics or PhysicsParams(), ports=(port,) if port else ())
+    assert [v.rule for v in validate_level(level)] == ["field-type"]
+    with pytest.raises((TypeError, LevelError), match=re.escape(refusal)):
+        load_level(save_level(level))
 
 
 @pytest.mark.parametrize("i", range(len(compiled_levels())))
@@ -345,6 +355,43 @@ class TestValidation:
         else:
             with pytest.raises(LevelError, match=re.escape(message)):
                 load_level(save_level(level))
+
+    @pytest.mark.parametrize("port, message", [
+        (Port("a", (2.5, 1), "E"), "Port#0: port cell must be a tuple of 2 ints, got (2.5, 1)"),
+        (Port("a", [2, 1], "E"), "Port#0: port cell must be a tuple of 2 ints, got [2, 1]"),
+        (Port("a", (2, 1), 5), "Port#0: port dir must be of type str, got 5"),
+        (Port(7, (2, 1), "E"), "Port#0: port name must be of type str, got 7"),
+    ])
+    def test_build_type_checks_port_fields_as_load_does(self, port, message):
+        # Unchecked, the float cell is a TypeError inside `validate_level`,
+        # and the others build levels that save or load refuses.
+        builder = LevelBuilder(5, 3)
+        for x in (1, 2, 3):
+            builder.carve(x, 1)
+        builder.add(Spawn((1, 1)))
+        builder.add(Flag((3, 1)))
+        builder.add_port(port.name, port.cell, port.direction)
+        with pytest.raises(LevelError, match=re.escape(f"[field-type] {message}")):
+            builder.build()
+        level = level_from_art("#####\n#S.F#\n#####")
+        level = Level(level.width, level.height, level.tiles, level.entities, ports=(port,))
+        assert [str(v) for v in validate_level(level)] == [f"[field-type] {message}"]
+
+    @pytest.mark.parametrize("physics, message", [
+        (PhysicsParams(3, 4.5, 2), "physics D must be of type int, got 4.5"),
+        (PhysicsParams(True, 4, 2), "physics J must be of type int, got True"),
+        (PhysicsParams(3, 4, 2.0), "physics R must be of type int, got 2.0"),
+    ])
+    def test_physics_fields_are_type_checked_as_load_does(self, physics, message):
+        level = level_from_art("#####\n#S.F#\n#####")
+        level = Level(level.width, level.height, level.tiles, level.entities, physics=physics)
+        assert [str(v) for v in validate_level(level)] == [f"[field-type] PhysicsParams#0: {message}"]
+        doc = json.loads(save_level(Level(level.width, level.height, level.tiles,
+                                          level.entities)))
+        doc["physics"].update(J=physics.jump_rise, D=physics.dash_length,
+                              R=physics.reform_distance)
+        with pytest.raises(LevelError, match=re.escape(message)):
+            load_level(json.dumps(doc))
 
     def test_entity_fields_must_be_tuples(self):
         level = level_from_art("#####\n#S.F#\n#####", entities=[UnstablePlatform(0, [2, 1])],
