@@ -254,12 +254,11 @@ def plan_3sat(formula: CnfFormula) -> LayoutPlan:
         height = cy1 + 9
 
     spawn_wire = [plan.spawn]
-    cross = build_crossover()  # takes no argument and is immutable: one for every variable
+    chamber, cross = build_variable_gadget(), build_crossover()  # frozen: one for every variable
 
     for i in range(1, n + 1):
         cy = cy1 - V_PITCH * (i - 1)
         rt, ru = cy - 2, cy - 10
-        chamber = build_variable_gadget(i)
         plan.placements.append(Placement(chamber, (cx, cy), f"x{i}."))
         ox, oy = cx + 9, cy - 7
         plan.placements.append(Placement(cross, (ox, oy), f"x{i}.cross."))
@@ -357,13 +356,13 @@ def plan_qbf(qbf: QbfFormula) -> LayoutPlan:
         width = exists_width if quant is Quantifier.EXISTS else forall_width
         end += width(true_syms, false_syms) + 3  # and the gap after it
         _check_grid(end, QBF_HEIGHT)
-        gadgets.append((quant, var, true_syms, false_syms))
+        gadgets.append((quant, true_syms, false_syms))
 
-    for qi, (quant, var, true_syms, false_syms) in enumerate(gadgets, start=1):
+    for qi, (quant, true_syms, false_syms) in enumerate(gadgets, start=1):
         if quant is Quantifier.EXISTS:
-            bp = build_exists_gadget(var, door_base, true_syms, false_syms)
+            bp = build_exists_gadget(door_base, true_syms, false_syms)
         else:
-            bp = build_forall_gadget(var, door_base, true_syms, false_syms)
+            bp = build_forall_gadget(door_base, true_syms, false_syms)
         plan.placements.append(Placement(bp, (x, 1), f"q{qi}."))
         door_base += len(bp.doors)
         east = x + bp.width - 1
@@ -380,8 +379,7 @@ def plan_qbf(qbf: QbfFormula) -> LayoutPlan:
         x += bp.width
         _check_grid(x, QBF_HEIGHT)
 
-    lift = ret_y - fwd_y
-    elev = build_elevator(lift)
+    elev = build_elevator()  # lifts the forward band to the return band
     plan.placements.append(Placement(elev, (x, 1), "lift."))
     plan.wires.append(Wire("forward", tuple(fwd_wire + [(x, fwd_y)])))
     plan.wires.append(Wire("return", tuple([(x, ret_y)] + ret_wire_pts[::-1] + [(2, ret_y)])))

@@ -203,7 +203,7 @@ def _tokenize(text: str):
             yield tok, lineno
 
 
-def _parse_header(tokens) -> tuple[int, int, int]:
+def _parse_header(tokens) -> tuple[int, int]:
     try:
         tok, line = next(tokens)
     except StopIteration:
@@ -224,7 +224,7 @@ def _parse_header(tokens) -> tuple[int, int, int]:
         raise FormulaError("header counts must be integers", line) from None
     if n < 0 or k < 0:
         raise FormulaError("header counts must be non-negative", line)
-    return n, k, line
+    return n, k
 
 
 def _parse_clauses(tokens, n: int, k: int) -> tuple[Clause, ...]:
@@ -265,7 +265,7 @@ def parse_dimacs(text: str) -> CnfFormula:
     repeating the last literal; clauses of more than 3 literals are
     rejected."""
     tokens = _tokenize(text)
-    n, k, _ = _parse_header(tokens)
+    n, k = _parse_header(tokens)
     return CnfFormula(n, _parse_clauses(tokens, n, k))
 
 
@@ -273,7 +273,7 @@ def parse_qdimacs(text: str) -> QbfFormula:
     """Parse QDIMACS. Variables the prefix does not mention are implicitly
     existential at the outermost level, in increasing variable order."""
     tokens = _tokenize(text)
-    n, k, _ = _parse_header(tokens)
+    n, k = _parse_header(tokens)
 
     prefix: list[tuple[Quantifier, int]] = []
     quantified: set[int] = set()

@@ -13,6 +13,8 @@ Geometry is calibrated to the default physics (jump rise 3, dash length
 
 Conventions used throughout the blueprints:
 
+- rows are drawn top-first, one way: every builder passes its rows,
+  fixed art or strings computed from its widths, through `_from_art`;
 - corridors are 1 tile tall, so a button in a corridor can only be
   crossed by a dash (which fires it);
 - every corridor of buttons and doors is laid by one primitive,
@@ -81,14 +83,6 @@ class GadgetBlueprint:
     def variant(self) -> str:
         """The minimum variant the patch needs."""
         return PSPACE if any(b.action == CLOSE for b in self.buttons) else NP
-
-
-def _grid(width: int, height: int) -> list[list[str]]:
-    return [["#"] * width for _ in range(height)]
-
-
-def _freeze(grid: list[list[str]]) -> tuple[str, ...]:
-    return tuple("".join(row) for row in grid)
 
 
 def _from_art(art: list[str]) -> tuple[str, ...]:
@@ -207,7 +201,7 @@ def check_contract(bp: GadgetBlueprint):
 # --- the gadgets ------------------------------------------------------------
 
 
-def build_variable_gadget(var: int) -> GadgetBlueprint:
+def build_variable_gadget() -> GadgetBlueprint:
     """One-way binary choice chamber.
 
     The player drops in from the entry, walks onto one of two unstable
@@ -243,7 +237,7 @@ def build_variable_gadget(var: int) -> GadgetBlueprint:
             Assertion("exit_false", "exit_true", False),
             Assertion("exit_false", "entry", False),
         ),
-        notes=f"binary choice for variable {var}; exits sealed by unstable platforms",
+        notes="binary choice; exits sealed by unstable platforms",
     )
 
 
@@ -254,18 +248,16 @@ def build_clause_gadget(clause_index: int) -> GadgetBlueprint:
     one-clause final passage with its own ports and an 8-mask contract.
     Its doors are 3*clause_index + slot, the ids the plan's buttons name."""
     first = 3 * clause_index
-    combos = []
-    for mask in range(8):
-        bits = tuple((first + s, bool((mask >> s) & 1)) for s in range(3))
-        combos.append(Assertion("check_in", "check_out", any(v for _, v in bits),
-                                doors=bits, note=f"door mask {mask:03b}"))
+    combos = tuple(Assertion("check_in", "check_out", mask != 0,
+                             doors=tuple((first + s, bool(mask >> s & 1)) for s in range(3)),
+                             note=f"door mask {mask:03b}") for mask in range(8))
     passage = build_final_passage(1)
     return replace(
         passage,
         kind="clause",
         doors=tuple(replace(d, id=first + d.id) for d in passage.doors),
         ports=(Port("check_in", (0, 1), "E"), Port("check_out", (6, 1), "E")),
-        contract=tuple(combos),
+        contract=combos,
         notes=f"clause {clause_index}: slot doors 0..2 bottom-up, OR semantics",
     )
 
@@ -275,15 +267,12 @@ def build_tunnel(symbols=()) -> GadgetBlueprint:
     in order; buttons block walking, so every traversal dashes through
     (and fires) all of them."""
     m = len(symbols)
-    w = max(3, m + 4)
-    grid = _grid(w, 3)
-    for x in range(0, w):
-        grid[1][x] = "."
+    w = m + 4
     buttons: list[Button] = []
     _lane(1, 2, symbols, buttons)
     return GadgetBlueprint(
         kind="tunnel",
-        rows=_freeze(grid),
+        rows=_from_art(["#" * w, "." * w, "#" * w]),
         buttons=tuple(buttons),
         ports=(Port("tunnel_in", (0, 1), "E"), Port("tunnel_out", (w - 1, 1), "E")),
         contract=(
@@ -347,33 +336,24 @@ def build_final_passage(num_clauses: int) -> GadgetBlueprint:
     passable end to end iff every clause has at least one open door.
     Door ids are 3*clause + slot."""
     k = num_clauses
-    w = max(3, 4 * k + 3)
-    grid = _grid(w, 5)
-    for x in range(0, w):
-        grid[1][x] = "."
-    for x in range(1, w - 1):
-        grid[2][x] = "."
-        grid[3][x] = "."
-    doors = []
-    for c in range(k):
-        wall_x = 3 + 4 * c  # the check wall is the column of three doors
-        for s in range(3):
-            doors.append(Door(3 * c + s, ((wall_x, 1 + s),)))
-    contract = [
-        Assertion("passage_in", "flag_port", k == 0,
-                  note="all doors closed" if k else "empty passage"),
-    ]
+    w = 4 * k + 3
+    above = "#" + "." * (w - 2) + "#"  # jump room over the corridor
+    # clause c's check wall is the column of its three doors at x = 3 + 4c
+    doors = tuple(Door(3 * c + s, ((3 + 4 * c, 1 + s),)) for c in range(k) for s in range(3))
+    contract = [Assertion("passage_in", "flag_port", k == 0,
+                          note="all doors closed" if k else "empty passage")]
     if k:
-        one_per_clause = tuple((3 * c, True) for c in range(k))
-        contract.append(Assertion("passage_in", "flag_port", True,
-                                  doors=one_per_clause, note="one door open per clause"))
-        all_but_last = tuple((3 * c, True) for c in range(k - 1))
-        contract.append(Assertion("passage_in", "flag_port", False,
-                                  doors=all_but_last, note="one clause fully closed"))
+        first_doors = tuple((3 * c, True) for c in range(k))
+        contract += [
+            Assertion("passage_in", "flag_port", True, doors=first_doors,
+                      note="one door open per clause"),
+            Assertion("passage_in", "flag_port", False, doors=first_doors[:-1],
+                      note="one clause fully closed"),
+        ]
     return GadgetBlueprint(
         kind="final_passage",
-        rows=_freeze(grid),
-        doors=tuple(doors),
+        rows=_from_art(["#" * w, above, above, "." * w, "#" * w]),
+        doors=doors,
         ports=(Port("passage_in", (0, 1), "E"), Port("flag_port", (w - 1, 1), "E")),
         contract=tuple(contract),
         notes=f"{k} clause walls in series",
@@ -386,8 +366,7 @@ def exists_width(true_symbols, false_symbols) -> int:
     return 9 + max(len(true_symbols), len(false_symbols))
 
 
-def build_exists_gadget(var: int, first_door: int, true_symbols=(),
-                        false_symbols=()) -> GadgetBlueprint:
+def build_exists_gadget(first_door: int, true_symbols, false_symbols) -> GadgetBlueprint:
     """One-time (per forward entry) binary choice.
 
     Two lanes leave a junction: the ground lane commits the variable to
@@ -398,16 +377,14 @@ def build_exists_gadget(var: int, first_door: int, true_symbols=(),
     doors are first_door (true valve) and first_door + 1 (false valve).
     """
     w = exists_width(true_symbols, false_symbols)
-    me = w - 2  # merge column
-    grid = _grid(w, 10)
-    for x in range(0, w):
-        grid[1][x] = "."  # ground lane + ports
-        grid[8][x] = "."  # return corridor + ports
-    for x in range(1, me + 1):
-        grid[4][x] = "."  # upper lane
-    for y in (2, 3):
-        grid[y][1] = "."  # junction climb
-        grid[y][me] = "."  # merge drop
+    solid, band, shaft = "#" * w, "." * w, "#." + "#" * (w - 4) + ".#"
+    rows = _from_art([
+        solid, band,  # y8: return corridor + ports
+        solid, solid, solid,
+        "#" + "." * (w - 2) + "#",  # y4: upper lane
+        shaft, shaft,  # junction climb at x=1, merge drop at x=w-2
+        band, solid,  # y1: ground lane + ports
+    ])
 
     buttons: list[Button] = []
     doors = _lane(1, 3, [*true_symbols, *_valve(first_door)], buttons)
@@ -415,7 +392,7 @@ def build_exists_gadget(var: int, first_door: int, true_symbols=(),
 
     return GadgetBlueprint(
         kind="exists",
-        rows=_freeze(grid),
+        rows=rows,
         doors=_doors(doors),
         buttons=tuple(buttons),
         ports=(
@@ -431,7 +408,7 @@ def build_exists_gadget(var: int, first_door: int, true_symbols=(),
             Assertion("q_in", "ret_out", False, note="forward and return are isolated"),
             Assertion("q_out", "q_in", False, note="exit is sealed behind the valves"),
         ),
-        notes=f"existential choice for variable {var}; ground lane = true, upper lane = false",
+        notes="existential choice; ground lane = true, upper lane = false",
     )
 
 
@@ -445,8 +422,7 @@ def forall_width(true_symbols, false_symbols) -> int:
     return max(len(true_symbols) + 9, _FORALL_PIT + len(false_symbols) + 10, 14)
 
 
-def build_forall_gadget(var: int, first_door: int, true_symbols=(),
-                        false_symbols=()) -> GadgetBlueprint:
+def build_forall_gadget(first_door: int, true_symbols, false_symbols) -> GadgetBlueprint:
     """Forced two-pass quantifier.
 
     Forward pass: a tunnel applies the true configuration, closes the
@@ -464,18 +440,15 @@ def build_forall_gadget(var: int, first_door: int, true_symbols=(),
     """
     fc = _FORALL_PIT
     w = forall_width(true_symbols, false_symbols)
-    dsx = w - 2  # flip tunnel drop column
-    grid = _grid(w, 10)
-    for x in range(0, w):
-        grid[1][x] = "."  # forward tunnel + ports
-        grid[8][x] = "."  # return corridor + ports
-    for x in range(fc, dsx + 1):
-        grid[5][x] = "."  # flip tunnel
-    for x in range(dsx, w):
-        grid[3][x] = "."  # reroute ledge + port
-    grid[4][dsx] = "."  # flip tunnel drop
-    grid[6][fc] = "."  # pit climb shaft
-    grid[7][fc] = "."
+    solid, band, pit = "#" * w, "." * w, "#" * fc + "." + "#" * (w - fc - 1)
+    rows = _from_art([
+        solid, band,  # y8: return corridor + ports
+        pit, pit,  # pit climb shaft
+        "#" * fc + "." * (w - fc - 1) + "#",  # y5: flip tunnel
+        "#" * (w - 2) + ".#",  # y4: flip tunnel drop
+        "#" * (w - 2) + "..",  # y3: reroute ledge + port
+        solid, band, solid,  # y1: forward tunnel + ports
+    ])
 
     ft, fx = first_door + 1, first_door + 2
     buttons: list[Button] = []
@@ -490,7 +463,7 @@ def build_forall_gadget(var: int, first_door: int, true_symbols=(),
 
     return GadgetBlueprint(
         kind="forall",
-        rows=_freeze(grid),
+        rows=rows,
         doors=_doors(doors),
         buttons=tuple(buttons),
         ports=(
@@ -512,52 +485,45 @@ def build_forall_gadget(var: int, first_door: int, true_symbols=(),
                       note="exhaust gate open: pass through outward"),
             Assertion("q_in", "ret_out", False, note="bands are isolated"),
         ),
-        notes=f"universal quantifier for variable {var}: true pass, forced flip, exhaust",
+        notes="universal quantifier: true pass, forced flip, exhaust",
     )
 
 
-def build_elevator(lift: int = 7) -> GadgetBlueprint:
+def build_elevator() -> GadgetBlueprint:
     """Vertical connector: dash up through a space-block column, land on
     its top, hop off onto the upper ledge.  Two-way (dashing back down is
-    allowed); used where the layout needs repeatable ascent."""
-    if lift < 4:
-        raise LevelError("elevator lift must be at least 4")
-    h = lift + 3
-    w = 5
-    grid = _grid(w, h)
-    for x in (1, 2):
-        grid[1][x] = "."
-    grid[1][0] = "."  # elev_in port
-    grid[2][2] = "."
-    for y in range(3, lift + 1):
-        grid[y][2] = "."  # block column
-    top = lift + 1
-    for x in (0, 1, 2, 3):
-        grid[top][x] = "."
-    grid[top + 1][2] = "."  # jump headroom over the block top
-    grid[top + 1][1] = "."
+    allowed); used where the layout needs repeatable ascent.  Its lift,
+    7 rows from elev_in to elev_out, is the distance from the QBF
+    layout's forward band to its return band."""
+    rows = _from_art([
+        "#..##",  # y9: jump headroom over the block top
+        "....#",  # y8: upper ledge (elev_out at x=0)
+        *["##.##"] * 6,  # y7..y3: block column; y2: launch cell
+        "...##",  # y1: entry (elev_in at x=0)
+        "#####",
+    ])
     return GadgetBlueprint(
         kind="elevator",
-        rows=_freeze(grid),
-        blocks=(SpaceBlock(0, (2, 3, 2, lift)),),
-        ports=(Port("elev_in", (0, 1), "E"), Port("elev_out", (0, top), "W")),
+        rows=rows,
+        blocks=(SpaceBlock(0, (2, 3, 2, 7)),),
+        ports=(Port("elev_in", (0, 1), "E"), Port("elev_out", (0, 8), "W")),
         contract=(
             Assertion("elev_in", "elev_out", True),
             Assertion("elev_out", "elev_in", True, note="two-way by design"),
         ),
-        notes=f"space-block lift of {lift - 1} rows",
+        notes="space-block lift of 6 rows",
     )
 
 
 ALL_GADGET_BUILDERS = {
-    "variable": lambda: build_variable_gadget(1),
+    "variable": build_variable_gadget,
     "clause": lambda: build_clause_gadget(0),
     "tunnel": lambda: build_tunnel(((0, OPEN), (1, OPEN))),
     "crossover": build_crossover,
     "final_passage": lambda: build_final_passage(2),
     # own doors from 0; the symbols drive door 4, above them
-    "exists": lambda: build_exists_gadget(1, 0, ((4, OPEN),), ((4, CLOSE),)),
-    "forall": lambda: build_forall_gadget(1, 0, ((4, OPEN),), ((4, CLOSE),)),
+    "exists": lambda: build_exists_gadget(0, ((4, OPEN),), ((4, CLOSE),)),
+    "forall": lambda: build_forall_gadget(0, ((4, OPEN),), ((4, CLOSE),)),
     "elevator": build_elevator,
 }
 

@@ -172,18 +172,23 @@ class Violation:
 
 def validate_level(level: Level) -> list[Violation]:
     """All level invariants; an empty list means the level is valid.
-    The rules read the physics, entity and port fields as typed, so none
-    runs unless every such field has the type `load_level` reads (rule
-    `field-type`)."""
+    The rules read the grid size and the physics, entity and port fields
+    as typed, so none runs unless every such field has the type
+    `load_level` reads (rule `field-type`)."""
     return _field_types(level) or _invariants(level)
 
 
 def _field_types(level: Level) -> list[Violation]:
-    """A `field-type` violation for the physics, each entity and each port
-    that is not of its record type, or whose fields fail the checks
-    `load_level` reads them with (on the level's tuples, where a document
-    has lists)."""
+    """A `field-type` violation for a width or height that is not an int,
+    and for the physics, each entity and each port that is not of its
+    record type, or whose fields fail the checks `load_level` reads them
+    with (on the level's tuples, where a document has lists)."""
     out = []
+    for key in ("width", "height"):
+        try:
+            _typed(getattr(level, key), int, key)
+        except LevelError as exc:
+            out.append(Violation("field-type", key, str(exc)))
     for part, objs, records in (("physics", (level.physics,), {PhysicsParams: _PHYSICS}),
                                 ("entity", level.entities, _RECORDS),
                                 ("port", level.ports, {Port: _PORT_FIELDS})):

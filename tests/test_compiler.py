@@ -99,12 +99,12 @@ class TestCompile3Sat:
 
     def test_grid_bound_refused_before_the_grid_is_allocated(self, monkeypatch):
         # n=k=128 needs 2566 rows; the plan is refused at the first
-        # chamber that takes the grid so far over the bound, so the
-        # chambers after it are never built.
+        # variable that takes the grid so far over the bound, so the
+        # tunnels (two per variable) after it are never built.
         formula = gen_random_3cnf(128, 128, 0)
         built = []
-        build = compiler.build_variable_gadget
-        monkeypatch.setattr(compiler, "build_variable_gadget", lambda i: built.append(i) or build(i))
+        build = compiler.build_tunnel
+        monkeypatch.setattr(compiler, "build_tunnel", lambda syms: built.append(syms) or build(syms))
         monkeypatch.setattr(compiler, "LevelBuilder", None)  # must not be reached
         tracemalloc.start()
         start = time.perf_counter()
@@ -118,7 +118,7 @@ class TestCompile3Sat:
             tracemalloc.stop()
         assert elapsed < 1.0
         assert peak < MAX_GRID_CELLS // 4  # the 1-byte-per-cell coverage grid was never made
-        assert built == list(range(1, len(built) + 1)) and len(built) < 128
+        assert len(built) % 2 == 0 and 0 < len(built) < 2 * 128
         oversized = LayoutPlan(NP, MAX_GRID_CELLS + 1, 1)
         with pytest.raises(CompileError, match=f"{MAX_GRID_CELLS + 1} cells"):
             plan_report(oversized)
@@ -171,6 +171,10 @@ class TestPlanAndRouting:
         assert len(plan.crossings) == 3
         crossovers = [p for p in plan.placements if p.blueprint.kind == "crossover"]
         assert len(crossovers) == 3
+        # the chamber and the crossover are each built once per plan
+        for kind in ("variable", "crossover"):
+            placed = [p.blueprint for p in plan.placements if p.blueprint.kind == kind]
+            assert len(placed) == 3 and all(bp is placed[0] for bp in placed)
 
     def test_plan_report_mentions_crossings(self, sample_formula):
         plan = plan_3sat(sample_formula)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,6 @@ from satplat.gadgets import (
     StampError,
     build_clause_gadget,
     build_crossover,
-    build_elevator,
     build_exists_gadget,
     build_final_passage,
     build_forall_gadget,
@@ -56,7 +57,7 @@ class TestVariableGadget:
     def test_committed_exit_cannot_be_undone(self):
         # walk in, break the true-side platform, fall through: the
         # reformed platform now blocks the way back up
-        bp = build_variable_gadget(1)
+        bp = build_variable_gadget()
         level = contract_level(bp)
         entry = probe_state(level, "entry")
         leg = solve_between(level, entry, level.port("exit_true").cell)
@@ -67,7 +68,7 @@ class TestVariableGadget:
         assert step(level, state, jump(0, 3)) is BLOCKED
 
     def test_both_exits_reachable_fresh(self):
-        bp = build_variable_gadget(1)
+        bp = build_variable_gadget()
         level = contract_level(bp)
         reached = reachable_ports(level, "entry")
         assert {"exit_true", "exit_false"} <= reached
@@ -155,7 +156,7 @@ class TestExistsGadget:
     def build(self):
         # variable drives doors 0 (true-open) and 1 (false-open); the
         # gadget's own valves are doors 2 and 3
-        bp = build_exists_gadget(1, 2, ((0, OPEN), (1, CLOSE)), ((1, OPEN), (0, CLOSE)))
+        bp = build_exists_gadget(2, ((0, OPEN), (1, CLOSE)), ((1, OPEN), (0, CLOSE)))
         return contract_level(bp)
 
     def test_both_branches_open_fresh(self):
@@ -203,7 +204,7 @@ class TestExistsGadget:
 
 class TestForallGadget:
     def build(self):
-        bp = build_forall_gadget(1, 2, ((0, OPEN), (1, CLOSE)), ((1, OPEN), (0, CLOSE)))
+        bp = build_forall_gadget(2, ((0, OPEN), (1, CLOSE)), ((1, OPEN), (0, CLOSE)))
         return contract_level(bp)
 
     def test_full_protocol(self):
@@ -300,7 +301,7 @@ class TestStamp:
 
     def test_contract_translation_invariance(self):
         # the same gadget stamped at a different origin keeps its verdicts
-        bp = build_variable_gadget(1)
+        bp = build_variable_gadget()
         for origin in ((1, 1), (3, 4)):
             builder = LevelBuilder(bp.width + 8, bp.height + 8)
             stamp_into(builder, bp, origin)
@@ -320,12 +321,28 @@ def _sized_blueprints():
     for m in range(len(symbols) + 1):
         yield f"tunnel-open-{m}", build_tunnel([(d, OPEN) for d, _ in symbols[:m]])
         yield f"tunnel-mixed-{m}", build_tunnel(symbols[:m])
-        yield f"exists-{m}", build_exists_gadget(1, 5, symbols[:m], symbols[m:])
-        yield f"forall-{m}", build_forall_gadget(1, 5, symbols[m:], symbols[:m])
+        yield f"exists-{m}", build_exists_gadget(5, symbols[:m], symbols[m:])
+        yield f"forall-{m}", build_forall_gadget(5, symbols[m:], symbols[:m])
     for k in range(5):
         yield f"final_passage-{k}", build_final_passage(k)
-    for lift in range(4, 11):
-        yield f"elevator-{lift}", build_elevator(lift)
+
+
+# SHA-256 over every blueprint's kind, rows, records, ports and contract
+# (not its notes), for the catalog and the sized gadgets in the order
+# `_sized_blueprints` yields them.  The elevator has one size, lift 7,
+# which is its catalog entry.
+BLUEPRINT_DIGEST = "e41de4d55d2c4ce4d758bc624c8e1b71ed543c2ac7b8f31734209d5bd9e27821"
+
+
+def test_blueprints_are_pinned():
+    digest = hashlib.sha256()
+    for name, bp in _sized_blueprints():
+        if name.startswith("elevator-"):
+            continue
+        contract = tuple((a.from_port, a.to_port, a.reachable, a.doors) for a in bp.contract)
+        digest.update(repr((bp.kind, bp.rows, bp.doors, bp.platforms, bp.blocks, bp.buttons,
+                            bp.ports, contract)).encode())
+    assert digest.hexdigest() == BLUEPRINT_DIGEST
 
 
 @pytest.mark.parametrize("bp", [pytest.param(bp, id=name) for name, bp in _sized_blueprints()])
@@ -347,7 +364,7 @@ def test_size_and_variant_are_those_of_the_patch(bp):
 @pytest.mark.parametrize("first_door", [2, 9])
 @pytest.mark.parametrize("build", [build_exists_gadget, build_forall_gadget])
 def test_quantifier_contract_holds_at_any_first_door(build, first_door):
-    bp = build(1, first_door, ((0, OPEN), (1, CLOSE)), ((1, OPEN), (0, CLOSE)))
+    bp = build(first_door, ((0, OPEN), (1, CLOSE)), ((1, OPEN), (0, CLOSE)))
     assert min(d.id for d in bp.doors) == first_door
     failed = [a for a, ok in check_contract(bp) if not ok]
     assert not failed, failed
@@ -365,9 +382,9 @@ def test_quantifier_widths_are_known_before_the_gadget_is_built(m):
     symbols = [(0, OPEN), (3, CLOSE), (1, OPEN), (2, OPEN), (4, CLOSE)]
     for true_syms, false_syms in ((symbols[:m], symbols[m:]), (symbols[m:], symbols[:m])):
         assert exists_width(true_syms, false_syms) == \
-            build_exists_gadget(1, 5, true_syms, false_syms).width
+            build_exists_gadget(5, true_syms, false_syms).width
         assert forall_width(true_syms, false_syms) == \
-            build_forall_gadget(1, 5, true_syms, false_syms).width
+            build_forall_gadget(5, true_syms, false_syms).width
 
 
 def stamp_cell_by_cell(builder, bp, origin):

@@ -393,6 +393,19 @@ class TestValidation:
         with pytest.raises(LevelError, match=re.escape(message)):
             load_level(json.dumps(doc))
 
+    @pytest.mark.parametrize("key, value", [("width", 5.0), ("height", 3.0), ("width", True),
+                                            ("height", True)])
+    def test_grid_size_is_type_checked_as_load_does(self, key, value):
+        level = level_from_art("#####\n#S.F#\n#####")
+        size = {"width": level.width, "height": level.height, key: value}
+        message = f"{key} must be of type int, got {value!r}"
+        typed = Level(size["width"], size["height"], level.tiles, level.entities)
+        assert [str(v) for v in validate_level(typed)] == [f"[field-type] {key}: {message}"]
+        doc = json.loads(save_level(level))
+        doc[key] = value
+        with pytest.raises(LevelError, match=re.escape(message)):
+            load_level(json.dumps(doc))
+
     def test_entity_fields_must_be_tuples(self):
         level = level_from_art("#####\n#S.F#\n#####", entities=[UnstablePlatform(0, [2, 1])],
                                validate=False)
