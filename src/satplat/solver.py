@@ -4,8 +4,9 @@ Inside the search a state is one int key, `cell | has_dash | doors |
 plats` from the low bits up, with field widths derived from the level
 (`_Keys`); the layout exists only there, and `_Keys.state` turns a key
 back into the public `GameState`.  One `parents` dict maps each reached
-key to its parent link, `parent key << move bits | move index`, and the
-start to None; its keys are the visited set.
+key to its parent's key, and the start to None; its keys are the visited
+set.  It holds references to keys the search has made already, so a
+visited state costs no int of its own beyond its key.
 
 A move from a cell reads only the few door and platform bits on its path
 and under its landings (`SimContext.read_bits`), and keeps, sets or
@@ -19,8 +20,11 @@ that signature is `key & and_mask | or_mask`.  A `BLOCKED` or `DEATH`
 outcome gets no masks.
 
 The move ordering is the canonical one from the simulator, so the
-returned trace is unique for a given level.  Unsolvable means the
-reachable state space was exhausted.
+returned trace is unique for a given level: the lexicographically least
+shortest trace, by canonical move index, to a state on the flag cell.
+Each of its moves is re-derived from the parent's cached successor
+masks, as the first one that maps the parent to the child.  Unsolvable
+means the reachable state space was exhausted.
 """
 
 from __future__ import annotations
@@ -69,21 +73,19 @@ class _Keys(NamedTuple):
     plats` from the low bits up, where `cell` is `y * width + x`.  The
     field widths follow the level and the start state's bits, which may
     reach above the level's own: no move sets a bit there, so no key of
-    the search is longer than `top` bits.  A parent link is `parent key
-    << move_bits | move index`."""
+    the search is longer than `top` bits."""
     width: int
     dash: int  # shift of has_dash: the bits of a cell index
     doors: int  # shift of the door bits
     plats: int  # shift of the platform bits
     top: int  # bit length of every key
-    move_bits: int
 
     @classmethod
     def of(cls, ctx, start: GameState) -> _Keys:
         dash = (ctx.width * ctx.height - 1).bit_length()
         plats = dash + 1 + max(ctx.door_bits, start.door_open.bit_length())
         top = plats + max(ctx.plat_bits, start.platform_broken.bit_length())
-        return cls(ctx.width, dash, dash + 1, plats, top, len(ctx.moves).bit_length())
+        return cls(ctx.width, dash, dash + 1, plats, top)
 
     def pack(self, state: GameState) -> int:
         x, y, has_dash, doors, plats = state
@@ -116,7 +118,7 @@ class _Keys(NamedTuple):
         Platform bits above `ctx.plat_bits` are kept.  Masks that map a
         key to itself or to an earlier record's successor are left out:
         the search would find that successor visited already."""
-        w, dash, doors, plats, top, _ = self
+        w, dash, doors, plats, top = self
         door_mask = (1 << plats - doors) - 1
         plat_mask = (1 << ctx.plat_bits) - 1
         has_dash = sig >> dash & 1
@@ -139,39 +141,65 @@ class _Keys(NamedTuple):
                 out.append((*masks, rec.move))
         return tuple(out)
 
-    def trace(self, ctx, parents, key: int) -> tuple[Move, ...]:
-        """The moves of the path that `parents` records to a key."""
-        mask = (1 << self.move_bits) - 1
+
+class _Search(NamedTuple):
+    """What one `_search` call leaves: the goal key or None, the visited
+    map of each reached key to its parent's key, the counters, whether a
+    limit stopped it, the key layout, and its two caches, the read mask
+    of each expanded cell and the successor masks of each expanded
+    signature, from which `trace` re-derives the moves."""
+    goal_key: int | None
+    parents: dict[int, int | None]
+    stats: SearchStats
+    limited: bool
+    keys: _Keys
+    reads: dict[int, int]  # cell -> its read mask laid out as a key
+    successors: dict[int, tuple]  # signature -> its successor masks
+
+    def trace(self, ctx) -> tuple[Move, ...]:
+        """The moves of the path that `parents` records to the goal key.
+        Each step's move is the first of the parent's cached successor
+        masks that maps the parent to the child: the one the search
+        recorded the child by, since it visits a child on the first mask
+        that reaches it."""
+        cell_mask = (1 << self.keys.dash) - 1
+        parents, reads, successors = self.parents, self.reads, self.successors
+        key = self.goal_key
         moves = []
-        link = parents[key]
-        while link is not None:
-            moves.append(ctx.moves[link & mask])
-            link = parents[link >> self.move_bits]
+        parent = parents[key]
+        while parent is not None:
+            for and_mask, or_mask, move in successors[parent & reads[parent & cell_mask]]:
+                if parent & and_mask | or_mask == key:
+                    moves.append(ctx.moves[move])
+                    break
+            key, parent = parent, parents[parent]
         moves.reverse()
         return tuple(moves)
 
 
-def _search(ctx, start, goal_cell, max_states, max_time):
-    """BFS core.  Returns (goal_key, parents, stats, limited, keys).
+def _search(ctx, start, goal_cell, max_states, max_time) -> _Search:
+    """BFS core.
 
     `start` is a GameState, checked by `sim._cell`; `goal_cell` of None
     means exhaust the space (used for reachability queries).  A start on
-    the goal cell is the goal, found with nothing expanded.  `keys.state` turns a key of
-    `parents` back into a GameState.  With `max_time`, the clock is read
-    after the first expansion and after every `check_every` more.
+    the goal cell is the goal, found with nothing expanded.  `keys.state`
+    turns a key of `parents` back into a GameState.  With `max_time`, the
+    clock is read after the first expansion and after every `check_every`
+    more.
 
     A key's successors depend only on its signature, `key & read`, where
     `read` holds the cell and dash fields and the door and platform bits
     the cell's records read (`SimContext.read_bits`).  The read mask of
     each cell and the successor masks of each signature
     (`_Keys.successors`) are computed on their first expansion and
-    reused for every later key that shares them; both caches live for
-    this call only.
+    reused for every later key that shares them.  Both caches are dicts
+    over what the search reaches, and the result hands them to the
+    trace.
     """
     t0 = time.perf_counter()
     _cell(ctx, start)
     keys = _Keys.of(ctx, start)
-    w, move_bits = keys.width, keys.move_bits
+    w = keys.width
     cell_mask = (1 << keys.dash) - 1
     goal = -1
     if goal_cell is not None and 0 <= goal_cell[0] < w and 0 <= goal_cell[1] < ctx.height:
@@ -180,8 +208,8 @@ def _search(ctx, start, goal_cell, max_states, max_time):
     parents = {start_key: None}
     goal_key = start_key if start_key & cell_mask == goal else None
     queue = deque() if goal_key is not None else deque([start_key])
-    reads = [0] * (w * ctx.height)  # cell -> its read mask laid out as a key, or 0
-    successors: dict[int, tuple] = {}  # signature -> its successor masks
+    reads: dict[int, int] = {}
+    successors: dict[int, tuple] = {}
     expanded = 0
     frontier_peak = 1
     limited = False
@@ -190,20 +218,20 @@ def _search(ctx, start, goal_cell, max_states, max_time):
         key = queue.popleft()
         expanded += 1
         cell = key & cell_mask
-        read = reads[cell]
-        if not read:
+        try:
+            read = reads[cell]
+        except KeyError:
             read = reads[cell] = keys.read_mask(ctx, cell)
         sig = key & read
         try:
             nexts = successors[sig]
         except KeyError:
             nexts = successors[sig] = keys.successors(ctx, sig, read)
-        link = key << move_bits
-        for and_mask, or_mask, move in nexts:
+        for and_mask, or_mask, _ in nexts:
             nkey = key & and_mask | or_mask
             if nkey in parents:
                 continue
-            parents[nkey] = link | move
+            parents[nkey] = key
             if nkey & cell_mask == goal:
                 goal_key = nkey
                 queue.clear()
@@ -223,7 +251,7 @@ def _search(ctx, start, goal_cell, max_states, max_time):
                 break
     stats = SearchStats(expanded, len(parents), frontier_peak, time.perf_counter() - t0,
                         len(successors))
-    return goal_key, parents, stats, limited, keys
+    return _Search(goal_key, parents, stats, limited, keys, reads, successors)
 
 
 def solve(level: Level, max_states: int = DEFAULT_MAX_STATES,
@@ -235,23 +263,21 @@ def solve(level: Level, max_states: int = DEFAULT_MAX_STATES,
         raise ValueError(f"search limits must be non-negative, got "
                          f"max_states={max_states}, max_time={max_time}")
     ctx = sim_context(level)
-    goal_key, parents, stats, limited, keys = _search(
-        ctx, initial_state(level), ctx.flag, max_states, max_time
-    )
-    if goal_key is not None:
-        return Solvable(keys.trace(ctx, parents, goal_key), stats)
-    if limited:
-        return LimitExceeded(stats)
-    return Unsolvable(stats)
+    found = _search(ctx, initial_state(level), ctx.flag, max_states, max_time)
+    if found.goal_key is not None:
+        return Solvable(found.trace(ctx), found.stats)
+    if found.limited:
+        return LimitExceeded(found.stats)
+    return Unsolvable(found.stats)
 
 
-def _complete_search(ctx, state: GameState, goal_cell):
-    """`_search` under `DEFAULT_MAX_STATES`: (goal_key, parents, keys),
-    or RuntimeError if it stops at the limit before an answer."""
-    goal_key, parents, _, limited, keys = _search(ctx, state, goal_cell, DEFAULT_MAX_STATES, None)
-    if limited:
+def _complete_search(ctx, state: GameState, goal_cell) -> _Search:
+    """`_search` under `DEFAULT_MAX_STATES`, or RuntimeError if it stops
+    at the limit before an answer."""
+    found = _search(ctx, state, goal_cell, DEFAULT_MAX_STATES, None)
+    if found.limited:
         raise RuntimeError(f"search stopped at the limit of {DEFAULT_MAX_STATES} states")
-    return goal_key, parents, keys
+    return found
 
 
 def solve_between(level: Level, state: GameState, goal_cell):
@@ -262,10 +288,10 @@ def solve_between(level: Level, state: GameState, goal_cell):
     search reaches `DEFAULT_MAX_STATES` states first.
     """
     ctx = sim_context(level)
-    goal_key, parents, keys = _complete_search(ctx, state, tuple(goal_cell))
-    if goal_key is None:
+    found = _complete_search(ctx, state, tuple(goal_cell))
+    if found.goal_key is None:
         return None
-    return keys.trace(ctx, parents, goal_key), keys.state(goal_key)
+    return found.trace(ctx), found.keys.state(found.goal_key)
 
 
 def reachable_ports(level: Level, from_port: str, doors=None) -> set[str]:
@@ -286,5 +312,5 @@ def reachable_positions(level: Level, state: GameState) -> set[tuple[int, int]]:
     """All rest positions reachable from a state; diagnostic helper.
     Raises RuntimeError if the search reaches `DEFAULT_MAX_STATES`
     states first."""
-    _, parents, keys = _complete_search(sim_context(level), state, None)
-    return {keys.state(key).position for key in parents}
+    found = _complete_search(sim_context(level), state, None)
+    return {found.keys.state(key).position for key in found.parents}

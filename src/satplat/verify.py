@@ -14,7 +14,6 @@ import math
 import random
 import re
 import shutil
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -239,7 +238,9 @@ def corpus_items(spec: CorpusSpec) -> list[str]:
 
 def run_items(items: list[str], spec: CorpusSpec, jobs: int = 1) -> CorpusSummary:
     """Verify an explicit list of formula texts under a spec's variant,
-    in at most `jobs` worker processes."""
+    in at most `jobs` worker processes.  The process pool is imported
+    only when more than one worker runs, so importing this module (and
+    the CLI) loads no multiprocessing machinery."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     runner = _run_np_item if spec.variant == NP else _run_pspace_item
@@ -247,6 +248,8 @@ def run_items(items: list[str], spec: CorpusSpec, jobs: int = 1) -> CorpusSummar
     # worker up front, so a worker beyond the chunk count would only idle.
     workers = min(jobs, math.ceil(len(items) / CHUNK_ITEMS))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return CorpusSummary(spec, list(pool.map(runner, items, chunksize=CHUNK_ITEMS)))
     return CorpusSummary(spec, [runner(t) for t in items])

@@ -194,9 +194,9 @@ class TestExistsGadget:
         level = self.build()
         ctx = sim_context(level)
         s = probe_state(level, "q_in")
-        _, parents, _, _, keys = _search(ctx, s, None, DEFAULT_MAX_STATES, None)
+        found = _search(ctx, s, None, DEFAULT_MAX_STATES, None)
         out_cell = level.port("q_out").cell
-        configs = {doors & 0b11 for x, y, _, doors, _ in map(keys.state, parents)
+        configs = {doors & 0b11 for x, y, _, doors, _ in map(found.keys.state, found.parents)
                    if (x, y) == out_cell}
         assert 0b11 not in configs, "a polarity mix would break soundness"
         assert {0b01, 0b10} <= configs

@@ -1,5 +1,9 @@
+import concurrent.futures
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -138,7 +142,7 @@ class TestRunCorpus:
             def map(self, fn, items, chunksize):
                 return map(fn, items)
 
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         spec = CorpusSpec("RANDOM", NP, n=1, k=1, count=20, seed=1)
         items = corpus_items(spec)
 
@@ -284,3 +288,16 @@ class FixedDraw:
 
     def random(self) -> float:
         return self.u
+
+
+@pytest.mark.parametrize("module", ["satplat.cli", "satplat.verify"])
+def test_import_loads_no_process_pool(module):
+    # `run_items` imports the pool only when it runs more than one worker.
+    script = (f"import sys, {module}\n"
+              "print(' '.join(m for m in ('multiprocessing', 'concurrent.futures.process')"
+              " if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
