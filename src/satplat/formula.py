@@ -277,33 +277,27 @@ def parse_qdimacs(text: str) -> QbfFormula:
 
     prefix: list[tuple[Quantifier, int]] = []
     quantified: set[int] = set()
-    pending = None  # first non-quantifier token, belongs to the clauses
+    clause_tokens = tokens
     for tok, line in tokens:
-        if tok in ("e", "a") and not pending:
-            quant = Quantifier.EXISTS if tok == "e" else Quantifier.FORALL
-            for tok2, line2 in tokens:
-                try:
-                    var = int(tok2)
-                except ValueError:
-                    raise FormulaError(f"bad quantifier block token {tok2!r}", line2) from None
-                if var == 0:
-                    break
-                if var < 1 or var > n:
-                    raise FormulaError(f"quantified variable {var} out of range", line2)
-                if var in quantified:
-                    raise FormulaError(f"variable {var} quantified twice", line2)
-                quantified.add(var)
-                prefix.append((quant, var))
-            continue
-        pending = (tok, line)
-        break
+        if tok not in ("e", "a"):  # the first clause token
+            clause_tokens = itertools.chain([(tok, line)], tokens)
+            break
+        quant = Quantifier(tok)
+        for tok2, line2 in tokens:
+            try:
+                var = int(tok2)
+            except ValueError:
+                raise FormulaError(f"bad quantifier block token {tok2!r}", line2) from None
+            if var == 0:
+                break
+            if var < 1 or var > n:
+                raise FormulaError(f"quantified variable {var} out of range", line2)
+            if var in quantified:
+                raise FormulaError(f"variable {var} quantified twice", line2)
+            quantified.add(var)
+            prefix.append((quant, var))
 
-    def rest():
-        if pending:
-            yield pending
-        yield from tokens
-
-    matrix = CnfFormula(n, _parse_clauses(rest(), n, k))
+    matrix = CnfFormula(n, _parse_clauses(clause_tokens, n, k))
     free = [v for v in range(1, n + 1) if v not in quantified]
     full_prefix = tuple((Quantifier.EXISTS, v) for v in free) + tuple(prefix)
     return QbfFormula(full_prefix, matrix)

@@ -26,13 +26,13 @@ blocked cell or off the level).
 
 The step core is table-driven.  `SimContext` turns a (cell, canonical
 move) pair into a move record the first time it is needed, and keeps it
-for the level: the search builds the records of every move of a cell
-on its first expansion there (`SimContext.records_at`), and `step` and
-`replay` build the record of the one move they apply
-(`SimContext.record`), or read it from the cell's records if the search
-built them.  A pair that is blocked whatever the door
-and platform bits (a solid cell, button, space block or the edge on a
-walk or jump path; a solid cell or the edge first on a dash) gets none.
+for the level, in one cache per caller: the search builds the records
+of every move of a cell on its first expansion there
+(`SimContext.records_at`), and `step`, `replay` and the mutation check
+build the record of the one move they apply (`SimContext.record`).  A
+pair that is blocked whatever the door and platform bits (a solid cell,
+button, space block or the edge on a walk or jump path; a solid cell or
+the edge first on a dash) gets none.
 - A WALK or JUMP record is the door bits that must be open, the platform
   bits that must be broken, and the landing of its end cell.
 - A DASH record is its static path: the doors, platforms and buttons on
@@ -215,9 +215,10 @@ class SimContext:
     """Static tables for one level, shared by `step`, `replay` and the
     solver: the packed grid (`code`, one byte per cell, and `eid`, the
     entity id of each entity cell) and the move records, kept for the
-    level once built: per move for `step` and `replay` (`record`), and
-    per cell for the search (`records_at`), on its first expansion there;
-    `record` reads a cell's records once the search has built them.
+    level once built, in two caches that never read each other: per move
+    for `step`, `replay` and the mutation check (`record`), and per cell
+    for the search and `legal_moves` (`records_at`), on the first
+    expansion there.
 
     `trail` is None until `replay` first finds a trace winning on the
     level, then `(moves, states)`: that trace as a tuple, and the state
@@ -273,12 +274,7 @@ class SimContext:
         self.physics = level.physics
         self.moves = canonical_moves(level.physics)
         self.index = {move: i for i, move in enumerate(self.moves)}
-        self._shapes = _move_shapes(self.moves)  # (shifts, dashes) of every move
-        self._alone = [None] * len(self.moves)  # move index -> (shifts, dashes) of it alone
-        for shape in self._shapes[0]:
-            self._alone[shape[0]] = ((shape,), ())
-        for shape in self._shapes[1]:
-            self._alone[shape[0]] = ((), (shape,))
+        self._shapes = _move_shapes(self.moves)  # move index -> its shape
         self._near = _near_platforms(w, h, plat_cells, level.physics.reform_distance)
         self._every = sum({1 << pid for pid, _, _ in plat_cells})  # every platform bit
         self._records: dict[int, tuple] = {}  # cell -> its move records
@@ -291,25 +287,18 @@ class SimContext:
         order; a move blocked whatever the bits has no record."""
         recs = self._records.get(cell)
         if recs is None:
-            recs = self._records[cell] = tuple(self._build(cell, *self._shapes))
+            recs = self._records[cell] = tuple(self._build(cell, self._shapes))
         return recs
 
     def record(self, cell: int, mi: int):
         """The record of move `mi` (an index into `moves`) from a cell, or
-        None if the move is blocked whatever the bits: the one in
-        `records_at(cell)` if the cell's records are built, else one
-        built alone, not with the cell's other moves, and kept."""
-        recs = self._records.get(cell)
-        if recs is not None:  # read, not copied: a replay after a search adds no record
-            for rec in recs:
-                if rec.move == mi:
-                    return rec
-            return None
+        None if the move is blocked whatever the bits: built alone, not
+        with the cell's other moves, and kept."""
         key = cell * len(self.moves) + mi
         try:
             return self._moved[key]
         except KeyError:
-            rec = self._moved[key] = next(self._build(cell, *self._alone[mi]), None)
+            rec = self._moved[key] = next(self._build(cell, self._shapes[mi:mi + 1]), None)
             return rec
 
     def read_bits(self, cell: int) -> tuple[int, int]:
@@ -319,29 +308,31 @@ class SimContext:
         keeps, sets or clears each other bit whatever its value."""
         return _read_bits(self.records_at(cell))
 
-    def _build(self, cell: int, shifts, dashes):
-        """The records of the given move shapes (see `_move_shapes`) from a
+    def _build(self, cell: int, shapes):
+        """The records of a run of move shapes (see `_move_shapes`) from a
         cell, in shape order; a shape blocked whatever the bits yields
         none."""
         w, h, code, eid = self.width, self.height, self.code, self.eid
         y, x = divmod(cell, w)
-        for mi, offsets in shifts:
-            doors = plats = 0
-            for ox, oy in offsets:
-                cx, cy = x + ox, y + oy
-                if not (0 <= cx < w and 0 <= cy < h):
-                    break
-                i = cy * w + cx
-                c = code[i]
-                if c == _DOOR:
-                    doors |= 1 << eid[i]
-                elif c == _PLAT:
-                    plats |= 1 << eid[i]
-                elif c != _EMPTY:
-                    break  # solid, button or space block
-            else:
-                yield _Shift(mi, doors, plats, self._landing(i))
-        for mi, (dx, dy) in dashes:
+        for mi, offsets, delta in shapes:
+            if delta is None:  # a WALK or JUMP
+                doors = plats = 0
+                for ox, oy in offsets:
+                    cx, cy = x + ox, y + oy
+                    if not (0 <= cx < w and 0 <= cy < h):
+                        break
+                    i = cy * w + cx
+                    c = code[i]
+                    if c == _DOOR:
+                        doors |= 1 << eid[i]
+                    elif c == _PLAT:
+                        plats |= 1 << eid[i]
+                    elif c != _EMPTY:
+                        break  # solid, button or space block
+                else:
+                    yield _Shift(mi, doors, plats, self._landing(i))
+                continue
+            dx, dy = delta
             gates, fall, transit = [], None, None
             cx, cy = x, y
             for _ in range(self.physics.dash_length):
@@ -453,21 +444,22 @@ def canonical_moves(physics) -> tuple[Move, ...]:
     return tuple(moves)
 
 
-def _move_shapes(moves):
-    """The moves as shapes: `(move index, cell offsets of the path)` for
-    each WALK and JUMP, and `(move index, step)` for each DASH."""
-    shifts, dashes = [], []
+def _move_shapes(moves) -> tuple:
+    """The moves as shapes, indexed by move index: `(move index, cell
+    offsets of the path, None)` for a WALK or JUMP, and `(move index,
+    None, step)` for a DASH."""
+    shapes = []
     for mi, move in enumerate(moves):
         if move.kind == "WALK":
-            shifts.append((mi, ((move.dx, 0),)))
+            shapes.append((mi, ((move.dx, 0),), None))
         elif move.kind == "JUMP":
             offsets = [(0, i) for i in range(1, move.rise + 1)]
             if move.dx:
                 offsets.append((move.dx, move.rise))
-            shifts.append((mi, tuple(offsets)))
+            shapes.append((mi, tuple(offsets), None))
         else:
-            dashes.append((mi, COMPASS_DELTA[move.direction]))
-    return tuple(shifts), tuple(dashes)
+            shapes.append((mi, None, COMPASS_DELTA[move.direction]))
+    return tuple(shapes)
 
 
 @lru_cache(maxsize=128)

@@ -234,7 +234,6 @@ def _search(ctx, start, goal_cell, max_states, max_time) -> _Search:
             parents[nkey] = key
             if nkey & cell_mask == goal:
                 goal_key = nkey
-                queue.clear()
                 break
             queue.append(nkey)
         if goal_key is not None:

@@ -141,6 +141,15 @@ class TestEndToEnd:
         assert "crossover" in out
         assert "all gadget contracts hold" in err
 
+    def test_gadgets_check_exits_one_on_a_failed_contract(self, capsys, monkeypatch):
+        monkeypatch.setattr("satplat.cli.check_contract",
+                            lambda gadget: [("holds", True), ("breaks", False)])
+        code, out, err = run(capsys, "gadgets", "--check")
+        fails = [line for line in err.splitlines() if line.startswith("FAIL ")]
+        assert code == 1
+        assert "FAIL crossover: breaks" in fails and all(f.endswith(": breaks") for f in fails)
+        assert f"{len(fails)} contract assertions failed" in err
+
 
 class TestErrorPaths:
     def test_missing_file_exits_two(self, capsys):

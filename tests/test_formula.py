@@ -99,6 +99,15 @@ class TestParseQdimacs:
         with pytest.raises(FormulaError, match="quantified twice"):
             parse_qdimacs("p cnf 1 1\ne 1 0\na 1 0\n1 0")
 
+    @pytest.mark.parametrize("text, refusal", [
+        ("p cnf 2 1\ne 1 x 0\n1 0", "line 2: bad quantifier block token 'x'"),
+        ("p cnf 2 1\na 1 3 0\n1 0", "line 2: quantified variable 3 out of range"),
+        ("p cnf 2 1\ne -1 0\n1 0", "line 2: quantified variable -1 out of range"),
+    ])
+    def test_bad_quantifier_block_rejected(self, text, refusal):
+        with pytest.raises(FormulaError, match=refusal):
+            parse_qdimacs(text)
+
 
 class TestEvalCnf:
     def test_sample_satisfying_assignment(self, sample_formula):

@@ -173,6 +173,32 @@ def test_save_refuses_what_a_level_never_holds(entity, port, physics, refusal):
         load_level(save_level(level))
 
 
+@pytest.mark.parametrize("rule, extra, variant, refusal", [
+    ("in-bounds", (UnstablePlatform(0, (7, 1)),), "NP",
+     "[in-bounds] UnstablePlatform#2: cell (7, 1) outside the grid"),
+    ("door-strip", (Door(0, ((2, 1), (2, 2), (2, 3), (2, 4))),), "NP",
+     "[door-strip] Door#2: door must span 1-3 cells, has 4"),
+    ("unique-platform-id", (UnstablePlatform(0, (2, 1)), UnstablePlatform(0, (2, 3))), "NP",
+     "[unique-platform-id] UnstablePlatform#3: duplicate platform id 0"),
+    ("unique-block-id", (SpaceBlock(0, (2, 2, 2, 2)), SpaceBlock(0, (2, 4, 2, 4))), "NP",
+     "[unique-block-id] SpaceBlock#3: duplicate space block id 0"),
+    ("button-action", (Door(0, ((2, 4),)), Button((2, 1), 0, "toggle")), "NP",
+     "[button-action] Button#3: unknown action 'toggle'"),
+    ("variant", (), "XP", "[variant] XP: variant must be NP or PSPACE"),
+    ("field-type", (Port("a", (2, 1), "E"),), "NP",
+     "unknown entity Port(name='a', cell=(2, 1), direction='E')"),
+])
+def test_each_rule_refuses_a_level_that_breaks_it_alone(rule, extra, variant, refusal):
+    # `save_level` does not write an entity that is not a record type
+    # (the `field-type` level), and `load_level` refuses the document of
+    # every other level.
+    base = level_from_art("#####\n#...#\n#...#\n#...#\n#S.F#\n#####")
+    level = Level(base.width, base.height, base.tiles, base.entities + extra, variant)
+    assert [v.rule for v in validate_level(level)] == [rule]
+    with pytest.raises(LevelError, match=re.escape(refusal)):
+        load_level(save_level(level))
+
+
 @pytest.mark.parametrize("i", range(len(compiled_levels())))
 def test_saved_compiled_levels_are_json_dumps_bytes(i):
     level = compiled_levels()[i]

@@ -23,7 +23,9 @@ from satplat.level import (
 from satplat.sim import (
     GameState,
     canonical_moves,
+    dash,
     initial_state,
+    jump,
     legal_moves,
     replay,
     replay_states,
@@ -105,6 +107,21 @@ class TestSolve:
         sim_context.cache_clear()
         first, second = solve(level).stats, solve(level).stats
         assert 0 < first.successor_lists == second.successor_lists <= first.states_expanded
+
+    def test_trace_takes_the_first_mask_that_reaches_the_child(self):
+        # From the spawn, JUMP 1 1 and DASH E both rest in the button cell
+        # with the door open, but the dash's mask sets the door bit (its
+        # button opens the door) and the jump's keeps it.  The search
+        # visits the child by the jump, the first in canonical order.
+        level = level_from_art("""
+#######
+#..F###
+#SB##.#
+#######
+""", [Button((2, 1), 0, OPEN), Door(0, ((5, 1),), True)])
+        start = initial_state(level)
+        assert step(level, start, jump(1, 1)) == step(level, start, dash("E"))
+        assert solve(level).trace == (jump(1, 1), jump(1, 1))
 
 
 class TestReachablePorts:

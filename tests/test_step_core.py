@@ -10,7 +10,17 @@ from hypothesis import strategies as st
 
 from satplat.compiler import compile_3sat, compile_qbf
 from satplat.formula import gen_random_3cnf
-from satplat.level import OPEN, SOLID, Button, Door, LevelError, SpaceBlock, UnstablePlatform
+from satplat.level import (
+    CLOSE,
+    OPEN,
+    PSPACE,
+    SOLID,
+    Button,
+    Door,
+    LevelError,
+    SpaceBlock,
+    UnstablePlatform,
+)
 from satplat.sim import GameState, SimContext, canonical_moves, dash, replay, sim_context, step
 from satplat.solver import Solvable, _Keys, solve
 from satplat.verify import gen_random_qbf
@@ -66,9 +76,18 @@ BUTTON_BLOCK_DOOR = level_from_art(
     (Button((3, 1), 0, OPEN), SpaceBlock(0, (4, 1, 4, 1)), Door(0, ((5, 1),))),
 )
 
+# A dash through a space block whose exit is a CLOSE button: the exit
+# fires it and closes the open door.
+BLOCK_CLOSE_BUTTON = level_from_art(
+    "#########\n#S.*B.DF#\n#########",
+    (SpaceBlock(0, (3, 1, 3, 1)), Button((4, 1), 0, CLOSE), Door(0, ((6, 1),), True)),
+    variant=PSPACE,
+)
+
 
 @given(levels_and_states())
 @example((BUTTON_BLOCK_DOOR, GameState(1, 1, 1, 0, 0)))
+@example((BLOCK_CLOSE_BUTTON, GameState(1, 1, 1, 1, 0)))
 @settings(max_examples=400, deadline=None)
 def test_core_matches_the_reference_core(level_state):
     level, state = level_state

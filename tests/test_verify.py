@@ -11,11 +11,12 @@ import pytest
 from satplat.compiler import compile_3sat, compile_qbf
 from satplat.formula import QBF_BOUND, SAT_BOUND, parse_dimacs, parse_qdimacs
 from satplat.level import NP, PSPACE, load_level
-from satplat.sim import replay, sim_context, step
+from satplat.sim import initial_state, jump, replay, sim_context, step, walk
 from satplat.solver import Solvable, solve
 from satplat import verify
 from satplat.verify import (
     CorpusSpec,
+    CorpusSummary,
     EquivalenceReport,
     corpus_items,
     enumerate_cnf,
@@ -29,7 +30,7 @@ from satplat.verify import (
     verify_qbf,
     write_repro_bundles,
 )
-from tests.conftest import SAMPLE_DIMACS
+from tests.conftest import SAMPLE_DIMACS, level_from_art
 
 
 class TestVerifyFormula:
@@ -168,6 +169,10 @@ class TestRunCorpus:
         assert (case / "level.json").exists()
         verdicts = json.loads((case / "verdicts.json").read_text())
         assert verdicts == {"oracle": False, "level": "solvable", "agree": False}
+        text = CorpusSummary(CorpusSpec("EXHAUSTIVE", NP), [report]).text()
+        assert "1 items, 0 agree, 1 disagree, 0 limit" in text
+        assert ("  DISAGREE oracle=False level=solvable: p cnf 3 2 | 1 2 -3 0 | -1 2 3 0 | \n"
+                in text)
 
     def test_pspace_repro_bundle_writer(self, tmp_path):
         report = verify_qbf(gen_random_qbf(3, 2, 1))
@@ -237,6 +242,29 @@ class TestMutation:
         b = mutate_trace(level, trace, random.Random(7))
         assert a == b
 
+    def test_a_move_past_where_the_trace_stops_is_deleted_unchecked(self):
+        # WALK L is blocked at the spawn, so the replay stops at move 0;
+        # a deletion drawn at a later move is a mutant that fails too, and
+        # a substitution drawn there yields no mutant.
+        level = level_from_art("#####\n#S.F#\n#####")
+        trace = (walk(-1), walk(1), walk(1))
+        assert trace_prefix_states(level, trace) == [initial_state(level)]
+        assert mutate_trace(level, trace, FixedDraw(0.0, 2)) == (walk(-1), walk(1))
+        ctx = sim_context(level)
+        assert list(verify._mutants(ctx, trace, 2, [initial_state(level)], FixedDraw(0.9))) == []
+
+    def test_a_trace_with_only_equivalent_mutants_is_refused(self, monkeypatch):
+        # Every draw deletes JUMP 0 1, which lands where it started, so the
+        # mutant still wins and is redrawn until the attempts run out.
+        level = level_from_art("#####\n#...#\n#S.F#\n#####")
+        trace = (jump(0, 1), walk(1), walk(1))
+        assert replay(level, trace) and replay(level, trace[1:])
+        monkeypatch.setattr(verify, "MAX_MUTATION_ATTEMPTS", 3)
+        counters = {}
+        with pytest.raises(ValueError, match="no non-equivalent mutation found"):
+            mutate_trace(level, trace, FixedDraw(0.0, 0), counters=counters)
+        assert counters == {"equivalent": 3}
+
     @pytest.mark.parametrize("variant", [NP, PSPACE])
     def test_the_mutation_check_matches_replay_on_every_single_move_mutant(self, variant):
         # Every deletion and every substitution at every move of a witness:
@@ -280,11 +308,11 @@ class TestMutation:
 class FixedDraw:
     """A random source for `verify._mutants` whose `random()` is fixed, so
     that every draw is a deletion (below 0.5) or a substitution; its
-    `randrange` is a seeded `random.Random`'s."""
+    `randrange` is a seeded `random.Random`'s, or always `at` if given."""
 
-    def __init__(self, u: float):
+    def __init__(self, u: float, at: int | None = None):
         self.u = u
-        self.randrange = random.Random(0).randrange
+        self.randrange = random.Random(0).randrange if at is None else lambda n: at
 
     def random(self) -> float:
         return self.u
