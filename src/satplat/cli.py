@@ -21,7 +21,7 @@ from satplat.compiler import (
 )
 from satplat.formula import FormulaError, gen_random_3cnf, parse_dimacs, parse_qdimacs, write_dimacs
 from satplat.gadgets import ALL_GADGET_BUILDERS, catalog, check_contract
-from satplat.level import NP, LevelError, load_level, render_ascii, save_level
+from satplat.level import NP, PSPACE, LevelError, load_level, render_ascii, save_level
 from satplat.sim import replay, replay_states, trace_from_text, trace_to_text
 from satplat.solver import DEFAULT_MAX_STATES, LimitExceeded, Solvable, solve
 from satplat.verify import CorpusSpec, run_corpus
@@ -100,7 +100,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    variant = "PSPACE" if args.pspace else NP
+    variant = PSPACE if args.pspace else NP
     if args.random:
         spec = CorpusSpec("RANDOM", variant, n=args.n, k=args.k,
                           count=args.count, seed=args.seed)

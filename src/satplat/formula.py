@@ -157,12 +157,8 @@ def qbf_oracle(qbf: QbfFormula) -> bool:
         if depth == len(qbf.prefix):
             return eval_cnf(qbf.matrix, assignment)
         quant, var = qbf.prefix[depth]
-        results = []
-        for value in (False, True):
-            assignment[var] = value
-            results.append(recurse(depth + 1, assignment))
-            del assignment[var]
-        return any(results) if quant is Quantifier.EXISTS else all(results)
+        branches = (recurse(depth + 1, {**assignment, var: value}) for value in (False, True))
+        return any(branches) if quant is Quantifier.EXISTS else all(branches)
 
     return recurse(0, {})
 

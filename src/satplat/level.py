@@ -180,18 +180,28 @@ def validate_level(level: Level) -> list[Violation]:
 
 def _field_types(level: Level) -> list[Violation]:
     """A `field-type` violation for a width or height that is not an int,
-    and for the physics, each entity and each port that is not of its
-    record type, or whose fields fail the checks `load_level` reads them
-    with (on the level's tuples, where a document has lists)."""
+    for tiles, entities or ports that are not a tuple, for a tile row that
+    is not a str, and for the physics, each entity and each port that is
+    not of its record type, or whose fields fail the checks `load_level`
+    reads them with (on the level's tuples, where a document has lists)."""
     out = []
-    for key in ("width", "height"):
+    for key, kind in (("width", int), ("height", int), ("tiles", tuple),
+                      ("entities", tuple), ("ports", tuple)):
         try:
-            _typed(getattr(level, key), int, key)
+            _typed(getattr(level, key), kind, key)
         except LevelError as exc:
             out.append(Violation("field-type", key, str(exc)))
+    # A container of the wrong type is named above and not walked.
+    tiles, entities, ports = (objs if type(objs) is tuple else ()
+                              for objs in (level.tiles, level.entities, level.ports))
+    for y, row in enumerate(tiles):
+        try:
+            _typed(row, str, "tiles", "row")
+        except LevelError as exc:
+            out.append(Violation("field-type", f"row {y}", str(exc)))
     for part, objs, records in (("physics", (level.physics,), {PhysicsParams: _PHYSICS}),
-                                ("entity", level.entities, _RECORDS),
-                                ("port", level.ports, {Port: _PORT_FIELDS})):
+                                ("entity", entities, _RECORDS),
+                                ("port", ports, {Port: _PORT_FIELDS})):
         for i, obj in enumerate(objs):
             record = records.get(type(obj))
             if record is None:
@@ -374,7 +384,9 @@ def _block(brackets: str, items: list[str], pad: str) -> str:
 
 def _typed(value, kind: type, *what: str, seq: type = list):
     if type(value) is not kind:
-        raise LevelError(f"{' '.join(what)} must be of type {kind.__name__}, got {value!r}")
+        # A container is named by its type: a whole grid is no message.
+        got = type(value).__name__ if kind in (list, tuple) else repr(value)
+        raise LevelError(f"{' '.join(what)} must be of type {kind.__name__}, got {got}")
     return value
 
 
@@ -499,7 +511,8 @@ def load_level(document: str) -> Level:
         level = Level(
             width=_typed(doc["width"], int, "width"),
             height=_typed(doc["height"], int, "height"),
-            tiles=tuple(reversed([str(r) for r in doc["tiles"]])),
+            tiles=tuple(reversed([_typed(r, str, "tiles", "row")
+                                 for r in _typed(doc["tiles"], list, "tiles")])),
             entities=tuple(_record_to_entity(r) for r in doc["entities"]),
             variant=_typed(doc["variant"], str, "variant"),
             physics=physics,

@@ -214,36 +214,25 @@ def gen_random_qbf(n: int, k: int, seed: int) -> QbfFormula:
     return QbfFormula(prefix, gen_random_3cnf(n, k, seed + 0x5A7))
 
 
-def _run_np_item(text: str) -> EquivalenceReport:
-    return verify_formula(parse_dimacs(text))
-
-
-def _run_pspace_item(text: str) -> EquivalenceReport:
-    return verify_qbf(parse_qdimacs(text))
-
-
-def corpus_items(spec: CorpusSpec) -> list[str]:
-    """The corpus as formula texts (picklable work items), in
-    deterministic order."""
+def corpus_items(spec: CorpusSpec) -> list[CnfFormula] | list[QbfFormula]:
+    """The corpus as formulas, `CnfFormula`s for NP and `QbfFormula`s for
+    PSPACE, in deterministic order."""
     if spec.mode == "EXHAUSTIVE":
-        if spec.variant == NP:
-            return [write_dimacs(f) for f in enumerate_cnf(spec.n_max, spec.k_max)]
-        return [write_qdimacs(q) for q in enumerate_qbf(spec.n_max, spec.k_max)]
-    if spec.variant == NP:
-        return [write_dimacs(gen_random_3cnf(spec.n, spec.k, spec.seed + i))
-                for i in range(spec.count)]
-    return [write_qdimacs(gen_random_qbf(spec.n, spec.k, spec.seed + i))
-            for i in range(spec.count)]
+        enumerate_ = enumerate_cnf if spec.variant == NP else enumerate_qbf
+        return list(enumerate_(spec.n_max, spec.k_max))
+    gen = gen_random_3cnf if spec.variant == NP else gen_random_qbf
+    return [gen(spec.n, spec.k, spec.seed + i) for i in range(spec.count)]
 
 
-def run_items(items: list[str], spec: CorpusSpec, jobs: int = 1) -> CorpusSummary:
-    """Verify an explicit list of formula texts under a spec's variant,
-    in at most `jobs` worker processes.  The process pool is imported
-    only when more than one worker runs, so importing this module (and
-    the CLI) loads no multiprocessing machinery."""
+def run_items(items: list[CnfFormula] | list[QbfFormula], spec: CorpusSpec,
+              jobs: int = 1) -> CorpusSummary:
+    """Verify an explicit list of formulas under a spec's variant, in at
+    most `jobs` worker processes.  The process pool is imported only
+    when more than one worker runs, so importing this module (and the
+    CLI) loads no multiprocessing machinery."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    runner = _run_np_item if spec.variant == NP else _run_pspace_item
+    runner = verify_formula if spec.variant == NP else verify_qbf
     # The pool hands out CHUNK_ITEMS items at a time and starts every
     # worker up front, so a worker beyond the chunk count would only idle.
     workers = min(jobs, math.ceil(len(items) / CHUNK_ITEMS))
@@ -252,7 +241,7 @@ def run_items(items: list[str], spec: CorpusSpec, jobs: int = 1) -> CorpusSummar
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return CorpusSummary(spec, list(pool.map(runner, items, chunksize=CHUNK_ITEMS)))
-    return CorpusSummary(spec, [runner(t) for t in items])
+    return CorpusSummary(spec, [runner(f) for f in items])
 
 
 def run_corpus(spec: CorpusSpec, jobs: int = 1,

@@ -23,7 +23,6 @@ from satplat.verify import (
     run_corpus,
     run_items,
     trace_prefix_states,
-    write_dimacs,
 )
 
 JOBS = 2
@@ -46,11 +45,10 @@ def np_exhaustive():
 @pytest.fixture(scope="module")
 def np_random():
     # 200 fixed-seed formulas cycling n through 1..4 and k through 0..4
-    texts = [write_dimacs(gen_random_3cnf(1 + i % 4, i % 5, 1000 + i))
-             for i in range(200)]
+    formulas = [gen_random_3cnf(1 + i % 4, i % 5, 1000 + i) for i in range(200)]
     spec = CorpusSpec("RANDOM", NP, n=4, k=4, count=200, seed=1000)
     t0 = time.perf_counter()
-    summary = run_items(texts, spec, jobs=JOBS)
+    summary = run_items(formulas, spec, jobs=JOBS)
     return summary, time.perf_counter() - t0
 
 

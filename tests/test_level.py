@@ -432,6 +432,43 @@ class TestValidation:
         with pytest.raises(LevelError, match=re.escape(message)):
             load_level(json.dumps(doc))
 
+    @pytest.mark.parametrize("row", [12345, None, ["#S.F#"]])
+    def test_tile_rows_are_type_checked_as_load_does(self, row):
+        level = level_from_art("#####\n#S.F#\n#####")
+        message = f"tiles row must be of type str, got {row!r}"
+        typed = Level(level.width, level.height, (level.tiles[0], row, level.tiles[2]),
+                      level.entities)
+        assert [str(v) for v in validate_level(typed)] == [f"[field-type] row 1: {message}"]
+        doc = json.loads(save_level(level))
+        doc["tiles"][1] = row
+        with pytest.raises(LevelError, match=re.escape(message)):
+            load_level(json.dumps(doc))
+
+    @pytest.mark.parametrize("key, subject, message", [
+        ("tiles", "tiles", "tiles must be of type tuple, got list"),
+        ("entities", "entities", "entities must be of type tuple, got list"),
+        ("ports", "ports", "ports must be of type tuple, got list"),
+        ("row", "row 1", "tiles row must be of type str, got b'#S.F#'"),
+    ])
+    def test_containers_are_tuples_and_rows_are_strs(self, key, subject, message):
+        # Unchecked, `solve` fails to hash a level of lists, and a
+        # `bytes` row is a TypeError inside the tile rules.
+        level = level_from_art("#####\n#S.F#\n#####")
+        fields = {"tiles": level.tiles, "entities": level.entities, "ports": level.ports}
+        if key == "row":
+            fields["tiles"] = (level.tiles[0], b"#S.F#", level.tiles[2])
+        else:
+            fields[key] = list(fields[key])
+        typed = Level(level.width, level.height, **fields)
+        assert [str(v) for v in validate_level(typed)] == [f"[field-type] {subject}: {message}"]
+
+    @pytest.mark.parametrize("tiles, found", [("#####", "str"), ({"0": "#####"}, "dict")])
+    def test_load_reads_the_tiles_as_a_list(self, minimal_level, tiles, found):
+        doc = json.loads(save_level(minimal_level))
+        doc["tiles"] = tiles
+        with pytest.raises(LevelError, match=f"tiles must be of type list, got {found}$"):
+            load_level(json.dumps(doc))
+
     def test_entity_fields_must_be_tuples(self):
         level = level_from_art("#####\n#S.F#\n#####", entities=[UnstablePlatform(0, [2, 1])],
                                validate=False)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import os
 import random
@@ -9,7 +10,14 @@ from collections import Counter
 import pytest
 
 from satplat.compiler import compile_3sat, compile_qbf
-from satplat.formula import QBF_BOUND, SAT_BOUND, parse_dimacs, parse_qdimacs
+from satplat.formula import (
+    QBF_BOUND,
+    SAT_BOUND,
+    CnfFormula,
+    QbfFormula,
+    parse_dimacs,
+    parse_qdimacs,
+)
 from satplat.level import NP, PSPACE, load_level
 from satplat.sim import initial_state, jump, replay, sim_context, step, walk
 from satplat.solver import Solvable, solve
@@ -156,6 +164,25 @@ class TestRunCorpus:
         assert requested == [3]
         assert outcomes(one) == outcomes(run_items(items[:1], spec))
         assert outcomes(many) == outcomes(run_items(items, spec))
+
+    @pytest.mark.parametrize("spec, kind, check", [
+        (CorpusSpec("EXHAUSTIVE", NP, n_max=2, k_max=1), CnfFormula, verify_formula),
+        (CorpusSpec("RANDOM", PSPACE, n=3, k=2, count=17, seed=4), QbfFormula, verify_qbf),
+    ])
+    def test_run_items_adds_nothing_to_each_formulas_check(self, spec, kind, check):
+        # 27 and 17 items are more than one chunk, so jobs=2 sends both
+        # formula types through a real two-worker pool.
+        items = corpus_items(spec)
+        assert all(type(f) is kind for f in items)
+
+        def fields(report):
+            return (report.formula_text, report.variant, report.oracle_verdict,
+                    report.level_verdict, report.agree, report.trace,
+                    dataclasses.replace(report.stats, elapsed=0.0))
+
+        expected = [fields(check(f)) for f in items]
+        for jobs in (1, 2):
+            assert [fields(r) for r in run_items(items, spec, jobs=jobs).reports] == expected
 
     def test_repro_bundle_writer(self, tmp_path):
         # synthesize a disagreement record and check the bundle contents
