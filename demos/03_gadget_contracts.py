@@ -5,12 +5,17 @@ reachable, optionally under forced door/platform states.  The checker
 stamps the gadget alone into a solid level and runs the search.
 """
 
-from satplat.gadgets import ALL_GADGET_BUILDERS, build_crossover, check_contract, contract_level
+from satplat.gadgets import (
+    ALL_GADGET_BUILDERS,
+    build_variable_gadget,
+    check_contract,
+    contract_level,
+)
 from satplat.level import render_ascii
 
-bp = build_crossover()
+bp = build_variable_gadget()
 level = contract_level(bp)
-print("the crossover, stamped alone (A runs left-right, B top-bottom):\n")
+print("the variable chamber, stamped alone (entry top left, exits below):\n")
 print(render_ascii(level))
 print()
 

@@ -17,8 +17,8 @@ level = route_and_place(plan)
 platforms = sum(isinstance(e, UnstablePlatform) for e in level.entities)
 doors = sum(isinstance(e, Door) for e in level.entities)
 print(f"compiled to a {level.width}x{level.height} grid with "
-      f"{platforms} platforms, {doors} doors, "
-      f"{len(plan.crossings)} wire crossings (one crossover each)\n")
+      f"{platforms} platforms, {doors} doors and "
+      f"{len(plan.wires)} wires, none crossing another\n")
 print(render_ascii(level))
 
 result = solve(level)

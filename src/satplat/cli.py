@@ -14,12 +14,20 @@ from pathlib import Path
 
 from satplat.compiler import (
     CompileError,
+    check_qbf_size,
     compile_qbf,
     plan_3sat,
     plan_report,
     route_and_place,
 )
-from satplat.formula import FormulaError, gen_random_3cnf, parse_dimacs, parse_qdimacs, write_dimacs
+from satplat.formula import (
+    FormulaError,
+    dimacs_header,
+    gen_random_3cnf,
+    parse_dimacs,
+    parse_qdimacs,
+    write_dimacs,
+)
 from satplat.gadgets import ALL_GADGET_BUILDERS, catalog, check_contract
 from satplat.level import NP, PSPACE, LevelError, load_level, render_ascii, save_level
 from satplat.sim import replay, replay_states, trace_from_text, trace_to_text
@@ -45,8 +53,9 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_qcompile(args) -> int:
-    qbf = parse_qdimacs(Path(args.qdimacs).read_text())
-    level = compile_qbf(qbf)
+    text = Path(args.qdimacs).read_text()
+    check_qbf_size(*dimacs_header(text))  # a huge prefix is refused before it is listed
+    level = compile_qbf(parse_qdimacs(text))
     _write_out(save_level(level), args.output)
     return 0
 

@@ -1,10 +1,11 @@
 """Compile formulas into levels.
 
 NP pipeline (3-CNF): one variable chamber per variable, cascading down
-and to the right.  Each chamber's true exit drops into a tunnel that runs
-east below the chamber, crosses under the false exit's drop shaft (a
-crossover gadget covers the crossing), and both tunnels pour into a
-one-way merge shaft that feeds the next chamber.  After the last chamber
+and to the right.  The false exit drops to a tunnel that runs east just
+below the chamber; the true exit drops, west of the chamber, to a tunnel
+that runs east below the false one.  The layout is planar: the false
+tunnel ends in a one-way merge shaft that feeds the next chamber, and
+the true tunnel joins that shaft from the side.  After the last chamber
 the shaft feeds the final passage of clause walls, with the flag beyond.
 Tunnel buttons open the doors of the clauses containing the literal.
 
@@ -16,6 +17,7 @@ end of the return band.
 
 A plan's wires are its corridors: `route_and_place` carves every wire
 cell outside every gadget, and the gadgets must leave the rest open.
+Wires may join at their ends but never cross.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from satplat.formula import CnfFormula, QbfFormula, Quantifier
 from satplat.gadgets import (
     GadgetBlueprint,
     build_clause_gadget,
-    build_crossover,
     build_elevator,
     build_exists_gadget,
     build_final_passage,
@@ -74,7 +75,7 @@ class Placement:
 class Wire:
     """A rectilinear corridor; points are polyline vertices.  The cells
     between consecutive vertices are carved wherever no gadget covers
-    them, and the crossing audit reads the same segments."""
+    them, and the crossing check reads the same segments."""
 
     name: str
     points: tuple[tuple[int, int], ...]
@@ -90,10 +91,6 @@ class LayoutPlan:
     flag: tuple[int, int] | None = None
     wires: list[Wire] = field(default_factory=list)
 
-    @property
-    def crossings(self) -> list[tuple[int, int]]:
-        return detect_crossings(self.wires)
-
 
 def _segments(wires: list[Wire]):
     """Each wire segment as (wire name, x_lo, y_lo, x_hi, y_hi); a segment
@@ -105,10 +102,11 @@ def _segments(wires: list[Wire]):
             yield wire.name, min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1)
 
 
-def detect_crossings(wires: list[Wire]) -> list[tuple[int, int]]:
-    """Strict interior intersections between perpendicular wire segments.
-    Endpoint touches are joins, not crossings.  More than two wires
-    meeting at one point is a routing error."""
+def detect_crossings(wires: list[Wire]) -> None:
+    """Refuse any strict interior intersection of perpendicular wire
+    segments: a plan is planar.  Endpoint touches are joins, not
+    crossings.  More than two wires meeting at one point is named as
+    such."""
     segments = list(_segments(wires))
     horizontal = [s for s in segments if s[2] == s[4]]  # y_lo == y_hi
     vertical = [s for s in segments if s[2] != s[4]]
@@ -117,11 +115,12 @@ def detect_crossings(wires: list[Wire]) -> list[tuple[int, int]]:
         for v_name, vx, vy_lo, _, vy_hi in vertical:
             if hx_lo < vx < hx_hi and vy_lo < hy < vy_hi:
                 hits.setdefault((vx, hy), set()).update((h_name, v_name))
-    crossings = sorted(hits)
-    for pt in crossings:
-        if len(hits[pt]) > 2:
-            raise CompileError(f"more than two wires cross at {pt}: {sorted(hits[pt])}")
-    return crossings
+    if hits:
+        pt = min(hits)
+        names = sorted(hits[pt])
+        if len(names) > 2:
+            raise CompileError(f"more than two wires cross at {pt}: {names}")
+        raise CompileError(f"wires {names} cross at {pt}")
 
 
 def _check_grid(w: int, h: int) -> None:
@@ -162,19 +161,12 @@ _TILES = bytes.maketrans(b"\0\1\2", (SOLID + SOLID + EMPTY).encode())
 
 
 def route_and_place(plan: LayoutPlan) -> Level:
-    """Deterministically realize a plan: check the grid bound, verify every
-    wire crossing is covered by a crossover, carve the wires outside the
-    placements, stamp every placement, check that the wires run open
-    through them, and validate the result."""
+    """Deterministically realize a plan: check the grid bound, refuse
+    any wire crossing, carve the wires outside the placements, stamp
+    every placement, check that the wires run open through them, and
+    validate the result."""
     corridors = _corridors(plan)
-    cover = {
-        (p.origin[0] + 5, p.origin[1] + 5)
-        for p in plan.placements
-        if p.blueprint.kind == "crossover"
-    }
-    for pt in plan.crossings:
-        if pt not in cover:
-            raise CompileError(f"wire crossing at {pt} is not covered by a crossover")
+    detect_crossings(plan.wires)
 
     w, h = plan.width, plan.height
     builder = LevelBuilder(w, h, plan.variant)
@@ -204,18 +196,14 @@ def route_and_place(plan: LayoutPlan) -> Level:
 
 def plan_report(plan: LayoutPlan) -> str:
     carved = _corridors(plan).count(2)
-    crossings = plan.crossings
     lines = [
         f"variant {plan.variant}, grid {plan.width}x{plan.height}",
-        f"placements {len(plan.placements)}, carved cells {carved}, "
-        f"wires {len(plan.wires)}, crossings {len(crossings)}",
+        f"placements {len(plan.placements)}, carved cells {carved}, wires {len(plan.wires)}",
     ]
     for p in plan.placements:
         lines.append(f"  {p.blueprint.kind:14s} at {p.origin} as {p.prefix or '-'}")
     for w in plan.wires:
         lines.append(f"  wire {w.name}: " + " -> ".join(map(str, w.points)))
-    for pt in crossings:
-        lines.append(f"  crossing at {pt} (crossover)")
     return "\n".join(lines) + "\n"
 
 
@@ -254,15 +242,12 @@ def plan_3sat(formula: CnfFormula) -> LayoutPlan:
         height = cy1 + 9
 
     spawn_wire = [plan.spawn]
-    chamber, cross = build_variable_gadget(), build_crossover()  # frozen: one for every variable
+    chamber = build_variable_gadget()  # frozen: one for every variable
 
     for i in range(1, n + 1):
         cy = cy1 - V_PITCH * (i - 1)
-        rt, ru = cy - 2, cy - 10
+        rt, ru = cy - 10, cy - 2  # the true row runs below the false row
         plan.placements.append(Placement(chamber, (cx, cy), f"x{i}."))
-        ox, oy = cx + 9, cy - 7
-        plan.placements.append(Placement(cross, (ox, oy), f"x{i}.cross."))
-        # true tunnel east of the crossover
         t_bp = build_tunnel([(d, OPEN) for d in pos.get(i, ())])
         tx0 = cx + 20
         plan.placements.append(Placement(t_bp, (tx0, rt - 1), f"x{i}.true."))
@@ -275,10 +260,10 @@ def plan_3sat(formula: CnfFormula) -> LayoutPlan:
         pr = cy - 14
 
         plan.wires.append(Wire(f"x{i}.true", (
-            (cx, cy + 1), (cx - 2, cy + 1), (cx - 2, rt), (mx, rt), (mx, pr), (mx + 2, pr),
+            (cx, cy + 1), (cx - 2, cy + 1), (cx - 2, rt), (mx, rt),
         )))
         plan.wires.append(Wire(f"x{i}.false", (
-            (cx + 8, cy + 1), (ox + 5, cy + 1), (ox + 5, ru), (mx, ru),
+            (cx + 8, cy + 1), (fx0 - 1, cy + 1), (fx0 - 1, ru), (mx, ru), (mx, pr), (mx + 2, pr),
         )))
         if i == 1:
             spawn_wire.append((cx, cy1 + 6))
@@ -330,6 +315,15 @@ def witness_trace(level: Level, assignment: dict[int, bool], num_variables: int)
 
 
 # --- PSPACE: QBF ------------------------------------------------------------
+
+
+def check_qbf_size(num_variables: int, num_clauses: int) -> None:
+    """Refuse a QBF of this size whose plan cannot fit the grid bound,
+    before its prefix is read: the narrowest plan for it has only
+    existential gadgets, none with a symbol."""
+    gadget = exists_width((), ()) + 3  # and the gap after it
+    _check_grid(4 + gadget * num_variables + build_clause_gadget(0).width * num_clauses
+                + build_elevator().width + 1, QBF_HEIGHT)
 
 
 def plan_qbf(qbf: QbfFormula) -> LayoutPlan:

@@ -223,6 +223,12 @@ def _parse_header(tokens) -> tuple[int, int]:
     return n, k
 
 
+def dimacs_header(text: str) -> tuple[int, int]:
+    """The variable and clause counts of a DIMACS or QDIMACS header,
+    read without the rest of the text."""
+    return _parse_header(_tokenize(text))
+
+
 def _parse_clauses(tokens, n: int, k: int) -> tuple[Clause, ...]:
     clauses: list[Clause] = []
     current: list[Literal] = []

@@ -283,54 +283,6 @@ def build_tunnel(symbols=()) -> GadgetBlueprint:
     )
 
 
-def build_crossover() -> GadgetBlueprint:
-    """Two paths cross through a plus of space blocks without leakage.
-
-    The horizontal path dashes straight through the 3-wide block; the
-    vertical path falls onto the block top and dashes straight down
-    (chaining through both blocks), or dashes up from below.  Walls seal
-    every diagonal line, and off-axis dashes out of the blocks die on
-    solid exits.
-    """
-    rows = _from_art([
-        "###########",
-        "#.........#",  # y9 headroom of the top corridor
-        "..........#",  # y8 top corridor, B1 port at x=0
-        "#####.#####",  # y7 shaft
-        "#####.#####",  # y6 rest cell on the horizontal block
-        "...........",  # y5 A corridor with block cells at x=4..6
-        "#####.#####",  # y4 vertical block top
-        "#####.#####",  # y3
-        "#####.#####",  # y2 vertical block bottom
-        "#####.#####",  # y1 launch cell
-        "#####.#####",  # y0 B2 port at x=5
-    ])
-    pairs = []
-    for a in ("A1", "A2"):
-        for b in ("B1", "B2"):
-            pairs.append(Assertion(a, b, False, note="no A-to-B leakage"))
-            pairs.append(Assertion(b, a, False, note="no B-to-A leakage"))
-    return GadgetBlueprint(
-        kind="crossover",
-        rows=rows,
-        blocks=(SpaceBlock(0, (4, 5, 6, 5)), SpaceBlock(1, (5, 2, 5, 4))),
-        ports=(
-            Port("A1", (0, 5), "E"),
-            Port("A2", (10, 5), "W"),
-            Port("B1", (0, 8), "E"),
-            Port("B2", (5, 0), "S"),
-        ),
-        contract=(
-            Assertion("A1", "A2", True),
-            Assertion("A2", "A1", True),
-            Assertion("B1", "B2", True),
-            Assertion("B2", "B1", True),
-            *pairs,
-        ),
-        notes="space-block crossover; vertical traffic chains through both blocks",
-    )
-
-
 def build_final_passage(num_clauses: int) -> GadgetBlueprint:
     """The clause check walls composed in series along one corridor;
     passable end to end iff every clause has at least one open door.
@@ -519,7 +471,6 @@ ALL_GADGET_BUILDERS = {
     "variable": build_variable_gadget,
     "clause": lambda: build_clause_gadget(0),
     "tunnel": lambda: build_tunnel(((0, OPEN), (1, OPEN))),
-    "crossover": build_crossover,
     "final_passage": lambda: build_final_passage(2),
     # own doors from 0; the symbols drive door 4, above them
     "exists": lambda: build_exists_gadget(0, ((4, OPEN),), ((4, CLOSE),)),

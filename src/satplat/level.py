@@ -385,7 +385,7 @@ def _block(brackets: str, items: list[str], pad: str) -> str:
 def _typed(value, kind: type, *what: str, seq: type = list):
     if type(value) is not kind:
         # A container is named by its type: a whole grid is no message.
-        got = type(value).__name__ if kind in (list, tuple) else repr(value)
+        got = type(value).__name__ if kind in (list, tuple, dict) else repr(value)
         raise LevelError(f"{' '.join(what)} must be of type {kind.__name__}, got {got}")
     return value
 
@@ -507,17 +507,19 @@ def load_level(document: str) -> Level:
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise LevelError(f"bad level document: {exc}") from None
     try:
-        physics = PhysicsParams(**_read(doc["physics"], _PHYSICS))
+        physics = PhysicsParams(**_read(_typed(doc["physics"], dict, "physics"), _PHYSICS))
+        entities = _typed(doc["entities"], list, "entities")
+        ports = _typed(doc.get("ports", {}), dict, "ports")
         level = Level(
             width=_typed(doc["width"], int, "width"),
             height=_typed(doc["height"], int, "height"),
             tiles=tuple(reversed([_typed(r, str, "tiles", "row")
                                  for r in _typed(doc["tiles"], list, "tiles")])),
-            entities=tuple(_record_to_entity(r) for r in doc["entities"]),
+            entities=tuple(_record_to_entity(r) for r in entities),
             variant=_typed(doc["variant"], str, "variant"),
             physics=physics,
             ports=tuple(Port(name, **_read(p, _PORT))
-                        for name, p in sorted(doc.get("ports", {}).items())),
+                        for name, p in sorted(ports.items())),
         )
     except (KeyError, TypeError, AttributeError) as exc:
         raise LevelError(f"bad level document: missing or malformed field ({exc})") from None

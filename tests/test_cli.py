@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -138,7 +139,7 @@ class TestEndToEnd:
     def test_gadgets_catalog_and_check(self, capsys):
         code, out, err = run(capsys, "gadgets", "--check")
         assert code == 0
-        assert "crossover" in out
+        assert "elevator" in out
         assert "all gadget contracts hold" in err
 
     def test_gadgets_check_exits_one_on_a_failed_contract(self, capsys, monkeypatch):
@@ -147,7 +148,7 @@ class TestEndToEnd:
         code, out, err = run(capsys, "gadgets", "--check")
         fails = [line for line in err.splitlines() if line.startswith("FAIL ")]
         assert code == 1
-        assert "FAIL crossover: breaks" in fails and all(f.endswith(": breaks") for f in fails)
+        assert "FAIL elevator: breaks" in fails and all(f.endswith(": breaks") for f in fails)
         assert f"{len(fails)} contract assertions failed" in err
 
 
@@ -277,7 +278,7 @@ class TestErrorPaths:
         level = tmp_path / "s.level"
         code, _, err = run(capsys, "compile", sample_cnf, "--plan", "-o", level)
         assert code == 0
-        assert "crossings" in err
+        assert "carved cells" in err
 
     def test_compile_over_the_grid_bound_exits_two(self, tmp_path, capsys):
         from satplat.formula import gen_random_3cnf, write_dimacs
@@ -304,6 +305,18 @@ class TestErrorPaths:
                               capture_output=True, text=True, timeout=10)
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error: grid ") and "over the bound" in done.stderr
+
+    def test_qcompile_refuses_a_huge_header_before_the_prefix_is_listed(self, tmp_path,
+                                                                         capsys):
+        # 500,000 implicit existentials: the header alone shows that the
+        # narrowest plan is over the bound.
+        path = tmp_path / "huge.qdimacs"
+        path.write_text("p cnf 500000 0\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "qcompile", path)
+        assert time.perf_counter() - start < 0.1
+        assert code == 2 and out == ""
+        assert err == "error: grid 6000010x14 has 84000140 cells, over the bound of 4194304\n"
 
 
 # --- fuzzing main ---------------------------------------------------------

@@ -165,31 +165,29 @@ class TestCompile3Sat:
 
 
 class TestPlanAndRouting:
-    def test_one_crossover_per_variable(self, sample_formula):
+    def test_one_chamber_per_variable(self, sample_formula):
         plan = plan_3sat(sample_formula)
         route_and_place(plan)
-        assert len(plan.crossings) == 3
-        crossovers = [p for p in plan.placements if p.blueprint.kind == "crossover"]
-        assert len(crossovers) == 3
-        # the chamber and the crossover are each built once per plan
-        for kind in ("variable", "crossover"):
-            placed = [p.blueprint for p in plan.placements if p.blueprint.kind == kind]
-            assert len(placed) == 3 and all(bp is placed[0] for bp in placed)
+        # the chamber is built once per plan
+        placed = [p.blueprint for p in plan.placements if p.blueprint.kind == "variable"]
+        assert len(placed) == 3 and all(bp is placed[0] for bp in placed)
 
-    def test_plan_report_mentions_crossings(self, sample_formula):
+    def test_plan_report_lists_placements_and_wires(self, sample_formula):
         plan = plan_3sat(sample_formula)
         route_and_place(plan)
         report = plan_report(plan)
-        assert "crossings 3" in report and "carved cells 117," in report
-        assert "variable" in report and "crossover" in report
+        assert "wires 8" in report and "carved cells 192" in report
+        assert "variable" in report and "tunnel" in report
 
     def test_deterministic_plans(self, sample_formula):
         assert plan_3sat(sample_formula) == plan_3sat(sample_formula)
 
-    def test_unrouted_plan_reports_its_crossings(self, sample_formula):
-        # the crossings are the wires', not a side effect of routing
-        report = plan_report(plan_3sat(sample_formula))
-        assert "crossings 3" in report and report.count("(crossover)") == 3
+    def test_unrouted_plan_reports_as_the_routed_one(self, sample_formula):
+        # the report is the plan's, not a side effect of routing
+        plan = plan_3sat(sample_formula)
+        report = plan_report(plan)
+        route_and_place(plan)
+        assert plan_report(plan) == report
 
     @pytest.mark.parametrize("points, message", [
         # one row lower, the spawn wire enters the first chamber through its wall
@@ -235,9 +233,12 @@ class TestPlanAndRouting:
             Wire("l", ((0, 0), (0, 10))),  # through h's west end
             Wire("r", ((10, 5), (10, 9))),  # from h's east end
             Wire("t", ((5, 5), (5, 9))),  # a T on h
-            Wire("x", ((3, 0), (3, 10))),  # the one crossing
         ]
-        assert detect_crossings(wires) == [(3, 5)]
+        detect_crossings(wires)
+        wires.append(Wire("x", ((3, 0), (3, 10))))  # the one crossing
+        with pytest.raises(CompileError) as err:
+            detect_crossings(wires)
+        assert str(err.value) == "wires ['h', 'x'] cross at (3, 5)"
 
     def test_three_wires_at_a_point_rejected(self):
         wires = [
@@ -249,11 +250,20 @@ class TestPlanAndRouting:
             detect_crossings(wires)
 
     def test_uncovered_crossing_rejected(self, sample_formula):
+        # the first chamber's exits routed with the false row below the
+        # true row: the false exit's drop crosses the true row, and no
+        # gadget covers a crossing
         plan = plan_3sat(sample_formula)
-        plan.placements = [p for p in plan.placements
-                           if p.blueprint.kind != "crossover"]
-        with pytest.raises(CompileError, match="not covered"):
+        cx, cy = next(p.origin for p in plan.placements if p.prefix == "x1.")
+        true, false = (i for i, w in enumerate(plan.wires) if w.name in ("x1.true", "x1.false"))
+        mx, pr = plan.wires[false].points[-2]
+        plan.wires[true] = Wire("x1.true", ((cx, cy + 1), (cx - 2, cy + 1), (cx - 2, cy - 2),
+                                            (mx, cy - 2), (mx, pr), (mx + 2, pr)))
+        plan.wires[false] = Wire("x1.false", (
+            (cx + 8, cy + 1), (cx + 14, cy + 1), (cx + 14, cy - 10), (mx, cy - 10)))
+        with pytest.raises(CompileError) as err:
             route_and_place(plan)
+        assert str(err.value) == f"wires ['x1.false', 'x1.true'] cross at {(cx + 14, cy - 2)}"
 
 
 class TestCompileQbf:
@@ -302,6 +312,23 @@ class TestCompileQbf:
         assert calls == []
         assert str(err.value) == (f"grid {width}x14 has {width * 14} cells, "
                                   f"over the bound of {MAX_GRID_CELLS}")
+
+    @pytest.mark.parametrize("n, k, seed", [(1, 2, 0), (2, 0, 1), (3, 2, 2), (4, 4, 3)])
+    def test_the_size_check_refuses_only_what_the_plan_refuses(self, monkeypatch, n, k, seed):
+        # a lower bound on the plan's width: a grid the plan fits passes
+        qbf = gen_random_qbf(n, k, seed)
+        plan = plan_qbf(qbf)
+        monkeypatch.setattr(compiler, "MAX_GRID_CELLS", plan.width * plan.height)
+        compiler.check_qbf_size(n, k)
+        # and it is exact for existentials with no symbols
+        exists = QbfFormula(tuple((Quantifier.EXISTS, v) for v in range(1, n + 1)),
+                            CnfFormula(n, ()))
+        width = plan_qbf(exists).width
+        monkeypatch.setattr(compiler, "MAX_GRID_CELLS", width * 14 - 1)
+        with pytest.raises(CompileError) as err:
+            compiler.check_qbf_size(n, 0)
+        assert str(err.value) == f"grid {width}x14 has {width * 14} cells, over the bound of " \
+                                 f"{width * 14 - 1}"
 
     def test_quantifier_gadget_counts(self):
         q = parse_qdimacs("p cnf 2 1\ne 1 0\na 2 0\n1 2 -2 0")

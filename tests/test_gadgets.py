@@ -8,7 +8,7 @@ from satplat.gadgets import (
     ALL_GADGET_BUILDERS,
     StampError,
     build_clause_gadget,
-    build_crossover,
+    build_elevator,
     build_exists_gadget,
     build_final_passage,
     build_forall_gadget,
@@ -35,7 +35,7 @@ from satplat.level import (
     Spawn,
     UnstablePlatform,
 )
-from satplat.sim import BLOCKED, Death, GameState, dash, jump, step
+from satplat.sim import BLOCKED, GameState, jump, step
 from satplat.solver import DEFAULT_MAX_STATES, reachable_ports, reachable_positions, solve_between
 
 
@@ -128,30 +128,6 @@ class TestTunnel:
         assert (state.door_open >> 7) & 1
 
 
-class TestCrossover:
-    def test_dash_off_the_safe_line_dies(self):
-        bp = build_crossover()
-        level = contract_level(bp)
-        # drop onto the horizontal block from the top corridor
-        state = probe_state(level, "B1")
-        leg = solve_between(level, state, (6, 7))  # the block-top rest cell
-        assert leg is not None
-        _, landed = leg
-        on_block = landed._replace(has_dash=1)
-        out = step(level, on_block, dash("SE"))
-        assert isinstance(out, Death)
-        out = step(level, on_block, dash("SW"))
-        assert isinstance(out, Death)
-
-    def test_all_port_pairs(self):
-        bp = build_crossover()
-        level = contract_level(bp)
-        assert reachable_ports(level, "A1") >= {"A1", "A2"}
-        assert reachable_ports(level, "A1").isdisjoint({"B1", "B2"})
-        assert reachable_ports(level, "B2") >= {"B1", "B2"}
-        assert reachable_ports(level, "B2").isdisjoint({"A1", "A2"})
-
-
 class TestExistsGadget:
     def build(self):
         # variable drives doors 0 (true-open) and 1 (false-open); the
@@ -235,35 +211,36 @@ class TestForallGadget:
 
 
 class TestStamp:
-    def test_two_disjoint_crossovers_keep_their_contracts(self):
+    def test_two_disjoint_chambers_keep_their_contracts(self):
         builder = LevelBuilder(30, 15)
-        stamp_into(builder, build_crossover(), (1, 1), prefix="a.")
-        stamp_into(builder, build_crossover(), (15, 1), prefix="b.")
-        builder.add(Spawn((2, 6)))
-        builder.add(Flag((16, 6)))
+        stamp_into(builder, build_variable_gadget(), (1, 1), prefix="a.")
+        stamp_into(builder, build_variable_gadget(), (15, 1), prefix="b.")
+        builder.add(Spawn((2, 7)))
+        builder.add(Flag((16, 7)))
         level = builder.build()
-        assert "a.A2" in reachable_ports(level, "a.A1")
-        assert "b.A2" in reachable_ports(level, "b.A1")
-        assert reachable_ports(level, "a.B1").isdisjoint({"a.A1", "a.A2", "b.B1"})
+        assert "a.exit_true" in reachable_ports(level, "a.entry")
+        assert "b.exit_true" in reachable_ports(level, "b.entry")
+        assert reachable_ports(level, "a.exit_true").isdisjoint({"a.entry", "a.exit_false",
+                                                                 "b.entry"})
 
     def test_overlapping_stamp_rejected(self):
         builder = LevelBuilder(30, 15)
-        stamp_into(builder, build_crossover(), (1, 1))
+        stamp_into(builder, build_variable_gadget(), (1, 1))
         with pytest.raises(StampError, match="overlap"):
-            stamp_into(builder, build_crossover(), (5, 1))
+            stamp_into(builder, build_variable_gadget(), (5, 1))
 
     def test_overlap_names_the_first_carved_cell_in_row_major_order(self):
         builder = LevelBuilder(30, 15)
-        for cell in ((9, 3), (16, 2), (4, 3), (7, 4), (8, 3)):
+        for cell in ((9, 3), (14, 2), (4, 3), (7, 4), (8, 3)):
             builder.carve(*cell)
         with pytest.raises(StampError) as err:
-            stamp_into(builder, build_crossover(), (5, 2))
-        assert str(err.value) == "crossover at (5, 2) overlaps carved cell (8, 3)"
+            stamp_into(builder, build_variable_gadget(), (5, 2))
+        assert str(err.value) == "variable at (5, 2) overlaps carved cell (8, 3)"
 
     def test_out_of_bounds_stamp_rejected(self):
         builder = LevelBuilder(8, 8)
         with pytest.raises(StampError, match="fit"):
-            stamp_into(builder, build_crossover(), (1, 1))
+            stamp_into(builder, build_variable_gadget(), (1, 1))
 
     def test_door_id_collision_rejected(self):
         builder = LevelBuilder(30, 15)
@@ -290,7 +267,7 @@ class TestStamp:
     @pytest.mark.parametrize("build, origin, cell", [
         (build_tunnel, (0, 3), (0, 4)),  # the tunnel's corridor runs edge to edge
         (build_tunnel, (24, 3), (27, 4)),
-        (build_crossover, (3, 0), (8, 0)),  # its bottom row holds the B2 port
+        (build_elevator, (3, 2), (4, 11)),  # its top row holds the jump headroom
     ])
     def test_a_patch_opening_the_boundary_is_refused_as_carve_refuses_it(self, build, origin,
                                                                           cell):
@@ -331,7 +308,7 @@ def _sized_blueprints():
 # (not its notes), for the catalog and the sized gadgets in the order
 # `_sized_blueprints` yields them.  The elevator has one size, lift 7,
 # which is its catalog entry.
-BLUEPRINT_DIGEST = "e41de4d55d2c4ce4d758bc624c8e1b71ed543c2ac7b8f31734209d5bd9e27821"
+BLUEPRINT_DIGEST = "dd96c4b0a014dfa9fa65d043da1ac087ca4e7d0f23b0e2cea5ea10c1b8dff3c1"
 
 
 def test_blueprints_are_pinned():

@@ -356,7 +356,9 @@ class TestValidation:
         ("door", "open", []),
     ])
     def test_load_type_checks_entity_fields(self, sample_formula, kind, key, value):
-        doc = json.loads(save_level(compile_3sat(sample_formula)))
+        # an NP level holds no space block; a QBF level's elevator does
+        level = compiled_levels()[2] if kind == "space_block" else compile_3sat(sample_formula)
+        doc = json.loads(save_level(level))
         next(e for e in doc["entities"] if e["kind"] == kind)[key] = value
         with pytest.raises(LevelError, match="must be"):
             load_level(json.dumps(doc))
@@ -468,6 +470,19 @@ class TestValidation:
         doc["tiles"] = tiles
         with pytest.raises(LevelError, match=f"tiles must be of type list, got {found}$"):
             load_level(json.dumps(doc))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("entities", {"kind": "spawn"}, "entities must be of type list, got dict"),
+        ("ports", [], "ports must be of type dict, got list"),
+        ("physics", [3, 4, 2], "physics must be of type dict, got list"),
+    ])
+    def test_load_names_a_malformed_container_by_its_type(self, minimal_level, key, value,
+                                                          message):
+        doc = json.loads(save_level(minimal_level))
+        doc[key] = value
+        with pytest.raises(LevelError) as err:
+            load_level(json.dumps(doc))
+        assert str(err.value) == message
 
     def test_entity_fields_must_be_tuples(self):
         level = level_from_art("#####\n#S.F#\n#####", entities=[UnstablePlatform(0, [2, 1])],

@@ -12,7 +12,7 @@ from satplat.compiler import compile_3sat, compile_qbf
 from satplat.formula import Quantifier, QbfFormula, gen_random_3cnf
 from satplat.level import save_level
 
-NP_DIGEST = "89dd1e5098291ea3e72b0dd1a416c5208f571df8e6f77cf86770853f4c71c2cf"
+NP_DIGEST = "33489085c73bc2929dbbb2de4dda592f1af8d6d8464c072370b7b53158dd9c5a"
 QBF_DIGEST = "037db9e67ca1fe1bff7bb9e348e4f423dbe4af2f6d53cdeae02b97a06d9e990c"
 
 E, A = Quantifier.EXISTS, Quantifier.FORALL

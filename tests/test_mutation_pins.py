@@ -1,11 +1,13 @@
 """Pinned mutant streams: the mutants `mutate_trace` draws for fixed seeds
 on the witnesses of a fixed set of compiled levels, and the number of
-equivalent draws it rejects, hash to a recorded SHA-256.
+equivalent draws it rejects, hash to a recorded SHA-256, one for the NP
+levels and one for the QBF levels.
 
 A change to how `mutate_trace` draws (how it uses the random stream, the
 order it tries substitutes in, or which draws it counts as equivalent)
-changes the digest.  Such a change must be declared, and the digest
-re-recorded with it.
+changes the digests; so does a change to the compiler or the search that
+alters a level's witness, which changes only its own variant's digest.
+Such a change must be declared, and the digest re-recorded with it.
 """
 
 import hashlib
@@ -18,31 +20,43 @@ from satplat.solver import Solvable, solve
 from satplat.verify import gen_random_qbf, mutate_trace
 from tests.conftest import SAMPLE_DIMACS
 
-MUTANT_DIGEST = "2a829fcdedfff3648fa07a103fede63f9f66baae1e331f7d494027c37336aa47"
+NP_MUTANT_DIGEST = "8cc751d1f29a1f3fb38b2c6323ad1eed2cbfdb42e9a9731fbdb6ed5720d7311d"
+QBF_MUTANT_DIGEST = "63eb2d6c221ddb4f65dd6466b602ebc8062e85fceee9c1caad5e9805abdb9fbf"
 SEEDS = (0, 1, 2)
 MUTANTS = 200  # per seed and witness: enough that some draws are equivalent
 
 
-def witnessed_levels():
-    """The sample formula's NP level, a random NP level and two random QBF
-    levels, each with its witness."""
-    levels = (compile_3sat(parse_dimacs(SAMPLE_DIMACS)),
-              compile_3sat(gen_random_3cnf(4, 4, seed=400)),
-              compile_qbf(gen_random_qbf(3, 2, seed=321)),
-              compile_qbf(gen_random_qbf(3, 2, seed=324)))
+def np_levels():
+    """The sample formula's NP level and a random NP level."""
+    return (compile_3sat(parse_dimacs(SAMPLE_DIMACS)),
+            compile_3sat(gen_random_3cnf(4, 4, seed=400)))
+
+
+def qbf_levels():
+    """Two random QBF levels."""
+    return (compile_qbf(gen_random_qbf(3, 2, seed=321)),
+            compile_qbf(gen_random_qbf(3, 2, seed=324)))
+
+
+def digest(levels) -> str:
+    """The mutants drawn on each level's witness for every seed, and the
+    number of equivalent draws rejected."""
+    h = hashlib.sha256()
     for level in levels:
         result = solve(level)
         assert isinstance(result, Solvable)
-        yield level, result.trace
-
-
-def test_mutant_streams_are_pinned():
-    h = hashlib.sha256()
-    for level, witness in witnessed_levels():
         for seed in SEEDS:
             rng, counters = random.Random(seed), {}
             for _ in range(MUTANTS):
-                h.update(trace_to_text(mutate_trace(level, witness, rng, counters=counters))
+                h.update(trace_to_text(mutate_trace(level, result.trace, rng, counters=counters))
                          .encode() + b"\0")
             h.update(f"{counters.get('equivalent', 0)}\0".encode())
-    assert h.hexdigest() == MUTANT_DIGEST
+    return h.hexdigest()
+
+
+def test_np_mutant_streams_are_pinned():
+    assert digest(np_levels()) == NP_MUTANT_DIGEST
+
+
+def test_qbf_mutant_streams_are_pinned():
+    assert digest(qbf_levels()) == QBF_MUTANT_DIGEST

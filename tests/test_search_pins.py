@@ -15,9 +15,9 @@ from satplat.sim import trace_to_text
 from satplat.solver import Solvable, solve
 from satplat.verify import gen_random_qbf
 
-NP_DIGEST = "4185fa48ed46b957ff2c28f5aaaff4545627d4771edb0e4e8f0d7a1c0f50e027"
+NP_DIGEST = "a8cf9c091221cfea59ca4c95fe412a751bc4afe3f8813054972caa7bb6cf73b2"
 QBF_DIGEST = "fdbe951a1e45e585186f6a12a0bff9306fee755e45f41e758781324940192d55"
-LIMIT_DIGEST = "2526383438f47a9c7ede57ab614ee115613eff7e89012fdb7e4979f569b97fa3"
+LIMIT_DIGEST = "85f218e7363846605d0489729d60cd3cfbb481d002405bc1c5937edfcb4bc11b"
 
 # (n, k, seed) of unsatisfiable 3-CNFs small enough to compile.
 NP_UNSAT = ((1, 4, 5), (2, 6, 9), (2, 8, 2))

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import pytest
@@ -7,14 +8,17 @@ from hypothesis import strategies as st
 from satplat import solver
 from satplat.compiler import compile_3sat
 from satplat.formula import gen_random_3cnf
-from satplat.gadgets import build_crossover, check_contract
+from satplat.gadgets import build_elevator, check_contract
 from satplat.level import (
     CLOSE,
     OPEN,
     PSPACE,
     Button,
     Door,
+    NP,
     LevelError,
+    PhysicsParams,
+    Port,
     SpaceBlock,
     UnstablePlatform,
     load_level,
@@ -270,7 +274,7 @@ class TestLimitIsReported:
     def test_contract_check_raises_at_the_limit(self, monkeypatch):
         monkeypatch.setattr(solver, "DEFAULT_MAX_STATES", 3)
         with pytest.raises(RuntimeError, match="limit of 3 states"):
-            list(check_contract(build_crossover()))
+            list(check_contract(build_elevator()))
 
 
 def naive_search(level, start=None):
@@ -376,6 +380,87 @@ def small_levels(draw):
                 row += "."
         rows.append(row)
     return "\n".join(rows), tuple(entities), variant
+
+
+@st.composite
+def loadable_levels(draw):
+    """A level `load_level` accepts, drawn wider than `small_levels`: a
+    grid up to 9x8; up to 3 doors, some taller than one cell; up to 3
+    platforms and 2 space blocks; up to 3 buttons of either action, on
+    any door; up to 2 ports; and random physics (J 1-5, D 2-6, R 1-4).
+    The level is round-tripped through `save_level` and `load_level`."""
+    width, height = draw(st.integers(5, 9)), draw(st.integers(4, 8))
+    free = [(x, y) for y in range(1, height - 1) for x in range(1, width - 1)]
+
+    def take(cells):
+        cell = draw(st.sampled_from(cells))
+        free.remove(cell)
+        return cell
+
+    def some(most):
+        """Up to `most` indices, while free cells last."""
+        for i in range(draw(st.integers(0, most))):
+            if not free:
+                return
+            yield i
+
+    spawn, flag = take(free), take(free)
+    below = (spawn[0], spawn[1] - 1)
+    ground = draw(st.sampled_from(["solid", "platform", "door"]))
+    platforms = [take([below])] if ground == "platform" and below in free else []
+    platforms += [take(free) for _ in some(3 - len(platforms))]
+    doors = [[take([below])]] if ground == "door" and below in free else []
+    doors += [[take(free)] for _ in some(3 - len(doors))]
+    for cells in doors:
+        for _ in range(draw(st.integers(0, 2))):
+            above = (cells[0][0], cells[-1][1] + 1)
+            if above not in free:
+                break
+            cells.append(take([above]))
+    entities = [UnstablePlatform(i, cell) for i, cell in enumerate(platforms)]
+    # the door under the spawn starts closed: the start is at rest
+    entities += [Door(i, tuple(cells), below not in cells and draw(st.booleans()))
+                 for i, cells in enumerate(doors)]
+    for i in some(2):
+        x, y = x1, y1 = take(free)
+        grow = draw(st.sampled_from([(0, 0), (1, 0), (0, 1)]))
+        if grow != (0, 0) and (x + grow[0], y + grow[1]) in free:
+            x1, y1 = take([(x + grow[0], y + grow[1])])
+        entities.append(SpaceBlock(i, (x, y, x1, y1)))
+    for _ in some(3 if doors else 0):
+        entities.append(Button(take(free), draw(st.integers(0, len(doors) - 1)),
+                               draw(st.sampled_from([OPEN, CLOSE]))))
+    ports = tuple(Port(f"p{i}", take(free), draw(st.sampled_from("NESW"))) for i in some(2))
+    solid = draw(st.sets(st.sampled_from(free), max_size=len(free) // 3)) if free else set()
+    if below in free:
+        solid.add(below)
+    art = "\n".join("".join("S" if (x, y) == spawn else "F" if (x, y) == flag
+                            else "#" if x in (0, width - 1) or y in (0, height - 1)
+                            or (x, y) in solid else "." for x in range(width))
+                    for y in reversed(range(height)))
+    closes = any(isinstance(e, Button) and e.action == CLOSE for e in entities)
+    level = level_from_art(art, entities, PSPACE if closes else NP, validate=False)
+    physics = PhysicsParams(draw(st.integers(1, min(5, height))), draw(st.integers(2, 6)),
+                            draw(st.integers(1, 4)))
+    try:
+        return load_level(save_level(dataclasses.replace(level, physics=physics, ports=ports)))
+    except LevelError:
+        reject()
+
+
+@given(loadable_levels())
+@settings(max_examples=300, deadline=None)
+def test_solve_and_search_match_naive_search_on_loadable_levels(level):
+    # The verdict and the trace are `naive_search`'s, the trace replays,
+    # and the exhaustive search reaches exactly the states `step` does.
+    result = solve(level)
+    trace, reached = naive_search(level)
+    assert isinstance(result, Solvable) == (trace is not None)
+    if trace is not None:
+        assert result.trace == trace
+        assert replay(level, result.trace)
+    found = _search(sim_context(level), initial_state(level), None, DEFAULT_MAX_STATES, None)
+    assert set(map(found.keys.state, found.parents)) == reached
 
 
 @given(small_levels())

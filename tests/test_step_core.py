@@ -26,7 +26,7 @@ from satplat.solver import Solvable, _Keys, solve
 from satplat.verify import gen_random_qbf
 from tests.conftest import level_from_art
 from tests.reference_core import reference_step
-from tests.test_solver import small_levels
+from tests.test_solver import loadable_levels, small_levels
 
 
 @cache
@@ -51,11 +51,12 @@ def levels(draw):
 
 
 @st.composite
-def levels_and_states(draw):
-    """A level, from `levels`, and an arbitrary state on it: any cell
-    (mostly a non-solid one), either dash value, and door and platform
-    bits with one bit to spare above the level's ids."""
-    level = draw(levels())
+def levels_and_states(draw, level_strategy=None):
+    """A level, from `levels` unless another strategy is given, and an
+    arbitrary state on it: any cell (mostly a non-solid one), either dash
+    value, and door and platform bits with one bit to spare above the
+    level's ids."""
+    level = draw(levels() if level_strategy is None else level_strategy)
     open_cells = [(x, y) for y in range(level.height) for x in range(level.width)
                   if level.tiles[y][x] != SOLID]
     if draw(st.integers(0, 3)):
@@ -90,6 +91,14 @@ BLOCK_CLOSE_BUTTON = level_from_art(
 @example((BLOCK_CLOSE_BUTTON, GameState(1, 1, 1, 1, 0)))
 @settings(max_examples=400, deadline=None)
 def test_core_matches_the_reference_core(level_state):
+    level, state = level_state
+    for move in canonical_moves(level.physics):
+        assert step(level, state, move) == reference_step(level, state, move), move
+
+
+@given(levels_and_states(loadable_levels()))
+@settings(max_examples=300, deadline=None)
+def test_core_matches_the_reference_core_on_loadable_levels(level_state):
     level, state = level_state
     for move in canonical_moves(level.physics):
         assert step(level, state, move) == reference_step(level, state, move), move

@@ -18,7 +18,7 @@ from satplat.formula import (
     parse_dimacs,
     parse_qdimacs,
 )
-from satplat.level import NP, PSPACE, load_level
+from satplat.level import NP, PSPACE, SpaceBlock, load_level
 from satplat.sim import initial_state, jump, replay, sim_context, step, walk
 from satplat.solver import Solvable, solve
 from satplat import verify
@@ -297,37 +297,43 @@ class TestMutation:
         # Every deletion and every substitution at every move of a witness:
         # the check `mutate_trace` runs from the mutation point must say
         # "wins" exactly when `replay` of the whole mutant does.  A
-        # substitute skipped as outcome-identical must win as well.
+        # substitute skipped as outcome-identical must win as well.  A
+        # compiled NP level holds no space block, so the NP case adds a
+        # drawn one whose witness starts where a dash east dies.
         if variant == NP:
-            level = compile_3sat(parse_dimacs(SAMPLE_DIMACS))
+            levels = (compile_3sat(parse_dimacs(SAMPLE_DIMACS)),
+                      level_from_art("#######\n#...F.#\n#.#####\n#S**###\n#######",
+                                     entities=[SpaceBlock(0, (2, 1, 3, 1))]))
         else:
-            level = compile_qbf(gen_random_qbf(3, 2, seed=324))
-        witness = solve(level).trace
-        sim_context.cache_clear()
-        assert replay(level, witness)
-        ctx = sim_context(level)
-        states = trace_prefix_states(level, witness)
+            levels = (compile_qbf(gen_random_qbf(3, 2, seed=324)),)
         outcomes, verdicts = Counter(), Counter()
-        for i, original in enumerate(witness):
-            [(mutant, wins)] = verify._mutants(ctx, witness, i, states, FixedDraw(0.0))
-            assert mutant == witness[:i] + witness[i + 1:]
-            assert wins is replay(level, mutant)
-            verdicts[wins] += 1
-            drawn = dict(verify._mutants(ctx, witness, i, states, FixedDraw(0.9)))
-            for move in ctx.moves:
-                if move == original:
-                    continue
-                mutant = (*witness[:i], move, *witness[i + 1:])
-                out = step(level, states[i], move)
-                outcomes[type(out).__name__] += 1
-                if mutant in drawn:
-                    wins = replay(level, mutant)
-                    assert drawn.pop(mutant) is wins
-                    verdicts[wins] += 1
-                else:
-                    assert out == step(level, states[i], original)
-                    assert replay(level, mutant)
-            assert not drawn
+        for level in levels:
+            assert level.variant == variant
+            witness = solve(level).trace
+            sim_context.cache_clear()
+            assert replay(level, witness)
+            ctx = sim_context(level)
+            states = trace_prefix_states(level, witness)
+            for i, original in enumerate(witness):
+                [(mutant, wins)] = verify._mutants(ctx, witness, i, states, FixedDraw(0.0))
+                assert mutant == witness[:i] + witness[i + 1:]
+                assert wins is replay(level, mutant)
+                verdicts[wins] += 1
+                drawn = dict(verify._mutants(ctx, witness, i, states, FixedDraw(0.9)))
+                for move in ctx.moves:
+                    if move == original:
+                        continue
+                    mutant = (*witness[:i], move, *witness[i + 1:])
+                    out = step(level, states[i], move)
+                    outcomes[type(out).__name__] += 1
+                    if mutant in drawn:
+                        wins = replay(level, mutant)
+                        assert drawn.pop(mutant) is wins
+                        verdicts[wins] += 1
+                    else:
+                        assert out == step(level, states[i], original)
+                        assert replay(level, mutant)
+                assert not drawn
         assert min(outcomes[kind] for kind in ("GameState", "Blocked", "Death")) > 0
         assert verdicts[True] > 0 and verdicts[False] > 0
 
