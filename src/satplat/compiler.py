@@ -1,13 +1,16 @@
 """Compile formulas into levels.
 
 NP pipeline (3-CNF): one variable chamber per variable, cascading down
-and to the right.  The false exit drops to a tunnel that runs east just
-below the chamber; the true exit drops, west of the chamber, to a tunnel
-that runs east below the false one.  The layout is planar: the false
-tunnel ends in a one-way merge shaft that feeds the next chamber, and
-the true tunnel joins that shaft from the side.  After the last chamber
-the shaft feeds the final passage of clause walls, with the flag beyond.
-Tunnel buttons open the doors of the clauses containing the literal.
+and to the right.  Each strip is as narrow as its gadgets allow.  The
+false exit drops in the column just east of the chamber, and its tunnel
+starts at the foot of that shaft, just below the chamber.  The true exit
+drops west of the chamber, and its tunnel starts at the foot of that
+shaft, on a row below the false one, and runs east under the chamber.
+The layout is planar: the false tunnel ends in a one-way merge shaft
+that feeds the next chamber, and the true row joins that shaft from the
+side.  After the last chamber the shaft feeds the final passage of
+clause walls, with the flag beyond.  Tunnel buttons open the doors of
+the clauses containing the literal.
 
 PSPACE pipeline (QBF): quantifier gadgets in a row on a forward band,
 then the clause walls, then a space-block elevator up to a return band
@@ -53,7 +56,7 @@ from satplat.level import (
 )
 
 # Most cells a plan's grid may have.  An NP grid grows with n^2: random
-# 3-CNF fits up to n=k=81, and n=k=1000 would be 630M cells.
+# 3-CNF at seed 1 fits up to n=k=98, and n=k=1000 would be 431M cells.
 MAX_GRID_CELLS = 1 << 22
 
 V_PITCH = 20  # rows consumed per variable strip
@@ -249,18 +252,18 @@ def plan_3sat(formula: CnfFormula) -> LayoutPlan:
         rt, ru = cy - 10, cy - 2  # the true row runs below the false row
         plan.placements.append(Placement(chamber, (cx, cy), f"x{i}."))
         t_bp = build_tunnel([(d, OPEN) for d in pos.get(i, ())])
-        tx0 = cx + 20
+        tx0 = cx - 1  # the true exit drops at tx0 - 1, west of the chamber
         plan.placements.append(Placement(t_bp, (tx0, rt - 1), f"x{i}.true."))
         t_end = tx0 + t_bp.width - 1
         f_bp = build_tunnel([(d, OPEN) for d in neg.get(i, ())])
-        fx0 = cx + 15
+        fx0 = cx + chamber.width + 1  # the false exit drops at fx0 - 1, just east of it
         plan.placements.append(Placement(f_bp, (fx0, ru - 1), f"x{i}.false."))
         f_end = fx0 + f_bp.width - 1
         mx = max(t_end, f_end) + 1  # the merge shaft down to the next pocket
         pr = cy - 14
 
         plan.wires.append(Wire(f"x{i}.true", (
-            (cx, cy + 1), (cx - 2, cy + 1), (cx - 2, rt), (mx, rt),
+            (cx, cy + 1), (tx0 - 1, cy + 1), (tx0 - 1, rt), (mx, rt),
         )))
         plan.wires.append(Wire(f"x{i}.false", (
             (cx + 8, cy + 1), (fx0 - 1, cy + 1), (fx0 - 1, ru), (mx, ru), (mx, pr), (mx + 2, pr),

@@ -37,7 +37,7 @@ from satplat.level import (
     validate_level,
 )
 from satplat.sim import initial_state, replay
-from satplat.solver import Solvable, Unsolvable, solve
+from satplat.solver import Solvable, Unsolvable, reachable_positions, solve, solve_between
 from satplat.verify import gen_random_qbf
 
 QUANTIFIERS = {"e": Quantifier.EXISTS, "a": Quantifier.FORALL}
@@ -123,6 +123,13 @@ class TestCompile3Sat:
         with pytest.raises(CompileError, match=f"{MAX_GRID_CELLS + 1} cells"):
             plan_report(oversized)
 
+    def test_seed_one_compiles_up_to_n_k_98(self):
+        # the grid check that routing runs: n=k=98 is 2124x1966 cells,
+        # n=k=99 is 2145x1986, over the bound
+        plan_report(plan_3sat(gen_random_3cnf(98, 98, 1)))
+        with pytest.raises(CompileError, match=r"grid 2145x1986 has \d+ cells, over the bound"):
+            plan_report(plan_3sat(gen_random_3cnf(99, 99, 1)))
+
     def test_area_polynomial_proxy(self):
         # frozen constant: grid area <= 1200 * (n + k)^2 for n + k >= 1
         sizes = [(1 + seed % 4, seed % 5) for seed in range(12)]
@@ -163,6 +170,22 @@ class TestCompile3Sat:
             checked += 1
         assert checked >= 8
 
+    @pytest.mark.parametrize("n, seed", [(4, 1), (4, 2), (4, 3), (7, 1), (7, 2)])
+    def test_placed_chambers_keep_their_commitment(self, n, seed):
+        # the isolated chamber's contract, checked in the placed level:
+        # from the state the search reaches at one exit, neither the other
+        # exit nor the entry is reachable
+        level = compile_3sat(gen_random_3cnf(n, n, seed))
+        start = initial_state(level)
+        for i in range(1, n + 1):
+            entry = level.port(f"x{i}.entry").cell
+            for exit_, other in (("exit_true", "exit_false"), ("exit_false", "exit_true")):
+                leg = solve_between(level, start, level.port(f"x{i}.{exit_}").cell)
+                assert leg is not None
+                reached = reachable_positions(level, leg[1])
+                assert level.port(f"x{i}.{other}").cell not in reached, (i, exit_)
+                assert entry not in reached, (i, exit_)
+
 
 class TestPlanAndRouting:
     def test_one_chamber_per_variable(self, sample_formula):
@@ -176,8 +199,25 @@ class TestPlanAndRouting:
         plan = plan_3sat(sample_formula)
         route_and_place(plan)
         report = plan_report(plan)
-        assert "wires 8" in report and "carved cells 192" in report
+        assert "wires 8" in report and "carved cells 128" in report
         assert "variable" in report and "tunnel" in report
+
+    @pytest.mark.parametrize("n, k, seed", [(3, 2, 0), (7, 7, 1), (9, 20, 2)])
+    def test_strips_are_as_narrow_as_their_gadgets(self, n, k, seed):
+        # the true tunnel starts at the foot of the true drop shaft, and
+        # the false drop shaft is the column just east of the chamber
+        plan = plan_3sat(gen_random_3cnf(n, k, seed))
+        level = route_and_place(plan)
+        wires = {w.name: w.points for w in plan.wires}
+        for i in range(1, n + 1):
+            chamber = next(p for p in plan.placements if p.prefix == f"x{i}.")
+            cx, cy = chamber.origin
+            _, (drop_x, _), (foot_x, foot_y), _ = wires[f"x{i}.true"]
+            assert drop_x == foot_x == cx - 2
+            assert level.port(f"x{i}.true.tunnel_in").cell == (foot_x + 1, foot_y)
+            _, (drop_x, top_y), (foot_x, foot_y), *_ = wires[f"x{i}.false"]
+            assert drop_x == foot_x == cx + chamber.blueprint.width and top_y == cy + 1
+            assert level.port(f"x{i}.false.tunnel_in").cell == (foot_x + 1, foot_y)
 
     def test_deterministic_plans(self, sample_formula):
         assert plan_3sat(sample_formula) == plan_3sat(sample_formula)

@@ -12,7 +12,7 @@ from satplat.compiler import compile_3sat, compile_qbf
 from satplat.formula import Quantifier, QbfFormula, gen_random_3cnf
 from satplat.level import save_level
 
-NP_DIGEST = "33489085c73bc2929dbbb2de4dda592f1af8d6d8464c072370b7b53158dd9c5a"
+NP_DIGEST = "8a4bac58a83e808086e5cc6a5243b8f79a2aeaefe1f7c7d7a998d5178a726708"
 QBF_DIGEST = "037db9e67ca1fe1bff7bb9e348e4f423dbe4af2f6d53cdeae02b97a06d9e990c"
 
 E, A = Quantifier.EXISTS, Quantifier.FORALL

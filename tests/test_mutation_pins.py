@@ -20,7 +20,7 @@ from satplat.solver import Solvable, solve
 from satplat.verify import gen_random_qbf, mutate_trace
 from tests.conftest import SAMPLE_DIMACS
 
-NP_MUTANT_DIGEST = "8cc751d1f29a1f3fb38b2c6323ad1eed2cbfdb42e9a9731fbdb6ed5720d7311d"
+NP_MUTANT_DIGEST = "665c7c52c31ff0376be2799c023a4ea858549fec1e69d3f5689644b674682f8b"
 QBF_MUTANT_DIGEST = "63eb2d6c221ddb4f65dd6466b602ebc8062e85fceee9c1caad5e9805abdb9fbf"
 SEEDS = (0, 1, 2)
 MUTANTS = 200  # per seed and witness: enough that some draws are equivalent

@@ -15,9 +15,9 @@ from satplat.sim import trace_to_text
 from satplat.solver import Solvable, solve
 from satplat.verify import gen_random_qbf
 
-NP_DIGEST = "a8cf9c091221cfea59ca4c95fe412a751bc4afe3f8813054972caa7bb6cf73b2"
+NP_DIGEST = "498d329ff45e5fa7aa28893b6472380ddfc7a25d7068c08d04a45c5651a9c049"
 QBF_DIGEST = "fdbe951a1e45e585186f6a12a0bff9306fee755e45f41e758781324940192d55"
-LIMIT_DIGEST = "85f218e7363846605d0489729d60cd3cfbb481d002405bc1c5937edfcb4bc11b"
+LIMIT_DIGEST = "372fa2562df03c63117797b5ff775af88e2d11221e69b45851a1f932c9e766d6"
 
 # (n, k, seed) of unsatisfiable 3-CNFs small enough to compile.
 NP_UNSAT = ((1, 4, 5), (2, 6, 9), (2, 8, 2))
