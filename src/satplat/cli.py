@@ -14,7 +14,7 @@ from pathlib import Path
 
 from satplat.compiler import (
     CompileError,
-    check_qbf_size,
+    check_size,
     compile_qbf,
     plan_3sat,
     plan_report,
@@ -43,8 +43,9 @@ def _write_out(text: str, out: str | None):
 
 
 def _cmd_compile(args) -> int:
-    formula = parse_dimacs(Path(args.cnf).read_text())
-    plan = plan_3sat(formula)
+    text = Path(args.cnf).read_text()
+    check_size(*dimacs_header(text), NP)  # a huge formula is refused before it is parsed
+    plan = plan_3sat(parse_dimacs(text))
     level = route_and_place(plan)
     _write_out(save_level(level), args.output)
     if args.plan:
@@ -54,7 +55,7 @@ def _cmd_compile(args) -> int:
 
 def _cmd_qcompile(args) -> int:
     text = Path(args.qdimacs).read_text()
-    check_qbf_size(*dimacs_header(text))  # a huge prefix is refused before it is listed
+    check_size(*dimacs_header(text), PSPACE)  # a huge prefix is refused before it is listed
     level = compile_qbf(parse_qdimacs(text))
     _write_out(save_level(level), args.output)
     return 0

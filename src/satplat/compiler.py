@@ -38,21 +38,23 @@ from satplat.gadgets import (
     build_tunnel,
     build_variable_gadget,
     exists_width,
+    final_passage_width,
     forall_width,
     stamp_into,
+    tunnel_width,
 )
 from satplat.level import (
     CLOSE,
     EMPTY,
     NP,
     OPEN,
-    PSPACE,
     SOLID,
     Flag,
     Level,
     LevelBuilder,
     LevelError,
     Spawn,
+    variant_of,
 )
 
 # Most cells a plan's grid may have.  An NP grid grows with n^2: random
@@ -86,7 +88,6 @@ class Wire:
 
 @dataclass
 class LayoutPlan:
-    variant: str
     width: int
     height: int
     placements: list[Placement] = field(default_factory=list)
@@ -172,7 +173,7 @@ def route_and_place(plan: LayoutPlan) -> Level:
     detect_crossings(plan.wires)
 
     w, h = plan.width, plan.height
-    builder = LevelBuilder(w, h, plan.variant)
+    builder = LevelBuilder(w, h)
     if w > 0 and 2 in corridors[:w] + corridors[-w:] + corridors[::w] + corridors[w - 1::w]:
         # a corridor cell on the boundary: carve refuses the first, in wire order
         for _, *segment in _segments(plan.wires):
@@ -199,8 +200,9 @@ def route_and_place(plan: LayoutPlan) -> Level:
 
 def plan_report(plan: LayoutPlan) -> str:
     carved = _corridors(plan).count(2)
+    variant = variant_of(b for p in plan.placements for b in p.blueprint.buttons)
     lines = [
-        f"variant {plan.variant}, grid {plan.width}x{plan.height}",
+        f"variant {variant}, grid {plan.width}x{plan.height}",
         f"placements {len(plan.placements)}, carved cells {carved}, wires {len(plan.wires)}",
     ]
     for p in plan.placements:
@@ -208,6 +210,24 @@ def plan_report(plan: LayoutPlan) -> str:
     for w in plan.wires:
         lines.append(f"  wire {w.name}: " + " -> ".join(map(str, w.points)))
     return "\n".join(lines) + "\n"
+
+
+def check_size(num_variables: int, num_clauses: int, variant: str) -> None:
+    """Refuse a formula of this size and variant (NP for 3-CNF, PSPACE
+    for QBF) whose plan cannot fit the grid bound, from the counts alone,
+    so the CLI runs it on a file's header before the formula is read.
+    The narrowest plan the counts allow has no symbol in any gadget:
+    empty tunnels for NP, and only existential gadgets for QBF."""
+    n, k = num_variables, num_clauses
+    if variant == NP:
+        # a strip: the chamber, the false tunnel east of it and the merge shaft
+        strip = build_variable_gadget().width + tunnel_width(()) + 3
+        passage_x = 6 + strip * n if n else 4
+        _check_grid(passage_x + final_passage_width(k) + 2, 6 + V_PITCH * n if n else 10)
+    else:
+        gadget = exists_width((), ()) + 3  # and the gap after it
+        _check_grid(4 + gadget * n + build_clause_gadget(0).width * k
+                    + build_elevator().width + 1, QBF_HEIGHT)
 
 
 # --- NP: 3-CNF --------------------------------------------------------------
@@ -226,9 +246,10 @@ def _occurrences(formula: CnfFormula):
 
 def plan_3sat(formula: CnfFormula) -> LayoutPlan:
     n, k = formula.num_variables, formula.num_clauses
+    check_size(n, k, NP)
     pos, neg = _occurrences(formula)
 
-    plan = LayoutPlan(NP, 0, 0)
+    plan = LayoutPlan(0, 0)
 
     # The cascade: chamber i sits V_PITCH rows above chamber i+1; the
     # passage pocket row for the strip after the last chamber is pr_n.
@@ -245,21 +266,20 @@ def plan_3sat(formula: CnfFormula) -> LayoutPlan:
         height = cy1 + 9
 
     spawn_wire = [plan.spawn]
-    chamber = build_variable_gadget()  # frozen: one for every variable
+    chamber = build_variable_gadget()
 
     for i in range(1, n + 1):
         cy = cy1 - V_PITCH * (i - 1)
         rt, ru = cy - 10, cy - 2  # the true row runs below the false row
-        plan.placements.append(Placement(chamber, (cx, cy), f"x{i}."))
-        t_bp = build_tunnel([(d, OPEN) for d in pos.get(i, ())])
+        t_syms = [(d, OPEN) for d in pos.get(i, ())]
+        f_syms = [(d, OPEN) for d in neg.get(i, ())]
         tx0 = cx - 1  # the true exit drops at tx0 - 1, west of the chamber
-        plan.placements.append(Placement(t_bp, (tx0, rt - 1), f"x{i}.true."))
-        t_end = tx0 + t_bp.width - 1
-        f_bp = build_tunnel([(d, OPEN) for d in neg.get(i, ())])
         fx0 = cx + chamber.width + 1  # the false exit drops at fx0 - 1, just east of it
-        plan.placements.append(Placement(f_bp, (fx0, ru - 1), f"x{i}.false."))
-        f_end = fx0 + f_bp.width - 1
-        mx = max(t_end, f_end) + 1  # the merge shaft down to the next pocket
+        mx = max(tx0 + tunnel_width(t_syms), fx0 + tunnel_width(f_syms))  # the merge shaft
+        _check_grid(mx + 3, height)  # the grid so far, up to the merge pocket
+        plan.placements.append(Placement(chamber, (cx, cy), f"x{i}."))
+        plan.placements.append(Placement(build_tunnel(t_syms), (tx0, rt - 1), f"x{i}.true."))
+        plan.placements.append(Placement(build_tunnel(f_syms), (fx0, ru - 1), f"x{i}.false."))
         pr = cy - 14
 
         plan.wires.append(Wire(f"x{i}.true", (
@@ -272,13 +292,12 @@ def plan_3sat(formula: CnfFormula) -> LayoutPlan:
             spawn_wire.append((cx, cy1 + 6))
             plan.wires.append(Wire("spawn", tuple(spawn_wire)))
         cx = mx + 2
-        _check_grid(cx + 1, height)  # the grid so far, up to the merge pocket
 
     # Final stage: the merge shaft ends at (cx - 2, pr) for n >= 1.
     px0 = cx if n else 4
-    passage = build_final_passage(k)
-    plan.placements.append(Placement(passage, (px0, pr - 1), "passage."))
-    fx = px0 + passage.width
+    fx = px0 + final_passage_width(k)
+    _check_grid(fx + 2, height)
+    plan.placements.append(Placement(build_final_passage(k), (px0, pr - 1), "passage."))
     plan.flag = (fx, pr)
     plan.wires.append(Wire("final", ((cx - 2 if n else 2, pr), (fx, pr))))
     plan.width, plan.height = fx + 2, height
@@ -320,20 +339,11 @@ def witness_trace(level: Level, assignment: dict[int, bool], num_variables: int)
 # --- PSPACE: QBF ------------------------------------------------------------
 
 
-def check_qbf_size(num_variables: int, num_clauses: int) -> None:
-    """Refuse a QBF of this size whose plan cannot fit the grid bound,
-    before its prefix is read: the narrowest plan for it has only
-    existential gadgets, none with a symbol."""
-    gadget = exists_width((), ()) + 3  # and the gap after it
-    _check_grid(4 + gadget * num_variables + build_clause_gadget(0).width * num_clauses
-                + build_elevator().width + 1, QBF_HEIGHT)
-
-
 def plan_qbf(qbf: QbfFormula) -> LayoutPlan:
     k = qbf.matrix.num_clauses
     pos, neg = _occurrences(qbf.matrix)
 
-    plan = LayoutPlan(PSPACE, 0, 0)
+    plan = LayoutPlan(0, 0)
     fwd_y, ret_y = 2, 9
 
     plan.spawn = (2, fwd_y)

@@ -5,9 +5,9 @@ Each blueprint is a patch of level: tile rows plus the level's own
 with cells local to the patch, and a list of contract assertions that
 must hold when it is stamped alone into an otherwise solid level.  There
 is one door-id space: the plan chooses every door id when it builds a
-blueprint, and stamping copies door ids unchanged (platforms and space
-blocks are numbered in stamping order).  Its size is that of its rows,
-and it needs the PSPACE variant exactly when a button closes a door.
+blueprint, and stamping copies door ids unchanged (platforms are
+numbered in stamping order).  Its size is that of its rows, and its
+variant, like a level's, is PSPACE exactly when a button closes a door.
 Geometry is calibrated to the default physics (jump rise 3, dash length
 4, reform distance 2).
 
@@ -28,13 +28,12 @@ Conventions used throughout the blueprints:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 from satplat.level import (
     CLOSE,
     EMPTY,
-    NP,
     OPEN,
-    PSPACE,
     Button,
     Door,
     Flag,
@@ -45,6 +44,7 @@ from satplat.level import (
     SpaceBlock,
     Spawn,
     UnstablePlatform,
+    variant_of,
 )
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ class GadgetBlueprint:
 
     @property
     def variant(self) -> str:
-        """The minimum variant the patch needs."""
-        return PSPACE if any(b.action == CLOSE for b in self.buttons) else NP
+        """The variant of every level the patch is stamped into alone."""
+        return variant_of(self.buttons)
 
 
 def _from_art(art: list[str]) -> tuple[str, ...]:
@@ -126,8 +126,8 @@ def stamp_into(builder: LevelBuilder, bp: GadgetBlueprint, origin: tuple[int, in
     never overlap carved content), and the patch may open no cell of the
     grid's boundary, which `LevelBuilder.carve` refuses.  Door ids are
     copied unchanged; a collision is left to the level's `unique-door-id`
-    rule.  Platforms and space blocks are numbered in stamping order: a
-    blueprint's ids follow those already in the builder."""
+    rule.  Platforms are numbered in stamping order: a blueprint's ids
+    follow those already in the builder."""
     ox, oy = origin
     w, h = bp.width, bp.height
     if ox < 0 or oy < 0 or ox + w > builder.width or oy + h > builder.height:
@@ -138,7 +138,6 @@ def stamp_into(builder: LevelBuilder, bp: GadgetBlueprint, origin: tuple[int, in
         if x >= 0:
             raise StampError(f"{bp.kind} at {origin} overlaps carved cell {(x, y)}")
     plat_offset = builder.count[UnstablePlatform]
-    block_offset = builder.count[SpaceBlock]
     inside = 0 < ox and ox + w < builder.width  # clear of the side boundaries
     for y, tiles in enumerate(bp.rows, start=oy):
         if not (inside and 0 < y < builder.height - 1) and EMPTY in tiles:
@@ -155,8 +154,7 @@ def stamp_into(builder: LevelBuilder, bp: GadgetBlueprint, origin: tuple[int, in
                                      (ox + p.cell[0], oy + p.cell[1])))
     for blk in bp.blocks:
         x0, y0, x1, y1 = blk.rect
-        builder.add(SpaceBlock(blk.id + block_offset,
-                               (ox + x0, oy + y0, ox + x1, oy + y1)))
+        builder.add(SpaceBlock((ox + x0, oy + y0, ox + x1, oy + y1)))
     for b in bp.buttons:
         builder.add(Button((ox + b.cell[0], oy + b.cell[1]), b.door_id, b.action))
     for port in bp.ports:
@@ -173,7 +171,7 @@ def contract_level(bp: GadgetBlueprint) -> Level:
     ext = list(dict.fromkeys(b.door_id for b in bp.buttons if b.door_id not in own))
     extra_h = 3 if ext else 0
     width = max(bp.width + 2, 2 * len(ext) + 3)
-    builder = LevelBuilder(width, bp.height + 2 + extra_h, bp.variant)
+    builder = LevelBuilder(width, bp.height + 2 + extra_h)
     stamp_into(builder, bp, (1, 1))
     for i, door_id in enumerate(ext):
         cell = (1 + 2 * i, bp.height + 2)
@@ -201,6 +199,7 @@ def check_contract(bp: GadgetBlueprint):
 # --- the gadgets ------------------------------------------------------------
 
 
+@cache  # frozen and without parameters: one for every variable and size check
 def build_variable_gadget() -> GadgetBlueprint:
     """One-way binary choice chamber.
 
@@ -262,12 +261,18 @@ def build_clause_gadget(clause_index: int) -> GadgetBlueprint:
     )
 
 
+def tunnel_width(symbols) -> int:
+    """The width of a tunnel, known before it is built: its buttons and
+    two open cells at each end."""
+    return len(symbols) + 4
+
+
 def build_tunnel(symbols=()) -> GadgetBlueprint:
     """1-tall corridor of forced buttons applying (door, action) symbols
     in order; buttons block walking, so every traversal dashes through
     (and fires) all of them."""
     m = len(symbols)
-    w = m + 4
+    w = tunnel_width(symbols)
     buttons: list[Button] = []
     _lane(1, 2, symbols, buttons)
     return GadgetBlueprint(
@@ -283,12 +288,18 @@ def build_tunnel(symbols=()) -> GadgetBlueprint:
     )
 
 
+def final_passage_width(num_clauses: int) -> int:
+    """The width of the final passage, known before it is built: four
+    columns per clause wall and three more."""
+    return 4 * num_clauses + 3
+
+
 def build_final_passage(num_clauses: int) -> GadgetBlueprint:
     """The clause check walls composed in series along one corridor;
     passable end to end iff every clause has at least one open door.
     Door ids are 3*clause + slot."""
     k = num_clauses
-    w = 4 * k + 3
+    w = final_passage_width(k)
     above = "#" + "." * (w - 2) + "#"  # jump room over the corridor
     # clause c's check wall is the column of its three doors at x = 3 + 4c
     doors = tuple(Door(3 * c + s, ((3 + 4 * c, 1 + s),)) for c in range(k) for s in range(3))
@@ -457,7 +468,7 @@ def build_elevator() -> GadgetBlueprint:
     return GadgetBlueprint(
         kind="elevator",
         rows=rows,
-        blocks=(SpaceBlock(0, (2, 3, 2, 7)),),
+        blocks=(SpaceBlock((2, 3, 2, 7)),),
         ports=(Port("elev_in", (0, 1), "E"), Port("elev_out", (0, 8), "W")),
         contract=(
             Assertion("elev_in", "elev_out", True),

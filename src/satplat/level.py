@@ -2,7 +2,8 @@
 
 Coordinates are (x, y) with x growing rightward and y growing upward;
 row 0 is the bottom of the grid.  Tiles are stored bottom row first; the
-text document and the ASCII renderer both show the top row first.
+text document and the ASCII renderer both show the top row first.  A
+level's variant is derived from its entities (`variant_of`), not stated.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ class Button:
 class SpaceBlock:
     """A rectangular region that carries a dashing player straight through."""
 
-    id: int
     rect: tuple[int, int, int, int]  # x0, y0, x1, y1 inclusive
 
     @property
@@ -100,6 +100,12 @@ class Flag:
 Entity = UnstablePlatform | Door | Button | SpaceBlock | Spawn | Flag
 
 
+def variant_of(entities) -> str:
+    """PSPACE exactly when some button closes a door, else NP: the close
+    button is the one entity the PSPACE result adds to the NP game."""
+    return PSPACE if any(isinstance(e, Button) and e.action == CLOSE for e in entities) else NP
+
+
 @dataclass(frozen=True)
 class Port:
     """A named boundary cell of a stamped gadget, kept as level metadata."""
@@ -115,7 +121,6 @@ class Level:
     height: int
     tiles: tuple[str, ...]  # bottom row first, strings of '#'/'.'
     entities: tuple[Entity, ...]
-    variant: str = NP
     physics: PhysicsParams = field(default_factory=PhysicsParams)
     ports: tuple[Port, ...] = ()
 
@@ -124,14 +129,17 @@ class Level:
         # simulator's context cache hashes the level on every step.
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.width, self.height, self.tiles, self.entities,
-                      self.variant, self.physics, self.ports))
+            h = hash((self.width, self.height, self.tiles, self.entities, self.physics, self.ports))
             object.__setattr__(self, "_hash", h)
         return h
 
     def __getstate__(self) -> dict:
         # String hashes differ between processes: never pickle the cache.
         return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    @property
+    def variant(self) -> str:
+        return variant_of(self.entities)
 
     def is_solid(self, x: int, y: int) -> bool:
         if not (0 <= x < self.width and 0 <= y < self.height):
@@ -247,8 +255,6 @@ def _invariants(level: Level) -> list[Violation]:
         if row[0] != SOLID or row[-1] != SOLID:
             bad("sealed-boundary", f"row {y}", "left/right boundary must be solid")
 
-    if level.variant not in (NP, PSPACE):
-        bad("variant", level.variant, "variant must be NP or PSPACE")
     # No jump rises past the grid, and the move table built before the
     # search grows with the square of the jump rise.
     if level.physics.jump_rise > level.height:
@@ -258,7 +264,6 @@ def _invariants(level: Level) -> list[Violation]:
     seen_cells: dict[Cell, str] = {}
     door_ids: set[int] = set()
     plat_ids: set[int] = set()
-    block_ids: set[int] = set()
     spawns = flags = 0
     n_cells = level.width * level.height  # door and platform ids are bit positions
 
@@ -304,10 +309,6 @@ def _invariants(level: Level) -> list[Violation]:
             if ent.id in plat_ids:
                 bad("unique-platform-id", name, f"duplicate platform id {ent.id}")
             plat_ids.add(ent.id)
-        elif isinstance(ent, SpaceBlock):
-            if ent.id in block_ids:
-                bad("unique-block-id", name, f"duplicate space block id {ent.id}")
-            block_ids.add(ent.id)
 
     for i, ent in enumerate(level.entities):
         if isinstance(ent, Button):
@@ -316,8 +317,6 @@ def _invariants(level: Level) -> list[Violation]:
                 bad("dangling-door-id", name, f"button targets missing door {ent.door_id}")
             if ent.action not in (OPEN, CLOSE):
                 bad("button-action", name, f"unknown action {ent.action!r}")
-            if ent.action == CLOSE and level.variant != PSPACE:
-                bad("close-button-variant", name, "CLOSE button in NP variant")
 
     # A document keys ports by name, and `load_level` refuses a repeated key.
     port_names: set[str] = set()
@@ -415,7 +414,7 @@ _RECORDS = {
                     ("open", "initially_open", _typed, bool))),
     Button: ("button", (("cell", "cell", _ints, 2), ("door", "door_id", _typed, int),
                         ("action", "action", _typed, str))),
-    SpaceBlock: ("space_block", (("id", "id", _typed, int), ("rect", "rect", _ints, 4))),
+    SpaceBlock: ("space_block", (("rect", "rect", _ints, 4),)),
     Spawn: ("spawn", (("cell", "cell", _ints, 2),)),
     Flag: ("flag", (("cell", "cell", _ints, 2),)),
 }
@@ -477,7 +476,6 @@ def save_level(level: Level) -> str:
     # A row of tile characters alone is its own JSON string, quotes aside.
     tiles = [f'"{row}"' for row in rows] if not _stray(rows) else [*map(_quote, rows)]
     return _block("{}", [
-        f'"variant": {_value(level.variant, "  ")}',
         f'"width": {_value(level.width, "  ")}',
         f'"height": {_value(level.height, "  ")}',
         f'"physics": {_block("{}", _members(level.physics, _PHYSICS, "    "), "  ")}',
@@ -516,7 +514,6 @@ def load_level(document: str) -> Level:
             tiles=tuple(reversed([_typed(r, str, "tiles", "row")
                                  for r in _typed(doc["tiles"], list, "tiles")])),
             entities=tuple(_record_to_entity(r) for r in entities),
-            variant=_typed(doc["variant"], str, "variant"),
             physics=physics,
             ports=tuple(Port(name, **_read(p, _PORT))
                         for name, p in sorted(ports.items())),
@@ -583,10 +580,9 @@ class LevelBuilder:
     slices.  `count` holds the number of entities added per entity
     type."""
 
-    def __init__(self, width: int, height: int, variant: str = NP):
+    def __init__(self, width: int, height: int):
         self.width = width
         self.height = height
-        self.variant = variant
         self.grid = [SOLID * width] * height
         self.entities: list[Entity] = []
         self.count: Counter[type] = Counter()
@@ -611,7 +607,6 @@ class LevelBuilder:
             height=self.height,
             tiles=tuple(self.grid),
             entities=tuple(self.entities),
-            variant=self.variant,
             # canonical port order, so load(save(level)) == level
             ports=tuple(sorted(self.ports, key=lambda p: p.name)),
         )

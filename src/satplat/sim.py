@@ -214,11 +214,11 @@ class _Dash(NamedTuple):
 class SimContext:
     """Static tables for one level, shared by `step`, `replay` and the
     solver: the packed grid (`code`, one byte per cell, and `eid`, the
-    entity id of each entity cell) and the move records, kept for the
-    level once built, in two caches that never read each other: per move
-    for `step`, `replay` and the mutation check (`record`), and per cell
-    for the search and `legal_moves` (`records_at`), on the first
-    expansion there.
+    id of each door and platform cell and the index of each button cell)
+    and the move records, kept for the level once built, in two caches
+    that never read each other: per move for `step`, `replay` and the
+    mutation check (`record`), and per cell for the search and
+    `legal_moves` (`records_at`), on the first expansion there.
 
     `trail` is None until `replay` first finds a trace winning on the
     level, then `(moves, states)`: that trace as a tuple, and the state
@@ -261,7 +261,6 @@ class SimContext:
             elif isinstance(ent, SpaceBlock):
                 for (x, y) in ent.cells:
                     code[y * w + x] = _BLOCK
-                    eid[y * w + x] = ent.id
         self.code = code
         self.eid = eid
         self.buttons = buttons

@@ -14,7 +14,7 @@ def sample_formula():
     return parse_dimacs(SAMPLE_DIMACS)
 
 
-def level_from_art(art, entities=(), variant="NP", validate=True) -> Level:
+def level_from_art(art, entities=(), validate=True) -> Level:
     """Build a level from top-first ASCII rows.
 
     '#' is solid and every other glyph is carved empty; 'S'/'F' place the
@@ -25,7 +25,7 @@ def level_from_art(art, entities=(), variant="NP", validate=True) -> Level:
     rows = [line for line in art.strip("\n").splitlines()]
     height = len(rows)
     width = len(rows[0])
-    builder = LevelBuilder(width, height, variant)
+    builder = LevelBuilder(width, height)
     spawn = flag = None
     for top_y, line in enumerate(rows):
         y = height - 1 - top_y
@@ -48,7 +48,7 @@ def level_from_art(art, entities=(), variant="NP", validate=True) -> Level:
         builder.add(Flag(flag))
     if not validate:  # a deliberately invalid level, for the checks that reject it
         return Level(width, height, tuple("".join(row) for row in builder.grid),
-                     tuple(builder.entities), variant)
+                     tuple(builder.entities))
     return builder.build()
 
 

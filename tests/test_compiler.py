@@ -25,10 +25,12 @@ from satplat.formula import (
     gen_random_3cnf,
     parse_dimacs,
     parse_qdimacs,
+    qbf_oracle,
     sat_oracle,
 )
 from satplat.level import (
     NP,
+    PSPACE,
     Button,
     Door,
     LevelError,
@@ -38,7 +40,7 @@ from satplat.level import (
 )
 from satplat.sim import initial_state, replay
 from satplat.solver import Solvable, Unsolvable, reachable_positions, solve, solve_between
-from satplat.verify import gen_random_qbf
+from satplat.verify import enumerate_cnf, enumerate_qbf, gen_random_qbf
 
 QUANTIFIERS = {"e": Quantifier.EXISTS, "a": Quantifier.FORALL}
 
@@ -98,9 +100,9 @@ class TestCompile3Sat:
         assert sum(isinstance(e, Door) for e in level.entities) == 3 * n
 
     def test_grid_bound_refused_before_the_grid_is_allocated(self, monkeypatch):
-        # n=k=128 needs 2566 rows; the plan is refused at the first
-        # variable that takes the grid so far over the bound, so the
-        # tunnels (two per variable) after it are never built.
+        # n=k=128 needs 2566 rows; even with empty tunnels its plan is
+        # over the bound, so it is refused from the counts before any
+        # tunnel is built.
         formula = gen_random_3cnf(128, 128, 0)
         built = []
         build = compiler.build_tunnel
@@ -118,8 +120,8 @@ class TestCompile3Sat:
             tracemalloc.stop()
         assert elapsed < 1.0
         assert peak < MAX_GRID_CELLS // 4  # the 1-byte-per-cell coverage grid was never made
-        assert len(built) % 2 == 0 and 0 < len(built) < 2 * 128
-        oversized = LayoutPlan(NP, MAX_GRID_CELLS + 1, 1)
+        assert built == []
+        oversized = LayoutPlan(MAX_GRID_CELLS + 1, 1)
         with pytest.raises(CompileError, match=f"{MAX_GRID_CELLS + 1} cells"):
             plan_report(oversized)
 
@@ -129,6 +131,28 @@ class TestCompile3Sat:
         plan_report(plan_3sat(gen_random_3cnf(98, 98, 1)))
         with pytest.raises(CompileError, match=r"grid 2145x1986 has \d+ cells, over the bound"):
             plan_report(plan_3sat(gen_random_3cnf(99, 99, 1)))
+
+    @pytest.mark.parametrize("n, k", [(99, 99), (108, 108)])
+    def test_no_plan_over_the_bound_is_returned(self, n, k):
+        # the final passage is checked before it is built
+        with pytest.raises(CompileError, match=r"over the bound"):
+            plan_3sat(gen_random_3cnf(n, k, 1))
+
+    @pytest.mark.parametrize("n, k, seed", [(0, 0, 0), (1, 0, 0), (1, 3, 1), (2, 9, 2),
+                                            (4, 4, 3), (9, 2, 4), (98, 98, 1)])
+    def test_the_size_check_refuses_only_what_the_plan_refuses(self, monkeypatch, n, k, seed):
+        # a lower bound on the plan's size: a grid the plan fits passes
+        plan = plan_3sat(gen_random_3cnf(n, k, seed))
+        monkeypatch.setattr(compiler, "MAX_GRID_CELLS", plan.width * plan.height)
+        compiler.check_size(n, k, NP)
+        # and it is exact when every tunnel is empty
+        plan = plan_3sat(CnfFormula(n, ()))
+        cells = plan.width * plan.height
+        monkeypatch.setattr(compiler, "MAX_GRID_CELLS", cells - 1)
+        with pytest.raises(CompileError) as err:
+            compiler.check_size(n, 0, NP)
+        assert str(err.value) == f"grid {plan.width}x{plan.height} has {cells} cells, " \
+                                 f"over the bound of {cells - 1}"
 
     def test_area_polynomial_proxy(self):
         # frozen constant: grid area <= 1200 * (n + k)^2 for n + k >= 1
@@ -185,6 +209,27 @@ class TestCompile3Sat:
                 reached = reachable_positions(level, leg[1])
                 assert level.port(f"x{i}.{other}").cell not in reached, (i, exit_)
                 assert entry not in reached, (i, exit_)
+
+
+class TestDerivedVariant:
+    """A level's variant is PSPACE exactly when some button closes a
+    door: the compilers' levels show it without declaring it."""
+
+    def test_every_compiled_cnf_is_an_np_level(self):
+        formulas = [*enumerate_cnf(2, 2), *(gen_random_3cnf(4, 4, seed) for seed in range(50))]
+        assert len(formulas) == 247 + 50  # criterion 1's corpus and 50 random
+        assert {compile_3sat(f).variant for f in formulas} == {NP}
+
+    def test_every_compiled_qbf_with_a_variable_is_a_pspace_level(self):
+        qbfs = [q for q in enumerate_qbf(2, 2) if q.prefix]
+        assert {compile_qbf(q).variant for q in qbfs} == {PSPACE}
+
+    def test_the_zero_variable_qbf_is_an_np_level_decided_as_the_oracle_does(self):
+        qbf = parse_qdimacs("p cnf 0 0\n")
+        level = compile_qbf(qbf)
+        assert level.variant == NP
+        assert qbf_oracle(qbf) is True
+        assert isinstance(solve(level), Solvable)
 
 
 class TestPlanAndRouting:
@@ -263,7 +308,7 @@ class TestPlanAndRouting:
 
     @pytest.mark.parametrize("width, height", [(0, 3), (4, 0)])
     def test_a_zero_size_plan_is_refused_by_the_grid_shape_rule(self, width, height):
-        plan = LayoutPlan(NP, width, height, spawn=(1, 1), flag=(1, 1))
+        plan = LayoutPlan(width, height, spawn=(1, 1), flag=(1, 1))
         with pytest.raises(LevelError, match=r"\[grid-shape\]"):
             route_and_place(plan)
 
@@ -359,14 +404,14 @@ class TestCompileQbf:
         qbf = gen_random_qbf(n, k, seed)
         plan = plan_qbf(qbf)
         monkeypatch.setattr(compiler, "MAX_GRID_CELLS", plan.width * plan.height)
-        compiler.check_qbf_size(n, k)
+        compiler.check_size(n, k, PSPACE)
         # and it is exact for existentials with no symbols
         exists = QbfFormula(tuple((Quantifier.EXISTS, v) for v in range(1, n + 1)),
                             CnfFormula(n, ()))
         width = plan_qbf(exists).width
         monkeypatch.setattr(compiler, "MAX_GRID_CELLS", width * 14 - 1)
         with pytest.raises(CompileError) as err:
-            compiler.check_qbf_size(n, 0)
+            compiler.check_size(n, 0, PSPACE)
         assert str(err.value) == f"grid {width}x14 has {width * 14} cells, over the bound of " \
                                  f"{width * 14 - 1}"
 

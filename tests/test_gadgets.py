@@ -308,7 +308,7 @@ def _sized_blueprints():
 # (not its notes), for the catalog and the sized gadgets in the order
 # `_sized_blueprints` yields them.  The elevator has one size, lift 7,
 # which is its catalog entry.
-BLUEPRINT_DIGEST = "dd96c4b0a014dfa9fa65d043da1ac087ca4e7d0f23b0e2cea5ea10c1b8dff3c1"
+BLUEPRINT_DIGEST = "521503fc105e0fca37886e95b96d080b578ca519c9a7c4c19b6e263bb5e645fe"
 
 
 def test_blueprints_are_pinned():

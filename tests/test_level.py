@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from satplat.compiler import compile_3sat
 from satplat.level import (
+    NP,
+    PSPACE,
     Button,
     Door,
     Flag,
@@ -30,6 +32,7 @@ from satplat.level import (
 from satplat.sim import GameState, initial_state, step, walk
 from satplat.solver import solve
 from tests.conftest import level_from_art
+from tests.test_level_bytes import np_levels, qbf_levels
 from tests.test_solver import small_levels
 from tests.test_step_core import compiled_levels
 
@@ -98,7 +101,7 @@ def old_document(level: Level) -> dict:
     records = {UnstablePlatform: ("platform", ("id", "cell")),
                Door: ("door", ("id", "cells", "initially_open")),
                Button: ("button", ("cell", "door_id", "action")),
-               SpaceBlock: ("space_block", ("id", "rect")),
+               SpaceBlock: ("space_block", ("rect",)),
                Spawn: ("spawn", ("cell",)), Flag: ("flag", ("cell",))}
     keys = {"initially_open": "open", "door_id": "door"}
     entities = []
@@ -106,7 +109,6 @@ def old_document(level: Level) -> dict:
         kind, fields = records[type(e)]
         entities.append({"kind": kind, **{keys.get(f, f): getattr(e, f) for f in fields}})
     return {
-        "variant": level.variant,
         "width": level.width,
         "height": level.height,
         "physics": {"J": level.physics.jump_rise, "D": level.physics.dash_length,
@@ -126,7 +128,7 @@ port_text = st.text(st.characters(exclude_categories=()), max_size=6)
 @given(small_levels(),
        st.lists(st.tuples(port_text, port_text, st.integers(0, 99)), max_size=3,
                 unique_by=lambda port: port[0]))
-@example(("#####\n#S.F#\n#####", (), "NP"),
+@example(("#####\n#S.F#\n#####", ()),
          [('"\\\x00\x1f\u00e9\ud800', "\u2028\udfff\"", 0), ("", "\\", 1)])
 @settings(max_examples=150, deadline=None)
 def test_saved_small_levels_are_json_dumps_bytes_and_round_trip(spec, ports):
@@ -138,7 +140,7 @@ def test_saved_small_levels_are_json_dumps_bytes_and_round_trip(spec, ports):
              if tile == "."]
     ports = tuple(sorted((Port(name, empty[i % len(empty)], heading)
                           for name, heading, i in ports), key=lambda port: port.name))
-    level = Level(level.width, level.height, level.tiles, level.entities, level.variant,
+    level = Level(level.width, level.height, level.tiles, level.entities,
                   ports=ports)
     assert validate_level(level) == []
     doc = save_level(level)
@@ -166,7 +168,7 @@ def test_save_refuses_what_a_level_never_holds(entity, port, physics, refusal):
     # or is written as a document that `load_level` refuses.
     level = level_from_art("#####\n#S.F#\n#####", entities=[entity] if entity else [],
                            validate=False)
-    level = Level(level.width, level.height, level.tiles, level.entities, level.variant,
+    level = Level(level.width, level.height, level.tiles, level.entities,
                   physics=physics or PhysicsParams(), ports=(port,) if port else ())
     assert [v.rule for v in validate_level(level)] == ["field-type"]
     with pytest.raises((TypeError, LevelError), match=re.escape(refusal)):
@@ -180,11 +182,12 @@ def test_save_refuses_what_a_level_never_holds(entity, port, physics, refusal):
      "[door-strip] Door#2: door must span 1-3 cells, has 4"),
     ("unique-platform-id", (UnstablePlatform(0, (2, 1)), UnstablePlatform(0, (2, 3))), "NP",
      "[unique-platform-id] UnstablePlatform#3: duplicate platform id 0"),
-    ("unique-block-id", (SpaceBlock(0, (2, 2, 2, 2)), SpaceBlock(0, (2, 4, 2, 4))), "NP",
-     "[unique-block-id] SpaceBlock#3: duplicate space block id 0"),
+    ("block-rect", (SpaceBlock((2, 2, 1, 2)),), "NP",
+     "[block-rect] SpaceBlock#2: rect (2, 2, 1, 2) is degenerate or leaves the grid"),
     ("button-action", (Door(0, ((2, 4),)), Button((2, 1), 0, "toggle")), "NP",
      "[button-action] Button#3: unknown action 'toggle'"),
-    ("variant", (), "XP", "[variant] XP: variant must be NP or PSPACE"),
+    ("dangling-door-id", (Button((2, 1), 7, "close"),), "PSPACE",
+     "[dangling-door-id] Button#2: button targets missing door 7"),
     ("field-type", (Port("a", (2, 1), "E"),), "NP",
      "unknown entity Port(name='a', cell=(2, 1), direction='E')"),
 ])
@@ -193,7 +196,8 @@ def test_each_rule_refuses_a_level_that_breaks_it_alone(rule, extra, variant, re
     # (the `field-type` level), and `load_level` refuses the document of
     # every other level.
     base = level_from_art("#####\n#...#\n#...#\n#...#\n#S.F#\n#####")
-    level = Level(base.width, base.height, base.tiles, base.entities + extra, variant)
+    level = Level(base.width, base.height, base.tiles, base.entities + extra)
+    assert level.variant == variant  # PSPACE exactly when a button closes a door
     assert [v.rule for v in validate_level(level)] == [rule]
     with pytest.raises(LevelError, match=re.escape(refusal)):
         load_level(save_level(level))
@@ -205,14 +209,48 @@ def test_saved_compiled_levels_are_json_dumps_bytes(i):
     assert save_level(level) == json.dumps(old_document(level), indent=2) + "\n"
 
 
+def document_declaring_variant(level: Level) -> str:
+    """The level's document in the format that declared its variant: a
+    top-level "variant" member first, and an "id" in each space block
+    record, the blocks numbered in order."""
+    doc = json.loads(save_level(level))
+    blocks = [e for e in doc["entities"] if e["kind"] == "space_block"]
+    for i, block in enumerate(blocks):
+        rect = block.pop("rect")
+        block.update(id=i, rect=rect)
+    return json.dumps({"variant": level.variant, **doc}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("levels", [np_levels, qbf_levels], ids=["np", "qbf"])
+def test_documents_that_declare_a_variant_and_block_ids_still_load(levels):
+    # The loader ignores the members it no longer reads: the pinned
+    # levels' documents in the older format load to the same levels and
+    # save to the current bytes.
+    for level in levels():
+        doc = document_declaring_variant(level)
+        assert doc.startswith(f'{{\n  "variant": "{level.variant}",\n')
+        assert doc.count('"kind": "space_block",\n      "id": ') == \
+            sum(isinstance(e, SpaceBlock) for e in level.entities)
+        assert load_level(doc) == level
+        assert save_level(load_level(doc)) == save_level(level)
+
+
+def test_a_document_declaring_np_with_a_close_button_loads_as_pspace():
+    level = next(qbf_levels())
+    assert level.variant == PSPACE
+    doc = json.loads(document_declaring_variant(level))
+    doc["variant"] = NP
+    loaded = load_level(json.dumps(doc))
+    assert loaded == level and loaded.variant == PSPACE
+
+
 def test_a_level_with_every_entity_kind_saves_as_json_dumps_bytes():
     level = level_from_art(
         "########\n#F.....#\n#.....S#\n########",
         entities=[Door(2, ((2, 1), (2, 2)), True), Button((3, 1), 2, "close"),
-                  UnstablePlatform(0, (4, 2)), SpaceBlock(0, (5, 2, 5, 2))],
-        variant="PSPACE",
+                  UnstablePlatform(0, (4, 2)), SpaceBlock((5, 2, 5, 2))],
     )
-    level = Level(level.width, level.height, level.tiles, level.entities, level.variant,
+    level = Level(level.width, level.height, level.tiles, level.entities,
                   ports=(Port("a", (3, 2), "E"), Port("b\u00e9\"", (1, 1), "W")))
     assert validate_level(level) == []
     doc = save_level(level)
@@ -230,15 +268,6 @@ class TestValidation:
                       level.entities + (Spawn((2, 1)),))
         rules = {v.rule for v in validate_level(level)}
         assert "spawn-count" in rules
-
-    def test_close_button_in_np_variant(self):
-        level = level_from_art(
-            "######\n#S..F#\n######",
-            entities=[Door(0, ((3, 1),)), Button((2, 1), 0, "close")],
-            validate=False,
-        )
-        rules = {v.rule for v in validate_level(level)}
-        assert "close-button-variant" in rules
 
     def test_flag_on_solid(self):
         level = level_from_art("####\n#S.#\n####", validate=False)
@@ -498,7 +527,7 @@ class TestValidation:
         with pytest.raises(LevelError, match="grid-shape"):
             load_level(json.dumps(doc))
 
-    @pytest.mark.parametrize("key, value", [("width", 4.0), ("height", "3"), ("variant", [])])
+    @pytest.mark.parametrize("key, value", [("width", 4.0), ("height", "3")])
     def test_load_type_checks_document_fields(self, minimal_level, key, value):
         doc = json.loads(save_level(minimal_level))
         doc[key] = value
@@ -588,7 +617,7 @@ class TestRender:
     def test_space_block_glyph(self):
         level = level_from_art(
             "#####\n#S.F#\n#####",
-            entities=[SpaceBlock(0, (2, 1, 2, 1))],
+            entities=[SpaceBlock((2, 1, 2, 1))],
             validate=False,
         )
         assert "*" in render_ascii(level)

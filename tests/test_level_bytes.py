@@ -12,8 +12,8 @@ from satplat.compiler import compile_3sat, compile_qbf
 from satplat.formula import Quantifier, QbfFormula, gen_random_3cnf
 from satplat.level import save_level
 
-NP_DIGEST = "8a4bac58a83e808086e5cc6a5243b8f79a2aeaefe1f7c7d7a998d5178a726708"
-QBF_DIGEST = "037db9e67ca1fe1bff7bb9e348e4f423dbe4af2f6d53cdeae02b97a06d9e990c"
+NP_DIGEST = "6ad6dfb5a30f5d58794f1a40d00dd8a5e914aead2cd7579866d8f3c1ab3336fc"
+QBF_DIGEST = "d680eefea0c7500165c434c26783ea1db66f803c115b3ab5714c935a80e89e19"
 
 E, A = Quantifier.EXISTS, Quantifier.FORALL
 QBF_PREFIXES = ("E", "A", "EE", "AA", "EA", "AE", "EEE", "AAA", "EAE", "AEA",

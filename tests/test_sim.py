@@ -154,7 +154,6 @@ class TestButtons:
             "######\n#S...#\n##B.F#\n######",
             entities=[Door(0, ((3, 1),), initially_open=True), Button((2, 1), 0, "close")],
             validate=False,
-            variant="PSPACE",
         )
         s = advance(level, initial_state(level), walk(1))
         assert s.position == (2, 1)  # rests inside the button cell
@@ -165,7 +164,6 @@ class TestButtons:
             "#######\n#S.b.F#\n#######",
             entities=[Door(0, ((4, 1),), initially_open=True), Button((3, 1), 0, "close")],
             validate=False,
-            variant="PSPACE",
         )
         out = step(level, initial_state(level), dash("E"))
         assert isinstance(out, GameState)
@@ -231,7 +229,7 @@ class TestPlatforms:
 def block_death_level():
     return level_from_art(
         "########\n#S.**#F#\n########",
-        entities=[SpaceBlock(0, (3, 1, 4, 1))],
+        entities=[SpaceBlock((3, 1, 4, 1))],
         validate=False,
     )
 
@@ -250,7 +248,7 @@ class TestSpaceBlocks:
     def test_transit_carries_straight_through(self):
         level = level_from_art(
             "########\n#S.**.F#\n########",
-            entities=[SpaceBlock(0, (3, 1, 4, 1))],
+            entities=[SpaceBlock((3, 1, 4, 1))],
             validate=False,
         )
         s = advance(level, initial_state(level), dash("E"))
@@ -260,7 +258,7 @@ class TestSpaceBlocks:
     def test_walk_and_jump_cannot_enter(self):
         level = level_from_art(
             "########\n#S.**.F#\n########",
-            entities=[SpaceBlock(0, (3, 1, 4, 1))],
+            entities=[SpaceBlock((3, 1, 4, 1))],
             validate=False,
         )
         s = advance(level, initial_state(level), walk(1))
@@ -273,7 +271,7 @@ class TestSpaceBlocks:
             "##*...#\n"
             "##...F#\n"
             "#######",
-            entities=[SpaceBlock(0, (2, 2, 2, 2))],
+            entities=[SpaceBlock((2, 2, 2, 2))],
             validate=False,
         )
         s = advance(level, initial_state(level), walk(1))
@@ -290,7 +288,7 @@ class TestSpaceBlocks:
             "#####D###\n"
             "#####.###\n"
             "#########",
-            entities=[SpaceBlock(0, (3, 3, 4, 3)), Door(0, ((5, 2),))],
+            entities=[SpaceBlock((3, 3, 4, 3)), Door(0, ((5, 2),))],
             validate=False,
         )
         s = advance(level, initial_state(level), dash("E"))
@@ -304,7 +302,7 @@ class TestSpaceBlocks:
             "#####D###\n"
             "#####.###\n"
             "#########",
-            entities=[SpaceBlock(0, (3, 3, 4, 3)), Door(0, ((5, 2),))],
+            entities=[SpaceBlock((3, 3, 4, 3)), Door(0, ((5, 2),))],
             validate=False,
         )
         s = advance(level, initial_state(level), dash("E"))
@@ -318,7 +316,7 @@ class TestSpaceBlocks:
     def test_transit_chains_through_abutting_blocks(self):
         level = level_from_art(
             "#########\n#S.**..F#\n#########",
-            entities=[SpaceBlock(0, (3, 1, 3, 1)), SpaceBlock(1, (4, 1, 4, 1))],
+            entities=[SpaceBlock((3, 1, 3, 1)), SpaceBlock((4, 1, 4, 1))],
             validate=False,
         )
         s = advance(level, initial_state(level), dash("E"))

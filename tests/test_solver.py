@@ -12,10 +12,8 @@ from satplat.gadgets import build_elevator, check_contract
 from satplat.level import (
     CLOSE,
     OPEN,
-    PSPACE,
     Button,
     Door,
-    NP,
     LevelError,
     PhysicsParams,
     Port,
@@ -189,11 +187,11 @@ class TestPruningSoundness:
 # Spawn on an unstable platform above the flag: a start that broke the
 # platform would allow DASH S, which replay rejects.
 PLATFORM_SPAWN = ("#####\n#S..#\n#=..#\n#F..#\n#####",
-                  (UnstablePlatform(0, (1, 2)),), "NP")
+                  (UnstablePlatform(0, (1, 2)),))
 # Spawn over an initially open door above the flag: a start that fell
 # through it would be solved by the empty trace.
 OPEN_DOOR_SPAWN = ("#####\n#S..#\n#D..#\n#F..#\n#####",
-                   (Door(0, ((1, 2),), True),), "NP")
+                   (Door(0, ((1, 2),), True),))
 
 
 class TestStartState:
@@ -320,7 +318,7 @@ def naive_search(level, start=None):
 
 @st.composite
 def small_levels(draw):
-    """(art, entities, variant) for a 5-7 x 4-6 level with at most one
+    """(art, entities) for a 5-7 x 4-6 level with at most one
     platform, door, button and space block.  The spawn stands on a
     platform, a door or solid ground (made solid if left empty)."""
     width, height = draw(st.integers(5, 7)), draw(st.integers(4, 6))
@@ -352,17 +350,15 @@ def small_levels(draw):
                 break
             cells.append(take([above]))
         entities.append(Door(0, tuple(cells), draw(st.booleans())))
-    variant = "NP"
     if door is not None and draw(st.booleans()) and free:
         action = draw(st.sampled_from([OPEN, CLOSE]))
-        variant = PSPACE if action == CLOSE else variant
         entities.append(Button(take(free), 0, action))
     if draw(st.booleans()) and free:
         x, y = take(free)
         x1, y1 = x, y
         if draw(st.booleans()) and (x + 1, y) in free:
             x1 = take([(x + 1, y)])[0]
-        entities.append(SpaceBlock(0, (x, y, x1, y1)))
+        entities.append(SpaceBlock((x, y, x1, y1)))
     solid = draw(st.sets(st.sampled_from(free), max_size=len(free) // 2)) if free else set()
     if below in free:
         solid.add(below)
@@ -379,7 +375,7 @@ def small_levels(draw):
             else:
                 row += "."
         rows.append(row)
-    return "\n".join(rows), tuple(entities), variant
+    return "\n".join(rows), tuple(entities)
 
 
 @st.composite
@@ -426,7 +422,7 @@ def loadable_levels(draw):
         grow = draw(st.sampled_from([(0, 0), (1, 0), (0, 1)]))
         if grow != (0, 0) and (x + grow[0], y + grow[1]) in free:
             x1, y1 = take([(x + grow[0], y + grow[1])])
-        entities.append(SpaceBlock(i, (x, y, x1, y1)))
+        entities.append(SpaceBlock((x, y, x1, y1)))
     for _ in some(3 if doors else 0):
         entities.append(Button(take(free), draw(st.integers(0, len(doors) - 1)),
                                draw(st.sampled_from([OPEN, CLOSE]))))
@@ -438,8 +434,7 @@ def loadable_levels(draw):
                             else "#" if x in (0, width - 1) or y in (0, height - 1)
                             or (x, y) in solid else "." for x in range(width))
                     for y in reversed(range(height)))
-    closes = any(isinstance(e, Button) and e.action == CLOSE for e in entities)
-    level = level_from_art(art, entities, PSPACE if closes else NP, validate=False)
+    level = level_from_art(art, entities, validate=False)
     physics = PhysicsParams(draw(st.integers(1, min(5, height))), draw(st.integers(2, 6)),
                             draw(st.integers(1, 4)))
     try:

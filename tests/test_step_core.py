@@ -13,7 +13,6 @@ from satplat.formula import gen_random_3cnf
 from satplat.level import (
     CLOSE,
     OPEN,
-    PSPACE,
     SOLID,
     Button,
     Door,
@@ -74,15 +73,14 @@ def levels_and_states(draw, level_strategy=None):
 # that button opens: the exit reads the door bits after the button fired.
 BUTTON_BLOCK_DOOR = level_from_art(
     "#########\n#S.B*D.F#\n#########",
-    (Button((3, 1), 0, OPEN), SpaceBlock(0, (4, 1, 4, 1)), Door(0, ((5, 1),))),
+    (Button((3, 1), 0, OPEN), SpaceBlock((4, 1, 4, 1)), Door(0, ((5, 1),))),
 )
 
 # A dash through a space block whose exit is a CLOSE button: the exit
 # fires it and closes the open door.
 BLOCK_CLOSE_BUTTON = level_from_art(
     "#########\n#S.*B.DF#\n#########",
-    (SpaceBlock(0, (3, 1, 3, 1)), Button((4, 1), 0, CLOSE), Door(0, ((6, 1),), True)),
-    variant=PSPACE,
+    (SpaceBlock((3, 1, 3, 1)), Button((4, 1), 0, CLOSE), Door(0, ((6, 1),), True)),
 )
 
 
@@ -114,7 +112,7 @@ DOOR_OVER_PLATFORM = level_from_art(
 # reads the door bit.
 BLOCK_DOOR = level_from_art(
     "########\n#S.*D.F#\n########",
-    (SpaceBlock(0, (3, 1, 3, 1)), Door(0, ((4, 1),))),
+    (SpaceBlock((3, 1, 3, 1)), Door(0, ((4, 1),))),
 )
 # A dash over a button whose door sits in a sealed pocket: no record of
 # the spawn cell reads the door's bit, which the dash only sets.

@@ -303,7 +303,7 @@ class TestMutation:
         if variant == NP:
             levels = (compile_3sat(parse_dimacs(SAMPLE_DIMACS)),
                       level_from_art("#######\n#...F.#\n#.#####\n#S**###\n#######",
-                                     entities=[SpaceBlock(0, (2, 1, 3, 1))]))
+                                     entities=[SpaceBlock((2, 1, 3, 1))]))
         else:
             levels = (compile_qbf(gen_random_qbf(3, 2, seed=324)),)
         outcomes, verdicts = Counter(), Counter()
