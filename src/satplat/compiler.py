@@ -1,16 +1,17 @@
 """Compile formulas into levels.
 
 NP pipeline (3-CNF): one variable chamber per variable, cascading down
-and to the right.  Each strip is as narrow as its gadgets allow.  The
-false exit drops in the column just east of the chamber, and its tunnel
-starts at the foot of that shaft, just below the chamber.  The true exit
-drops west of the chamber, and its tunnel starts at the foot of that
-shaft, on a row below the false one, and runs east under the chamber.
-The layout is planar: the false tunnel ends in a one-way merge shaft
-that feeds the next chamber, and the true row joins that shaft from the
-side.  After the last chamber the shaft feeds the final passage of
-clause walls, with the flag beyond.  Tunnel buttons open the doors of
-the clauses containing the literal.
+and to the right.  Each gadget holds only the cells its contract uses,
+and each strip is as narrow as its gadgets allow.  The false exit drops
+in the column just east of the chamber, to a tunnel at the foot of that
+shaft, just below the chamber.  The true exit drops west of the
+chamber, to a tunnel at the foot of that shaft, on a row below the
+false one, that runs east under the chamber.  The layout is planar: the
+false tunnel ends in a one-way merge shaft that feeds the next chamber,
+and the true row joins that shaft from the side.  After the last
+chamber the shaft feeds the final passage of clause walls, with the
+flag beyond.  Tunnel buttons open the doors of the clauses containing
+the literal.
 
 PSPACE pipeline (QBF): quantifier gadgets in a row on a forward band,
 then the clause walls, then a space-block elevator up to a return band
@@ -58,7 +59,7 @@ from satplat.level import (
 )
 
 # Most cells a plan's grid may have.  An NP grid grows with n^2: random
-# 3-CNF at seed 1 fits up to n=k=98, and n=k=1000 would be 431M cells.
+# 3-CNF at seed 1 fits up to n=k=123, and n=k=1000 would be 271M cells.
 MAX_GRID_CELLS = 1 << 22
 
 V_PITCH = 20  # rows consumed per variable strip
@@ -255,7 +256,6 @@ def plan_3sat(formula: CnfFormula) -> LayoutPlan:
     # passage pocket row for the strip after the last chamber is pr_n.
     cy1 = (17 + V_PITCH * (n - 1)) if n else 0
     cx = 6
-    pr = cy1 + 6  # row of the pocket feeding the next stage (spawn row for n=0)
 
     if n == 0:
         pr = 4
@@ -265,7 +265,6 @@ def plan_3sat(formula: CnfFormula) -> LayoutPlan:
         plan.spawn = (cx - 3, cy1 + 6)
         height = cy1 + 9
 
-    spawn_wire = [plan.spawn]
     chamber = build_variable_gadget()
 
     for i in range(1, n + 1):
@@ -286,11 +285,11 @@ def plan_3sat(formula: CnfFormula) -> LayoutPlan:
             (cx, cy + 1), (tx0 - 1, cy + 1), (tx0 - 1, rt), (mx, rt),
         )))
         plan.wires.append(Wire(f"x{i}.false", (
-            (cx + 8, cy + 1), (fx0 - 1, cy + 1), (fx0 - 1, ru), (mx, ru), (mx, pr), (mx + 2, pr),
+            (cx + chamber.width - 1, cy + 1), (fx0 - 1, cy + 1), (fx0 - 1, ru), (mx, ru),
+            (mx, pr), (mx + 2, pr),
         )))
         if i == 1:
-            spawn_wire.append((cx, cy1 + 6))
-            plan.wires.append(Wire("spawn", tuple(spawn_wire)))
+            plan.wires.append(Wire("spawn", (plan.spawn, (cx, cy1 + 6))))
         cx = mx + 2
 
     # Final stage: the merge shaft ends at (cx - 2, pr) for n >= 1.

@@ -201,32 +201,32 @@ def check_contract(bp: GadgetBlueprint):
 
 @cache  # frozen and without parameters: one for every variable and size check
 def build_variable_gadget() -> GadgetBlueprint:
-    """One-way binary choice chamber.
+    """One-way binary choice chamber, 5x8: only the cells its contract uses.
 
     The player drops in from the entry, walks onto one of two unstable
-    platforms sealing the floor exits, falls through as it breaks, and the
+    platforms sealing the shafts, falls through as it breaks, and the
     platform reforms overhead: the other exit and the entry become
     unreachable.  Platform 0 seals exit_true (left), platform 1 seals
     exit_false (right).
     """
     rows = _from_art([
-        "#########",
-        "........#",  # y6: entry row (port at x=0)
-        "##......#",  # y5: ledge under the entry
-        "#.......#",  # y4: chamber floor walkway
-        "#.#####.#",  # y3: floor with two platform holes
-        "#.#####.#",  # y2: commit shafts
-        "..#####..",  # y1: exit row (ports at x=0 and x=8)
-        "#########",
+        "#####",
+        "....#",  # y6: entry row (port at x=0)
+        "##..#",  # y5: ledge under the entry
+        "#...#",  # y4: chamber floor walkway
+        "#.#.#",  # y3: floor with two platform holes
+        "#.#.#",  # y2: commit shafts
+        "..#..",  # y1: exit row (ports at x=0 and x=4)
+        "#####",
     ])
     return GadgetBlueprint(
         kind="variable",
         rows=rows,
-        platforms=(UnstablePlatform(0, (1, 3)), UnstablePlatform(1, (7, 3))),
+        platforms=(UnstablePlatform(0, (1, 3)), UnstablePlatform(1, (3, 3))),
         ports=(
             Port("entry", (0, 6), "E"),
             Port("exit_true", (0, 1), "W"),
-            Port("exit_false", (8, 1), "E"),
+            Port("exit_false", (4, 1), "E"),
         ),
         contract=(
             Assertion("entry", "exit_true", True, note="fresh choice, true side"),
@@ -255,7 +255,7 @@ def build_clause_gadget(clause_index: int) -> GadgetBlueprint:
         passage,
         kind="clause",
         doors=tuple(replace(d, id=first + d.id) for d in passage.doors),
-        ports=(Port("check_in", (0, 1), "E"), Port("check_out", (6, 1), "E")),
+        ports=(Port("check_in", (0, 1), "E"), Port("check_out", (passage.width - 1, 1), "E")),
         contract=combos,
         notes=f"clause {clause_index}: slot doors 0..2 bottom-up, OR semantics",
     )
@@ -263,8 +263,8 @@ def build_clause_gadget(clause_index: int) -> GadgetBlueprint:
 
 def tunnel_width(symbols) -> int:
     """The width of a tunnel, known before it is built: its buttons and
-    two open cells at each end."""
-    return len(symbols) + 4
+    one open cell at each end."""
+    return len(symbols) + 2
 
 
 def build_tunnel(symbols=()) -> GadgetBlueprint:
@@ -274,7 +274,7 @@ def build_tunnel(symbols=()) -> GadgetBlueprint:
     m = len(symbols)
     w = tunnel_width(symbols)
     buttons: list[Button] = []
-    _lane(1, 2, symbols, buttons)
+    _lane(1, 1, symbols, buttons)
     return GadgetBlueprint(
         kind="tunnel",
         rows=_from_art(["#" * w, "." * w, "#" * w]),
@@ -289,9 +289,9 @@ def build_tunnel(symbols=()) -> GadgetBlueprint:
 
 
 def final_passage_width(num_clauses: int) -> int:
-    """The width of the final passage, known before it is built: four
-    columns per clause wall and three more."""
-    return 4 * num_clauses + 3
+    """The width of the final passage, known before it is built: two
+    columns per clause wall and four more."""
+    return 2 * num_clauses + 4
 
 
 def build_final_passage(num_clauses: int) -> GadgetBlueprint:
@@ -301,8 +301,9 @@ def build_final_passage(num_clauses: int) -> GadgetBlueprint:
     k = num_clauses
     w = final_passage_width(k)
     above = "#" + "." * (w - 2) + "#"  # jump room over the corridor
-    # clause c's check wall is the column of its three doors at x = 3 + 4c
-    doors = tuple(Door(3 * c + s, ((3 + 4 * c, 1 + s),)) for c in range(k) for s in range(3))
+    # clause c's check wall is the column of its three doors at x = 3 + 2c;
+    # two columns follow the last, or the boundary blocks the top door's exit
+    doors = tuple(Door(3 * c + s, ((3 + 2 * c, 1 + s),)) for c in range(k) for s in range(3))
     contract = [Assertion("passage_in", "flag_port", k == 0,
                           note="all doors closed" if k else "empty passage")]
     if k:

@@ -310,14 +310,14 @@ class TestErrorPaths:
     def test_compile_refuses_a_huge_header_before_the_clauses_are_parsed(self, tmp_path,
                                                                          capsys):
         # 100,000 clauses `1 0` (400 KB): even with empty tunnels the plan
-        # is 400027 columns wide, so the header alone refuses it.
+        # is 200022 columns wide, so the header alone refuses it.
         path = tmp_path / "clauses.cnf"
         path.write_text("p cnf 1 100000\n" + "1 0\n" * 100_000)
         start = time.perf_counter()
         code, out, err = run(capsys, "compile", path)
         assert time.perf_counter() - start < 0.1
         assert code == 2 and out == ""
-        assert err == "error: grid 400027x26 has 10400702 cells, over the bound of 4194304\n"
+        assert err == "error: grid 200022x26 has 5200572 cells, over the bound of 4194304\n"
 
     def test_qcompile_refuses_a_huge_header_before_the_prefix_is_listed(self, tmp_path,
                                                                          capsys):

@@ -100,10 +100,10 @@ class TestCompile3Sat:
         assert sum(isinstance(e, Door) for e in level.entities) == 3 * n
 
     def test_grid_bound_refused_before_the_grid_is_allocated(self, monkeypatch):
-        # n=k=128 needs 2566 rows; even with empty tunnels its plan is
+        # n=k=132 needs 2646 rows; even with empty tunnels its plan is
         # over the bound, so it is refused from the counts before any
         # tunnel is built.
-        formula = gen_random_3cnf(128, 128, 0)
+        formula = gen_random_3cnf(132, 132, 0)
         built = []
         build = compiler.build_tunnel
         monkeypatch.setattr(compiler, "build_tunnel", lambda syms: built.append(syms) or build(syms))
@@ -111,7 +111,7 @@ class TestCompile3Sat:
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            with pytest.raises(CompileError, match=r"grid \d+x2566 has \d+ cells, over the bound "
+            with pytest.raises(CompileError, match=r"grid \d+x2646 has \d+ cells, over the bound "
                                                    f"of {MAX_GRID_CELLS}"):
                 compile_3sat(formula)
             elapsed = time.perf_counter() - start
@@ -125,21 +125,22 @@ class TestCompile3Sat:
         with pytest.raises(CompileError, match=f"{MAX_GRID_CELLS + 1} cells"):
             plan_report(oversized)
 
-    def test_seed_one_compiles_up_to_n_k_98(self):
-        # the grid check that routing runs: n=k=98 is 2124x1966 cells,
-        # n=k=99 is 2145x1986, over the bound
-        plan_report(plan_3sat(gen_random_3cnf(98, 98, 1)))
-        with pytest.raises(CompileError, match=r"grid 2145x1986 has \d+ cells, over the bound"):
-            plan_report(plan_3sat(gen_random_3cnf(99, 99, 1)))
+    def test_seed_one_compiles_up_to_n_k_123(self):
+        # the grid check that routing runs: n=k=123 is 1678x2466 cells,
+        # n=k=124 is 1691x2486, over the bound
+        plan_report(plan_3sat(gen_random_3cnf(123, 123, 1)))
+        with pytest.raises(CompileError, match=r"grid 1691x2486 has \d+ cells, over the bound"):
+            plan_report(plan_3sat(gen_random_3cnf(124, 124, 1)))
 
-    @pytest.mark.parametrize("n, k", [(99, 99), (108, 108)])
+    @pytest.mark.parametrize("n, k", [(124, 124), (131, 131)])
     def test_no_plan_over_the_bound_is_returned(self, n, k):
         # the final passage is checked before it is built
         with pytest.raises(CompileError, match=r"over the bound"):
             plan_3sat(gen_random_3cnf(n, k, 1))
 
     @pytest.mark.parametrize("n, k, seed", [(0, 0, 0), (1, 0, 0), (1, 3, 1), (2, 9, 2),
-                                            (4, 4, 3), (9, 2, 4), (98, 98, 1)])
+                                            (4, 4, 3), (9, 2, 4), (98, 98, 1),
+                                            (123, 123, 1)])
     def test_the_size_check_refuses_only_what_the_plan_refuses(self, monkeypatch, n, k, seed):
         # a lower bound on the plan's size: a grid the plan fits passes
         plan = plan_3sat(gen_random_3cnf(n, k, seed))
@@ -244,7 +245,7 @@ class TestPlanAndRouting:
         plan = plan_3sat(sample_formula)
         route_and_place(plan)
         report = plan_report(plan)
-        assert "wires 8" in report and "carved cells 128" in report
+        assert "wires 8" in report and "carved cells 116" in report
         assert "variable" in report and "tunnel" in report
 
     @pytest.mark.parametrize("n, k, seed", [(3, 2, 0), (7, 7, 1), (9, 20, 2)])
@@ -280,7 +281,7 @@ class TestPlanAndRouting:
         (((3, 63), (6, 62)), "wire spawn has a diagonal segment"),
         (((-1, 63), (6, 63)), "wire spawn leaves the grid"),
         # down into the first chamber: a vertical wire is checked bottom up
-        (((12, 63), (12, 55)), r"wire spawn runs through solid gadget cell \(12, 57\)"),
+        (((8, 63), (8, 55)), r"wire spawn runs through solid gadget cell \(8, 57\)"),
     ])
     def test_misrouted_wire_rejected(self, sample_formula, points, message):
         plan = plan_3sat(sample_formula)
@@ -345,10 +346,10 @@ class TestPlanAndRouting:
         plan.wires[true] = Wire("x1.true", ((cx, cy + 1), (cx - 2, cy + 1), (cx - 2, cy - 2),
                                             (mx, cy - 2), (mx, pr), (mx + 2, pr)))
         plan.wires[false] = Wire("x1.false", (
-            (cx + 8, cy + 1), (cx + 14, cy + 1), (cx + 14, cy - 10), (mx, cy - 10)))
+            (cx + 4, cy + 1), (cx + 6, cy + 1), (cx + 6, cy - 10), (mx, cy - 10)))
         with pytest.raises(CompileError) as err:
             route_and_place(plan)
-        assert str(err.value) == f"wires ['x1.false', 'x1.true'] cross at {(cx + 14, cy - 2)}"
+        assert str(err.value) == f"wires ['x1.false', 'x1.true'] cross at {(cx + 6, cy - 2)}"
 
 
 class TestCompileQbf:

@@ -35,8 +35,15 @@ from satplat.level import (
     Spawn,
     UnstablePlatform,
 )
-from satplat.sim import BLOCKED, GameState, jump, step
-from satplat.solver import DEFAULT_MAX_STATES, reachable_ports, reachable_positions, solve_between
+from satplat import sim
+from satplat.sim import BLOCKED, GameState, SimContext, jump, step
+from satplat.solver import (
+    DEFAULT_MAX_STATES,
+    _search,
+    reachable_ports,
+    reachable_positions,
+    solve_between,
+)
 
 
 def probe_state(level, port_name, doors=0, plats=0):
@@ -73,6 +80,44 @@ class TestVariableGadget:
         reached = reachable_ports(level, "entry")
         assert {"exit_true", "exit_false"} <= reached
 
+    @staticmethod
+    def leaks(ctx, level):
+        """Every state at an exit that an exhaustive search from the
+        entry reaches, each with the cells among the other exit and the
+        entry that it reaches in turn."""
+        cells = {name: level.port(name).cell for name in ("entry", "exit_true", "exit_false")}
+        exits = {cells[name]: name for name in ("exit_true", "exit_false")}
+        found = _search(ctx, probe_state(level, "entry"), None, DEFAULT_MAX_STATES, None)
+        leaks = {}
+        for state in map(found.keys.state, found.parents):
+            exit_ = exits.get(state.position)
+            if exit_ is not None:
+                after = _search(ctx, state, None, DEFAULT_MAX_STATES, None)
+                reached = {after.keys.state(key).position for key in after.parents}
+                leaks[state] = {n for n, cell in cells.items() if n != exit_ and cell in reached}
+        return leaks
+
+    def test_every_committed_state_stays_committed(self):
+        # the contract's exit assertions start from a fresh probe; here
+        # every state the entry reaches at an exit is checked
+        level = contract_level(build_variable_gadget())
+        leaks = self.leaks(SimContext(level), level)
+        assert {s.position for s in leaks} == {level.port("exit_true").cell,
+                                               level.port("exit_false").cell}
+        assert not any(leaks.values()), leaks
+
+    def test_commitment_rests_on_platform_reform(self, monkeypatch):
+        # with a reform distance past the grid no broken platform comes
+        # back: the test above then fails, as every state the entry
+        # reaches at an exit reaches both the other exit and the entry
+        near = sim._near_platforms
+        monkeypatch.setattr(sim, "_near_platforms",
+                            lambda w, h, plat_cells, reform: near(w, h, plat_cells, w + h))
+        level = contract_level(build_variable_gadget())
+        leaks = self.leaks(SimContext(level), level)
+        assert len(leaks) == 4
+        assert all(len(ports) == 2 for ports in leaks.values()), leaks
+
 
 class TestClauseGadget:
     @pytest.mark.parametrize("mask", range(8))
@@ -82,6 +127,18 @@ class TestClauseGadget:
         doors = {6 + s: bool((mask >> s) & 1) for s in range(3)}
         reached = reachable_ports(level, "check_in", doors)
         assert ("check_out" in reached) == (mask != 0)
+
+
+class TestFinalPassage:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_passable_exactly_when_every_clause_has_an_open_door(self, k):
+        # every door mask, so adjacent walls meet in every combination
+        level = contract_level(build_final_passage(k))
+        for mask in range(1 << 3 * k):
+            doors = {d: bool(mask >> d & 1) for d in range(3 * k)}
+            satisfied = all(mask >> 3 * c & 0b111 for c in range(k))
+            assert ("flag_port" in reachable_ports(level, "passage_in", doors)) == satisfied, \
+                f"door mask {mask:0{3 * k}b}"
 
 
 class TestTunnel:
@@ -165,7 +222,6 @@ class TestExistsGadget:
         # only hurt herself by leaving doors closed), and both honest
         # choices are realizable.
         from satplat.sim import sim_context
-        from satplat.solver import _search
 
         level = self.build()
         ctx = sim_context(level)
@@ -266,7 +322,7 @@ class TestStamp:
 
     @pytest.mark.parametrize("build, origin, cell", [
         (build_tunnel, (0, 3), (0, 4)),  # the tunnel's corridor runs edge to edge
-        (build_tunnel, (24, 3), (27, 4)),
+        (build_tunnel, (26, 3), (27, 4)),
         (build_elevator, (3, 2), (4, 11)),  # its top row holds the jump headroom
     ])
     def test_a_patch_opening_the_boundary_is_refused_as_carve_refuses_it(self, build, origin,
@@ -308,7 +364,7 @@ def _sized_blueprints():
 # (not its notes), for the catalog and the sized gadgets in the order
 # `_sized_blueprints` yields them.  The elevator has one size, lift 7,
 # which is its catalog entry.
-BLUEPRINT_DIGEST = "521503fc105e0fca37886e95b96d080b578ca519c9a7c4c19b6e263bb5e645fe"
+BLUEPRINT_DIGEST = "c99aafcab6f6d4c2817cc0c0c3e18f7c7d0dca19306c5e105e5ebece04324540"
 
 
 def test_blueprints_are_pinned():

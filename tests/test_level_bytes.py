@@ -12,8 +12,8 @@ from satplat.compiler import compile_3sat, compile_qbf
 from satplat.formula import Quantifier, QbfFormula, gen_random_3cnf
 from satplat.level import save_level
 
-NP_DIGEST = "6ad6dfb5a30f5d58794f1a40d00dd8a5e914aead2cd7579866d8f3c1ab3336fc"
-QBF_DIGEST = "d680eefea0c7500165c434c26783ea1db66f803c115b3ab5714c935a80e89e19"
+NP_DIGEST = "5ad585f073e0345ebe7efa741609366f31bb03a49f23148466306ae7457e9df7"
+QBF_DIGEST = "1a3e8b33fa7a62fafa1bf88ac4aba37d238cc9fc065ceff9c40a32bd5ae57a40"
 
 E, A = Quantifier.EXISTS, Quantifier.FORALL
 QBF_PREFIXES = ("E", "A", "EE", "AA", "EA", "AE", "EEE", "AAA", "EAE", "AEA",

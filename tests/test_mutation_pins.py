@@ -20,8 +20,8 @@ from satplat.solver import Solvable, solve
 from satplat.verify import gen_random_qbf, mutate_trace
 from tests.conftest import SAMPLE_DIMACS
 
-NP_MUTANT_DIGEST = "665c7c52c31ff0376be2799c023a4ea858549fec1e69d3f5689644b674682f8b"
-QBF_MUTANT_DIGEST = "63eb2d6c221ddb4f65dd6466b602ebc8062e85fceee9c1caad5e9805abdb9fbf"
+NP_MUTANT_DIGEST = "281151a30023fecfe85e7d4c4ca07dc1b187b31a3eded24d7d3a0d292f0d12af"
+QBF_MUTANT_DIGEST = "56c5f27a9e177ea0e82ba276c0d2c4cccd44ad9de1b6c6f44e615f38805ba67a"
 SEEDS = (0, 1, 2)
 MUTANTS = 200  # per seed and witness: enough that some draws are equivalent
 

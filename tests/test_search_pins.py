@@ -15,9 +15,9 @@ from satplat.sim import trace_to_text
 from satplat.solver import Solvable, solve
 from satplat.verify import gen_random_qbf
 
-NP_DIGEST = "498d329ff45e5fa7aa28893b6472380ddfc7a25d7068c08d04a45c5651a9c049"
-QBF_DIGEST = "fdbe951a1e45e585186f6a12a0bff9306fee755e45f41e758781324940192d55"
-LIMIT_DIGEST = "372fa2562df03c63117797b5ff775af88e2d11221e69b45851a1f932c9e766d6"
+NP_DIGEST = "bd5b8573baafda59a28dd6e44dc66344666781656b3b5097f256eecd38d4e3fe"
+QBF_DIGEST = "6111dcb451ba8c9a5edb40b976a9431c8055f8ec3c33da763e309705cab8c970"
+LIMIT_DIGEST = "e5d6a14e17341381d4fdc4255036d517aecd6dcd1b92cac7a99f66dbdef4385f"
 
 # (n, k, seed) of unsatisfiable 3-CNFs small enough to compile.
 NP_UNSAT = ((1, 4, 5), (2, 6, 9), (2, 8, 2))

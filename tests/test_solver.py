@@ -518,10 +518,13 @@ def test_search_visits_exactly_the_states_step_reaches(spec, extra_doors, plats)
 def test_search_memory_per_visited_state():
     # Peak traced allocation of `solve` per visited state, the context
     # built beforehand and its move records built by the search, as the
-    # benchmark's memory pass measures it: about 129 B on Python 3.11.
+    # benchmark's memory pass measures it: about 128 B on Python 3.11.
     # A fresh int per visited state, such as a packed parent link, adds
-    # about 50 B and fails the bound.
+    # about 50 B and fails the bound.  A first solve in a process reads
+    # about 30 B more than later ones, so an untraced solve of the same
+    # level runs first, and the traced one gets a fresh context.
     level = compile_3sat(gen_random_3cnf(8, 8, seed=1))
+    solve(level)
     sim_context.cache_clear()
     sim_context(level)
     tracemalloc.start()
