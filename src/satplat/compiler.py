@@ -14,10 +14,12 @@ flag beyond.  Tunnel buttons open the doors of the clauses containing
 the literal.
 
 PSPACE pipeline (QBF): quantifier gadgets in a row on a forward band,
-then the clause walls, then a space-block elevator up to a return band
-that runs back over everything.  Universal gadgets reroute the player
-forward again (one-way drop) until exhausted; the flag sits at the far
-end of the return band.
+then one final passage of clause walls, then a space-block elevator up
+to a return band that runs back over everything.  The gadgets abut,
+but each universal one keeps the column east of it for its one-way
+reroute drop, which puts the player forward again until the gadget is
+exhausted.  The spawn and the flag sit in the first open column, at
+the west ends of the forward and return bands.
 
 A plan's wires are its corridors: `route_and_place` carves every wire
 cell outside every gadget, and the gadgets must leave the rest open.
@@ -31,7 +33,6 @@ from dataclasses import dataclass, field
 from satplat.formula import CnfFormula, QbfFormula, Quantifier
 from satplat.gadgets import (
     GadgetBlueprint,
-    build_clause_gadget,
     build_elevator,
     build_exists_gadget,
     build_final_passage,
@@ -217,8 +218,9 @@ def check_size(num_variables: int, num_clauses: int, variant: str) -> None:
     """Refuse a formula of this size and variant (NP for 3-CNF, PSPACE
     for QBF) whose plan cannot fit the grid bound, from the counts alone,
     so the CLI runs it on a file's header before the formula is read.
-    The narrowest plan the counts allow has no symbol in any gadget:
-    empty tunnels for NP, and only existential gadgets for QBF."""
+    The narrowest plan the counts allow: empty tunnels for NP, and for
+    QBF only existential gadgets, which hold the 3k literal symbols
+    between them."""
     n, k = num_variables, num_clauses
     if variant == NP:
         # a strip: the chamber, the false tunnel east of it and the merge shaft
@@ -226,9 +228,9 @@ def check_size(num_variables: int, num_clauses: int, variant: str) -> None:
         passage_x = 6 + strip * n if n else 4
         _check_grid(passage_x + final_passage_width(k) + 2, 6 + V_PITCH * n if n else 10)
     else:
-        gadget = exists_width((), ()) + 3  # and the gap after it
-        _check_grid(4 + gadget * n + build_clause_gadget(0).width * k
-                    + build_elevator().width + 1, QBF_HEIGHT)
+        gadgets = exists_width((), ()) * n + 3 * k  # abutting, one symbol per literal
+        _check_grid(2 + gadgets + final_passage_width(k) + build_elevator().width + 1,
+                    QBF_HEIGHT)
 
 
 # --- NP: 3-CNF --------------------------------------------------------------
@@ -342,14 +344,11 @@ def plan_qbf(qbf: QbfFormula) -> LayoutPlan:
     k = qbf.matrix.num_clauses
     pos, neg = _occurrences(qbf.matrix)
 
-    plan = LayoutPlan(0, 0)
     fwd_y, ret_y = 2, 9
-
-    plan.spawn = (2, fwd_y)
-    x = 4
+    # the flag pocket is the west end of the return band
+    plan = LayoutPlan(0, QBF_HEIGHT, spawn=(1, fwd_y), flag=(1, ret_y))
+    x = 2
     door_base = 3 * k
-    fwd_wire = [(2, fwd_y)]
-    ret_wire_pts = []
 
     # A quantifier gadget's width follows from its symbols, so the grid is
     # checked for every gadget before the first is built.
@@ -359,10 +358,15 @@ def plan_qbf(qbf: QbfFormula) -> LayoutPlan:
         ps, ns = pos.get(var, ()), neg.get(var, ())
         true_syms = tuple((d, OPEN) for d in ps) + tuple((d, CLOSE) for d in ns)
         false_syms = tuple((d, OPEN) for d in ns) + tuple((d, CLOSE) for d in ps)
-        width = exists_width if quant is Quantifier.EXISTS else forall_width
-        end += width(true_syms, false_syms) + 3  # and the gap after it
+        if quant is Quantifier.EXISTS:
+            end += exists_width(true_syms, false_syms)  # the next placement abuts it
+        else:
+            end += forall_width(true_syms, false_syms) + 1  # and its reroute shaft
         _check_grid(end, QBF_HEIGHT)
         gadgets.append((quant, true_syms, false_syms))
+    elev = build_elevator()  # lifts the forward band to the return band
+    plan.width = end + final_passage_width(k) + elev.width + 1
+    _check_grid(plan.width, QBF_HEIGHT)
 
     for qi, (quant, true_syms, false_syms) in enumerate(gadgets, start=1):
         if quant is Quantifier.EXISTS:
@@ -371,30 +375,16 @@ def plan_qbf(qbf: QbfFormula) -> LayoutPlan:
             bp = build_forall_gadget(door_base, true_syms, false_syms)
         plan.placements.append(Placement(bp, (x, 1), f"q{qi}."))
         door_base += len(bp.doors)
-        east = x + bp.width - 1
-        fwd_wire.append((east, fwd_y))
-        if quant is Quantifier.FORALL:
-            jx = east + 2
-            plan.wires.append(Wire(f"q{qi}.reroute", ((east, 4), (jx, 4), (jx, fwd_y))))
-        ret_wire_pts.append((east, ret_y))
-        x = east + 4
-
-    for c in range(k):
-        bp = build_clause_gadget(c)
-        plan.placements.append(Placement(bp, (x, 1), f"c{c}."))
         x += bp.width
-        _check_grid(x, QBF_HEIGHT)
+        if quant is Quantifier.FORALL:  # the reroute shaft drops to the forward band
+            plan.wires.append(Wire(f"q{qi}.reroute", ((x - 1, 4), (x, 4), (x, fwd_y))))
+            x += 1
 
-    elev = build_elevator()  # lifts the forward band to the return band
+    plan.placements.append(Placement(build_final_passage(k), (x, 1), "passage."))
+    x += final_passage_width(k)
     plan.placements.append(Placement(elev, (x, 1), "lift."))
-    plan.wires.append(Wire("forward", tuple(fwd_wire + [(x, fwd_y)])))
-    plan.wires.append(Wire("return", tuple([(x, ret_y)] + ret_wire_pts[::-1] + [(2, ret_y)])))
-
-    # flag pocket at the west end of the return band
-    plan.flag = (2, ret_y)
-
-    plan.width = x + elev.width + 1
-    plan.height = QBF_HEIGHT
+    plan.wires.append(Wire("forward", (plan.spawn, (x, fwd_y))))
+    plan.wires.append(Wire("return", ((x, ret_y), plan.flag)))
     return plan
 
 

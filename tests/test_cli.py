@@ -329,7 +329,7 @@ class TestErrorPaths:
         code, out, err = run(capsys, "qcompile", path)
         assert time.perf_counter() - start < 0.1
         assert code == 2 and out == ""
-        assert err == "error: grid 6000010x14 has 84000140 cells, over the bound of 4194304\n"
+        assert err == "error: grid 4500012x14 has 63000168 cells, over the bound of 4194304\n"
 
 
 # --- fuzzing main ---------------------------------------------------------

@@ -39,7 +39,14 @@ from satplat.level import (
     validate_level,
 )
 from satplat.sim import initial_state, replay
-from satplat.solver import Solvable, Unsolvable, reachable_positions, solve, solve_between
+from satplat.solver import (
+    Solvable,
+    Unsolvable,
+    reachable_ports,
+    reachable_positions,
+    solve,
+    solve_between,
+)
 from satplat.verify import enumerate_cnf, enumerate_qbf, gen_random_qbf
 
 QUANTIFIERS = {"e": Quantifier.EXISTS, "a": Quantifier.FORALL}
@@ -379,7 +386,7 @@ class TestCompileQbf:
         assert validate_level(level) == []
         assert level.height == 14
 
-    @pytest.mark.parametrize("quantifiers, width", [("e", 299596), ("ea", 299602)])
+    @pytest.mark.parametrize("quantifiers, width", [("e", 299594), ("ea", 299602)])
     def test_grid_bound_refused_before_any_gadget_is_built(self, monkeypatch, quantifiers,
                                                            width):
         # The refusal a plan built gadget by gadget met (for "e", that of
@@ -388,7 +395,7 @@ class TestCompileQbf:
         qbf = QbfFormula(tuple((QUANTIFIERS[quantifiers[v % len(quantifiers)]], v)
                                for v in range(1, n + 1)), CnfFormula(n, ()))
         calls = []
-        for name in ("build_exists_gadget", "build_forall_gadget", "build_clause_gadget",
+        for name in ("build_exists_gadget", "build_forall_gadget", "build_final_passage",
                      "build_elevator"):
             monkeypatch.setattr(compiler, name, lambda *args, name=name: calls.append(name))
         start = time.perf_counter()
@@ -399,20 +406,32 @@ class TestCompileQbf:
         assert str(err.value) == (f"grid {width}x14 has {width * 14} cells, "
                                   f"over the bound of {MAX_GRID_CELLS}")
 
-    @pytest.mark.parametrize("n, k, seed", [(1, 2, 0), (2, 0, 1), (3, 2, 2), (4, 4, 3)])
+    def test_the_whole_plan_is_checked_before_any_gadget_is_built(self, monkeypatch):
+        # 33,287 existentials fit the bound (299,585 columns); the final
+        # passage and the elevator after them do not
+        n = 33_287
+        qbf = QbfFormula(tuple((Quantifier.EXISTS, v) for v in range(1, n + 1)),
+                         CnfFormula(n, ()))
+        monkeypatch.setattr(compiler, "build_exists_gadget", lambda *args: pytest.fail("built"))
+        with pytest.raises(CompileError) as err:
+            plan_qbf(qbf)
+        assert str(err.value) == (f"grid 299595x14 has {299595 * 14} cells, "
+                                  f"over the bound of {MAX_GRID_CELLS}")
+
+    @pytest.mark.parametrize("n, k, seed", [(0, 0, 0), (1, 2, 0), (2, 0, 1), (3, 2, 2),
+                                            (4, 4, 3), (6, 9, 4)])
     def test_the_size_check_refuses_only_what_the_plan_refuses(self, monkeypatch, n, k, seed):
         # a lower bound on the plan's width: a grid the plan fits passes
         qbf = gen_random_qbf(n, k, seed)
         plan = plan_qbf(qbf)
         monkeypatch.setattr(compiler, "MAX_GRID_CELLS", plan.width * plan.height)
         compiler.check_size(n, k, PSPACE)
-        # and it is exact for existentials with no symbols
-        exists = QbfFormula(tuple((Quantifier.EXISTS, v) for v in range(1, n + 1)),
-                            CnfFormula(n, ()))
+        # and it is exact when every quantifier is existential
+        exists = QbfFormula(tuple((Quantifier.EXISTS, v) for v in range(1, n + 1)), qbf.matrix)
         width = plan_qbf(exists).width
         monkeypatch.setattr(compiler, "MAX_GRID_CELLS", width * 14 - 1)
         with pytest.raises(CompileError) as err:
-            compiler.check_size(n, 0, PSPACE)
+            compiler.check_size(n, k, PSPACE)
         assert str(err.value) == f"grid {width}x14 has {width * 14} cells, over the bound of " \
                                  f"{width * 14 - 1}"
 
@@ -422,5 +441,38 @@ class TestCompileQbf:
         kinds = [p.blueprint.kind for p in plan.placements]
         assert kinds.count("exists") == 1
         assert kinds.count("forall") == 1
-        assert kinds.count("clause") == 1
+        assert kinds.count("final_passage") == 1
         assert kinds.count("elevator") == 1
+
+    @pytest.mark.parametrize("letters, k, seed", [("eaa", 4, 1), ("aee", 3, 2), ("eaae", 3, 3),
+                                                  ("aeea", 3, 4), ("aaee", 2, 5), ("e", 0, 6)])
+    def test_quantifier_gadgets_abut(self, letters, k, seed):
+        # each placement starts in the column after the last one's: an
+        # existential gadget is followed directly, a universal one after
+        # its reroute shaft; the passage follows the last quantifier
+        # gadget, and the spawn and flag take the first open column
+        qbf = QbfFormula(tuple((QUANTIFIERS[q], v) for v, q in enumerate(letters, start=1)),
+                         gen_random_3cnf(len(letters), k, seed))
+        plan = plan_qbf(qbf)
+        kinds = [p.blueprint.kind for p in plan.placements]
+        assert kinds == [{"e": "exists", "a": "forall"}[q] for q in letters] + [
+            "final_passage", "elevator"]
+        assert plan.placements[0].origin == (2, 1)
+        for before, after in zip(plan.placements, plan.placements[1:]):
+            east = before.origin[0] + before.blueprint.width - 1
+            assert after.origin == (east + (2 if before.blueprint.kind == "forall" else 1), 1)
+        level = route_and_place(plan)
+        assert level.spawn.cell == (1, 2) and level.flag.cell == (1, 9)
+
+    @pytest.mark.parametrize("letters, k, seed", [("eaa", 2, 1), ("aee", 2, 2), ("eaae", 3, 3),
+                                                  ("aeea", 3, 4)])
+    def test_placed_quantifier_gadgets_keep_their_direction(self, letters, k, seed):
+        # the isolated gadgets' forward contract, checked in the placed
+        # level: with its neighbours abutting, each gadget is crossed
+        # forward and gives no way back to its entry
+        qbf = QbfFormula(tuple((QUANTIFIERS[q], v) for v, q in enumerate(letters, start=1)),
+                         gen_random_3cnf(len(letters), k, seed))
+        level = compile_qbf(qbf)
+        for i in range(1, len(letters) + 1):
+            assert f"q{i}.q_out" in reachable_ports(level, f"q{i}.q_in"), i
+            assert f"q{i}.q_in" not in reachable_ports(level, f"q{i}.q_out"), i

@@ -13,7 +13,7 @@ from satplat.formula import Quantifier, QbfFormula, gen_random_3cnf
 from satplat.level import save_level
 
 NP_DIGEST = "5ad585f073e0345ebe7efa741609366f31bb03a49f23148466306ae7457e9df7"
-QBF_DIGEST = "1a3e8b33fa7a62fafa1bf88ac4aba37d238cc9fc065ceff9c40a32bd5ae57a40"
+QBF_DIGEST = "5ab230f5530ab14a70be562bc7882e2a3351f0b27c63550bb86f92166cc0f9d4"
 
 E, A = Quantifier.EXISTS, Quantifier.FORALL
 QBF_PREFIXES = ("E", "A", "EE", "AA", "EA", "AE", "EEE", "AAA", "EAE", "AEA",

@@ -21,7 +21,7 @@ from satplat.verify import gen_random_qbf, mutate_trace
 from tests.conftest import SAMPLE_DIMACS
 
 NP_MUTANT_DIGEST = "281151a30023fecfe85e7d4c4ca07dc1b187b31a3eded24d7d3a0d292f0d12af"
-QBF_MUTANT_DIGEST = "56c5f27a9e177ea0e82ba276c0d2c4cccd44ad9de1b6c6f44e615f38805ba67a"
+QBF_MUTANT_DIGEST = "f7d3357b6e8df8da8f6933a97d8eee638b6356d84050b3bde62b28eac9b71ac7"
 SEEDS = (0, 1, 2)
 MUTANTS = 200  # per seed and witness: enough that some draws are equivalent
 

@@ -16,8 +16,8 @@ from satplat.solver import Solvable, solve
 from satplat.verify import gen_random_qbf
 
 NP_DIGEST = "bd5b8573baafda59a28dd6e44dc66344666781656b3b5097f256eecd38d4e3fe"
-QBF_DIGEST = "6111dcb451ba8c9a5edb40b976a9431c8055f8ec3c33da763e309705cab8c970"
-LIMIT_DIGEST = "e5d6a14e17341381d4fdc4255036d517aecd6dcd1b92cac7a99f66dbdef4385f"
+QBF_DIGEST = "8f04db7c7c8fca42dcdcdd1ddb7517a9feb69d5ed12f99c42ef8662bf34b09ac"
+LIMIT_DIGEST = "8e869384ae0307886b900c66d77b7bfebfbefbd570edfa575caeed4b2a2a0bde"
 
 # (n, k, seed) of unsatisfiable 3-CNFs small enough to compile.
 NP_UNSAT = ((1, 4, 5), (2, 6, 9), (2, 8, 2))
