@@ -27,7 +27,7 @@ Conventions used throughout the blueprints:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 from satplat.level import (
@@ -240,27 +240,6 @@ def build_variable_gadget() -> GadgetBlueprint:
     )
 
 
-def build_clause_gadget(clause_index: int) -> GadgetBlueprint:
-    """Check corridor blocked by three stacked doors; passable iff at
-    least one is open (walk through the bottom door, or jump into an open
-    upper door and rest on the closed one beneath).  It is the
-    one-clause final passage with its own ports and an 8-mask contract.
-    Its doors are 3*clause_index + slot, the ids the plan's buttons name."""
-    first = 3 * clause_index
-    combos = tuple(Assertion("check_in", "check_out", mask != 0,
-                             doors=tuple((first + s, bool(mask >> s & 1)) for s in range(3)),
-                             note=f"door mask {mask:03b}") for mask in range(8))
-    passage = build_final_passage(1)
-    return replace(
-        passage,
-        kind="clause",
-        doors=tuple(replace(d, id=first + d.id) for d in passage.doors),
-        ports=(Port("check_in", (0, 1), "E"), Port("check_out", (passage.width - 1, 1), "E")),
-        contract=combos,
-        notes=f"clause {clause_index}: slot doors 0..2 bottom-up, OR semantics",
-    )
-
-
 def tunnel_width(symbols) -> int:
     """The width of a tunnel, known before it is built: its buttons and
     one open cell at each end."""
@@ -297,23 +276,40 @@ def final_passage_width(num_clauses: int) -> int:
 def build_final_passage(num_clauses: int) -> GadgetBlueprint:
     """The clause check walls composed in series along one corridor;
     passable end to end iff every clause has at least one open door.
-    Door ids are 3*clause + slot."""
+    Door ids are 3*clause + slot: clause c's wall is the column
+    x = 3 + 2c, slot s its door at y = 1 + s over the corridor row y = 1,
+    and the gap columns x = 2 + 2c beside the walls are open to the
+    ceiling, three cells tall.
+
+    Walls in series, for any k (the passage holds no button, so its door
+    bits stay fixed inside it):
+    - only if: a wall spans every open row between the solid floor and
+      ceiling, and a closed door blocks a path as solid does, so one
+      fully closed wall cuts the passage in two;
+    - if: from the corridor in the gap west of wall c, with s its lowest
+      open slot, walk east (s = 0), or jump east with rise s, rest in the
+      open door on the closed one below it, and walk east to drop into
+      the next gap.  A crossing uses only its wall and the two gaps
+      beside it, so the crossings chain from passage_in to flag_port
+      whatever the other walls hold.
+
+    The contract asserts that the flag is reached with slot s open in
+    every wall, for each s, and not with every door closed or one wall
+    closed."""
     k = num_clauses
     w = final_passage_width(k)
     above = "#" + "." * (w - 2) + "#"  # jump room over the corridor
-    # clause c's check wall is the column of its three doors at x = 3 + 2c;
-    # two columns follow the last, or the boundary blocks the top door's exit
+    # two columns follow the last wall, or the boundary blocks the top door's exit
     doors = tuple(Door(3 * c + s, ((3 + 2 * c, 1 + s),)) for c in range(k) for s in range(3))
     contract = [Assertion("passage_in", "flag_port", k == 0,
                           note="all doors closed" if k else "empty passage")]
     if k:
-        first_doors = tuple((3 * c, True) for c in range(k))
-        contract += [
-            Assertion("passage_in", "flag_port", True, doors=first_doors,
-                      note="one door open per clause"),
-            Assertion("passage_in", "flag_port", False, doors=first_doors[:-1],
-                      note="one clause fully closed"),
-        ]
+        contract += [Assertion("passage_in", "flag_port", True,
+                               doors=tuple((3 * c + s, True) for c in range(k)),
+                               note=f"slot {s} open in every wall") for s in range(3)]
+        contract.append(Assertion("passage_in", "flag_port", False,
+                                  doors=tuple((3 * c, True) for c in range(k - 1)),
+                                  note="one clause fully closed"))
     return GadgetBlueprint(
         kind="final_passage",
         rows=_from_art(["#" * w, above, above, "." * w, "#" * w]),
@@ -481,7 +477,6 @@ def build_elevator() -> GadgetBlueprint:
 
 ALL_GADGET_BUILDERS = {
     "variable": build_variable_gadget,
-    "clause": lambda: build_clause_gadget(0),
     "tunnel": lambda: build_tunnel(((0, OPEN), (1, OPEN))),
     "final_passage": lambda: build_final_passage(2),
     # own doors from 0; the symbols drive door 4, above them

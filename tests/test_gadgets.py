@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from satplat.gadgets import (
     ALL_GADGET_BUILDERS,
     StampError,
-    build_clause_gadget,
     build_elevator,
     build_exists_gadget,
     build_final_passage,
@@ -36,6 +36,9 @@ from satplat.level import (
     UnstablePlatform,
 )
 from satplat import sim
+from satplat.cli import main
+from satplat.compiler import plan_3sat, plan_qbf
+from satplat.formula import parse_dimacs, parse_qdimacs
 from satplat.sim import BLOCKED, GameState, SimContext, jump, step
 from satplat.solver import (
     DEFAULT_MAX_STATES,
@@ -44,6 +47,7 @@ from satplat.solver import (
     reachable_positions,
     solve_between,
 )
+from tests.conftest import SAMPLE_DIMACS
 
 
 def probe_state(level, port_name, doors=0, plats=0):
@@ -119,18 +123,18 @@ class TestVariableGadget:
         assert all(len(ports) == 2 for ports in leaks.values()), leaks
 
 
-class TestClauseGadget:
-    @pytest.mark.parametrize("mask", range(8))
-    def test_or_semantics(self, mask):
-        bp = build_clause_gadget(2)
-        level = contract_level(bp)
-        doors = {6 + s: bool((mask >> s) & 1) for s in range(3)}
-        reached = reachable_ports(level, "check_in", doors)
-        assert ("check_out" in reached) == (mask != 0)
+def walled_up_passage(k, c, s):
+    """The k-clause passage with wall c's slot s solid and its door dropped."""
+    bp = build_final_passage(k)
+    x, y = 3 + 2 * c, 1 + s
+    rows = list(bp.rows)
+    rows[y] = rows[y][:x] + "#" + rows[y][x + 1:]
+    return dataclasses.replace(bp, rows=tuple(rows),
+                               doors=tuple(d for d in bp.doors if d.id != 3 * c + s))
 
 
 class TestFinalPassage:
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_passable_exactly_when_every_clause_has_an_open_door(self, k):
         # every door mask, so adjacent walls meet in every combination
         level = contract_level(build_final_passage(k))
@@ -139,6 +143,16 @@ class TestFinalPassage:
             satisfied = all(mask >> 3 * c & 0b111 for c in range(k))
             assert ("flag_port" in reachable_ports(level, "passage_in", doors)) == satisfied, \
                 f"door mask {mask:0{3 * k}b}"
+
+    @pytest.mark.parametrize("k, c, s", [(k, c, s) for k in (1, 2, 3)
+                                         for c in range(k) for s in range(3)])
+    def test_the_contract_catches_a_walled_up_slot(self, monkeypatch, capsys, k, c, s):
+        faulty = walled_up_passage(k, c, s)
+        assert not all(ok for _, ok in check_contract(faulty))
+        monkeypatch.setattr("satplat.gadgets.build_final_passage", lambda num_clauses: faulty)
+        assert main(["gadgets", "--check"]) == 1
+        assert any(line.startswith("FAIL final_passage: ")
+                   for line in capsys.readouterr().err.splitlines())
 
 
 class TestTunnel:
@@ -300,8 +314,8 @@ class TestStamp:
 
     def test_door_id_collision_rejected(self):
         builder = LevelBuilder(30, 15)
-        stamp_into(builder, build_clause_gadget(1), (1, 1))
-        stamp_into(builder, build_clause_gadget(1), (12, 1))
+        stamp_into(builder, build_final_passage(1), (1, 1))
+        stamp_into(builder, build_final_passage(1), (12, 1))
         builder.carve(13, 12)
         builder.carve(14, 12)
         builder.add(Spawn((13, 12)))
@@ -315,10 +329,12 @@ class TestStamp:
         builder.add(Flag((6, 8)))
         builder.carve(5, 8)
         builder.carve(6, 8)
-        stamp_into(builder, build_clause_gadget(3), (1, 1))
+        builder.carve(8, 8)
+        builder.add(Door(7, ((8, 8),)))  # a door already there shifts no id
+        stamp_into(builder, build_final_passage(1), (1, 1))
         level = builder.build()
-        assert sorted(e.id for e in level.entities if isinstance(e, Door)) == [9, 10, 11]
-        assert {p.name for p in level.ports} == {"check_in", "check_out"}
+        assert sorted(e.id for e in level.entities if isinstance(e, Door)) == [0, 1, 2, 7]
+        assert {p.name for p in level.ports} == {"passage_in", "flag_port"}
 
     @pytest.mark.parametrize("build, origin, cell", [
         (build_tunnel, (0, 3), (0, 4)),  # the tunnel's corridor runs edge to edge
@@ -364,7 +380,7 @@ def _sized_blueprints():
 # (not its notes), for the catalog and the sized gadgets in the order
 # `_sized_blueprints` yields them.  The elevator has one size, lift 7,
 # which is its catalog entry.
-BLUEPRINT_DIGEST = "c99aafcab6f6d4c2817cc0c0c3e18f7c7d0dca19306c5e105e5ebece04324540"
+BLUEPRINT_DIGEST = "242f602a0767cae65c0b87715083f9fd48f92dc3fc0c9bd5ab9646766f87802d"
 
 
 def test_blueprints_are_pinned():
@@ -401,6 +417,13 @@ def test_quantifier_contract_holds_at_any_first_door(build, first_door):
     assert min(d.id for d in bp.doors) == first_door
     failed = [a for a, ok in check_contract(bp) if not ok]
     assert not failed, failed
+
+
+def test_the_catalog_holds_only_placed_kinds():
+    qbf = parse_qdimacs("p cnf 2 1\ne 1 0\na 2 0\n1 -2 0\n")
+    placed = {p.blueprint.kind for plan in (plan_3sat(parse_dimacs(SAMPLE_DIMACS)), plan_qbf(qbf))
+              for p in plan.placements}
+    assert set(ALL_GADGET_BUILDERS) == placed
 
 
 def test_catalog_lists_every_kind():
