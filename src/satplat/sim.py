@@ -36,8 +36,9 @@ the edge first on a dash) gets none.
 - A WALK or JUMP record is the door bits that must be open, the platform
   bits that must be broken, and the landing of its end cell.
 - A DASH record is its static path: the doors, platforms and buttons on
-  it in order, the landing of its last cell, and the exit of a space
-  block at its end.
+  it in order, the landing of its last cell, the exit of a space block
+  at its end, and its write set, the door bits of the buttons on the
+  path and at the exit.
 - A landing is where a player let go in a cell comes to rest, the
   support there, and the mask of the platforms within reform distance,
   so reform is one `&`.
@@ -65,7 +66,13 @@ only the moves from its mutation on.
 records read.  A record's outcome depends on no other bit, and it
 keeps, sets or clears each other bit whatever that bit's value, which
 lets the solver reuse one cell's successors across every state that
-agrees on the dash and the read bits.
+agrees on the dash and the read bits.  What a record does to such a bit
+follows from its footprint: it changes a door bit only through its
+write set (a WALK or JUMP has none), and a platform bit only by
+breaking the support it lands on, a read bit, and through the reform
+mask of the cell it rests in (`SimContext.reform_mask`).  So the solver
+applies a record a second time only if its write set holds an unread
+door bit: a dash may stop before that button.
 """
 
 from __future__ import annotations
@@ -180,11 +187,13 @@ _TILE_CODES = bytes(_SOLID if i == ord(SOLID) else _EMPTY for i in range(256))
 class _Shift(NamedTuple):
     """A WALK or JUMP from one cell.  Its path is fixed, so it needs only
     the `doors` bits open and the `plats` bits broken; then the player
-    falls from its end cell (`fall`, a landing)."""
+    falls from its end cell (`fall`, a landing).  It fires no button, so
+    its write set `writes` (see `_Dash`) is empty."""
     move: int
     doors: int
     plats: int
     fall: tuple
+    writes = 0  # a class attribute, not a field
 
 
 class _Dash(NamedTuple):
@@ -197,11 +206,15 @@ class _Dash(NamedTuple):
     platform ends the dash there.  `fall` is the landing of the path's
     last cell (None if it has none).  `transit` is `(code, bit, fall)` of
     the cell a space block at the end of the path carries the player to,
-    `DEATH` if that cell is solid or off the level, or None."""
+    `DEATH` if that cell is solid or off the level, or None.  `writes`
+    is the write set: the door bits of the buttons among the gates and
+    of a button at the transit cell, the only door bits `_apply` may
+    change."""
     move: int
     gates: tuple
     fall: tuple | None
     transit: object
+    writes: int
 
 
 # A landing is `(x, y, support, bit, keep, below)`: the cell a falling
@@ -307,6 +320,12 @@ class SimContext:
         keeps, sets or clears each other bit whatever its value."""
         return _read_bits(self.records_at(cell))
 
+    def reform_mask(self, cell: int) -> int:
+        """The mask a step that comes to rest in a cell ands the platform
+        bits with: every bit but those of the platforms out of reform
+        distance of the cell, so `plats & mask` reforms them."""
+        return self._near.get(cell, 0) | ~self._every
+
     def _build(self, cell: int, shapes):
         """The records of a run of move shapes (see `_move_shapes`) from a
         cell, in shape order; a shape blocked whatever the bits yields
@@ -332,27 +351,34 @@ class SimContext:
                     yield _Shift(mi, doors, plats, self._landing(i))
                 continue
             dx, dy = delta
-            gates, fall, transit = [], None, None
+            gates, fall, transit, writes = [], None, None, 0
             cx, cy = x, y
             for _ in range(self.physics.dash_length):
                 cx, cy = cx + dx, cy + dy
                 if not (0 <= cx < w and 0 <= cy < h) or code[cy * w + cx] == _SOLID:
                     break
                 i = cy * w + cx
-                if code[i] == _BLOCK:
+                c = code[i]
+                if c == _BLOCK:
                     while 0 <= cx < w and 0 <= cy < h and code[cy * w + cx] == _BLOCK:
                         cx, cy = cx + dx, cy + dy
                     if 0 <= cx < w and 0 <= cy < h and code[cy * w + cx] != _SOLID:
                         i = cy * w + cx
                         transit = (*self._gate(i), self._landing(i))
+                        if code[i] == _BUTTON:
+                            writes |= transit[1]
                     else:
                         transit = DEATH
                     break
-                if code[i] != _EMPTY:
+                if c == _BUTTON:
+                    gate = self._gate(i)
+                    writes |= gate[1]
+                    gates.append((*gate, fall))
+                elif c != _EMPTY:
                     gates.append((*self._gate(i), fall))
                 fall = self._landing(i)
             if fall is not None or transit is not None:
-                yield _Dash(mi, tuple(gates), fall, transit)
+                yield _Dash(mi, tuple(gates), fall, transit, writes)
 
     def _gate(self, i: int) -> tuple[int, int]:
         """(code, bit) of a non-solid cell on a dash path: a button as the
@@ -375,7 +401,7 @@ class SimContext:
             if landing is None:
                 y, x = divmod(cell, w)
                 support = code[cell - w] if cell >= w else _SOLID
-                keep = self._near.get(cell, 0) | ~self._every
+                keep = self.reform_mask(cell)
                 if support == _DOOR or support == _PLAT:
                     landing = (x, y, support, 1 << self.eid[cell - w], keep,
                                self._landing(cell - w))
@@ -487,7 +513,7 @@ def _apply(rec, has_dash: int, doors: int, plats: int):
     else:
         if not has_dash:
             return BLOCKED
-        _, gates, fall, transit = rec
+        _, gates, fall, transit, _ = rec
         has_dash = 0
         fired = doors  # buttons fire in path order; a door passed reads the bits before
         for code, bit, before in gates:

@@ -13,11 +13,17 @@ and under its landings (`SimContext.read_bits`), and keeps, sets or
 clears every other bit whatever its value.  So the successors of a key
 depend only on its signature, `key & read`, where `read` covers the
 cell, the dash and the cell's read bits.  On the first expansion of a
-signature the search runs the simulator's one core, `sim._apply`, twice
-per move record of the cell, with every unread bit 0 and then 1, and
-keeps each successor as a pair of masks: the successor of any key with
-that signature is `key & and_mask | or_mask`.  A `BLOCKED` or `DEATH`
-outcome gets no masks.
+signature the search runs the simulator's one core, `sim._apply`, once
+per move record of the cell, with every unread bit 0, and keeps each
+successor as a pair of masks: the successor of any key with that
+signature is `key & and_mask | or_mask`.  The outcome is the or-mask.
+The and-mask follows from the record: a record changes an unread door
+bit only if its write set (`writes`, the door bits of the buttons its
+dash may fire) holds it, and an unread platform bit only where the
+reform mask of the cell it rests in (`SimContext.reform_mask`) clears
+it.  A record whose write set meets an unread door bit runs the core a
+second time, with every unread bit 1, since its dash may stop before
+that button.  A `BLOCKED` or `DEATH` outcome gets no masks.
 
 The move ordering is the canonical one from the simulator, so the
 returned trace is unique for a given level: the lexicographically least
@@ -112,30 +118,44 @@ class _Keys(NamedTuple):
         cell that yields a state, in record order, where the successor
         of `key` is `key & and_mask | or_mask`.
 
-        `_apply` runs twice per record, on the read bits with every other
-        door and platform bit 0 and then 1; a bit that differs between
-        the two outcomes is kept, any other is set as the outcome has it.
-        Platform bits above `ctx.plat_bits` are kept.  Masks that map a
-        key to itself or to an earlier record's successor are left out:
-        the search would find that successor visited already."""
+        `_apply` runs once per record, on the read bits with every other
+        door and platform bit 0; its outcome is the or-mask.  It changes
+        a door bit only through a button on the record's path (its write
+        set, `writes`), and a platform bit only by breaking the support
+        it rests on, a read bit, and through the reform mask of the rest
+        cell (`SimContext.reform_mask`).  So the and-mask keeps every
+        unread door bit, the unread platform bits the reform mask keeps,
+        and the platform bits above `ctx.plat_bits`.  A record whose
+        write set meets an unread door bit runs `_apply` a second time,
+        with every unread bit 1, since the dash may stop before that
+        button: a bit that differs between the two outcomes is kept.
+        Masks that map a key to itself or to an earlier record's
+        successor are left out: the search would find that successor
+        visited already."""
         w, dash, doors, plats, top = self
         door_mask = (1 << plats - doors) - 1
-        plat_mask = (1 << ctx.plat_bits) - 1
         has_dash = sig >> dash & 1
         lo_doors, lo_plats = sig >> doors & door_mask, sig >> plats
-        hi_doors = lo_doors | door_mask & ~(read >> doors)
-        hi_plats = lo_plats | plat_mask & ~(read >> plats)
+        free_doors = door_mask & ~(read >> doors)
+        free_plats = (1 << ctx.plat_bits) - 1 & ~(read >> plats)
         unowned = (1 << top) - (1 << plats + ctx.plat_bits)
+        kept = free_doors << doors | unowned
+        reform_mask = ctx.reform_mask
         seen = {((1 << top) - 1 & ~read, sig)}  # the masks of the key itself
         out = []
         for rec in ctx.records_at(sig & (1 << dash) - 1):
             lo = _apply(rec, has_dash, lo_doors, lo_plats)
             if lo is BLOCKED or lo is DEATH:
                 continue
-            hi = _apply(rec, has_dash, hi_doors, hi_plats)
-            lo_key = lo[1] * w + lo[0] | lo[2] << dash | lo[3] << doors | lo[4] << plats
-            hi_key = hi[1] * w + hi[0] | hi[2] << dash | hi[3] << doors | hi[4] << plats
-            masks = (hi_key & ~lo_key | unowned, lo_key)
+            x, y, lo_dash, lo_door_bits, lo_plat_bits = lo
+            rest = y * w + x
+            lo_key = rest | lo_dash << dash | lo_door_bits << doors | lo_plat_bits << plats
+            if rec.writes & free_doors:
+                hi = _apply(rec, has_dash, lo_doors | free_doors, lo_plats | free_plats)
+                hi_key = hi[1] * w + hi[0] | hi[2] << dash | hi[3] << doors | hi[4] << plats
+                masks = (hi_key & ~lo_key | unowned, lo_key)
+            else:
+                masks = (kept | (free_plats & reform_mask(rest)) << plats, lo_key)
             if masks not in seen:
                 seen.add(masks)
                 out.append((*masks, rec.move))

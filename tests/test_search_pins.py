@@ -2,9 +2,11 @@
 of a fixed, seeded set of compiled levels hash to a recorded SHA-256.
 
 A change to the step core or the breadth-first search that alters a
-verdict, a trace, the number of states expanded or visited, or the
-frontier peak on any of these levels changes the digest.  Such a change
-must be declared, and the digest re-recorded with it.
+verdict, a trace, the number of states expanded or visited, the
+frontier peak or the number of signatures whose successors were
+computed (`successor_lists`) on any of these levels changes the digest.
+So a read mask that grows wider shows here, since it splits signatures.
+Such a change must be declared, and the digest re-recorded with it.
 """
 
 import hashlib
@@ -15,9 +17,9 @@ from satplat.sim import trace_to_text
 from satplat.solver import Solvable, solve
 from satplat.verify import gen_random_qbf
 
-NP_DIGEST = "bd5b8573baafda59a28dd6e44dc66344666781656b3b5097f256eecd38d4e3fe"
-QBF_DIGEST = "8f04db7c7c8fca42dcdcdd1ddb7517a9feb69d5ed12f99c42ef8662bf34b09ac"
-LIMIT_DIGEST = "8e869384ae0307886b900c66d77b7bfebfbefbd570edfa575caeed4b2a2a0bde"
+NP_DIGEST = "bcddc2afe624a0bdc65e1627e1420359809dea251a75fc6021c0587e09e62f0c"
+QBF_DIGEST = "2317ba611740c183e07e05109a330f690272684890749493a7b197aa3c2781f8"
+LIMIT_DIGEST = "ec9bf30e92e598a34924a16f9abe69f8043e0e397304a202715e0a4aceb550ec"
 
 # (n, k, seed) of unsatisfiable 3-CNFs small enough to compile.
 NP_UNSAT = ((1, 4, 5), (2, 6, 9), (2, 8, 2))
@@ -45,7 +47,8 @@ def digest(levels, max_states=None) -> str:
         trace = trace_to_text(result.trace) if isinstance(result, Solvable) else ""
         s = result.stats
         h.update(f"{type(result).__name__}\n{trace}"
-                 f"{s.states_expanded} {s.states_visited} {s.frontier_peak}\0".encode())
+                 f"{s.states_expanded} {s.states_visited} {s.frontier_peak} "
+                 f"{s.successor_lists}\0".encode())
     return h.hexdigest()
 
 

@@ -1,5 +1,6 @@
 """The table-driven step core against the frozen cell-by-cell core it
-replaced (`tests/reference_core.py`), and the lifetime of its tables."""
+replaced (`tests/reference_core.py`), the bits a move record reads and
+writes, and the lifetime of its tables."""
 
 import gc
 import weakref
@@ -20,7 +21,18 @@ from satplat.level import (
     SpaceBlock,
     UnstablePlatform,
 )
-from satplat.sim import GameState, SimContext, canonical_moves, dash, replay, sim_context, step
+from satplat.sim import (
+    BLOCKED,
+    DEATH,
+    GameState,
+    SimContext,
+    _apply,
+    canonical_moves,
+    dash,
+    replay,
+    sim_context,
+    step,
+)
 from satplat.solver import Solvable, _Keys, solve
 from satplat.verify import gen_random_qbf
 from tests.conftest import level_from_art
@@ -127,6 +139,7 @@ BUTTON_FAR_DOOR = level_from_art(
 @example((BUTTON_BLOCK_DOOR, GameState(1, 1, 1, 0, 0)), 1, 0)
 @example((BLOCK_DOOR, GameState(1, 1, 1, 0, 0)), 1, 0)
 @example((BUTTON_FAR_DOOR, GameState(1, 3, 1, 0, 0)), 1, 0)
+@example((BLOCK_CLOSE_BUTTON, GameState(1, 1, 1, 0, 0)), 1, 0)
 @settings(max_examples=400, deadline=None)
 def test_successor_masks_hold_for_every_state_that_shares_the_read_bits(
         level_state, other_doors, other_plats):
@@ -162,6 +175,31 @@ def test_successor_masks_hold_for_every_state_that_shares_the_read_bits(
         else:
             assert out_key in reached, ctx.moves[rec.move]
         reached.add(out_key)
+
+
+@given(levels_and_states())
+@example((BLOCK_CLOSE_BUTTON, GameState(1, 1, 1, 1, 0)))
+@example((BUTTON_FAR_DOOR, GameState(1, 3, 1, 0, 0)))
+@example((DOOR_OVER_PLATFORM, GameState(1, 4, 1, 1, 0)))
+@settings(max_examples=400, deadline=None)
+def test_a_record_writes_only_its_footprint(level_state):
+    # The one-application rule of `_Keys.successors`: `_apply` changes a
+    # door bit only if the cell's records read it or the record's write
+    # set holds it, and an unread platform bit survives exactly where
+    # the reform mask of the rest cell keeps it.
+    level, state = level_state
+    ctx = sim_context(level)
+    cell = state.y * ctx.width + state.x
+    read_doors, read_plats = ctx.read_bits(cell)
+    _, _, has_dash, doors, plats = state
+    for rec in ctx.records_at(cell):
+        out = _apply(rec, has_dash, doors, plats)
+        if out is BLOCKED or out is DEATH:
+            continue
+        x, y, _, out_doors, out_plats = out
+        assert (out_doors ^ doors) & ~(read_doors | rec.writes) == 0, ctx.moves[rec.move]
+        assert (out_plats & ~read_plats
+                == plats & ~read_plats & ctx.reform_mask(y * ctx.width + x)), ctx.moves[rec.move]
 
 
 def single_records_agree_with_records_at(level, singles_first: bool):
