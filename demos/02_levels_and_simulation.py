@@ -16,7 +16,7 @@ builder.carve(8, 1)
 builder.add(Spawn((1, 3)))
 builder.add(Button((4, 3), door_id=0))  # blocks walking; a dash fires it
 builder.add(Door(0, ((6, 3),)))
-builder.add(UnstablePlatform(0, (8, 2)))  # bridges the pit
+builder.add(UnstablePlatform((8, 2)))  # bridges the pit
 builder.add(Flag((10, 3)))
 level = builder.build()
 

@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from satplat.compiler import (
-    CompileError,
     check_size,
     compile_qbf,
     plan_3sat,
@@ -21,7 +20,6 @@ from satplat.compiler import (
     route_and_place,
 )
 from satplat.formula import (
-    FormulaError,
     dimacs_header,
     gen_random_3cnf,
     parse_dimacs,
@@ -29,7 +27,7 @@ from satplat.formula import (
     write_dimacs,
 )
 from satplat.gadgets import ALL_GADGET_BUILDERS, catalog, check_contract
-from satplat.level import NP, PSPACE, LevelError, load_level, render_ascii, save_level
+from satplat.level import NP, PSPACE, load_level, render_ascii, save_level
 from satplat.sim import replay, replay_states, trace_from_text, trace_to_text
 from satplat.solver import DEFAULT_MAX_STATES, LimitExceeded, Solvable, solve
 from satplat.verify import CorpusSpec, run_corpus
@@ -210,7 +208,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except (FormulaError, LevelError, CompileError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # every input error is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

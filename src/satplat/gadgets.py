@@ -5,8 +5,9 @@ Each blueprint is a patch of level: tile rows plus the level's own
 with cells local to the patch, and a list of contract assertions that
 must hold when it is stamped alone into an otherwise solid level.  There
 is one door-id space: the plan chooses every door id when it builds a
-blueprint, and stamping copies door ids unchanged (platforms are
-numbered in stamping order).  Its size is that of its rows, and its
+blueprint, and stamping copies door ids unchanged.  A platform is its
+cell alone: its bit is its rank among the level's platforms, so the
+stamping order numbers them.  Its size is that of its rows, and its
 variant, like a level's, is PSPACE exactly when a button closes a door.
 Geometry is calibrated to the default physics (jump rise 3, dash length
 4, reform distance 2).
@@ -126,8 +127,8 @@ def stamp_into(builder: LevelBuilder, bp: GadgetBlueprint, origin: tuple[int, in
     never overlap carved content), and the patch may open no cell of the
     grid's boundary, which `LevelBuilder.carve` refuses.  Door ids are
     copied unchanged; a collision is left to the level's `unique-door-id`
-    rule.  Platforms are numbered in stamping order: a blueprint's ids
-    follow those already in the builder."""
+    rule.  A blueprint's platforms follow those already in the builder,
+    so their bits (their ranks) follow too."""
     ox, oy = origin
     w, h = bp.width, bp.height
     if ox < 0 or oy < 0 or ox + w > builder.width or oy + h > builder.height:
@@ -137,7 +138,6 @@ def stamp_into(builder: LevelBuilder, bp: GadgetBlueprint, origin: tuple[int, in
         x = grid[y].find(EMPTY, ox, ox + w)
         if x >= 0:
             raise StampError(f"{bp.kind} at {origin} overlaps carved cell {(x, y)}")
-    plat_offset = builder.count[UnstablePlatform]
     inside = 0 < ox and ox + w < builder.width  # clear of the side boundaries
     for y, tiles in enumerate(bp.rows, start=oy):
         if not (inside and 0 < y < builder.height - 1) and EMPTY in tiles:
@@ -150,8 +150,7 @@ def stamp_into(builder: LevelBuilder, bp: GadgetBlueprint, origin: tuple[int, in
         builder.add(Door(d.id, tuple((ox + x, oy + y) for x, y in d.cells),
                          d.initially_open))
     for p in bp.platforms:
-        builder.add(UnstablePlatform(p.id + plat_offset,
-                                     (ox + p.cell[0], oy + p.cell[1])))
+        builder.add(UnstablePlatform((ox + p.cell[0], oy + p.cell[1])))
     for blk in bp.blocks:
         x0, y0, x1, y1 = blk.rect
         builder.add(SpaceBlock((ox + x0, oy + y0, ox + x1, oy + y1)))
@@ -206,8 +205,8 @@ def build_variable_gadget() -> GadgetBlueprint:
     The player drops in from the entry, walks onto one of two unstable
     platforms sealing the shafts, falls through as it breaks, and the
     platform reforms overhead: the other exit and the entry become
-    unreachable.  Platform 0 seals exit_true (left), platform 1 seals
-    exit_false (right).
+    unreachable.  The first platform seals exit_true (left), the second
+    seals exit_false (right).
     """
     rows = _from_art([
         "#####",
@@ -222,7 +221,7 @@ def build_variable_gadget() -> GadgetBlueprint:
     return GadgetBlueprint(
         kind="variable",
         rows=rows,
-        platforms=(UnstablePlatform(0, (1, 3)), UnstablePlatform(1, (3, 3))),
+        platforms=(UnstablePlatform((1, 3)), UnstablePlatform((3, 3))),
         ports=(
             Port("entry", (0, 6), "E"),
             Port("exit_true", (0, 1), "W"),

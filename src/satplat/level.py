@@ -9,7 +9,6 @@ level's variant is derived from its entities (`variant_of`), not stated.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 
 Cell = tuple[int, int]
@@ -51,9 +50,10 @@ class PhysicsParams:
 @dataclass(frozen=True)
 class UnstablePlatform:
     """Breaks when stood on, reforms once the player is far enough away;
-    impassable from every direction while intact."""
+    impassable from every direction while intact.  Nothing refers to a
+    platform but its cell: its bit in `GameState.platform_broken` is its
+    rank, its place among the level's platforms in entity order."""
 
-    id: int
     cell: Cell
 
 
@@ -263,9 +263,8 @@ def _invariants(level: Level) -> list[Violation]:
 
     seen_cells: dict[Cell, str] = {}
     door_ids: set[int] = set()
-    plat_ids: set[int] = set()
     spawns = flags = 0
-    n_cells = level.width * level.height  # door and platform ids are bit positions
+    n_cells = level.width * level.height  # door ids are bit positions
 
     for i, ent in enumerate(level.entities):
         name = f"{type(ent).__name__}#{i}"
@@ -303,12 +302,6 @@ def _invariants(level: Level) -> list[Violation]:
             ys = sorted(c[1] for c in ent.cells)
             if len(xs) != 1 or ys != list(range(ys[0], ys[0] + len(ys))):
                 bad("door-strip", name, "door cells must form a vertical contiguous strip")
-        elif isinstance(ent, UnstablePlatform):
-            if not 0 <= ent.id < n_cells:
-                bad("bit-id-range", name, f"platform id {ent.id} outside 0..{n_cells - 1}")
-            if ent.id in plat_ids:
-                bad("unique-platform-id", name, f"duplicate platform id {ent.id}")
-            plat_ids.add(ent.id)
 
     for i, ent in enumerate(level.entities):
         if isinstance(ent, Button):
@@ -409,7 +402,7 @@ def _cells(value, count: int, *what: str, seq: type = list) -> tuple[tuple[int, 
 # check takes `seq=list` on a document's value and `seq=tuple` on a
 # level's field (`validate_level`'s field-type rule).
 _RECORDS = {
-    UnstablePlatform: ("platform", (("id", "id", _typed, int), ("cell", "cell", _ints, 2))),
+    UnstablePlatform: ("platform", (("cell", "cell", _ints, 2),)),
     Door: ("door", (("id", "id", _typed, int), ("cells", "cells", _cells, 2),
                     ("open", "initially_open", _typed, bool))),
     Button: ("button", (("cell", "cell", _ints, 2), ("door", "door_id", _typed, int),
@@ -535,17 +528,24 @@ def render_ascii(level: Level, state=None) -> str:
     Legend: '#' solid, '.' empty, '=' unstable platform, 'D'/'d' door
     closed/open, 'B'/'b' open/close button, '*' space block, 'S' spawn,
     'F' flag, '@' player.  With a state, broken platforms render as empty
-    and door glyphs follow the live door bits.
+    (a platform's bit is its rank) and door glyphs follow the live door
+    bits; ValueError if the state's position is off the level.
     """
+    if state is not None:
+        x, y = state.position
+        if not (0 <= x < level.width and 0 <= y < level.height):
+            raise ValueError(f"position {(x, y)} is off the level")
     grid = [list(row) for row in level.tiles]
+    rank = 0
 
     def put(cell: Cell, ch: str):
         grid[cell[1]][cell[0]] = ch
 
     for ent in level.entities:
         if isinstance(ent, UnstablePlatform):
-            broken = state is not None and (state.platform_broken >> ent.id) & 1
+            broken = state is not None and (state.platform_broken >> rank) & 1
             put(ent.cell, EMPTY if broken else "=")
+            rank += 1
         elif isinstance(ent, Door):
             if state is not None:
                 is_open = bool((state.door_open >> ent.id) & 1)
@@ -577,15 +577,13 @@ class LevelBuilder:
     compiler; starts all-solid.  `grid` holds one tile string per row,
     bottom row first, and becomes the level's tiles as it stands: `carve`
     opens one cell, and the stamper and the compiler replace whole row
-    slices.  `count` holds the number of entities added per entity
-    type."""
+    slices."""
 
     def __init__(self, width: int, height: int):
         self.width = width
         self.height = height
         self.grid = [SOLID * width] * height
         self.entities: list[Entity] = []
-        self.count: Counter[type] = Counter()
         self.ports: list[Port] = []
 
     def carve(self, x: int, y: int):
@@ -596,7 +594,6 @@ class LevelBuilder:
 
     def add(self, entity: Entity):
         self.entities.append(entity)
-        self.count[type(entity)] += 1
 
     def add_port(self, name: str, cell: Cell, direction: str):
         self.ports.append(Port(name, cell, direction))

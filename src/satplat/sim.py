@@ -156,7 +156,7 @@ class GameState(NamedTuple):
     y: int
     has_dash: int  # 1 when the dash is charged, else 0
     door_open: int  # bitset keyed by door id
-    platform_broken: int  # bitset keyed by platform id
+    platform_broken: int  # bitset keyed by platform rank (place among the platforms)
 
     @property
     def position(self) -> tuple[int, int]:
@@ -227,11 +227,11 @@ class _Dash(NamedTuple):
 class SimContext:
     """Static tables for one level, shared by `step`, `replay` and the
     solver: the packed grid (`code`, one byte per cell, and `eid`, the
-    id of each door and platform cell and the index of each button cell)
-    and the move records, kept for the level once built, in two caches
-    that never read each other: per move for `step`, `replay` and the
-    mutation check (`record`), and per cell for the search and
-    `legal_moves` (`records_at`), on the first expansion there.
+    id of each door cell, the rank of each platform cell and the index
+    of each button cell) and the move records, kept for the level once
+    built, in two caches that never read each other: per move for `step`,
+    `replay` and the mutation check (`record`), and per cell for the
+    search and `legal_moves` (`records_at`), on the first expansion there.
 
     `trail` is None until `replay` first finds a trace winning on the
     level, then `(moves, states)`: that trace as a tuple, and the state
@@ -263,8 +263,8 @@ class SimContext:
             elif isinstance(ent, UnstablePlatform):
                 x, y = ent.cell
                 code[y * w + x] = _PLAT
-                eid[y * w + x] = ent.id
-                plat_cells.append((ent.id, x, y))
+                eid[y * w + x] = len(plat_cells)
+                plat_cells.append((len(plat_cells), x, y))
             elif isinstance(ent, Button):
                 x, y = ent.cell
                 code[y * w + x] = _BUTTON
@@ -280,7 +280,7 @@ class SimContext:
         self.plat_cells = plat_cells
         self.initial_doors = initial_doors
         self.door_bits = door_bits  # every door bit a button or the level sets is below it
-        self.plat_bits = max((pid + 1 for pid, _, _ in plat_cells), default=0)
+        self.plat_bits = len(plat_cells)
         self.spawn = level.spawn.cell
         self.flag = level.flag.cell
         self.physics = level.physics
@@ -288,7 +288,6 @@ class SimContext:
         self.index = {move: i for i, move in enumerate(self.moves)}
         self._shapes = _move_shapes(self.moves)  # move index -> its shape
         self._near = _near_platforms(w, h, plat_cells, level.physics.reform_distance)
-        self._every = sum({1 << pid for pid, _, _ in plat_cells})  # every platform bit
         self._records: dict[int, tuple] = {}  # cell -> its move records
         self._moved: dict[int, object] = {}  # cell * len(moves) + move index -> record or None
         self._landings: dict[int, tuple] = {}  # start or rest cell -> its landing
@@ -324,7 +323,7 @@ class SimContext:
         """The mask a step that comes to rest in a cell ands the platform
         bits with: every bit but those of the platforms out of reform
         distance of the cell, so `plats & mask` reforms them."""
-        return self._near.get(cell, 0) | ~self._every
+        return self._near.get(cell, 0) | -1 << self.plat_bits
 
     def _build(self, cell: int, shapes):
         """The records of a run of move shapes (see `_move_shapes`) from a

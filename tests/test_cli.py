@@ -178,7 +178,7 @@ class TestErrorPaths:
         code, _, err = run(capsys, "solve", level)
         assert code == 2 and err.startswith("error:") and "cell" in err
 
-    @pytest.mark.parametrize("kind, value", [("door", -1), ("platform", -1), ("door", 10**6)])
+    @pytest.mark.parametrize("kind, value", [("door", -1), ("door", 10**6)])
     def test_out_of_range_bit_id_exits_two(self, tmp_path, sample_cnf, capsys, kind, value):
         level = tmp_path / "s.level"
         run(capsys, "compile", sample_cnf, "-o", level)

@@ -390,7 +390,7 @@ def _sized_blueprints():
 # (not its notes), for the catalog and the sized gadgets in the order
 # `_sized_blueprints` yields them.  The elevator has one size, lift 7,
 # which is its catalog entry.
-BLUEPRINT_DIGEST = "242f602a0767cae65c0b87715083f9fd48f92dc3fc0c9bd5ab9646766f87802d"
+BLUEPRINT_DIGEST = "e4b5f56d6e599b62ac7957130b469115e54f5dd3cfc919ce0ce5dbb82127c443"
 
 
 def test_blueprints_are_pinned():

@@ -10,6 +10,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from satplat.compiler import compile_3sat
+from satplat.formula import parse_dimacs
 from satplat.level import (
     NP,
     PSPACE,
@@ -60,7 +61,7 @@ class TestRoundTrip:
         level = level_from_art(
             "#####\n#S.F#\n#####",
             entities=[
-                UnstablePlatform(3, (2, 1)),
+                UnstablePlatform((2, 1)),
             ],
         )
         again = load_level(save_level(level))
@@ -98,7 +99,7 @@ class TestRoundTrip:
 def old_document(level: Level) -> dict:
     """The canonical document as a dict, as `save_level` built it for
     json.dumps before it wrote the document itself."""
-    records = {UnstablePlatform: ("platform", ("id", "cell")),
+    records = {UnstablePlatform: ("platform", ("cell",)),
                Door: ("door", ("id", "cells", "initially_open")),
                Button: ("button", ("cell", "door_id", "action")),
                SpaceBlock: ("space_block", ("rect",)),
@@ -149,13 +150,13 @@ def test_saved_small_levels_are_json_dumps_bytes_and_round_trip(spec, ports):
 
 
 @pytest.mark.parametrize("entity, port, physics, refusal", [
-    (UnstablePlatform(1.5, (2, 1)), None, None, "Object of type float is not JSON serializable"),
-    (UnstablePlatform(None, (2, 1)), None, None, "NoneType is not JSON serializable"),
-    (UnstablePlatform(0, [2, 1]), None, None, "list is not JSON serializable"),
+    (Door(1.5, ((2, 1),)), None, None, "Object of type float is not JSON serializable"),
+    (Button((2, 1), None), None, None, "NoneType is not JSON serializable"),
+    (UnstablePlatform([2, 1]), None, None, "list is not JSON serializable"),
     (Door(0, [(2, 1)]), None, None, "list is not JSON serializable"),
     (Door(0, ((2, 1),), 0.5), None, None, "float is not JSON serializable"),
     (Button((2, 1), 0, None), None, None, "NoneType is not JSON serializable"),
-    (UnstablePlatform(True, (2, 1)), None, None, "platform id must be of type int, got True"),
+    (Door(True, ((2, 1),)), None, None, "door id must be of type int, got True"),
     (None, Port("a", (2.5, 1), "E"), None, "float is not JSON serializable"),
     (None, Port("a", [2, 1], "E"), None, "list is not JSON serializable"),
     (None, Port("a", (2, 1), None), None, "NoneType is not JSON serializable"),
@@ -176,12 +177,12 @@ def test_save_refuses_what_a_level_never_holds(entity, port, physics, refusal):
 
 
 @pytest.mark.parametrize("rule, extra, variant, refusal", [
-    ("in-bounds", (UnstablePlatform(0, (7, 1)),), "NP",
+    ("in-bounds", (UnstablePlatform((7, 1)),), "NP",
      "[in-bounds] UnstablePlatform#2: cell (7, 1) outside the grid"),
     ("door-strip", (Door(0, ((2, 1), (2, 2), (2, 3), (2, 4))),), "NP",
      "[door-strip] Door#2: door must span 1-3 cells, has 4"),
-    ("unique-platform-id", (UnstablePlatform(0, (2, 1)), UnstablePlatform(0, (2, 3))), "NP",
-     "[unique-platform-id] UnstablePlatform#3: duplicate platform id 0"),
+    ("unique-door-id", (Door(0, ((2, 1),)), Door(0, ((2, 3),))), "NP",
+     "[unique-door-id] Door#3: duplicate door id 0"),
     ("block-rect", (SpaceBlock((2, 2, 1, 2)),), "NP",
      "[block-rect] SpaceBlock#2: rect (2, 2, 1, 2) is degenerate or leaves the grid"),
     ("button-action", (Door(0, ((2, 4),)), Button((2, 1), 0, "toggle")), "NP",
@@ -244,11 +245,35 @@ def test_a_document_declaring_np_with_a_close_button_loads_as_pspace():
     assert loaded == level and loaded.variant == PSPACE
 
 
+@pytest.mark.parametrize("ids", [(5, 5), (-1, 0)])
+def test_old_platform_ids_load_and_the_bits_are_the_ranks(ids):
+    # The older format gave each platform record an "id", which picked
+    # its bit; now a platform's bit is its rank among the level's
+    # platforms.  A shared id, or one off the bit range, no longer
+    # matters: the document loads, saves without ids, and the first
+    # platform listed is bit 0 whatever id it carried.
+    platforms = [{"kind": "platform", "id": pid, "cell": cell}
+                 for pid, cell in zip(ids, ([2, 2], [5, 2]))]
+    doc = {"width": 8, "height": 5, "physics": {"J": 3, "D": 4, "R": 2},
+           "tiles": ["########", "#......#", "##.##.##", "#......#", "########"],
+           "entities": [{"kind": "spawn", "cell": [1, 3]}, *platforms,
+                        {"kind": "flag", "cell": [6, 3]}],
+           "ports": {}}
+    level = load_level(json.dumps(doc))
+    assert [e.cell for e in level.entities if isinstance(e, UnstablePlatform)] == [(2, 2), (5, 2)]
+    assert '"id"' not in save_level(level)
+    assert load_level(save_level(level)) == level
+    after = step(level, initial_state(level), walk(1))  # comes to rest on the first
+    assert after == GameState(2, 3, 1, 0, 0b01)
+    row = render_ascii(level, after).splitlines()[level.height - 1 - 2]
+    assert (row[2], row[5]) == (".", "=")
+
+
 def test_a_level_with_every_entity_kind_saves_as_json_dumps_bytes():
     level = level_from_art(
         "########\n#F.....#\n#.....S#\n########",
         entities=[Door(2, ((2, 1), (2, 2)), True), Button((3, 1), 2, "close"),
-                  UnstablePlatform(0, (4, 2)), SpaceBlock((5, 2, 5, 2))],
+                  UnstablePlatform((4, 2)), SpaceBlock((5, 2, 5, 2))],
     )
     level = Level(level.width, level.height, level.tiles, level.entities,
                   ports=(Port("a", (3, 2), "E"), Port("b\u00e9\"", (1, 1), "W")))
@@ -288,7 +313,7 @@ class TestValidation:
     def test_entity_overlap(self):
         level = level_from_art(
             "#####\n#S.F#\n#####",
-            entities=[UnstablePlatform(0, (2, 1)), UnstablePlatform(1, (2, 1))],
+            entities=[UnstablePlatform((2, 1)), UnstablePlatform((2, 1))],
             validate=False,
         )
         rules = {v.rule for v in validate_level(level)}
@@ -378,7 +403,7 @@ class TestValidation:
     @pytest.mark.parametrize("kind, key, value", [
         ("spawn", "cell", "ab"),
         ("flag", "cell", [1, 2, 3]),
-        ("platform", "id", "0"),
+        ("platform", "cell", "0"),
         ("door", "cells", [[1.0, 2]]),
         ("button", "door", True),
         ("space_block", "rect", [1, 2, 3]),
@@ -393,8 +418,8 @@ class TestValidation:
             load_level(json.dumps(doc))
 
     @pytest.mark.parametrize("entity, message", [
-        (UnstablePlatform(1.5, (2, 1)), "platform id must be of type int, got 1.5"),
-        (UnstablePlatform(True, (2, 1)), "platform id must be of type int, got True"),
+        (Door(1.5, ((2, 1),)), "door id must be of type int, got 1.5"),
+        (Door(True, ((2, 1),)), "door id must be of type int, got True"),
         (Door(0, ((2, 1),), "yes"), "door open must be of type bool, got 'yes'"),
     ])
     def test_build_type_checks_entity_fields_as_load_does(self, entity, message):
@@ -514,7 +539,7 @@ class TestValidation:
         assert str(err.value) == message
 
     def test_entity_fields_must_be_tuples(self):
-        level = level_from_art("#####\n#S.F#\n#####", entities=[UnstablePlatform(0, [2, 1])],
+        level = level_from_art("#####\n#S.F#\n#####", entities=[UnstablePlatform([2, 1])],
                                validate=False)
         assert [str(v) for v in validate_level(level)] == [
             "[field-type] UnstablePlatform#0: platform cell must be a tuple of 2 ints, "
@@ -541,11 +566,9 @@ class TestValidation:
             load_level(json.dumps(doc))
         assert len(str(err.value)) < 1000
 
-    @pytest.mark.parametrize("kind, value", [
-        ("door", -1), ("door", 10**6), ("platform", -1), ("platform", 10**6),
-    ])
+    @pytest.mark.parametrize("kind, value", [("door", -1), ("door", 10**6)])
     def test_out_of_range_bit_id_rejected(self, sample_formula, kind, value):
-        # door and platform ids are bit positions of the search state
+        # door ids are bit positions of the search state
         doc = json.loads(save_level(compile_3sat(sample_formula)))
         next(e for e in doc["entities"] if e["kind"] == kind)["id"] = value
         with pytest.raises(LevelError, match="bit-id-range"):
@@ -597,7 +620,7 @@ class TestRender:
     def test_broken_platform_renders_empty(self):
         level = level_from_art(
             "######\n#S..F#\n##=..#\n#....#\n######",
-            entities=[UnstablePlatform(0, (2, 2))],
+            entities=[UnstablePlatform((2, 2))],
             validate=False,
         )
         assert "=" in render_ascii(level)
@@ -609,6 +632,16 @@ class TestRender:
         art = render_ascii(level, out)
         assert "=" not in art
         assert "@" in art
+
+    @pytest.mark.parametrize("x", [-1, 24])
+    def test_a_state_off_the_level_is_refused(self, x):
+        # x = -1 would index the row from its east end, and x = 24 past it
+        level = compile_3sat(parse_dimacs("p cnf 1 1\n1 1 1 0\n"))
+        assert (level.width, level.height) == (24, 26)
+        state = initial_state(level)._replace(x=x)
+        refusal = f"position ({x}, {state.y}) is off the level"
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            render_ascii(level, state)
 
     def test_player_glyph(self, minimal_level):
         text = render_ascii(minimal_level, initial_state(minimal_level))

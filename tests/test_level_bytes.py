@@ -12,7 +12,7 @@ from satplat.compiler import compile_3sat, compile_qbf
 from satplat.formula import Quantifier, QbfFormula, gen_random_3cnf
 from satplat.level import save_level
 
-NP_DIGEST = "5ad585f073e0345ebe7efa741609366f31bb03a49f23148466306ae7457e9df7"
+NP_DIGEST = "a9bdc742537ea00c61c01f6903e8dfd8ba7328ce8096291a36cff682cfcd7985"
 QBF_DIGEST = "5ab230f5530ab14a70be562bc7882e2a3351f0b27c63550bb86f92166cc0f9d4"
 
 E, A = Quantifier.EXISTS, Quantifier.FORALL

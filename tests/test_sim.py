@@ -180,7 +180,7 @@ def platform_tower():
         "#...#\n"
         "#..F#\n"
         "#####",
-        entities=[UnstablePlatform(0, (1, 3))],
+        entities=[UnstablePlatform((1, 3))],
         validate=False,
     )
 
@@ -208,7 +208,7 @@ class TestPlatforms:
     def test_platform_keeps_broken_within_reform_distance(self):
         level = level_from_art(
             "######\n#.S..#\n#=#.F#\n######",
-            entities=[UnstablePlatform(0, (1, 1))],
+            entities=[UnstablePlatform((1, 1))],
             validate=False,
         )
         # step onto the platform (it breaks), step off one cell: Chebyshev

@@ -159,7 +159,7 @@ class TestPruningSoundness:
         level = level_from_art(
             "#######\n#..=..#\n#S...F#\n#######",
             entities=[__import__("satplat.level", fromlist=["UnstablePlatform"])
-                      .UnstablePlatform(0, (3, 2))],
+                      .UnstablePlatform((3, 2))],
             validate=False,
         )
         ctx = sim_context(level)
@@ -187,7 +187,7 @@ class TestPruningSoundness:
 # Spawn on an unstable platform above the flag: a start that broke the
 # platform would allow DASH S, which replay rejects.
 PLATFORM_SPAWN = ("#####\n#S..#\n#=..#\n#F..#\n#####",
-                  (UnstablePlatform(0, (1, 2)),))
+                  (UnstablePlatform((1, 2)),))
 # Spawn over an initially open door above the flag: a start that fell
 # through it would be solved by the empty trace.
 OPEN_DOOR_SPAWN = ("#####\n#S..#\n#D..#\n#F..#\n#####",
@@ -334,9 +334,9 @@ def small_levels(draw):
     ground = draw(st.sampled_from(["solid", "platform", "door"]))
     entities = []
     if ground == "platform" and below in free:
-        entities.append(UnstablePlatform(0, take([below])))
+        entities.append(UnstablePlatform(take([below])))
     elif draw(st.booleans()) and free:
-        entities.append(UnstablePlatform(0, take(free)))
+        entities.append(UnstablePlatform(take(free)))
     door = None
     if ground == "door" and below in free:
         door = take([below])
@@ -413,7 +413,7 @@ def loadable_levels(draw):
             if above not in free:
                 break
             cells.append(take([above]))
-    entities = [UnstablePlatform(i, cell) for i, cell in enumerate(platforms)]
+    entities = [UnstablePlatform(cell) for cell in platforms]
     # the door under the spawn starts closed: the start is at rest
     entities += [Door(i, tuple(cells), below not in cells and draw(st.booleans()))
                  for i, cells in enumerate(doors)]

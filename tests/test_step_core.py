@@ -65,8 +65,8 @@ def levels(draw):
 def levels_and_states(draw, level_strategy=None):
     """A level, from `levels` unless another strategy is given, and an
     arbitrary state on it: any cell (mostly a non-solid one), either dash
-    value, and door and platform bits with one bit to spare above the
-    level's ids."""
+    value, and door bits with one bit to spare above the level's door
+    ids and platform bits with one to spare above its platforms."""
     level = draw(levels() if level_strategy is None else level_strategy)
     open_cells = [(x, y) for y in range(level.height) for x in range(level.width)
                   if level.tiles[y][x] != SOLID]
@@ -75,7 +75,7 @@ def levels_and_states(draw, level_strategy=None):
     else:
         x, y = draw(st.integers(0, level.width - 1)), draw(st.integers(0, level.height - 1))
     doors = max((e.id for e in level.entities if isinstance(e, Door)), default=0) + 2
-    plats = max((e.id for e in level.entities if isinstance(e, UnstablePlatform)), default=0) + 2
+    plats = sum(isinstance(e, UnstablePlatform) for e in level.entities) + 1
     state = GameState(x, y, draw(st.integers(0, 1)), draw(st.integers(0, 2**doors - 1)),
                       draw(st.integers(0, 2**plats - 1)))
     return level, state
@@ -118,7 +118,7 @@ def test_core_matches_the_reference_core_on_loadable_levels(level_state):
 # the `below` chain of a landing reads the platform.
 DOOR_OVER_PLATFORM = level_from_art(
     "######\n#S.F.#\n##D###\n##D###\n##=###\n######",
-    (Door(0, ((2, 3), (2, 2)), True), UnstablePlatform(0, (2, 1))),
+    (Door(0, ((2, 3), (2, 2)), True), UnstablePlatform((2, 1))),
 )
 # A dash through a space block into a door no button toggles: the exit
 # reads the door bit.
