@@ -29,6 +29,7 @@ Wires may join at their ends but never cross.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from satplat.formula import CnfFormula, QbfFormula, Quantifier
 from satplat.gadgets import (
@@ -56,6 +57,7 @@ from satplat.level import (
     LevelBuilder,
     LevelError,
     Spawn,
+    own_kind,
     variant_of,
 )
 
@@ -71,15 +73,15 @@ class CompileError(LevelError):
     pass
 
 
-@dataclass(frozen=True)
-class Placement:
+@own_kind
+class Placement(NamedTuple):
     blueprint: GadgetBlueprint
     origin: tuple[int, int]
     prefix: str
 
 
-@dataclass(frozen=True)
-class Wire:
+@own_kind
+class Wire(NamedTuple):
     """A rectilinear corridor; points are polyline vertices.  The cells
     between consecutive vertices are carved wherever no gadget covers
     them, and the crossing check reads the same segments."""
@@ -90,6 +92,9 @@ class Wire:
 
 @dataclass
 class LayoutPlan:
+    """A dataclass, not a NamedTuple: the planners set its spawn and
+    flag and append its placements and wires after it is built."""
+
     width: int
     height: int
     placements: list[Placement] = field(default_factory=list)

@@ -31,6 +31,11 @@ class Quantifier(Enum):
     FORALL = "a"
 
 
+# Literal, Clause, CnfFormula and QbfFormula are dataclasses, not
+# NamedTuples: each checks its fields in `__post_init__`, and a NamedTuple
+# body cannot define `__new__`.
+
+
 @dataclass(frozen=True)
 class Literal:
     """A possibly negated occurrence of a 1-based variable."""

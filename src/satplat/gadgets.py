@@ -28,8 +28,8 @@ Conventions used throughout the blueprints:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from satplat.level import (
     CLOSE,
@@ -45,11 +45,12 @@ from satplat.level import (
     SpaceBlock,
     Spawn,
     UnstablePlatform,
+    own_kind,
     variant_of,
 )
 
-@dataclass(frozen=True)
-class Assertion:
+@own_kind
+class Assertion(NamedTuple):
     """port-pair reachability, optionally conditioned on door bits
     (level door ids)."""
 
@@ -60,8 +61,8 @@ class Assertion:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class GadgetBlueprint:
+@own_kind
+class GadgetBlueprint(NamedTuple):
     kind: str
     rows: tuple[str, ...]  # bottom row first, all of one width
     doors: tuple[Door, ...] = ()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 Cell = tuple[int, int]
 
@@ -27,13 +28,35 @@ class LevelError(ValueError):
     """Raised for malformed level documents or invalid level structure."""
 
 
+def _same_kind(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _other_kind(self, other) -> bool:
+    return not _same_kind(self, other)
+
+
+def _kind_hash(self) -> int:
+    return hash((type(self), tuple.__hash__(self)))
+
+
+def own_kind(cls):
+    """Make a NamedTuple value type equal, and hash equal, only to its own
+    kind, as a dataclass is: a plain tuple compares by its items, and then
+    `Spawn((1, 1)) == Flag((1, 1))`, and two levels that differ only in an
+    entity's kind would share one `sim_context`."""
+    cls.__eq__, cls.__ne__, cls.__hash__ = _same_kind, _other_kind, _kind_hash
+    return cls
+
+
 @dataclass(frozen=True)
 class PhysicsParams:
     """Calibration constants for the simplified movement model.
 
     jump_rise: maximum cells a jump ascends; dash_length: cells a dash
     travels; reform_distance: Chebyshev distance at which a broken
-    platform reforms.
+    platform reforms.  A dataclass, not a NamedTuple: `__post_init__`
+    checks the fields, and a NamedTuple body cannot define `__new__`.
     """
 
     jump_rise: int = 3
@@ -47,8 +70,8 @@ class PhysicsParams:
             )
 
 
-@dataclass(frozen=True)
-class UnstablePlatform:
+@own_kind
+class UnstablePlatform(NamedTuple):
     """Breaks when stood on, reforms once the player is far enough away;
     impassable from every direction while intact.  Nothing refers to a
     platform but its cell: its bit in `GameState.platform_broken` is its
@@ -57,8 +80,8 @@ class UnstablePlatform:
     cell: Cell
 
 
-@dataclass(frozen=True)
-class Door:
+@own_kind
+class Door(NamedTuple):
     """A vertical strip of 1-3 cells; passable only while open."""
 
     id: int
@@ -66,8 +89,8 @@ class Door:
     initially_open: bool = False
 
 
-@dataclass(frozen=True)
-class Button:
+@own_kind
+class Button(NamedTuple):
     """Fired by a dash passing through its cell; blocks walking."""
 
     cell: Cell
@@ -75,8 +98,8 @@ class Button:
     action: str = OPEN
 
 
-@dataclass(frozen=True)
-class SpaceBlock:
+@own_kind
+class SpaceBlock(NamedTuple):
     """A rectangular region that carries a dashing player straight through."""
 
     rect: tuple[int, int, int, int]  # x0, y0, x1, y1 inclusive
@@ -87,13 +110,13 @@ class SpaceBlock:
         return [(x, y) for y in range(y0, y1 + 1) for x in range(x0, x1 + 1)]
 
 
-@dataclass(frozen=True)
-class Spawn:
+@own_kind
+class Spawn(NamedTuple):
     cell: Cell
 
 
-@dataclass(frozen=True)
-class Flag:
+@own_kind
+class Flag(NamedTuple):
     cell: Cell
 
 
@@ -106,8 +129,8 @@ def variant_of(entities) -> str:
     return PSPACE if any(isinstance(e, Button) and e.action == CLOSE for e in entities) else NP
 
 
-@dataclass(frozen=True)
-class Port:
+@own_kind
+class Port(NamedTuple):
     """A named boundary cell of a stamped gadget, kept as level metadata."""
 
     name: str
@@ -117,6 +140,9 @@ class Port:
 
 @dataclass(frozen=True)
 class Level:
+    """A dataclass, not a NamedTuple: it caches its hash in its instance
+    dict, and `sim_context` hashes the level on every call."""
+
     width: int
     height: int
     tiles: tuple[str, ...]  # bottom row first, strings of '#'/'.'
@@ -125,8 +151,7 @@ class Level:
     ports: tuple[Port, ...] = ()
 
     def __hash__(self) -> int:
-        # Every field is immutable, so the hash is computed once: the
-        # simulator's context cache hashes the level on every step.
+        # Every field is immutable, so the hash is computed once.
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash((self.width, self.height, self.tiles, self.entities, self.physics, self.ports))
@@ -168,8 +193,8 @@ class Level:
         raise LevelError(f"unknown port {name!r}")
 
 
-@dataclass(frozen=True)
-class Violation:
+@own_kind
+class Violation(NamedTuple):
     rule: str
     subject: str
     message: str
@@ -397,7 +422,7 @@ def _cells(value, count: int, *what: str, seq: type = list) -> tuple[tuple[int, 
 
 
 # Each entity kind's record: its document name, and per field the
-# document key, the dataclass field, and the check and its argument that
+# document key, the record's field, and the check and its argument that
 # read the value.  JSON writes the tuples of a field as arrays, so a
 # check takes `seq=list` on a document's value and `seq=tuple` on a
 # level's field (`validate_level`'s field-type rule).
@@ -434,7 +459,7 @@ def _record_to_entity(rec: dict) -> Entity:
 
 
 def _read(rec: dict, record) -> dict:
-    """The dataclass fields of a document record, each read with the check
+    """The record fields of a document record, each read with the check
     of its `record` (a document name and fields, as in `_RECORDS`)."""
     kind, fields = record
     out = {}

@@ -77,12 +77,11 @@ door bit: a dash may stop before that button.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple
 
-from satplat.level import CLOSE, SOLID, Button, Door, Level, SpaceBlock, UnstablePlatform
+from satplat.level import CLOSE, SOLID, Button, Door, Level, SpaceBlock, UnstablePlatform, own_kind
 
 # Compass directions in canonical order, with their steps.
 COMPASS_DELTA = {
@@ -163,14 +162,25 @@ class GameState(NamedTuple):
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
-class Death:
+@own_kind
+class Death(NamedTuple):
     reason: str
 
 
-@dataclass(frozen=True)
 class Blocked:
-    pass
+    """A plain class, not a NamedTuple: one with no fields is an empty
+    tuple, and an empty tuple is false."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Blocked
+
+    def __hash__(self) -> int:
+        return hash(Blocked)
+
+    def __repr__(self) -> str:
+        return "Blocked()"
 
 
 BLOCKED = Blocked()

@@ -37,17 +37,16 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from satplat.level import Level
+from satplat.level import Level, own_kind
 from satplat.sim import BLOCKED, DEATH, GameState, Move, _apply, _cell, initial_state, sim_context
 
 DEFAULT_MAX_STATES = 5_000_000
 
 
-@dataclass(frozen=True)
-class SearchStats:
+@own_kind
+class SearchStats(NamedTuple):
     states_expanded: int
     states_visited: int
     frontier_peak: int
@@ -55,19 +54,19 @@ class SearchStats:
     successor_lists: int  # signatures whose successors were computed
 
 
-@dataclass(frozen=True)
-class Solvable:
+@own_kind
+class Solvable(NamedTuple):
     trace: tuple[Move, ...]
     stats: SearchStats
 
 
-@dataclass(frozen=True)
-class Unsolvable:
+@own_kind
+class Unsolvable(NamedTuple):
     stats: SearchStats
 
 
-@dataclass(frozen=True)
-class LimitExceeded:
+@own_kind
+class LimitExceeded(NamedTuple):
     stats: SearchStats
 
 

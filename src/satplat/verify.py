@@ -16,6 +16,7 @@ import re
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from satplat.formula import (
     QBF_BOUND,
@@ -34,7 +35,7 @@ from satplat.formula import (
     write_qdimacs,
 )
 from satplat.compiler import compile_3sat, compile_qbf
-from satplat.level import NP, PSPACE, Level, save_level
+from satplat.level import NP, PSPACE, Level, own_kind, save_level
 from satplat.sim import (
     BLOCKED,
     DEATH,
@@ -59,8 +60,8 @@ CHUNK_ITEMS = 8  # corpus items a worker process takes per task
 BUNDLE_FILES = ("formula.cnf", "formula.qdimacs", "level.json", "witness.trace", "verdicts.json")
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+@own_kind
+class EquivalenceReport(NamedTuple):
     formula_text: str
     variant: str
     oracle_verdict: bool
@@ -76,7 +77,9 @@ class CorpusSpec:
     RANDOM draws `count` seeded formulas at exactly (n, k).  The variant
     selects the NP (3-CNF) or PSPACE (QBF) pipeline.  A spec whose
     formulas may have more variables than its oracle takes (`SAT_BOUND`,
-    `QBF_BOUND`) is refused with ValueError."""
+    `QBF_BOUND`) is refused with ValueError.  A dataclass, not a
+    NamedTuple: `__post_init__` checks the fields, and a NamedTuple body
+    cannot define `__new__`."""
 
     mode: str  # "EXHAUSTIVE" | "RANDOM"
     variant: str = NP
@@ -108,7 +111,10 @@ class CorpusSpec:
 
 @dataclass
 class CorpusSummary:
-    """A corpus run: its reports, and the counts derived from them."""
+    """A corpus run: its reports, and the counts derived from them.  A
+    dataclass, not a NamedTuple: it is mutable, and each summary gets a
+    fresh `reports` list, where a NamedTuple's default is one shared
+    object."""
 
     spec: CorpusSpec
     reports: list[EquivalenceReport] = field(default_factory=list)

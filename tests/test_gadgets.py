@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 
 import pytest
@@ -129,8 +128,8 @@ def walled_up_passage(k, c, s):
     x, y = 3 + 2 * c, 1 + s
     rows = list(bp.rows)
     rows[y] = rows[y][:x] + "#" + rows[y][x + 1:]
-    return dataclasses.replace(bp, rows=tuple(rows),
-                               doors=tuple(d for d in bp.doors if d.id != 3 * c + s))
+    return bp._replace(rows=tuple(rows),
+                       doors=tuple(d for d in bp.doors if d.id != 3 * c + s))
 
 
 class TestClauseGadget:

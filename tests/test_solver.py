@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import tracemalloc
 
 import pytest
@@ -522,17 +523,27 @@ def test_search_memory_per_visited_state():
     # A fresh int per visited state, such as a packed parent link, adds
     # about 50 B and fails the bound.  A first solve in a process reads
     # about 30 B more than later ones, so an untraced solve of the same
-    # level runs first, and the traced one gets a fresh context.
+    # level runs first, and the traced one gets a fresh context.  The
+    # cyclic collector stays off from the first solve to the end of the
+    # traced one: a collection between them (whenever earlier tests left
+    # it due) empties the free lists of tuples, and the traced solve then
+    # allocates the tuples it would otherwise reuse.
     level = compile_3sat(gen_random_3cnf(8, 8, seed=1))
-    solve(level)
-    sim_context.cache_clear()
-    sim_context(level)
-    tracemalloc.start()
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        result = solve(level)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        solve(level)
+        sim_context.cache_clear()
+        sim_context(level)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = solve(level)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
     finally:
-        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
     assert isinstance(result, Solvable)
     assert peak / result.stats.states_visited <= 140
