@@ -158,8 +158,7 @@ def stamp_into(builder: LevelBuilder, bp: GadgetBlueprint, origin: tuple[int, in
     for b in bp.buttons:
         builder.add(Button((ox + b.cell[0], oy + b.cell[1]), b.door_id, b.action))
     for port in bp.ports:
-        builder.add_port(prefix + port.name,
-                         (ox + port.cell[0], oy + port.cell[1]), port.direction)
+        builder.add_port(prefix + port.name, (ox + port.cell[0], oy + port.cell[1]))
 
 
 def contract_level(bp: GadgetBlueprint) -> Level:
@@ -224,9 +223,9 @@ def build_variable_gadget() -> GadgetBlueprint:
         rows=rows,
         platforms=(UnstablePlatform((1, 3)), UnstablePlatform((3, 3))),
         ports=(
-            Port("entry", (0, 6), "E"),
-            Port("exit_true", (0, 1), "W"),
-            Port("exit_false", (4, 1), "E"),
+            Port("entry", (0, 6)),
+            Port("exit_true", (0, 1)),
+            Port("exit_false", (4, 1)),
         ),
         contract=(
             Assertion("entry", "exit_true", True, note="fresh choice, true side"),
@@ -258,7 +257,7 @@ def build_tunnel(symbols=()) -> GadgetBlueprint:
         kind="tunnel",
         rows=_from_art(["#" * w, "." * w, "#" * w]),
         buttons=tuple(buttons),
-        ports=(Port("tunnel_in", (0, 1), "E"), Port("tunnel_out", (w - 1, 1), "E")),
+        ports=(Port("tunnel_in", (0, 1)), Port("tunnel_out", (w - 1, 1))),
         contract=(
             Assertion("tunnel_in", "tunnel_out", True),
             Assertion("tunnel_out", "tunnel_in", True),
@@ -314,7 +313,7 @@ def build_final_passage(num_clauses: int) -> GadgetBlueprint:
         kind="final_passage",
         rows=_from_art(["#" * w, above, above, "." * w, "#" * w]),
         doors=doors,
-        ports=(Port("passage_in", (0, 1), "E"), Port("flag_port", (w - 1, 1), "E")),
+        ports=(Port("passage_in", (0, 1)), Port("flag_port", (w - 1, 1))),
         contract=tuple(contract),
         notes=f"{k} clause walls in series",
     )
@@ -356,10 +355,10 @@ def build_exists_gadget(first_door: int, true_symbols, false_symbols) -> GadgetB
         doors=_doors(doors),
         buttons=tuple(buttons),
         ports=(
-            Port("q_in", (0, 1), "E"),
-            Port("q_out", (w - 1, 1), "E"),
-            Port("ret_in", (w - 1, 8), "W"),
-            Port("ret_out", (0, 8), "W"),
+            Port("q_in", (0, 1)),
+            Port("q_out", (w - 1, 1)),
+            Port("ret_in", (w - 1, 8)),
+            Port("ret_out", (0, 8)),
         ),
         contract=(
             Assertion("q_in", "q_out", True, note="fresh: some branch commits"),
@@ -427,11 +426,11 @@ def build_forall_gadget(first_door: int, true_symbols, false_symbols) -> GadgetB
         doors=_doors(doors),
         buttons=tuple(buttons),
         ports=(
-            Port("q_in", (0, 1), "E"),
-            Port("q_out", (w - 1, 1), "E"),
-            Port("ret_in", (w - 1, 8), "W"),
-            Port("ret_out", (0, 8), "W"),
-            Port("reroute_out", (w - 1, 3), "E"),
+            Port("q_in", (0, 1)),
+            Port("q_out", (w - 1, 1)),
+            Port("ret_in", (w - 1, 8)),
+            Port("ret_out", (0, 8)),
+            Port("reroute_out", (w - 1, 3)),
         ),
         contract=(
             Assertion("q_in", "q_out", True, note="fresh forward pass"),
@@ -466,7 +465,7 @@ def build_elevator() -> GadgetBlueprint:
         kind="elevator",
         rows=rows,
         blocks=(SpaceBlock((2, 3, 2, 7)),),
-        ports=(Port("elev_in", (0, 1), "E"), Port("elev_out", (0, 8), "W")),
+        ports=(Port("elev_in", (0, 1)), Port("elev_out", (0, 8))),
         contract=(
             Assertion("elev_in", "elev_out", True),
             Assertion("elev_out", "elev_in", True, note="two-way by design"),
@@ -494,7 +493,7 @@ def catalog() -> str:
         lines.append(f"{kind} ({bp.width}x{bp.height}, variant {bp.variant})")
         lines.append(f"  {bp.notes}")
         for p in bp.ports:
-            lines.append(f"  port {p.name} at {p.cell} heading {p.direction}")
+            lines.append(f"  port {p.name} at {p.cell}")
         for a in bp.contract:
             cond = ""
             if a.doors:

@@ -3,7 +3,8 @@
 Coordinates are (x, y) with x growing rightward and y growing upward;
 row 0 is the bottom of the grid.  Tiles are stored bottom row first; the
 text document and the ASCII renderer both show the top row first.  A
-level's variant is derived from its entities (`variant_of`), not stated.
+level states only what it cannot derive: its size is that of its rows,
+and its variant follows from its entities (`variant_of`).
 """
 
 from __future__ import annotations
@@ -131,20 +132,20 @@ def variant_of(entities) -> str:
 
 @own_kind
 class Port(NamedTuple):
-    """A named boundary cell of a stamped gadget, kept as level metadata."""
+    """A named boundary cell of a stamped gadget, kept as level metadata:
+    a location of the gadget's interface, which its contract names."""
 
     name: str
     cell: Cell
-    direction: str  # compass heading a traveler crosses the port with
 
 
 @dataclass(frozen=True)
 class Level:
-    """A dataclass, not a NamedTuple: it caches its hash in its instance
-    dict, and `sim_context` hashes the level on every call."""
+    """A tile grid, its entities, its physics and its ports; its width and
+    height are those of its rows.  A dataclass, not a NamedTuple: it
+    caches its hash in its instance dict, and `sim_context` hashes the
+    level on every call."""
 
-    width: int
-    height: int
     tiles: tuple[str, ...]  # bottom row first, strings of '#'/'.'
     entities: tuple[Entity, ...]
     physics: PhysicsParams = field(default_factory=PhysicsParams)
@@ -154,7 +155,7 @@ class Level:
         # Every field is immutable, so the hash is computed once.
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.width, self.height, self.tiles, self.entities, self.physics, self.ports))
+            h = hash((self.tiles, self.entities, self.physics, self.ports))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -163,20 +164,16 @@ class Level:
         return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @property
+    def width(self) -> int:
+        return len(self.tiles[0]) if self.tiles else 0
+
+    @property
+    def height(self) -> int:
+        return len(self.tiles)
+
+    @property
     def variant(self) -> str:
         return variant_of(self.entities)
-
-    def is_solid(self, x: int, y: int) -> bool:
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            return True  # outside the grid counts as solid
-        return self.tiles[y][x] == SOLID
-
-    def entity_cells(self, entity: Entity) -> list[Cell]:
-        if isinstance(entity, Door):
-            return list(entity.cells)
-        if isinstance(entity, SpaceBlock):
-            return entity.cells
-        return [entity.cell]
 
     @property
     def spawn(self) -> Spawn:
@@ -205,21 +202,20 @@ class Violation(NamedTuple):
 
 def validate_level(level: Level) -> list[Violation]:
     """All level invariants; an empty list means the level is valid.
-    The rules read the grid size and the physics, entity and port fields
-    as typed, so none runs unless every such field has the type
+    The rules read the tiles and the physics, entity and port fields as
+    typed, so none runs unless every such field has the type
     `load_level` reads (rule `field-type`)."""
     return _field_types(level) or _invariants(level)
 
 
 def _field_types(level: Level) -> list[Violation]:
-    """A `field-type` violation for a width or height that is not an int,
-    for tiles, entities or ports that are not a tuple, for a tile row that
-    is not a str, and for the physics, each entity and each port that is
-    not of its record type, or whose fields fail the checks `load_level`
-    reads them with (on the level's tuples, where a document has lists)."""
+    """A `field-type` violation for tiles, entities or ports that are not
+    a tuple, for a tile row that is not a str, and for the physics, each
+    entity and each port that is not of its record type, or whose fields
+    fail the checks `load_level` reads them with (on the level's tuples,
+    where a document has lists)."""
     out = []
-    for key, kind in (("width", int), ("height", int), ("tiles", tuple),
-                      ("entities", tuple), ("ports", tuple)):
+    for key, kind in (("tiles", tuple), ("entities", tuple), ("ports", tuple)):
         try:
             _typed(getattr(level, key), kind, key)
         except LevelError as exc:
@@ -263,9 +259,10 @@ def _invariants(level: Level) -> list[Violation]:
     def bad(rule: str, subject: str, message: str):
         out.append(Violation(rule, subject, message))
 
-    if (level.width < 1 or level.height < 1 or len(level.tiles) != level.height
-            or any(len(r) != level.width for r in level.tiles)):
-        bad("grid-shape", "tiles", "tile grid must be at least 1x1 and match width/height")
+    width, height = level.width, level.height
+    if width < 1 or any(len(r) != width for r in level.tiles):
+        bad("grid-shape", "tiles",
+            "tile grid must have at least one row, every row of one non-zero width")
         return out  # nothing else is checkable
     stray = _stray(level.tiles)
     if stray:
@@ -282,14 +279,14 @@ def _invariants(level: Level) -> list[Violation]:
 
     # No jump rises past the grid, and the move table built before the
     # search grows with the square of the jump rise.
-    if level.physics.jump_rise > level.height:
+    if level.physics.jump_rise > height:
         bad("physics-range", "physics",
-            f"jump rise {level.physics.jump_rise} exceeds the grid height {level.height}")
+            f"jump rise {level.physics.jump_rise} exceeds the grid height {height}")
 
     seen_cells: dict[Cell, str] = {}
     door_ids: set[int] = set()
     spawns = flags = 0
-    n_cells = level.width * level.height  # door ids are bit positions
+    n_cells = width * height  # door ids are bit positions
 
     for i, ent in enumerate(level.entities):
         name = f"{type(ent).__name__}#{i}"
@@ -297,12 +294,13 @@ def _invariants(level: Level) -> list[Violation]:
         if isinstance(ent, SpaceBlock):
             # corners first: listing a huge rect's cells has no time bound
             x0, y0, x1, y1 = ent.rect
-            fits = 0 <= x0 <= x1 < level.width and 0 <= y0 <= y1 < level.height
+            fits = 0 <= x0 <= x1 < width and 0 <= y0 <= y1 < height
             if not fits:
                 bad("block-rect", name, f"rect {ent.rect} is degenerate or leaves the grid")
-        for cell in level.entity_cells(ent) if fits else ():
+        cells = ent.cells if isinstance(ent, (Door, SpaceBlock)) else (ent.cell,)
+        for cell in cells if fits else ():
             x, y = cell
-            if not (0 <= x < level.width and 0 <= y < level.height):
+            if not (0 <= x < width and 0 <= y < height):
                 bad("in-bounds", name, f"cell {cell} outside the grid")
                 continue
             if level.tiles[y][x] != EMPTY:
@@ -340,7 +338,7 @@ def _invariants(level: Level) -> list[Violation]:
     port_names: set[str] = set()
     for port in level.ports:
         x, y = port.cell
-        if not (0 <= x < level.width and 0 <= y < level.height) or level.tiles[y][x] != EMPTY:
+        if not (0 <= x < width and 0 <= y < height) or level.tiles[y][x] != EMPTY:
             bad("port-cell", f"port {port.name}", f"cell {port.cell} is not an EMPTY tile in the grid")
         if port.name in port_names:
             bad("unique-port-name", f"port {port.name}", f"duplicate port name {port.name!r}")
@@ -356,7 +354,8 @@ def _invariants(level: Level) -> list[Violation]:
         # let the player fall before the first move.
         sx, sy = level.spawn.cell
         below = (sx, sy - 1)
-        supported = level.is_solid(sx, sy - 1) or any(
+        outside = not (0 <= sx < width and 0 < sy <= height)  # a cell off the grid is solid
+        supported = outside or level.tiles[sy - 1][sx] == SOLID or any(
             (isinstance(e, UnstablePlatform) and e.cell == below)
             or (isinstance(e, Door) and not e.initially_open and below in e.cells)
             for e in level.entities
@@ -442,7 +441,7 @@ _KINDS = {record[0]: (cls, record) for cls, record in _RECORDS.items()}
 # reads it from `_PORT_FIELDS`.
 _PHYSICS = ("physics", (("J", "jump_rise", _typed, int), ("D", "dash_length", _typed, int),
                         ("R", "reform_distance", _typed, int)))
-_PORT = ("port", (("cell", "cell", _ints, 2), ("dir", "direction", _typed, str)))
+_PORT = ("port", (("cell", "cell", _ints, 2),))
 _PORT_FIELDS = ("port", (("name", "name", _typed, str), *_PORT[1]))
 
 
@@ -494,8 +493,6 @@ def save_level(level: Level) -> str:
     # A row of tile characters alone is its own JSON string, quotes aside.
     tiles = [f'"{row}"' for row in rows] if not _stray(rows) else [*map(_quote, rows)]
     return _block("{}", [
-        f'"width": {_value(level.width, "  ")}',
-        f'"height": {_value(level.height, "  ")}',
         f'"physics": {_block("{}", _members(level.physics, _PHYSICS, "    "), "  ")}',
         f'"tiles": {_block("[]", tiles, "  ")}',
         f'"entities": {_block("[]", entities, "  ")}',
@@ -527,8 +524,6 @@ def load_level(document: str) -> Level:
         entities = _typed(doc["entities"], list, "entities")
         ports = _typed(doc.get("ports", {}), dict, "ports")
         level = Level(
-            width=_typed(doc["width"], int, "width"),
-            height=_typed(doc["height"], int, "height"),
             tiles=tuple(reversed([_typed(r, str, "tiles", "row")
                                  for r in _typed(doc["tiles"], list, "tiles")])),
             entities=tuple(_record_to_entity(r) for r in entities),
@@ -620,13 +615,11 @@ class LevelBuilder:
     def add(self, entity: Entity):
         self.entities.append(entity)
 
-    def add_port(self, name: str, cell: Cell, direction: str):
-        self.ports.append(Port(name, cell, direction))
+    def add_port(self, name: str, cell: Cell):
+        self.ports.append(Port(name, cell))
 
     def build(self) -> Level:
         level = Level(
-            width=self.width,
-            height=self.height,
             tiles=tuple(self.grid),
             entities=tuple(self.entities),
             # canonical port order, so load(save(level)) == level

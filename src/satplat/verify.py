@@ -66,9 +66,14 @@ class EquivalenceReport(NamedTuple):
     variant: str
     oracle_verdict: bool
     level_verdict: str  # solvable | unsolvable | limit
-    agree: bool
     trace: tuple[Move, ...] | None
     stats: SearchStats
+
+    @property
+    def agree(self) -> bool:
+        """The level's verdict is the oracle's; a search limit agrees with neither."""
+        verdict = self.level_verdict
+        return verdict != LIMIT and (verdict == SOLVABLE) == self.oracle_verdict
 
 
 @dataclass(frozen=True)
@@ -167,8 +172,7 @@ def _report(variant: str, text: str, oracle: bool, level: Level) -> EquivalenceR
     trace = result.trace if isinstance(result, Solvable) else None
     verdict = (SOLVABLE if trace is not None else
                LIMIT if isinstance(result, LimitExceeded) else UNSOLVABLE)
-    agree = verdict != LIMIT and (verdict == SOLVABLE) == oracle
-    return EquivalenceReport(text, variant, oracle, verdict, agree, trace, result.stats)
+    return EquivalenceReport(text, variant, oracle, verdict, trace, result.stats)
 
 
 def verify_formula(formula: CnfFormula) -> EquivalenceReport:

@@ -47,8 +47,7 @@ def level_from_art(art, entities=(), validate=True) -> Level:
     if flag:
         builder.add(Flag(flag))
     if not validate:  # a deliberately invalid level, for the checks that reject it
-        return Level(width, height, tuple("".join(row) for row in builder.grid),
-                     tuple(builder.entities))
+        return Level(tuple("".join(row) for row in builder.grid), tuple(builder.entities))
     return builder.build()
 
 

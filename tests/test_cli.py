@@ -100,8 +100,8 @@ class TestEndToEnd:
         assert code == 0
         doc = json.loads(level.read_text())
         lines = out.rstrip("\n").splitlines()
-        assert len(lines) == doc["height"]
-        assert all(len(l) == doc["width"] for l in lines)
+        assert len(lines) == len(doc["tiles"])
+        assert all(len(l) == len(doc["tiles"][0]) for l in lines)
         assert "S" in out and "F" in out
 
     def test_render_after_trace_shows_player_at_flag(self, tmp_path, sample_cnf, capsys):
@@ -192,7 +192,7 @@ class TestErrorPaths:
         level = tmp_path / "s.level"
         run(capsys, "compile", sample_cnf, "-o", level)
         doc = json.loads(level.read_text())
-        doc["ports"]["passage.flag_port"]["cell"] = [doc["width"] + 3, 1]
+        doc["ports"]["passage.flag_port"]["cell"] = [len(doc["tiles"][0]) + 3, 1]
         level.write_text(json.dumps(doc))
         code, out, err = run(capsys, "solve", level)
         assert code == 2 and out == "" and err.startswith("error:") and "port-cell" in err

@@ -389,7 +389,7 @@ def _sized_blueprints():
 # (not its notes), for the catalog and the sized gadgets in the order
 # `_sized_blueprints` yields them.  The elevator has one size, lift 7,
 # which is its catalog entry.
-BLUEPRINT_DIGEST = "e4b5f56d6e599b62ac7957130b469115e54f5dd3cfc919ce0ce5dbb82127c443"
+BLUEPRINT_DIGEST = "997988ffd2f0d6243dd177954bc5125796691c5899cdf12ae7aa363fa9d83be8"
 
 
 def test_blueprints_are_pinned():

@@ -97,8 +97,10 @@ class TestRoundTrip:
 # --- the document bytes ---------------------------------------------------
 
 def old_document(level: Level) -> dict:
-    """The canonical document as a dict, as `save_level` built it for
-    json.dumps before it wrote the document itself."""
+    """The canonical document in the older layout as a dict, as
+    `save_level` built it for json.dumps before it wrote the document
+    itself: "width" and "height" first, and a "dir" heading in each port
+    record.  A level holds no heading, so every port heads "E"."""
     records = {UnstablePlatform: ("platform", ("cell",)),
                Door: ("door", ("id", "cells", "initially_open")),
                Button: ("button", ("cell", "door_id", "action")),
@@ -116,21 +118,35 @@ def old_document(level: Level) -> dict:
                     "R": level.physics.reform_distance},
         "tiles": list(reversed(level.tiles)),
         "entities": entities,
-        "ports": {p.name: {"cell": list(p.cell), "dir": p.direction}
+        "ports": {p.name: {"cell": list(p.cell), "dir": "E"}
                   for p in sorted(level.ports, key=lambda p: p.name)},
     }
 
 
-# Port names and directions: any text, quotes, backslashes, control
-# characters, non-ASCII and lone surrogates included.
+def without_size_and_headings(doc: dict) -> dict:
+    """An older-layout document with its "width", "height" and port "dir"
+    members removed: the current layout."""
+    doc = {key: value for key, value in doc.items() if key not in ("width", "height")}
+    doc["ports"] = {name: {key: value for key, value in port.items() if key != "dir"}
+                    for name, port in doc["ports"].items()}
+    return doc
+
+
+def document(level: Level) -> str:
+    """The canonical document, as json.dumps writes it."""
+    return json.dumps(without_size_and_headings(old_document(level)), indent=2) + "\n"
+
+
+# Port names: any text, quotes, backslashes, control characters,
+# non-ASCII and lone surrogates included.
 port_text = st.text(st.characters(exclude_categories=()), max_size=6)
 
 
 @given(small_levels(),
-       st.lists(st.tuples(port_text, port_text, st.integers(0, 99)), max_size=3,
+       st.lists(st.tuples(port_text, st.integers(0, 99)), max_size=3,
                 unique_by=lambda port: port[0]))
 @example(("#####\n#S.F#\n#####", ()),
-         [('"\\\x00\x1f\u00e9\ud800', "\u2028\udfff\"", 0), ("", "\\", 1)])
+         [('"\\\x00\x1f\u00e9\ud800', 0), ("", 1), ("\u2028\udfff\"\\", 2)])
 @settings(max_examples=150, deadline=None)
 def test_saved_small_levels_are_json_dumps_bytes_and_round_trip(spec, ports):
     try:
@@ -139,13 +155,12 @@ def test_saved_small_levels_are_json_dumps_bytes_and_round_trip(spec, ports):
         reject()
     empty = [(x, y) for y, row in enumerate(level.tiles) for x, tile in enumerate(row)
              if tile == "."]
-    ports = tuple(sorted((Port(name, empty[i % len(empty)], heading)
-                          for name, heading, i in ports), key=lambda port: port.name))
-    level = Level(level.width, level.height, level.tiles, level.entities,
-                  ports=ports)
+    ports = tuple(sorted((Port(name, empty[i % len(empty)]) for name, i in ports),
+                         key=lambda port: port.name))
+    level = Level(level.tiles, level.entities, ports=ports)
     assert validate_level(level) == []
     doc = save_level(level)
-    assert doc == json.dumps(old_document(level), indent=2) + "\n"
+    assert doc == document(level)
     assert load_level(doc) == level
 
 
@@ -157,11 +172,9 @@ def test_saved_small_levels_are_json_dumps_bytes_and_round_trip(spec, ports):
     (Door(0, ((2, 1),), 0.5), None, None, "float is not JSON serializable"),
     (Button((2, 1), 0, None), None, None, "NoneType is not JSON serializable"),
     (Door(True, ((2, 1),)), None, None, "door id must be of type int, got True"),
-    (None, Port("a", (2.5, 1), "E"), None, "float is not JSON serializable"),
-    (None, Port("a", [2, 1], "E"), None, "list is not JSON serializable"),
-    (None, Port("a", (2, 1), None), None, "NoneType is not JSON serializable"),
-    (None, Port(None, (2, 1), "E"), None, "must be a string, not NoneType"),
-    (None, Port("a", (2, 1), 5), None, "port dir must be of type str, got 5"),
+    (None, Port("a", (2.5, 1)), None, "float is not JSON serializable"),
+    (None, Port("a", [2, 1]), None, "list is not JSON serializable"),
+    (None, Port(None, (2, 1)), None, "must be a string, not NoneType"),
     (None, None, PhysicsParams(3, 4.5, 2), "float is not JSON serializable"),
 ])
 def test_save_refuses_what_a_level_never_holds(entity, port, physics, refusal):
@@ -169,8 +182,8 @@ def test_save_refuses_what_a_level_never_holds(entity, port, physics, refusal):
     # or is written as a document that `load_level` refuses.
     level = level_from_art("#####\n#S.F#\n#####", entities=[entity] if entity else [],
                            validate=False)
-    level = Level(level.width, level.height, level.tiles, level.entities,
-                  physics=physics or PhysicsParams(), ports=(port,) if port else ())
+    level = Level(level.tiles, level.entities, physics=physics or PhysicsParams(),
+                  ports=(port,) if port else ())
     assert [v.rule for v in validate_level(level)] == ["field-type"]
     with pytest.raises((TypeError, LevelError), match=re.escape(refusal)):
         load_level(save_level(level))
@@ -189,15 +202,15 @@ def test_save_refuses_what_a_level_never_holds(entity, port, physics, refusal):
      "[button-action] Button#3: unknown action 'toggle'"),
     ("dangling-door-id", (Button((2, 1), 7, "close"),), "PSPACE",
      "[dangling-door-id] Button#2: button targets missing door 7"),
-    ("field-type", (Port("a", (2, 1), "E"),), "NP",
-     "unknown entity Port(name='a', cell=(2, 1), direction='E')"),
+    ("field-type", (Port("a", (2, 1)),), "NP",
+     "unknown entity Port(name='a', cell=(2, 1))"),
 ])
 def test_each_rule_refuses_a_level_that_breaks_it_alone(rule, extra, variant, refusal):
     # `save_level` does not write an entity that is not a record type
     # (the `field-type` level), and `load_level` refuses the document of
     # every other level.
     base = level_from_art("#####\n#...#\n#...#\n#...#\n#S.F#\n#####")
-    level = Level(base.width, base.height, base.tiles, base.entities + extra)
+    level = Level(base.tiles, base.entities + extra)
     assert level.variant == variant  # PSPACE exactly when a button closes a door
     assert [v.rule for v in validate_level(level)] == [rule]
     with pytest.raises(LevelError, match=re.escape(refusal)):
@@ -207,7 +220,7 @@ def test_each_rule_refuses_a_level_that_breaks_it_alone(rule, extra, variant, re
 @pytest.mark.parametrize("i", range(len(compiled_levels())))
 def test_saved_compiled_levels_are_json_dumps_bytes(i):
     level = compiled_levels()[i]
-    assert save_level(level) == json.dumps(old_document(level), indent=2) + "\n"
+    assert save_level(level) == document(level)
 
 
 def document_declaring_variant(level: Level) -> str:
@@ -245,6 +258,49 @@ def test_a_document_declaring_np_with_a_close_button_loads_as_pspace():
     assert loaded == level and loaded.variant == PSPACE
 
 
+def test_a_document_without_a_size_or_port_headings_loads():
+    # The grid's size is that of its rows, and a port record holds its
+    # cell alone.
+    doc = {"physics": {"J": 3, "D": 4, "R": 2},
+           "tiles": ["######", "#....#", "######"],
+           "entities": [{"kind": "spawn", "cell": [1, 1]}, {"kind": "flag", "cell": [4, 1]}],
+           "ports": {"a": {"cell": [2, 1]}}}
+    text = json.dumps(doc, indent=2) + "\n"
+    level = load_level(text)
+    assert (level.width, level.height) == (6, 3)
+    assert level.ports == (Port("a", (2, 1)),)
+    assert save_level(level) == text
+
+
+@pytest.mark.parametrize("levels", [np_levels, qbf_levels], ids=["np", "qbf"])
+def test_documents_that_state_a_size_and_port_headings_still_load(levels):
+    # The older format wrote "width" and "height" first and a "dir" in
+    # each port record.  Such a document of each pinned level loads to
+    # the same level, and the current document is it with those members
+    # removed.
+    for level in levels():
+        old = json.dumps(old_document(level), indent=2) + "\n"
+        assert old.startswith(f'{{\n  "width": {level.width},\n  "height": {level.height},\n')
+        assert old.count('"dir": "E"') == len(level.ports)
+        assert load_level(old) == level
+        assert save_level(load_level(old)) == save_level(level) == \
+            json.dumps(without_size_and_headings(json.loads(old)), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("key, value", [("width", 99), ("height", 1), ("width", 4.0),
+                                        ("height", "3"), ("dir", None), ("dir", 5)])
+def test_old_members_are_ignored_whatever_they_hold(sample_formula, key, value):
+    # A "width" or "height" that disagrees with the rows, or is not an
+    # int, was refused; now the rows alone give the size.
+    level = compile_3sat(sample_formula)
+    doc = old_document(level)
+    for record in doc["ports"].values() if key == "dir" else (doc,):
+        record[key] = value
+    loaded = load_level(json.dumps(doc))
+    assert loaded == level and (loaded.width, loaded.height) == (level.width, level.height)
+    assert save_level(loaded) == save_level(level)
+
+
 @pytest.mark.parametrize("ids", [(5, 5), (-1, 0)])
 def test_old_platform_ids_load_and_the_bits_are_the_ranks(ids):
     # The older format gave each platform record an "id", which picked
@@ -275,11 +331,11 @@ def test_a_level_with_every_entity_kind_saves_as_json_dumps_bytes():
         entities=[Door(2, ((2, 1), (2, 2)), True), Button((3, 1), 2, "close"),
                   UnstablePlatform((4, 2)), SpaceBlock((5, 2, 5, 2))],
     )
-    level = Level(level.width, level.height, level.tiles, level.entities,
-                  ports=(Port("a", (3, 2), "E"), Port("b\u00e9\"", (1, 1), "W")))
+    level = Level(level.tiles, level.entities,
+                  ports=(Port("a", (3, 2)), Port("b\u00e9\"", (1, 1))))
     assert validate_level(level) == []
     doc = save_level(level)
-    assert doc == json.dumps(old_document(level), indent=2) + "\n"
+    assert doc == document(level)
     assert load_level(doc) == level
 
 
@@ -289,15 +345,13 @@ class TestValidation:
 
     def test_two_spawns(self):
         level = level_from_art("#####\n#S.F#\n#####", validate=False)
-        level = Level(level.width, level.height, level.tiles,
-                      level.entities + (Spawn((2, 1)),))
+        level = Level(level.tiles, level.entities + (Spawn((2, 1)),))
         rules = {v.rule for v in validate_level(level)}
         assert "spawn-count" in rules
 
     def test_flag_on_solid(self):
         level = level_from_art("####\n#S.#\n####", validate=False)
-        level = Level(level.width, level.height, level.tiles,
-                      level.entities + (Flag((2, 0)),))
+        level = Level(level.tiles, level.entities + (Flag((2, 0)),))
         rules = {v.rule for v in validate_level(level)}
         assert "entity-on-empty" in rules
 
@@ -321,8 +375,7 @@ class TestValidation:
 
     def test_unsupported_spawn(self):
         level = level_from_art("####\n#S.#\n#..#\n####", validate=False)
-        level = Level(level.width, level.height, level.tiles,
-                      level.entities + (Flag((2, 1)),))
+        level = Level(level.tiles, level.entities + (Flag((2, 1)),))
         rules = {v.rule for v in validate_level(level)}
         assert "spawn-support" in rules
 
@@ -337,7 +390,7 @@ class TestValidation:
 
     def test_holes_in_every_border_are_named_columns_first_then_rows(self):
         tiles = ("#.######", "#......#", "........", "#......#", "####..##")  # bottom row first
-        level = Level(8, 5, tiles, (Spawn((3, 1)), Flag((4, 1))))
+        level = Level(tiles, (Spawn((3, 1)), Flag((4, 1))))
         found = [(v.subject, v.message) for v in validate_level(level)
                  if v.rule == "sealed-boundary"]
         assert found == [
@@ -349,14 +402,14 @@ class TestValidation:
 
     def test_a_hole_at_a_corner_is_named_by_column_and_row(self):
         tiles = ("####", "#..#", "#..#", "###.")
-        level = Level(4, 4, tiles, (Spawn((1, 1)), Flag((2, 1))))
+        level = Level(tiles, (Spawn((1, 1)), Flag((2, 1))))
         assert [v.subject for v in validate_level(level)] == ["column 3", "row 3"]
 
     @given(st.integers(1, 8).flatmap(
         lambda w: st.lists(st.text("#.", min_size=w, max_size=w), min_size=1, max_size=6)))
     @settings(max_examples=200, deadline=None)
     def test_sealed_boundary_matches_a_cell_by_cell_check(self, tiles):
-        level = Level(len(tiles[0]), len(tiles), tuple(tiles), ())
+        level = Level(tuple(tiles), ())
         expected = [f"column {x}" for x in range(level.width)
                     if tiles[0][x] != "#" or tiles[-1][x] != "#"]
         expected += [f"row {y}" for y in range(level.height)
@@ -369,8 +422,8 @@ class TestValidation:
             builder.carve(x, 1)
         builder.add(Spawn((1, 1)))
         builder.add(Flag((3, 1)))
-        builder.add_port("p", (1, 1), "E")
-        builder.add_port("p", (2, 1), "E")
+        builder.add_port("p", (1, 1))
+        builder.add_port("p", (2, 1))
         with pytest.raises(LevelError, match=r"\[unique-port-name\] port p: duplicate port name 'p'"):
             builder.build()
 
@@ -386,7 +439,7 @@ class TestValidation:
     def test_stray_tile_char(self, minimal_level):
         tiles = (minimal_level.tiles[0], minimal_level.tiles[1].replace(".", "x", 1),
                  *minimal_level.tiles[2:])
-        level = Level(minimal_level.width, minimal_level.height, tiles, minimal_level.entities)
+        level = Level(tiles, minimal_level.entities)
         assert "tile-char" in {v.rule for v in validate_level(level)}
 
     def test_load_rejects_a_stray_tile_char(self, minimal_level):
@@ -439,10 +492,9 @@ class TestValidation:
                 load_level(save_level(level))
 
     @pytest.mark.parametrize("port, message", [
-        (Port("a", (2.5, 1), "E"), "Port#0: port cell must be a tuple of 2 ints, got (2.5, 1)"),
-        (Port("a", [2, 1], "E"), "Port#0: port cell must be a tuple of 2 ints, got [2, 1]"),
-        (Port("a", (2, 1), 5), "Port#0: port dir must be of type str, got 5"),
-        (Port(7, (2, 1), "E"), "Port#0: port name must be of type str, got 7"),
+        (Port("a", (2.5, 1)), "Port#0: port cell must be a tuple of 2 ints, got (2.5, 1)"),
+        (Port("a", [2, 1]), "Port#0: port cell must be a tuple of 2 ints, got [2, 1]"),
+        (Port(7, (2, 1)), "Port#0: port name must be of type str, got 7"),
     ])
     def test_build_type_checks_port_fields_as_load_does(self, port, message):
         # Unchecked, the float cell is a TypeError inside `validate_level`,
@@ -452,11 +504,11 @@ class TestValidation:
             builder.carve(x, 1)
         builder.add(Spawn((1, 1)))
         builder.add(Flag((3, 1)))
-        builder.add_port(port.name, port.cell, port.direction)
+        builder.add_port(port.name, port.cell)
         with pytest.raises(LevelError, match=re.escape(f"[field-type] {message}")):
             builder.build()
         level = level_from_art("#####\n#S.F#\n#####")
-        level = Level(level.width, level.height, level.tiles, level.entities, ports=(port,))
+        level = Level(level.tiles, level.entities, ports=(port,))
         assert [str(v) for v in validate_level(level)] == [f"[field-type] {message}"]
 
     @pytest.mark.parametrize("physics, message", [
@@ -466,25 +518,11 @@ class TestValidation:
     ])
     def test_physics_fields_are_type_checked_as_load_does(self, physics, message):
         level = level_from_art("#####\n#S.F#\n#####")
-        level = Level(level.width, level.height, level.tiles, level.entities, physics=physics)
+        level = Level(level.tiles, level.entities, physics=physics)
         assert [str(v) for v in validate_level(level)] == [f"[field-type] PhysicsParams#0: {message}"]
-        doc = json.loads(save_level(Level(level.width, level.height, level.tiles,
-                                          level.entities)))
+        doc = json.loads(save_level(Level(level.tiles, level.entities)))
         doc["physics"].update(J=physics.jump_rise, D=physics.dash_length,
                               R=physics.reform_distance)
-        with pytest.raises(LevelError, match=re.escape(message)):
-            load_level(json.dumps(doc))
-
-    @pytest.mark.parametrize("key, value", [("width", 5.0), ("height", 3.0), ("width", True),
-                                            ("height", True)])
-    def test_grid_size_is_type_checked_as_load_does(self, key, value):
-        level = level_from_art("#####\n#S.F#\n#####")
-        size = {"width": level.width, "height": level.height, key: value}
-        message = f"{key} must be of type int, got {value!r}"
-        typed = Level(size["width"], size["height"], level.tiles, level.entities)
-        assert [str(v) for v in validate_level(typed)] == [f"[field-type] {key}: {message}"]
-        doc = json.loads(save_level(level))
-        doc[key] = value
         with pytest.raises(LevelError, match=re.escape(message)):
             load_level(json.dumps(doc))
 
@@ -492,8 +530,7 @@ class TestValidation:
     def test_tile_rows_are_type_checked_as_load_does(self, row):
         level = level_from_art("#####\n#S.F#\n#####")
         message = f"tiles row must be of type str, got {row!r}"
-        typed = Level(level.width, level.height, (level.tiles[0], row, level.tiles[2]),
-                      level.entities)
+        typed = Level((level.tiles[0], row, level.tiles[2]), level.entities)
         assert [str(v) for v in validate_level(typed)] == [f"[field-type] row 1: {message}"]
         doc = json.loads(save_level(level))
         doc["tiles"][1] = row
@@ -515,7 +552,7 @@ class TestValidation:
             fields["tiles"] = (level.tiles[0], b"#S.F#", level.tiles[2])
         else:
             fields[key] = list(fields[key])
-        typed = Level(level.width, level.height, **fields)
+        typed = Level(**fields)
         assert [str(v) for v in validate_level(typed)] == [f"[field-type] {subject}: {message}"]
 
     @pytest.mark.parametrize("tiles, found", [("#####", "str"), ({"0": "#####"}, "dict")])
@@ -552,11 +589,11 @@ class TestValidation:
         with pytest.raises(LevelError, match="grid-shape"):
             load_level(json.dumps(doc))
 
-    @pytest.mark.parametrize("key, value", [("width", 4.0), ("height", "3")])
-    def test_load_type_checks_document_fields(self, minimal_level, key, value):
+    def test_load_rejects_rows_of_two_widths(self, minimal_level):
+        # The first row sets the width; every other row must match it.
         doc = json.loads(save_level(minimal_level))
-        doc[key] = value
-        with pytest.raises(LevelError, match="must be"):
+        doc["tiles"][1] += "#"
+        with pytest.raises(LevelError, match="grid-shape"):
             load_level(json.dumps(doc))
 
     def test_huge_block_rect_rejected_quickly(self, minimal_level):
@@ -583,7 +620,7 @@ class TestValidation:
 
     def test_jump_rise_above_the_grid_rejected(self, sample_formula):
         doc = json.loads(save_level(compile_3sat(sample_formula)))
-        doc["physics"]["J"] = doc["height"] + 1
+        doc["physics"]["J"] = len(doc["tiles"]) + 1
         with pytest.raises(LevelError, match="physics-range"):
             load_level(json.dumps(doc))
 

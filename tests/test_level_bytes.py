@@ -12,8 +12,8 @@ from satplat.compiler import compile_3sat, compile_qbf
 from satplat.formula import Quantifier, QbfFormula, gen_random_3cnf
 from satplat.level import save_level
 
-NP_DIGEST = "a9bdc742537ea00c61c01f6903e8dfd8ba7328ce8096291a36cff682cfcd7985"
-QBF_DIGEST = "5ab230f5530ab14a70be562bc7882e2a3351f0b27c63550bb86f92166cc0f9d4"
+NP_DIGEST = "828d5352788550f7eba51fdf8420699d8c4eef95942d216ee490e93218bd8a3c"
+QBF_DIGEST = "7f657375f37dd44735d636e6927abf0b1f6099a7432b46954dd029672c8ca5a6"
 
 E, A = Quantifier.EXISTS, Quantifier.FORALL
 QBF_PREFIXES = ("E", "A", "EE", "AA", "EA", "AE", "EEE", "AAA", "EAE", "AEA",

@@ -73,8 +73,7 @@ class TestSolve:
         level = level_from_art("####\n#S.#\n####", validate=False)
         from satplat.level import Flag, Level
 
-        level = Level(level.width, level.height, level.tiles,
-                      level.entities + (Flag((1, 1)),))
+        level = Level(level.tiles, level.entities + (Flag((1, 1)),))
         result = solve(level)
         assert isinstance(result, Solvable)
         assert result.trace == ()
@@ -427,7 +426,7 @@ def loadable_levels(draw):
     for _ in some(3 if doors else 0):
         entities.append(Button(take(free), draw(st.integers(0, len(doors) - 1)),
                                draw(st.sampled_from([OPEN, CLOSE]))))
-    ports = tuple(Port(f"p{i}", take(free), draw(st.sampled_from("NESW"))) for i in some(2))
+    ports = tuple(Port(f"p{i}", take(free)) for i in some(2))
     solid = draw(st.sets(st.sampled_from(free), max_size=len(free) // 3)) if free else set()
     if below in free:
         solid.add(below)

@@ -83,7 +83,7 @@ def corridor(second, third) -> Level:
     """A one-row corridor under a solid ceiling: the spawn at x=1, then
     entities of the kinds `second` and `third` at x=2 and x=3.  An intact
     platform cannot be walked, jumped or dashed past here."""
-    return Level(width=5, height=3, tiles=("#####", "#...#", "#####"),
+    return Level(tiles=("#####", "#...#", "#####"),
                  entities=(Spawn((1, 1)), second((2, 1)), third((3, 1))))
 
 

@@ -185,7 +185,7 @@ class TestRunCorpus:
 
     def test_repro_bundle_writer(self, tmp_path):
         # synthesize a disagreement record and check the bundle contents
-        report = EquivalenceReport(SAMPLE_DIMACS, NP, False, "solvable", False,
+        report = EquivalenceReport(SAMPLE_DIMACS, NP, False, "solvable",
                                    None, solve(compile_3sat(
                                        parse_dimacs(SAMPLE_DIMACS))).stats)
         paths = write_repro_bundles([report], tmp_path)
