@@ -494,6 +494,7 @@ class TestValidation:
     @pytest.mark.parametrize("port, message", [
         (Port("a", (2.5, 1)), "Port#0: port cell must be a tuple of 2 ints, got (2.5, 1)"),
         (Port("a", [2, 1]), "Port#0: port cell must be a tuple of 2 ints, got [2, 1]"),
+        (Port("a", (2, 1, 0)), "Port#0: port cell must be a tuple of 2 ints, got (2, 1, 0)"),
         (Port(7, (2, 1)), "Port#0: port name must be of type str, got 7"),
     ])
     def test_build_type_checks_port_fields_as_load_does(self, port, message):
