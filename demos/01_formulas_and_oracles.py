@@ -19,7 +19,7 @@ from satplat.formula import (
 # The running example used throughout the repo: (x1|x2|~x3) & (~x1|x2|x3)
 text = "p cnf 3 2\n1 2 -3 0\n-1 2 3 0\n"
 formula = parse_dimacs(text)
-print("formula:", " & ".join(str(c) for c in formula.clauses))
+print("formula:", " & ".join("(" + " | ".join(map(str, c)) + ")" for c in formula.clauses))
 
 assignment = {1: True, 2: False, 3: True}
 print("x1=1 x2=0 x3=1 satisfies it:", eval_cnf(formula, assignment))

@@ -247,8 +247,8 @@ def _occurrences(formula: CnfFormula):
     pos: dict[int, list[int]] = {}
     neg: dict[int, list[int]] = {}
     for c, clause in enumerate(formula.clauses):
-        for s, lit in enumerate(clause.literals):
-            (neg if lit.negated else pos).setdefault(lit.variable, []).append(3 * c + s)
+        for s, lit in enumerate(clause):
+            (neg if lit < 0 else pos).setdefault(abs(lit), []).append(3 * c + s)
     return pos, neg
 
 

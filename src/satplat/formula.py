@@ -1,5 +1,8 @@
 """3-CNF and quantified Boolean formulas with brute-force oracles.
 
+A literal is its DIMACS int, v for x_v and -v for its negation, and a
+clause is a tuple of three of them.
+
 Everything here is deliberately simple: the enumeration oracles are the
 ground truth that the level compiler is verified against, so they must be
 trivially auditable.
@@ -31,55 +34,37 @@ class Quantifier(Enum):
     FORALL = "a"
 
 
-# Literal, Clause, CnfFormula and QbfFormula are dataclasses, not
-# NamedTuples: each checks its fields in `__post_init__`, and a NamedTuple
-# body cannot define `__new__`.
-
-
-@dataclass(frozen=True)
-class Literal:
-    """A possibly negated occurrence of a 1-based variable."""
-
-    variable: int
-    negated: bool = False
-
-    def __post_init__(self):
-        if self.variable < 1:
-            raise FormulaError(f"variable index must be >= 1, got {self.variable}")
-
-    def __str__(self) -> str:
-        return f"-{self.variable}" if self.negated else str(self.variable)
-
-
-@dataclass(frozen=True)
-class Clause:
-    """Exactly three literals; duplicates are allowed (used for padding)."""
-
-    literals: tuple[Literal, Literal, Literal]
-
-    def __post_init__(self):
-        if len(self.literals) != 3:
-            raise FormulaError(f"clause must have exactly 3 literals, got {len(self.literals)}")
-
-    def __str__(self) -> str:
-        return "(" + " | ".join(str(l) for l in self.literals) + ")"
+# CnfFormula and QbfFormula are dataclasses, not NamedTuples: each checks
+# its fields in `__post_init__`, and a NamedTuple body cannot define
+# `__new__`.
 
 
 @dataclass(frozen=True)
 class CnfFormula:
+    """A 3-CNF over the variables 1..num_variables.  Each clause is a
+    tuple of three DIMACS literals and may repeat one, as parsing pads
+    short clauses that way."""
+
     num_variables: int
-    clauses: tuple[Clause, ...]
+    clauses: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if self.num_variables < 0:
+        n = self.num_variables
+        if n < 0:
             raise FormulaError("num_variables must be >= 0")
-        for ci, clause in enumerate(self.clauses):
-            for lit in clause.literals:
-                if lit.variable > self.num_variables:
-                    raise FormulaError(
-                        f"clause {ci + 1} uses variable {lit.variable} "
-                        f"but the formula declares only {self.num_variables}"
-                    )
+        if not isinstance(self.clauses, tuple):
+            raise FormulaError(f"clauses must be a tuple, got {type(self.clauses).__name__}")
+        for ci, clause in enumerate(self.clauses, start=1):
+            if not isinstance(clause, tuple):
+                raise FormulaError(f"clause {ci} must be a tuple, got {type(clause).__name__}")
+            if len(clause) != 3:
+                raise FormulaError(f"clause {ci} must have exactly 3 literals, got {len(clause)}")
+            for lit in clause:
+                if type(lit) is not int or lit == 0:
+                    raise FormulaError(f"clause {ci} has literal {lit!r}, not a non-zero int")
+                if abs(lit) > n:
+                    raise FormulaError(f"clause {ci} uses variable {abs(lit)} "
+                                       f"but the formula declares only {n}")
 
     @property
     def num_clauses(self) -> int:
@@ -126,7 +111,7 @@ def eval_cnf(formula: CnfFormula, assignment: Assignment) -> bool:
     """True iff every clause has at least one true literal."""
     _check_total(formula, assignment)
     for clause in formula.clauses:
-        if not any(assignment[l.variable] != l.negated for l in clause.literals):
+        if not any(assignment[abs(l)] != (l < 0) for l in clause):
             return False
     return True
 
@@ -173,18 +158,17 @@ def gen_random_3cnf(n: int, k: int, seed: int) -> CnfFormula:
 
     Deterministic for a given seed: the PRNG is Python's Mersenne Twister,
     drawing per literal first the variable (randrange) then the sign
-    (one bit).
+    (one bit, which negates it when set).
     """
     if n < 0 or k < 0 or (n == 0 and k > 0):
         raise FormulaError(f"cannot generate {k} clauses over {n} variables")
     rng = random.Random(seed)
-    clauses = []
-    for _ in range(k):
-        lits = tuple(
-            Literal(rng.randrange(1, n + 1), bool(rng.getrandbits(1))) for _ in range(3)
-        )
-        clauses.append(Clause(lits))
-    return CnfFormula(n, tuple(clauses))
+
+    def literal() -> int:
+        var = rng.randrange(1, n + 1)
+        return -var if rng.getrandbits(1) else var
+
+    return CnfFormula(n, tuple((literal(), literal(), literal()) for _ in range(k)))
 
 
 # --- DIMACS / QDIMACS -------------------------------------------------------
@@ -234,9 +218,9 @@ def dimacs_header(text: str) -> tuple[int, int]:
     return _parse_header(_tokenize(text))
 
 
-def _parse_clauses(tokens, n: int, k: int) -> tuple[Clause, ...]:
-    clauses: list[Clause] = []
-    current: list[Literal] = []
+def _parse_clauses(tokens, n: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    clauses: list[tuple[int, int, int]] = []
+    current: list[int] = []
     last_line = None
     for tok, line in tokens:
         last_line = line
@@ -251,13 +235,13 @@ def _parse_clauses(tokens, n: int, k: int) -> tuple[Clause, ...]:
                 raise FormulaError(f"clause with {len(current)} literals (> 3)", line)
             while len(current) < 3:
                 current.append(current[-1])  # pad by repeating the last literal
-            clauses.append(Clause(tuple(current)))
+            clauses.append(tuple(current))
             current = []
             continue
         var = abs(value)
         if var > n:
             raise FormulaError(f"variable {var} out of range (header declares {n})", line)
-        current.append(Literal(var, value < 0))
+        current.append(value)
     if current:
         raise FormulaError("unterminated clause at end of input (missing 0)", last_line)
     if len(clauses) != k:
@@ -314,7 +298,7 @@ def write_dimacs(formula: CnfFormula) -> str:
     """Round-trip writer: parse_dimacs(write_dimacs(F)) == F."""
     lines = [f"p cnf {formula.num_variables} {formula.num_clauses}"]
     for clause in formula.clauses:
-        lines.append(" ".join(str(l) for l in clause.literals) + " 0")
+        lines.append(" ".join(map(str, clause)) + " 0")
     return "\n".join(lines) + "\n"
 
 

@@ -14,16 +14,14 @@ import math
 import random
 import re
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 from satplat.formula import (
     QBF_BOUND,
     SAT_BOUND,
-    Clause,
     CnfFormula,
-    Literal,
     QbfFormula,
     Quantifier,
     gen_random_3cnf,
@@ -114,15 +112,13 @@ class CorpusSpec:
                              f"over the bound of {bound}")
 
 
-@dataclass
-class CorpusSummary:
-    """A corpus run: its reports, and the counts derived from them.  A
-    dataclass, not a NamedTuple: it is mutable, and each summary gets a
-    fresh `reports` list, where a NamedTuple's default is one shared
-    object."""
+@own_kind
+class CorpusSummary(NamedTuple):
+    """A corpus run: its reports, in item order, and the counts derived
+    from them."""
 
     spec: CorpusSpec
-    reports: list[EquivalenceReport] = field(default_factory=list)
+    reports: tuple[EquivalenceReport, ...]
 
     @property
     def items(self) -> int:
@@ -194,9 +190,8 @@ def enumerate_cnf(n_max: int, k_max: int):
     clauses, deduplicated: clause literal multisets and clause multisets
     are enumerated in canonical sorted order."""
     for n in range(n_max + 1):
-        literals = [Literal(v, neg) for v in range(1, n + 1) for neg in (False, True)]
-        clauses = [Clause(c) for c in
-                   itertools.combinations_with_replacement(literals, 3)]
+        literals = [lit for v in range(1, n + 1) for lit in (v, -v)]
+        clauses = list(itertools.combinations_with_replacement(literals, 3))
         for k in range(k_max + 1):
             for combo in itertools.combinations_with_replacement(clauses, k):
                 yield CnfFormula(n, combo)
@@ -250,8 +245,8 @@ def run_items(items: list[CnfFormula] | list[QbfFormula], spec: CorpusSpec,
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return CorpusSummary(spec, list(pool.map(runner, items, chunksize=CHUNK_ITEMS)))
-    return CorpusSummary(spec, [runner(f) for f in items])
+            return CorpusSummary(spec, tuple(pool.map(runner, items, chunksize=CHUNK_ITEMS)))
+    return CorpusSummary(spec, tuple(runner(f) for f in items))
 
 
 def run_corpus(spec: CorpusSpec, jobs: int = 1,

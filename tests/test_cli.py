@@ -211,7 +211,7 @@ class TestErrorPaths:
         level = tmp_path / "s.level"
         run(capsys, "compile", sample_cnf, "-o", level)
         doc = json.loads(level.read_text())
-        doc.update(width=0, height=3, tiles=["", "", ""])
+        doc["tiles"] = ["", "", ""]
         level.write_text(json.dumps(doc))
         code, out, err = run(capsys, command, level)
         assert code == 2 and out == "" and err.startswith("error:") and "grid-shape" in err

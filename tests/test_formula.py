@@ -5,10 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satplat.formula import (
-    Clause,
     CnfFormula,
     FormulaError,
-    Literal,
     QbfFormula,
     Quantifier,
     assignment_from_index,
@@ -24,19 +22,15 @@ from satplat.formula import (
 from tests.conftest import SAMPLE_DIMACS
 
 
-def clause(*lits):
-    return Clause(tuple(Literal(abs(v), v < 0) for v in lits))
-
-
 class TestParseDimacs:
     def test_smallest_input_pads_to_three_literals(self):
         f = parse_dimacs("p cnf 1 1\n1 0")
         assert f.num_variables == 1
-        assert f.clauses == (clause(1, 1, 1),)
+        assert f.clauses == ((1, 1, 1),)
 
     def test_sample_formula(self, sample_formula):
         assert sample_formula.num_variables == 3
-        assert sample_formula.clauses == (clause(1, 2, -3), clause(-1, 2, 3))
+        assert sample_formula.clauses == ((1, 2, -3), (-1, 2, 3))
 
     def test_variable_out_of_range_names_line(self):
         with pytest.raises(FormulaError, match="line 2.*variable 3"):
@@ -44,7 +38,7 @@ class TestParseDimacs:
 
     def test_two_literal_clause_padded_with_last(self):
         f = parse_dimacs("p cnf 2 1\n1 -2 0")
-        assert f.clauses == (clause(1, -2, -2),)
+        assert f.clauses == ((1, -2, -2),)
 
     def test_too_many_literals_rejected(self):
         with pytest.raises(FormulaError, match="4 literals"):
@@ -140,7 +134,7 @@ class TestSatOracle:
         assert witness == assignment_from_index(3, models[0])
 
     def test_contradiction(self):
-        f = CnfFormula(1, (clause(1, 1, 1), clause(-1, -1, -1)))
+        f = CnfFormula(1, ((1, 1, 1), (-1, -1, -1)))
         assert sat_oracle(f) is None
 
     def test_empty_formula(self):
@@ -170,8 +164,8 @@ class TestQbfOracle:
 
 
 def _small_formulas():
-    lits = [Literal(v, neg) for v in (1, 2) for neg in (False, True)]
-    clauses = [Clause(c) for c in itertools.combinations_with_replacement(lits, 3)]
+    lits = [lit for v in (1, 2) for lit in (v, -v)]
+    clauses = list(itertools.combinations_with_replacement(lits, 3))
     for combo in itertools.combinations_with_replacement(clauses, 2):
         yield CnfFormula(2, combo)
 
@@ -187,12 +181,33 @@ class TestGenRandom:
         f = gen_random_3cnf(4, 5, 42)
         assert f.num_clauses == 5
         for c in f.clauses:
-            assert len(c.literals) == 3
-            assert all(1 <= l.variable <= 4 for l in c.literals)
+            assert len(c) == 3
+            assert all(type(l) is int and 1 <= abs(l) <= 4 for l in c)
 
     def test_zero_variables_with_clauses_rejected(self):
         with pytest.raises(FormulaError):
             gen_random_3cnf(0, 1, 0)
+
+
+class TestCnfFormulaShape:
+    @pytest.mark.parametrize("clauses, message", [
+        (((1, 2),), "clause 1 must have exactly 3 literals, got 2"),
+        (((1, 2, 3, 1),), "clause 1 must have exactly 3 literals, got 4"),
+        (((1, 0, 2),), "clause 1 has literal 0, not a non-zero int"),
+        (((1, True, 2),), "clause 1 has literal True, not a non-zero int"),
+        (((1, 2, 3), (1, 2, 4)), "clause 2 uses variable 4 but the formula declares only 3"),
+        (((1, 2, -4),), "clause 1 uses variable 4 but the formula declares only 3"),
+        (([1, 2, 3],), "clause 1 must be a tuple, got list"),
+        ([(1, 2, 3)], "clauses must be a tuple, got list"),
+    ], ids=["two-literals", "four-literals", "zero", "bool", "var-n+1", "var-minus-n-1",
+            "list-clause", "list-of-clauses"])
+    def test_a_malformed_clause_is_refused(self, clauses, message):
+        with pytest.raises(FormulaError) as err:
+            CnfFormula(3, clauses)
+        assert str(err.value) == message
+
+    def test_repeated_literals_are_allowed(self):
+        assert CnfFormula(3, ((1, 1, -3),)).clauses == ((1, 1, -3),)
 
 
 @given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 2**32))

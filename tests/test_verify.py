@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import os
 import random
@@ -16,6 +17,8 @@ from satplat.formula import (
     QbfFormula,
     parse_dimacs,
     parse_qdimacs,
+    write_dimacs,
+    write_qdimacs,
 )
 from satplat.level import NP, PSPACE, SpaceBlock, load_level
 from satplat.sim import initial_state, jump, replay, sim_context, step, walk
@@ -79,6 +82,18 @@ class TestEnumeration:
         qbfs = list(enumerate_qbf(1, 1))
         # n=0: 1; n=1: 2 prefixes x (1 + 4 clauses) = 10
         assert len(qbfs) == 11
+
+    @pytest.mark.parametrize("enumerate_, write, bounds, count, digest", [
+        (enumerate_cnf, write_dimacs, (2, 2), 247,
+         "b3b685d2e2379bba6d4f8190c2af68c869940b8671187ec2270235c7be2dc598"),
+        (enumerate_qbf, write_qdimacs, (2, 1), 95,
+         "eb6b0b5dbafcd2e64d41a0fe1f76641f5366aff938fa6bd6fbbc6b9d80c009a0"),
+    ], ids=["cnf", "qbf"])
+    def test_corpus_order_is_pinned(self, enumerate_, write, bounds, count, digest):
+        # An exhaustive corpus's order names its `case_NNNN` repro bundles.
+        texts = [write(f) for f in enumerate_(*bounds)]
+        assert len(texts) == count
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == digest
 
     def test_random_qbf_deterministic(self):
         assert gen_random_qbf(3, 2, 5) == gen_random_qbf(3, 2, 5)
@@ -195,7 +210,7 @@ class TestRunCorpus:
         assert (case / "level.json").exists()
         verdicts = json.loads((case / "verdicts.json").read_text())
         assert verdicts == {"oracle": False, "level": "solvable", "agree": False}
-        text = CorpusSummary(CorpusSpec("EXHAUSTIVE", NP), [report]).text()
+        text = CorpusSummary(CorpusSpec("EXHAUSTIVE", NP), (report,)).text()
         assert "1 items, 0 agree, 1 disagree, 0 limit" in text
         assert ("  DISAGREE oracle=False level=solvable: p cnf 3 2 | 1 2 -3 0 | -1 2 3 0 | \n"
                 in text)
