@@ -5,8 +5,9 @@ the artifact's most serious bug; the harness writes a reproduction
 bundle for each one (none expected here).
 """
 
-from satplat.verify import CorpusSpec, run_corpus, verify_formula
+from satplat.corpus import CorpusSpec, run_corpus
 from satplat.formula import parse_dimacs
+from satplat.verify import verify_formula
 
 report = verify_formula(parse_dimacs("p cnf 3 2\n1 2 -3 0\n-1 2 3 0\n"))
 print(f"worked example: oracle={report.oracle_verdict} "

@@ -14,7 +14,10 @@ The pieces, bottom up:
   contracts.
 - ``compiler``: lays out and wires gadgets into complete levels.
 - ``solver``:   exhaustive BFS over game states; produces witness traces.
-- ``verify``:   compile + solve + compare with the oracles over corpora.
+- ``verify``:   compile + solve + compare with the oracles, one formula
+  at a time; witness mutation.
+- ``corpus``:   formula corpora, run through ``verify`` in worker
+  processes, with repro bundles for disagreements.
 - ``cli``:      command-line front end.
 """
 

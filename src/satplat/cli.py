@@ -30,7 +30,6 @@ from satplat.gadgets import ALL_GADGET_BUILDERS, catalog, check_contract
 from satplat.level import NP, PSPACE, load_level, render_ascii, save_level
 from satplat.sim import replay, replay_states, trace_from_text, trace_to_text
 from satplat.solver import DEFAULT_MAX_STATES, LimitExceeded, Solvable, solve
-from satplat.verify import CorpusSpec, run_corpus
 
 
 def _write_out(text: str, out: str | None):
@@ -108,6 +107,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from satplat.corpus import CorpusSpec, run_corpus  # off the other commands' import path
+
     variant = PSPACE if args.pspace else NP
     if args.random:
         spec = CorpusSpec("RANDOM", variant, n=args.n, k=args.k,

@@ -26,9 +26,6 @@ cell outside every gadget, and the gadgets must leave the rest open.
 Wires may join at their ends but never cross.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from satplat.formula import CnfFormula, QbfFormula, Quantifier
@@ -90,17 +87,27 @@ class Wire(NamedTuple):
     points: tuple[tuple[int, int], ...]
 
 
-@dataclass
 class LayoutPlan:
-    """A dataclass, not a NamedTuple: the planners set its spawn and
-    flag and append its placements and wires after it is built."""
+    """A plain class, not a NamedTuple: the planners set its size, spawn
+    and flag and append its placements and wires after it is built.  Two
+    plans are equal when their fields are."""
 
-    width: int
-    height: int
-    placements: list[Placement] = field(default_factory=list)
-    spawn: tuple[int, int] | None = None
-    flag: tuple[int, int] | None = None
-    wires: list[Wire] = field(default_factory=list)
+    def __init__(self, width: int, height: int, placements: list[Placement] | None = None,
+                 spawn: tuple[int, int] | None = None, flag: tuple[int, int] | None = None,
+                 wires: list[Wire] | None = None):
+        self.width = width
+        self.height = height
+        self.placements = [] if placements is None else placements
+        self.spawn = spawn
+        self.flag = flag
+        self.wires = [] if wires is None else wires
+
+    def __eq__(self, other) -> bool:
+        return type(other) is LayoutPlan and vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"LayoutPlan({fields})"
 
 
 def _segments(wires: list[Wire]):

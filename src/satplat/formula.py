@@ -8,12 +8,12 @@ ground truth that the level compiler is verified against, so they must be
 trivially auditable.
 """
 
-from __future__ import annotations
-
 import itertools
 import random
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
+
+from satplat.level import checked
 
 SAT_BOUND = 20  # most variables `sat_oracle` takes
 QBF_BOUND = 12  # most variables `qbf_oracle` takes
@@ -34,13 +34,8 @@ class Quantifier(Enum):
     FORALL = "a"
 
 
-# CnfFormula and QbfFormula are dataclasses, not NamedTuples: each checks
-# its fields in `__post_init__`, and a NamedTuple body cannot define
-# `__new__`.
-
-
-@dataclass(frozen=True)
-class CnfFormula:
+@checked
+class CnfFormula(NamedTuple):
     """A 3-CNF over the variables 1..num_variables.  Each clause is a
     tuple of three DIMACS literals and may repeat one, as parsing pads
     short clauses that way."""
@@ -48,7 +43,7 @@ class CnfFormula:
     num_variables: int
     clauses: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self):
+    def _check(self):
         n = self.num_variables
         if n < 0:
             raise FormulaError("num_variables must be >= 0")
@@ -71,8 +66,8 @@ class CnfFormula:
         return len(self.clauses)
 
 
-@dataclass(frozen=True)
-class QbfFormula:
+@checked
+class QbfFormula(NamedTuple):
     """A prenex quantified formula over a 3-CNF matrix.
 
     The prefix quantifies every matrix variable exactly once, outermost
@@ -82,7 +77,7 @@ class QbfFormula:
     prefix: tuple[tuple[Quantifier, int], ...]
     matrix: CnfFormula
 
-    def __post_init__(self):
+    def _check(self):
         seen = set()
         for _, var in self.prefix:
             if var in seen:
@@ -169,6 +164,17 @@ def gen_random_3cnf(n: int, k: int, seed: int) -> CnfFormula:
         return -var if rng.getrandbits(1) else var
 
     return CnfFormula(n, tuple((literal(), literal(), literal()) for _ in range(k)))
+
+
+def gen_random_qbf(n: int, k: int, seed: int) -> QbfFormula:
+    """Seeded random QBF: a uniform quantifier per variable plus a random
+    3-CNF matrix (matrix PRNG stream is offset from the prefix stream)."""
+    rng = random.Random(seed)
+    prefix = tuple(
+        (Quantifier.FORALL if rng.getrandbits(1) else Quantifier.EXISTS, v)
+        for v in range(1, n + 1)
+    )
+    return QbfFormula(prefix, gen_random_3cnf(n, k, seed + 0x5A7))
 
 
 # --- DIMACS / QDIMACS -------------------------------------------------------

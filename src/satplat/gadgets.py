@@ -26,8 +26,6 @@ Conventions used throughout the blueprints:
 - one-way drops are 1-wide shafts deeper than the jump rise.
 """
 
-from __future__ import annotations
-
 from functools import cache
 from typing import NamedTuple
 

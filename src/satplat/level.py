@@ -7,10 +7,8 @@ level states only what it cannot derive: its size is that of its rows,
 and its variant follows from its entities (`variant_of`).
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass, field
+from functools import wraps
 from typing import NamedTuple
 
 Cell = tuple[int, int]
@@ -43,28 +41,59 @@ def _kind_hash(self) -> int:
 
 def own_kind(cls):
     """Make a NamedTuple value type equal, and hash equal, only to its own
-    kind, as a dataclass is: a plain tuple compares by its items, and then
+    kind: a plain tuple compares by its items, and then
     `Spawn((1, 1)) == Flag((1, 1))`, and two levels that differ only in an
     entity's kind would share one `sim_context`."""
     cls.__eq__, cls.__ne__, cls.__hash__ = _same_kind, _other_kind, _kind_hash
     return cls
 
 
-@dataclass(frozen=True)
-class PhysicsParams:
+def _by_fields(self):
+    """Pickle and copy a value as a call of its type on its fields."""
+    return type(self), tuple(self)
+
+
+def checked(cls):
+    """An `own_kind` NamedTuple whose `_check(value)` runs on every path
+    that builds a value: the constructor through `__new__`, `_replace`
+    through `_make`, and unpickling and copying through `__reduce__`,
+    which rebuild the value by its constructor.  A NamedTuple body may
+    define neither `__new__` nor `_make`, so they are set here, around
+    the generated ones; the generated `_make` builds its tuple without
+    calling `__new__`."""
+    new, make, check = cls.__new__, cls._make.__func__, cls._check
+
+    @wraps(new)
+    def __new__(kind, *args, **kwargs):
+        value = new(kind, *args, **kwargs)
+        check(value)
+        return value
+
+    @wraps(make)
+    def _make(kind, iterable):
+        value = make(kind, iterable)
+        check(value)
+        return value
+
+    cls.__new__, cls._make = staticmethod(__new__), classmethod(_make)
+    cls.__reduce__ = _by_fields
+    return own_kind(cls)
+
+
+@checked
+class PhysicsParams(NamedTuple):
     """Calibration constants for the simplified movement model.
 
     jump_rise: maximum cells a jump ascends; dash_length: cells a dash
     travels; reform_distance: Chebyshev distance at which a broken
-    platform reforms.  A dataclass, not a NamedTuple: `__post_init__`
-    checks the fields, and a NamedTuple body cannot define `__new__`.
+    platform reforms.
     """
 
     jump_rise: int = 3
     dash_length: int = 4
     reform_distance: int = 2
 
-    def __post_init__(self):
+    def _check(self):
         if self.jump_rise < 1 or self.dash_length < 2 or self.reform_distance < 1:
             raise LevelError(
                 f"bad physics: J={self.jump_rise} D={self.dash_length} R={self.reform_distance}"
@@ -139,29 +168,33 @@ class Port(NamedTuple):
     cell: Cell
 
 
-@dataclass(frozen=True)
-class Level:
-    """A tile grid, its entities, its physics and its ports; its width and
-    height are those of its rows.  A dataclass, not a NamedTuple: it
-    caches its hash in its instance dict, and `sim_context` hashes the
-    level on every call."""
-
+@own_kind
+class _LevelFields(NamedTuple):
     tiles: tuple[str, ...]  # bottom row first, strings of '#'/'.'
     entities: tuple[Entity, ...]
-    physics: PhysicsParams = field(default_factory=PhysicsParams)
+    physics: PhysicsParams = PhysicsParams()
     ports: tuple[Port, ...] = ()
+
+
+class Level(_LevelFields):
+    """A tile grid, its entities, its physics and its ports; its width and
+    height are those of its rows.  A subclass of its NamedTuple, which
+    has no instance dict, so that it can cache its hash in its own:
+    `sim_context` hashes the level on every call."""
 
     def __hash__(self) -> int:
         # Every field is immutable, so the hash is computed once.
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.tiles, self.entities, self.physics, self.ports))
-            object.__setattr__(self, "_hash", h)
+            h = self.__dict__["_hash"] = _kind_hash(self)
         return h
 
-    def __getstate__(self) -> dict:
-        # String hashes differ between processes: never pickle the cache.
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    # String hashes differ between processes: never pickle the cache.
+    __reduce__ = _by_fields
+
+    def __setattr__(self, name: str, value):
+        # The instance dict holds the hash cache alone, as a frozen value's.
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def width(self) -> int:

@@ -75,8 +75,6 @@ applies a record a second time only if its write set holds an unread
 door bit: a dash may stop before that button.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple

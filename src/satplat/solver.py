@@ -33,8 +33,6 @@ masks, as the first one that maps the parent to the child.  Unsolvable
 means the reachable state space was exhausted.
 """
 
-from __future__ import annotations
-
 import time
 from collections import deque
 from typing import NamedTuple
@@ -86,7 +84,7 @@ class _Keys(NamedTuple):
     top: int  # bit length of every key
 
     @classmethod
-    def of(cls, ctx, start: GameState) -> _Keys:
+    def of(cls, ctx, start: GameState) -> "_Keys":
         dash = (ctx.width * ctx.height - 1).bit_length()
         plats = dash + 1 + max(ctx.door_bits, start.door_open.bit_length())
         top = plats + max(ctx.plat_bits, start.platform_broken.bit_length())

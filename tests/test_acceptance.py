@@ -17,13 +17,8 @@ from satplat.gadgets import ALL_GADGET_BUILDERS, check_contract
 from satplat.level import NP, PSPACE, save_level
 from satplat.sim import replay, replay_states, trace_to_text
 from satplat.solver import Solvable, solve
-from satplat.verify import (
-    CorpusSpec,
-    mutate_trace,
-    run_corpus,
-    run_items,
-    trace_prefix_states,
-)
+from satplat.corpus import CorpusSpec, run_corpus, run_items
+from satplat.verify import mutate_trace, trace_prefix_states
 
 JOBS = 2
 

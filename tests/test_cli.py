@@ -247,9 +247,9 @@ class TestErrorPaths:
     ])
     def test_verify_above_an_oracle_bound_exits_two_before_any_item(self, capsys,
                                                                     monkeypatch, argv):
-        import satplat.verify
+        import satplat.corpus
 
-        monkeypatch.setattr(satplat.verify, "corpus_items", None)
+        monkeypatch.setattr(satplat.corpus, "corpus_items", None)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "oracle bound exceeded" in err

@@ -23,6 +23,7 @@ from satplat.formula import (
     QbfFormula,
     Quantifier,
     gen_random_3cnf,
+    gen_random_qbf,
     parse_dimacs,
     parse_qdimacs,
     qbf_oracle,
@@ -47,7 +48,7 @@ from satplat.solver import (
     solve,
     solve_between,
 )
-from satplat.verify import enumerate_cnf, enumerate_qbf, gen_random_qbf
+from satplat.corpus import enumerate_cnf, enumerate_qbf
 
 QUANTIFIERS = {"e": Quantifier.EXISTS, "a": Quantifier.FORALL}
 

@@ -74,6 +74,13 @@ class TestRoundTrip:
         assert again == level
         assert hash(again) == hash(level)
 
+    def test_a_level_takes_no_attribute(self, sample_formula):
+        level = compile_3sat(sample_formula)
+        for name in ("tiles", "_hash", "extra"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(level, name, ())
+        assert hash(level) == hash(load_level(save_level(level)))
+
     def test_pickled_level_rehashes_in_another_process(self, sample_formula):
         # String hashes are salted per process, so a hash cached in one
         # process must not travel with the level into another.

@@ -14,10 +14,10 @@ import hashlib
 import random
 
 from satplat.compiler import compile_3sat, compile_qbf
-from satplat.formula import gen_random_3cnf, parse_dimacs
+from satplat.formula import gen_random_3cnf, gen_random_qbf, parse_dimacs
 from satplat.sim import trace_to_text
 from satplat.solver import Solvable, solve
-from satplat.verify import gen_random_qbf, mutate_trace
+from satplat.verify import mutate_trace
 from tests.conftest import SAMPLE_DIMACS
 
 NP_MUTANT_DIGEST = "281151a30023fecfe85e7d4c4ca07dc1b187b31a3eded24d7d3a0d292f0d12af"

@@ -12,10 +12,9 @@ Such a change must be declared, and the digest re-recorded with it.
 import hashlib
 
 from satplat.compiler import compile_3sat, compile_qbf
-from satplat.formula import gen_random_3cnf
+from satplat.formula import gen_random_3cnf, gen_random_qbf
 from satplat.sim import trace_to_text
 from satplat.solver import Solvable, solve
-from satplat.verify import gen_random_qbf
 
 NP_DIGEST = "bcddc2afe624a0bdc65e1627e1420359809dea251a75fc6021c0587e09e62f0c"
 QBF_DIGEST = "2317ba611740c183e07e05109a330f690272684890749493a7b197aa3c2781f8"

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import tracemalloc
 
@@ -438,7 +437,7 @@ def loadable_levels(draw):
     physics = PhysicsParams(draw(st.integers(1, min(5, height))), draw(st.integers(2, 6)),
                             draw(st.integers(1, 4)))
     try:
-        return load_level(save_level(dataclasses.replace(level, physics=physics, ports=ports)))
+        return load_level(save_level(level._replace(physics=physics, ports=ports)))
     except LevelError:
         reject()
 

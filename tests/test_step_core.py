@@ -10,7 +10,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from satplat.compiler import compile_3sat, compile_qbf
-from satplat.formula import gen_random_3cnf
+from satplat.formula import gen_random_3cnf, gen_random_qbf
 from satplat.level import (
     CLOSE,
     OPEN,
@@ -34,7 +34,6 @@ from satplat.sim import (
     step,
 )
 from satplat.solver import Solvable, _Keys, solve
-from satplat.verify import gen_random_qbf
 from tests.conftest import level_from_art
 from tests.reference_core import reference_step
 from tests.test_solver import loadable_levels, small_levels

@@ -15,6 +15,7 @@ from satplat.formula import (
     SAT_BOUND,
     CnfFormula,
     QbfFormula,
+    gen_random_qbf,
     parse_dimacs,
     parse_qdimacs,
     write_dimacs,
@@ -24,21 +25,22 @@ from satplat.level import NP, PSPACE, SpaceBlock, load_level
 from satplat.sim import initial_state, jump, replay, sim_context, step, walk
 from satplat.solver import Solvable, solve
 from satplat import verify
-from satplat.verify import (
+from satplat.corpus import (
     CorpusSpec,
     CorpusSummary,
-    EquivalenceReport,
     corpus_items,
     enumerate_cnf,
     enumerate_qbf,
-    gen_random_qbf,
-    mutate_trace,
     run_corpus,
     run_items,
+    write_repro_bundles,
+)
+from satplat.verify import (
+    EquivalenceReport,
+    mutate_trace,
     trace_prefix_states,
     verify_formula,
     verify_qbf,
-    write_repro_bundles,
 )
 from tests.conftest import SAMPLE_DIMACS, level_from_art
 
@@ -365,14 +367,25 @@ class FixedDraw:
         return self.u
 
 
-@pytest.mark.parametrize("module", ["satplat.cli", "satplat.verify"])
-def test_import_loads_no_process_pool(module):
-    # `run_items` imports the pool only when it runs more than one worker.
-    script = (f"import sys, {module}\n"
-              "print(' '.join(m for m in ('multiprocessing', 'concurrent.futures.process')"
-              " if m in sys.modules))")
+def loaded(imports: str, modules) -> list[str]:
+    """Which of `modules` a fresh interpreter has loaded after `imports`."""
+    script = (f"import sys, {imports}\n"
+              f"print(' '.join(m for m in {tuple(modules)!r} if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == ""
+    return done.stdout.split()
+
+
+@pytest.mark.parametrize("module", ["satplat.cli", "satplat.verify", "satplat.corpus"])
+def test_import_loads_no_process_pool(module):
+    # `run_items` imports the pool only when it runs more than one worker.
+    assert loaded(module, ("multiprocessing", "concurrent.futures.process")) == []
+
+
+def test_the_pipeline_and_the_cli_import_no_corpus_runner():
+    # `satplat verify` imports the runner when it runs, and nothing else does.
+    pipeline = ", ".join(f"satplat.{m}" for m in
+                         ("formula", "level", "sim", "compiler", "solver", "verify", "cli"))
+    assert loaded(pipeline, ("satplat.corpus",)) == []
